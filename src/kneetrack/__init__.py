@@ -16,7 +16,6 @@ from .core import (
     Phase,
     PhaseBound,
     TrackingState,
-    tracking_error,
     within_bound,
 )
 from .dhdp import (
@@ -59,14 +58,13 @@ from .harness import (
     safety_check,
 )
 from .plant import (
-    AlignmentError,
     FeatureMapConfig,
     FeatureMapPlant,
     OdeKneeConfig,
     OdeKneePlant,
     PlantInstabilityError,
     TargetProgram,
-    measurement_alignment,
+    alignment_errors,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,10 @@ from .config import ConfigError, load_config, trial_config_from
 from .dhdp import PolicyFormatError, load_policy, save_policy
 from .harness import (
     BatchResult,
+    Metrics,
+    TrialRecord,
+    _fmt,
+    aggregate_metrics,
     batch_summary,
     run_testing_batch,
     run_training_batch,
@@ -35,12 +39,19 @@ from .harness import (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_rms_csv(path: Path, groups: list[tuple[int, str, Metrics]]) -> None:
+    """Initial and final RMS rows, two per (scenario, stage, metrics) group."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario", "stage", "metric", "initial", "final"])
+        for scenario, stage, m in groups:
+            initial = m.rms_initial or {}
+            final = m.rms_final or {}
+            for metric, key in (("peak_angle_rad", "peak_rad"),
+                                ("duration_pct", "duration_pct")):
+                writer.writerow([_fmt(v) for v in (
+                    scenario, stage, metric, initial.get(key), final.get(key),
+                )])
 
 
 def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
@@ -60,17 +71,8 @@ def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
                     r.cycle, r.d_peak, r.d_duration_pct, tol.angle, tol.duration_pct,
                 )])
 
-    m = batch.metrics
-    with open(plots / "rms_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "stage", "metric", "initial", "final"])
-        final = m.rms_final or {"peak_rad": None, "duration_pct": None}
-        for metric, key in (("peak_angle_rad", "peak_rad"),
-                            ("duration_pct", "duration_pct")):
-            writer.writerow([_fmt(v) for v in (
-                batch.cfg.scenario, batch.cfg.stage, metric,
-                m.rms_initial[key], final[key],
-            )])
+    _write_rms_csv(plots / "rms_summary.csv",
+                   [(batch.cfg.scenario, batch.cfg.stage, batch.metrics)])
 
 
 def _load_policies(policy_dir: Path, cfg):
@@ -188,58 +190,44 @@ def cmd_report(args) -> int:
         print(f"error: no trial summaries under {directory}", file=sys.stderr)
         return 1
 
-    rows: dict[tuple, list[dict]] = {}
+    records: dict[tuple, list[TrialRecord]] = {}
     skipped = 0
     for path in trial_files:
         try:
             doc = json.loads(path.read_text())
             if doc.get("schema") != "kneetrack-trial":
                 continue
-            key = (doc["scenario"], doc["stage"])
+            record = TrialRecord(
+                scenario=doc["scenario"], stage=doc["stage"], outcome=doc["outcome"],
+                tuning_steps=doc["tuning_steps"],
+                rms_initial=doc.get("rms_initial"), rms_final=doc.get("rms_final"),
+            )
         except (json.JSONDecodeError, KeyError) as exc:
             print(f"warning: skipping malformed {path}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        rows.setdefault(key, []).append(doc)
+        records.setdefault((record.scenario, record.stage), []).append(record)
 
-    if not rows:
+    if not records:
         print(f"error: no readable trial summaries under {directory}", file=sys.stderr)
         return 1
 
-    import numpy as np
-
-    table = []
-    rms_rows = []
-    for (scenario, stage), docs in sorted(rows.items()):
-        steps = [d["tuning_steps"] for d in docs
-                 if d["outcome"] == "success" and d["tuning_steps"] is not None]
-        entry = {
-            "scenario": scenario,
-            "stage": stage,
-            "trials": len(docs),
-            "success_rate": sum(d["outcome"] == "success" for d in docs) / len(docs),
-            "tuning_steps_mean": float(np.mean(steps)) if steps else None,
-            "tuning_steps_std": float(np.std(steps)) if steps else None,
-        }
-        table.append(entry)
-        initials = [d["rms_initial"] for d in docs if d.get("rms_initial")]
-        finals = [d["rms_final"] for d in docs if d.get("rms_final")]
-        for metric, key in (("peak_angle_rad", "peak_rad"), ("duration_pct", "duration_pct")):
-            rms_rows.append([
-                scenario, stage, metric,
-                float(np.mean([r[key] for r in initials])) if initials else None,
-                float(np.mean([r[key] for r in finals])) if finals else None,
-            ])
+    groups = [(scenario, stage, aggregate_metrics(recs))
+              for (scenario, stage), recs in sorted(records.items())]
+    table = [{
+        "scenario": scenario,
+        "stage": stage,
+        "trials": m.trials,
+        "success_rate": m.success_rate,
+        "tuning_steps_mean": m.tuning_steps_mean,
+        "tuning_steps_std": m.tuning_steps_std,
+    } for scenario, stage, m in groups]
 
     report = {"schema": "kneetrack-report", "skipped_files": skipped, "results": table}
     out_dir = Path(args.out) if args.out else directory
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(report, out_dir / "report.json")
-    with open(out_dir / "report_rms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "stage", "metric", "initial", "final"])
-        for row in rms_rows:
-            writer.writerow([_fmt(v) for v in row])
+    _write_rms_csv(out_dir / "report_rms.csv", groups)
 
     for entry in table:
         steps = ("n/a" if entry["tuning_steps_mean"] is None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +130,17 @@ def _merge(template: dict, user: dict, path: str = "") -> dict:
     return merged
 
 
+def _require_finite(value, path: str) -> None:
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+
+
 def _check_leaf(value, default, path: str):
-    if default is None or value is None:
+    _require_finite(value, path)
+    if default is None:
         return value
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -171,6 +181,13 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if key not in resolved:
             raise ConfigError(f"unknown override: {key}")
         resolved[key] = value
+    for key in ("trials", "trials_per_policy"):
+        if resolved[key] < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {resolved[key]}")
+    for key in ("critic_lr", "actor_lr"):
+        if resolved["dhdp"][key] <= 0:
+            raise ConfigError(f"dhdp.{key}: learning rate must be positive, "
+                              f"got {resolved['dhdp'][key]}")
     return resolved
 
 

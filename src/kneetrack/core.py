@@ -57,9 +57,6 @@ class GaitFeatures:
                 f"peak angle {self.peak_angle} outside [0, {KNEE_ANGLE_MAX}] rad"
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.duration, self.peak_angle])
-
 
 @dataclass(frozen=True)
 class TrackingState:
@@ -67,9 +64,6 @@ class TrackingState:
 
     d_duration: float
     d_peak: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_duration, self.d_peak])
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,6 @@ class ControlDelta:
         for v in (self.d_stiffness, self.d_damping, self.d_equilibrium):
             if not math.isfinite(v):
                 raise ValueError(f"control delta components must be finite, got {v}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_stiffness, self.d_damping, self.d_equilibrium])
 
 
 @dataclass(frozen=True)
@@ -158,14 +149,6 @@ class BoundsTable:
         )
         tolerance = tuple(PhaseBound(0.0263, 2.0) for _ in range(NUM_PHASES))
         return cls(safety=safety, tolerance=tolerance)
-
-
-def tracking_error(target: GaitFeatures, measured: GaitFeatures) -> TrackingState:
-    """Componentwise error between the target and the measured gait features."""
-    return TrackingState(
-        d_duration=target.duration - measured.duration,
-        d_peak=target.peak_angle - measured.peak_angle,
-    )
 
 
 def within_bound(state: TrackingState, bound: PhaseBound, cycle_duration: float) -> bool:

@@ -381,7 +381,24 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         raise PolicyFormatError(
             f"{name}: {data.size} values do not fill shape {list(shape)}"
         )
+    if not np.all(np.isfinite(data)):
+        raise PolicyFormatError(f"{name}: weights must be finite")
     return data.reshape(shape)
+
+
+def _net_from_json(cls, entry, kind: str, path, expect_hidden):
+    """One phase's ``kind`` network from its hidden and output matrices."""
+    try:
+        w_hidden = _matrix_from_json(entry[f"{kind}_hidden"], f"{kind}_hidden")
+        w_out = _matrix_from_json(entry[f"{kind}_output"], f"{kind}_output")
+        net = cls(w_hidden=w_hidden, w_out=w_out.ravel() if cls is CriticNet else w_out)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PolicyFormatError(f"{path}: malformed {kind} weights: {exc}") from exc
+    if expect_hidden is not None and net.hidden_size != expect_hidden:
+        raise PolicyFormatError(
+            f"{kind} hidden size mismatch: expected {expect_hidden}, found {net.hidden_size}"
+        )
+    return net
 
 
 def save_policy(path, actors, critics=None) -> None:
@@ -412,7 +429,7 @@ def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise PolicyFormatError(f"cannot read policy snapshot {path}: {exc}") from exc
-    if doc.get("format") != POLICY_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != POLICY_FORMAT:
         raise PolicyFormatError(f"{path}: not a policy snapshot")
     phases = doc.get("phases")
     if not isinstance(phases, list) or len(phases) != 4:
@@ -420,21 +437,8 @@ def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
 
     actors, critics = [], []
     for entry in phases:
-        w_hidden = _matrix_from_json(entry["actor_hidden"], "actor_hidden")
-        w_out = _matrix_from_json(entry["actor_output"], "actor_output")
-        if expect_actor_hidden is not None and w_hidden.shape[0] != expect_actor_hidden:
-            raise PolicyFormatError(
-                f"actor hidden size mismatch: expected {expect_actor_hidden}, "
-                f"found {w_hidden.shape[0]}"
-            )
-        actors.append(ActorNet(w_hidden=w_hidden, w_out=w_out))
+        actors.append(_net_from_json(ActorNet, entry, "actor", path, expect_actor_hidden))
         if "critic_hidden" in entry:
-            c_hidden = _matrix_from_json(entry["critic_hidden"], "critic_hidden")
-            c_out = _matrix_from_json(entry["critic_output"], "critic_output")
-            if expect_critic_hidden is not None and c_hidden.shape[0] != expect_critic_hidden:
-                raise PolicyFormatError(
-                    f"critic hidden size mismatch: expected {expect_critic_hidden}, "
-                    f"found {c_hidden.shape[0]}"
-                )
-            critics.append(CriticNet(w_hidden=c_hidden, w_out=c_out.ravel()))
+            critics.append(
+                _net_from_json(CriticNet, entry, "critic", path, expect_critic_hidden))
     return actors, (critics if len(critics) == 4 else None)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -37,6 +36,7 @@ from .core import (
     NUM_PHASES,
     PHASES,
     Phase,
+    PhaseBound,
     TrackingState,
     within_bound,
 )
@@ -60,7 +60,6 @@ from .dhdp import (
 )
 from .fsm import ImpedanceSet, ParameterRanges, apply_delta
 from .plant import (
-    AlignmentError,
     FeatureMapConfig,
     FeatureMapPlant,
     GaitProfile,
@@ -175,20 +174,20 @@ class CycleLog:
     d_duration: float
     d_duration_pct: float
     d_peak: float
-    action: tuple[float, float, float] | None
-    delta: tuple[float, float, float] | None
-    cost: float | None
-    q_value: float | None
-    td: float | None
     stiffness: float
     damping: float
     equilibrium: float
-    critic_bound: float | None
-    actor_bound: float | None
-    monitor_ok: bool | None
     reset: bool
     in_tolerance: bool
     converged: bool
+    action: tuple[float, float, float] | None = None
+    delta: tuple[float, float, float] | None = None
+    cost: float | None = None
+    q_value: float | None = None
+    td: float | None = None
+    critic_bound: float | None = None
+    actor_bound: float | None = None
+    monitor_ok: bool | None = None
 
 
 @dataclass
@@ -226,16 +225,22 @@ def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
     )
 
 
+def _window_met(flags: deque, flag: bool, quota: int) -> bool:
+    """Push one in-tolerance flag into a sliding window; True once it holds ``quota``."""
+    flags.append(bool(flag))
+    return sum(flags) >= quota
+
+
 def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
     """First index at which a sliding window holds enough in-tolerance flags.
 
     Returns the 0-based cycle index where convergence latched, or None if
-    the quota was never met anywhere in the history.
+    the quota was never met anywhere in the history.  :class:`Trial` applies
+    the same rule one cycle at a time.
     """
     flags: deque = deque(maxlen=window)
     for k, flag in enumerate(history):
-        flags.append(bool(flag))
-        if sum(flags) >= quota:
+        if _window_met(flags, flag, quota):
             return k
     return None
 
@@ -243,7 +248,7 @@ def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
 def make_plant(cfg: TrialConfig, rng: np.random.Generator):
     if cfg.plant_kind == "feature-map":
         return FeatureMapPlant(cfg.feature_map, rng)
-    return OdeKneePlant(cfg.ode, rng)
+    return OdeKneePlant(cfg.ode)
 
 
 def steady_profile(plant, imp: ImpedanceSet) -> GaitProfile:
@@ -268,17 +273,13 @@ def scaled_impedance(reference: ImpedanceSet, factors: np.ndarray) -> ImpedanceS
     return ImpedanceSet(tuple(triples))
 
 
-def _profile_within(profile: GaitProfile, target: GaitProfile,
-                    bounds: BoundsTable, margin: float) -> bool:
-    dur = cycle_duration(target)
-    for phase, (got, want) in enumerate(zip(profile, target), start=1):
-        err = TrackingState(want.duration - got.duration, want.peak_angle - got.peak_angle)
-        safe = bounds.safety_for(Phase(phase))
-        if abs(err.d_peak) > margin * safe.angle:
-            return False
-        if 100.0 * abs(err.d_duration) / dur > margin * safe.duration_pct:
-            return False
-    return True
+def _within_margin(errors, bounds: BoundsTable, margin: float, cycle_dur: float) -> bool:
+    """True when every phase's error is inside ``margin`` times its safety bound."""
+    return all(
+        within_bound(err, PhaseBound(margin * safe.angle, margin * safe.duration_pct),
+                     cycle_dur)
+        for err, safe in zip(errors, bounds.safety)
+    )
 
 
 def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
@@ -295,18 +296,16 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
     """
     reference = cfg.feature_map.reference_impedance
     spread = cfg.init_spread
+    target_dur = cycle_duration(target)
     for _ in range(6):
         for _ in range(MAX_INITIAL_DRAWS):
             factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
             candidate = scaled_impedance(reference, factors)
-            profile = steady_profile(plant, candidate)
-            angle_rms = float(np.sqrt(np.mean([
-                (want.peak_angle - got.peak_angle) ** 2
-                for want, got in zip(target, profile)
-            ])))
+            errors = alignment_errors(target, steady_profile(plant, candidate))
+            angle_rms = float(np.sqrt(np.mean([err.d_peak ** 2 for err in errors])))
             if angle_rms < MIN_INITIAL_ANGLE_RMS:
                 continue
-            if _profile_within(profile, target, cfg.bounds, FEASIBILITY_MARGIN):
+            if _within_margin(errors, cfg.bounds, FEASIBILITY_MARGIN, target_dur):
                 return candidate
         spread *= 0.7
     raise RuntimeError("could not draw a feasible initial impedance")
@@ -329,7 +328,8 @@ def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
                                   size=(NUM_PHASES, 3))
             candidate = scaled_impedance(reference, factors)
             profile = steady_profile(plant, candidate)
-            if all(_profile_within(profile, other, cfg.bounds, 0.7) for other in profiles):
+            if all(_within_margin(alignment_errors(other, profile), cfg.bounds, 0.7,
+                                  cycle_duration(other)) for other in profiles):
                 impedances.append(candidate)
                 profiles.append(profile)
                 break
@@ -439,8 +439,8 @@ class Trial:
 
     def _update_flags(self, in_tol: list[bool]):
         for idx, flag in enumerate(in_tol):
-            self._flags[idx].append(flag)
-            if self._converged_at[idx] is None and sum(self._flags[idx]) >= self.cfg.quota:
+            met = _window_met(self._flags[idx], flag, self.cfg.quota)
+            if met and not self._phase_converged(idx):
                 self._converged_at[idx] = self.k
 
     def _finish(self, outcome: str, reason: str | None = None):
@@ -479,20 +479,7 @@ class Trial:
             self._finish("failure", f"plant-instability: {exc}")
             return True
 
-        try:
-            errors = alignment_errors(target, measured)
-        except AlignmentError:
-            # a cycle without full phase data cannot be scored; treat it
-            # like a safety event: back to the initial impedance, keep the
-            # weights, no learning this cycle
-            self.impedance = self.initial_impedance
-            self.record.resets += 1
-            self._lag = [None] * NUM_PHASES
-            self.k += 1
-            self.record.cycles_run = self.k
-            if self.k >= cfg.max_cycles:
-                self._finish("failure", "max-cycles")
-            return self.finished
+        errors = alignment_errors(target, measured)
         self.program.observe_error(errors)
         cyc_dur = cycle_duration(target)
         in_tol = [
@@ -501,7 +488,8 @@ class Trial:
         ]
 
         if not safety_check(errors, cfg.bounds, cyc_dur):
-            self._log_reset_cycle(errors, cyc_dur, in_tol)
+            self.record.rows.extend(
+                self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(errors))
             self.impedance = self.initial_impedance
             self.record.resets += 1
             self._lag = [None] * NUM_PHASES
@@ -514,11 +502,10 @@ class Trial:
             self.record.cycles_run = k + 1
             self._finish("failure", f"numeric-fault: {exc}")
             return True
+        self.record.rows.extend(rows)
         if self.finished:  # strict monitor halt
-            self.record.rows.extend(rows)
             self.record.cycles_run = k + 1
             return True
-        self.record.rows.extend(rows)
         self._after_cycle(in_tol)
         return self.finished
 
@@ -541,7 +528,6 @@ class Trial:
         halt = False
         for idx, (phase, err) in enumerate(zip(PHASES, errors)):
             state = self._network_state(phase, err, cyc_dur)
-            active = self.impedance.for_phase(phase)
 
             a_tape = actor_eval(self.actors[idx], state)
             cost = stage_cost(state, a_tape.output, cfg.dhdp.cost)
@@ -567,54 +553,45 @@ class Trial:
             self._lag[idx] = _PhaseLag(q_value=c_tape.value, cost=cost)
 
             delta_vec = scale_action(a_tape.output, cfg.dhdp.action_scale.for_phase(phase))
-            delta = ControlDelta(*[float(v) for v in delta_vec])
-            self.impedance, clamped = apply_delta(self.impedance, phase, delta, cfg.ranges)
-            if clamped:
-                self.record.clamp_events += 1
-
-            rows.append(CycleLog(
-                cycle=self.k, phase=int(phase),
-                d_duration=float(err.d_duration),
-                d_duration_pct=100.0 * float(err.d_duration) / cyc_dur,
-                d_peak=float(err.d_peak),
+            rows.append(self._log_row(
+                idx, err, cyc_dur, in_tol[idx],
                 action=tuple(float(v) for v in a_tape.output),
                 delta=tuple(float(v) for v in delta_vec),
                 cost=float(cost), q_value=float(c_tape.value),
                 td=None if td is None else float(td),
-                stiffness=active.stiffness, damping=active.damping,
-                equilibrium=active.equilibrium,
                 critic_bound=float(report.critic_bound),
                 actor_bound=float(report.actor_bound),
                 monitor_ok=report.ok,
-                reset=False, in_tolerance=in_tol[idx],
-                converged=self._phase_converged(idx),
             ))
+            delta = ControlDelta(*[float(v) for v in delta_vec])
+            self.impedance, clamped = apply_delta(self.impedance, phase, delta, cfg.ranges)
+            if clamped:
+                self.record.clamp_events += 1
         self._max_weight_norm = max(self._max_weight_norm, self._weight_norm())
         if halt:
             self._finish("failure", "monitor-violation")
         return rows
 
-    def _log_reset_cycle(self, errors, cyc_dur, in_tol):
-        for idx, (phase, err) in enumerate(zip(PHASES, errors)):
-            active = self.impedance.for_phase(phase)
-            self.record.rows.append(CycleLog(
-                cycle=self.k, phase=int(phase),
-                d_duration=float(err.d_duration),
-                d_duration_pct=100.0 * float(err.d_duration) / cyc_dur,
-                d_peak=float(err.d_peak),
-                action=None, delta=None, cost=None, q_value=None, td=None,
-                stiffness=active.stiffness, damping=active.damping,
-                equilibrium=active.equilibrium,
-                critic_bound=None, actor_bound=None, monitor_ok=None,
-                reset=True, in_tolerance=in_tol[idx],
-                converged=self._phase_converged(idx),
-            ))
+    def _log_row(self, idx: int, err: TrackingState, cyc_dur: float, in_tol: bool,
+                 **learning) -> CycleLog:
+        """One phase's row for this cycle; without ``learning`` fields it logs a reset."""
+        active = self.impedance.phases[idx]
+        return CycleLog(
+            cycle=self.k, phase=idx + 1,
+            d_duration=float(err.d_duration),
+            d_duration_pct=100.0 * float(err.d_duration) / cyc_dur,
+            d_peak=float(err.d_peak),
+            stiffness=active.stiffness, damping=active.damping,
+            equilibrium=active.equilibrium,
+            reset=not learning, in_tolerance=in_tol,
+            converged=self._phase_converged(idx),
+            **learning,
+        )
 
     def _after_cycle(self, in_tol):
         cfg = self.cfg
         self._update_flags(in_tol)
         for row in self.record.rows[-NUM_PHASES:]:
-            row.in_tolerance = in_tol[row.phase - 1]
             row.converged = self._phase_converged(row.phase - 1)
         all_converged = all(self._phase_converged(i) for i in range(NUM_PHASES))
 
@@ -738,7 +715,7 @@ class Metrics:
     successes: int
     tuning_steps_mean: float | None
     tuning_steps_std: float | None
-    rms_initial: dict
+    rms_initial: dict | None
     rms_final: dict | None
     monitor_violations: int
     resets: int
@@ -748,29 +725,24 @@ class Metrics:
         return self.successes / self.trials if self.trials else 0.0
 
 
+def _mean_rms(samples: list[dict | None]) -> dict | None:
+    present = [s for s in samples if s is not None]
+    if not present:
+        return None
+    return {key: float(np.mean([s[key] for s in present]))
+            for key in ("peak_rad", "duration_pct")}
+
+
 def aggregate_metrics(records: list[TrialRecord]) -> Metrics:
+    """Results-table row of a batch; an RMS no trial has is None."""
     steps = [r.tuning_steps for r in records if r.success and r.tuning_steps is not None]
-    initials = [r.rms_initial for r in records if r.rms_initial is not None]
-    initial = {"peak_rad": math.nan, "duration_pct": math.nan}
-    if initials:
-        initial = {
-            "peak_rad": float(np.mean([f["peak_rad"] for f in initials])),
-            "duration_pct": float(np.mean([f["duration_pct"] for f in initials])),
-        }
-    finals = [r.rms_final for r in records if r.rms_final is not None]
-    final = None
-    if finals:
-        final = {
-            "peak_rad": float(np.mean([f["peak_rad"] for f in finals])),
-            "duration_pct": float(np.mean([f["duration_pct"] for f in finals])),
-        }
     return Metrics(
         trials=len(records),
         successes=sum(r.success for r in records),
         tuning_steps_mean=float(np.mean(steps)) if steps else None,
         tuning_steps_std=float(np.std(steps)) if steps else None,
-        rms_initial=initial,
-        rms_final=final,
+        rms_initial=_mean_rms([r.rms_initial for r in records]),
+        rms_final=_mean_rms([r.rms_final for r in records]),
         monitor_violations=sum(r.monitor_violations for r in records),
         resets=sum(r.resets for r in records),
     )

@@ -29,7 +29,6 @@ from .core import (
     GaitFeatures,
     ImpedanceTriple,
     Phase,
-    PHASES,
     TrackingState,
 )
 from .fsm import (
@@ -44,10 +43,6 @@ MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
 
 class PlantInstabilityError(RuntimeError):
     """The simulated knee diverged; the harness treats this as a failure."""
-
-
-class AlignmentError(ValueError):
-    """A gait cycle is missing phase data, so errors cannot be formed."""
 
 
 GaitProfile = tuple[GaitFeatures, GaitFeatures, GaitFeatures, GaitFeatures]
@@ -190,9 +185,8 @@ class OdeKneeConfig:
 class OdeKneePlant:
     """Integrates one full four-phase cycle per step and extracts features."""
 
-    def __init__(self, config: OdeKneeConfig, rng: np.random.Generator | None = None):
+    def __init__(self, config: OdeKneeConfig):
         self.config = config
-        self.rng = rng
         self._angle = config.initial_angle
         self._velocity = config.initial_velocity
 
@@ -330,32 +324,18 @@ def switch_schedule(pool_size: int, segments: int, rng: np.random.Generator) -> 
     return tuple(indices)
 
 
-def measurement_alignment(target, measured) -> list[tuple[GaitFeatures, GaitFeatures]]:
-    """Pair intact-knee features with the prosthetic features tracking them.
+def alignment_errors(target, measured) -> list[TrackingState]:
+    """Tracking error per phase: intact-knee target minus prosthetic feature.
 
-    The prosthetic leg strikes half a gait after the intact leg, so the
+    This is the only place the library subtracts gait features.  The
+    prosthetic leg strikes half a gait after the intact leg, so the
     prosthetic features of cycle k are measured against the intact features
     of the same cycle index, which completed half a gait earlier in wall
     time.  A target change at cycle k therefore first shows up in the
     prosthetic measurement taken during cycle k's trailing half.  Plants
     with no intra-cycle timing reduce to plain same-index pairing.
-
-    Raises :class:`AlignmentError` when either side is missing a phase.
     """
-    pairs = []
-    for phase in PHASES:
-        y = target[phase - 1]
-        z = measured[phase - 1]
-        if y is None or z is None:
-            side = "target" if y is None else "measured"
-            raise AlignmentError(f"missing {side} features for phase {phase.short_name}")
-        pairs.append((y, z))
-    return pairs
-
-
-def alignment_errors(target, measured) -> list[TrackingState]:
-    """Tracking error per phase for an aligned (target, measured) cycle."""
     return [
         TrackingState(y.duration - z.duration, y.peak_angle - z.peak_angle)
-        for y, z in measurement_alignment(target, measured)
+        for y, z in zip(target, measured)
     ]

@@ -1,6 +1,8 @@
 """Config loading, CLI subcommands and output files."""
 
+import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,30 @@ def test_type_errors_name_the_key(tmp_path):
     path.write_text(json.dumps({"seed": "seven"}))
     with pytest.raises(ConfigError, match="seed"):
         load_config(path)
+
+
+def test_out_of_range_values_name_the_key(tmp_path, capsys):
+    # json.loads accepts NaN/Infinity, and a run on a non-positive learning
+    # rate or zero trials used to "succeed" or crash instead of being refused
+    cases = [
+        ({"dhdp": {"critic_lr": float("nan")}}, "dhdp.critic_lr"),
+        ({"dhdp": {"alpha1": float("inf")}}, "dhdp.alpha1"),
+        ({"dhdp": {"state_cost": [1.0, float("-inf")]}}, "dhdp.state_cost[1]"),
+        ({"seed": float("nan")}, "seed"),
+        ({"dhdp": {"critic_lr": -1}}, "dhdp.critic_lr"),
+        ({"dhdp": {"actor_lr": 0.0}}, "dhdp.actor_lr"),
+        ({"trials": 0}, "trials"),
+        ({"trials": None}, "trials"),
+        ({"trials_per_policy": 0}, "trials_per_policy"),
+    ]
+    for cfg, key in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=re.escape(f"{key}:")):
+            load_config(path)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key}:" in capsys.readouterr().err
 
 
 def test_overrides_beat_file_values(tmp_path):
@@ -201,9 +227,23 @@ def test_load_policy_shape_mismatch(tmp_path, capsys):
 
 
 def test_load_policy_garbage_file(tmp_path, capsys):
+    rng = np.random.default_rng(5)
     snap = tmp_path / "p.json"
-    snap.write_text("{not json")
-    assert main(["load-policy", str(snap)]) == 1
+    save_policy(snap, [init_actor(rng) for _ in range(4)],
+                [init_critic(rng) for _ in range(4)])
+    valid = json.loads(snap.read_text())
+    missing_key = copy.deepcopy(valid)
+    del missing_key["phases"][1]["actor_output"]
+    wrong_shape = copy.deepcopy(valid)
+    wrong_shape["phases"][0]["actor_output"]["shape"].reverse()
+    nan_weight = copy.deepcopy(valid)
+    nan_weight["phases"][2]["critic_hidden"]["data"][0] = float("nan")
+
+    for text in ("{not json", json.dumps([valid]), json.dumps(missing_key),
+                 json.dumps(wrong_shape), json.dumps(nan_weight)):
+        snap.write_text(text)
+        assert main(["load-policy", str(snap)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

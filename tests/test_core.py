@@ -11,9 +11,9 @@ from kneetrack.core import (
     Phase,
     PhaseBound,
     TrackingState,
-    tracking_error,
     within_bound,
 )
+from kneetrack.plant import alignment_errors
 
 
 def test_phases_are_exactly_four_in_order():
@@ -42,28 +42,31 @@ def test_impedance_triple_validation():
 
 
 def test_tracking_error_identical_inputs():
-    y = GaitFeatures(0.40, 0.30)
-    assert tracking_error(y, y) == TrackingState(0.0, 0.0)
+    y = [GaitFeatures(0.40, 0.30), GaitFeatures(0.32, 1.05)]
+    assert alignment_errors(y, y) == [TrackingState(0.0, 0.0)] * 2
 
 
 def test_tracking_error_componentwise():
-    err = tracking_error(GaitFeatures(0.45, 0.35), GaitFeatures(0.40, 0.30))
-    assert err.d_duration == pytest.approx(0.05)
-    assert err.d_peak == pytest.approx(0.05)
-    err = tracking_error(GaitFeatures(0.40, 0.25), GaitFeatures(0.45, 0.30))
-    assert err.d_duration == pytest.approx(-0.05)
-    assert err.d_peak == pytest.approx(-0.05)
+    errs = alignment_errors([GaitFeatures(0.45, 0.35), GaitFeatures(0.40, 0.25)],
+                            [GaitFeatures(0.40, 0.30), GaitFeatures(0.45, 0.30)])
+    assert errs[0].d_duration == pytest.approx(0.05)
+    assert errs[0].d_peak == pytest.approx(0.05)
+    assert errs[1].d_duration == pytest.approx(-0.05)
+    assert errs[1].d_peak == pytest.approx(-0.05)
 
 
 def test_tracking_error_antisymmetric():
     rng = np.random.default_rng(0)
+
+    def profile():
+        return [GaitFeatures(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.0, 1.6)))
+                for _ in PHASES]
+
     for _ in range(100):
-        a = GaitFeatures(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.0, 1.6)))
-        b = GaitFeatures(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.0, 1.6)))
-        fw = tracking_error(a, b)
-        bw = tracking_error(b, a)
-        assert fw.d_duration == -bw.d_duration
-        assert fw.d_peak == -bw.d_peak
+        a, b = profile(), profile()
+        for fw, bw in zip(alignment_errors(a, b), alignment_errors(b, a)):
+            assert fw.d_duration == -bw.d_duration
+            assert fw.d_peak == -bw.d_peak
 
 
 def test_within_bound_zero_error():

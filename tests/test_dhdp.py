@@ -1,5 +1,7 @@
 """Unit and oracle tests for the per-phase learning block."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -404,7 +406,42 @@ def test_policy_shape_mismatch_diagnostic(tmp_path):
 
     rng = np.random.default_rng(17)
     actors = [init_actor(rng, hidden=4) for _ in range(4)]
+    critics = [init_critic(rng) for _ in range(4)]
     path = tmp_path / "policy.json"
     save_policy(path, actors)
     with pytest.raises(PolicyFormatError, match="expected 6, found 4"):
         load_policy(path, expect_actor_hidden=6)
+
+    # every malformed snapshot is a PolicyFormatError, never a bare
+    # KeyError/ValueError/AttributeError, and non-finite weights are refused
+    save_policy(path, actors, critics)
+    valid = json.loads(path.read_text())
+
+    def drop_output(doc):
+        del doc["phases"][1]["actor_output"]
+
+    def transpose_output(doc):
+        out = doc["phases"][0]["actor_output"]
+        out["shape"] = out["shape"][::-1]
+
+    def nan_weight(doc):
+        doc["phases"][2]["critic_hidden"]["data"][3] = math.nan
+
+    def inf_weight(doc):
+        doc["phases"][3]["actor_hidden"]["data"][0] = math.inf
+
+    cases = [
+        (drop_output, "actor weights"),
+        (transpose_output, "must be \\(3, hidden\\)"),
+        (nan_weight, "critic_hidden: weights must be finite"),
+        (inf_weight, "actor_hidden: weights must be finite"),
+    ]
+    for edit, message in cases:
+        doc = copy.deepcopy(valid)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PolicyFormatError, match=message):
+            load_policy(path)
+    path.write_text(json.dumps([valid]))
+    with pytest.raises(PolicyFormatError, match="not a policy snapshot"):
+        load_policy(path)

@@ -100,18 +100,22 @@ def test_convergence_seven_of_ten_never():
 
 
 def test_convergence_matches_trial_flag_logic():
-    # incremental deque bookkeeping inside the trial equals the batch check
-    rng = np.random.default_rng(21)
-    from collections import deque
-    for _ in range(200):
-        history = [bool(b) for b in rng.random(60) < 0.7]
-        flags = deque(maxlen=10)
-        incremental = None
-        for k, f in enumerate(history):
-            flags.append(f)
-            if incremental is None and sum(flags) >= 8:
-                incremental = k
-        assert incremental == convergence_check(history)
+    # a trial latches convergence where the batch rule does on its own
+    # per-phase in-tolerance history
+    cfg = TrialConfig(max_cycles=150, window=6, quota=4)
+    latched = 0
+    for seed in range(3):
+        trial = Trial(cfg, seed)
+        rec = trial.run()
+        for idx in range(4):
+            history = [r.in_tolerance for r in rec.rows if r.phase == idx + 1]
+            assert len(history) == rec.cycles_run
+            expected = convergence_check(history, cfg.window, cfg.quota)
+            assert trial._converged_at[idx] == expected
+            latched += expected is not None
+        if rec.success:
+            assert rec.converged_at == dict(zip(range(1, 5), trial._converged_at))
+    assert latched > 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +217,6 @@ def test_plant_instability_recorded_as_failure():
     rec = run_trial(cfg, 0, target_program=program, initial_impedance=hot)
     assert not rec.success
     assert rec.failure_reason.startswith("plant-instability")
-
-
-def test_alignment_failure_treated_as_safety_event():
-    class FlakyPlant:
-        """Returns a profile with a missing phase on the second cycle."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.calls = 0
-
-        def step(self, imp, pace=1.0):
-            self.calls += 1
-            out = list(self.inner.step(imp, pace=pace))
-            if self.calls == 2:
-                out[1] = None
-            return tuple(out)
-
-    fm = quiet_feature_map()
-    program = TargetProgram(base_profile=shifted_profile(fm.reference_features,
-                                                         d_peak=0.01))
-    cfg = TrialConfig(max_cycles=20, feature_map=fm)
-    trial = Trial(cfg, 5, target_program=program,
-                  initial_impedance=fm.reference_impedance)
-    import numpy as _np
-    trial.plant = FlakyPlant(trial.plant)
-    trial.step()
-    weights_before = [a.w_out.copy() for a in trial.actors]
-    trial.step()  # missing phase -> safety event
-    assert trial.record.resets == 1
-    assert trial.impedance == trial.initial_impedance
-    for a, before in zip(trial.actors, weights_before):
-        assert _np.array_equal(a.w_out, before)
-    assert not trial.finished
-    trial.step()  # trial continues normally afterwards
-    assert trial.record.cycles_run == 3
 
 
 # ---------------------------------------------------------------------------

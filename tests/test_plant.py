@@ -9,7 +9,6 @@ import pytest
 from kneetrack.core import GaitFeatures, ImpedanceTriple, Phase
 from kneetrack.fsm import ImpedanceSet
 from kneetrack.plant import (
-    AlignmentError,
     FeatureMapConfig,
     FeatureMapPlant,
     OdeKneeConfig,
@@ -18,7 +17,6 @@ from kneetrack.plant import (
     TargetProgram,
     alignment_errors,
     cycle_duration,
-    measurement_alignment,
     profile_to_array,
     switch_schedule,
 )
@@ -255,26 +253,19 @@ def test_switch_schedule_never_repeats_adjacent():
 
 def test_alignment_zero_error_at_steady_state():
     profile = base_profile()
-    pairs = measurement_alignment(profile, profile)
-    for y, z in pairs:
-        assert y == z
-    for err in alignment_errors(profile, profile):
+    errors = alignment_errors(profile, profile)
+    assert len(errors) == 4
+    for err in errors:
         assert err.d_duration == 0.0 and err.d_peak == 0.0
 
 
-def test_alignment_missing_phase_raises():
-    profile = list(base_profile())
-    broken = profile.copy()
-    broken[2] = None
-    with pytest.raises(AlignmentError, match="SWF"):
-        measurement_alignment(profile, broken)
-    with pytest.raises(AlignmentError, match="target"):
-        measurement_alignment([None] * 4, profile)
-
-
 def test_alignment_same_index_pairing():
+    # each phase is paired with the same phase of the same cycle: a shift
+    # of one phase shows up in that phase's error only
     target = base_profile()
-    measured = tuple(GaitFeatures(f.duration, f.peak_angle + 0.01) for f in target)
-    pairs = measurement_alignment(target, measured)
-    assert [y for y, _ in pairs] == list(target)
-    assert [z for _, z in pairs] == list(measured)
+    measured = tuple(GaitFeatures(f.duration - 0.001 * i, f.peak_angle + 0.01 * i)
+                     for i, f in enumerate(target))
+    for i, (err, y, z) in enumerate(zip(alignment_errors(target, measured), target, measured)):
+        assert err.d_duration == y.duration - z.duration
+        assert err.d_peak == y.peak_angle - z.peak_angle
+        assert err.d_peak == pytest.approx(-0.01 * i)
