@@ -8,18 +8,21 @@ durations and peak angles are then read off the trajectory, exactly the
 features the tuner consumes.
 """
 
-from kneetrack import ImpedanceSet, ImpedanceTriple, OdeKneeConfig, OdeKneePlant
+import numpy as np
+
+from kneetrack import OdeKneeConfig, OdeKneePlant
 from kneetrack.fsm import joint_torque
 
-imp = ImpedanceSet((
-    ImpedanceTriple(20.0, 1.0, 0.60),   # stance flexion: yield under load
-    ImpedanceTriple(20.0, 1.0, 0.15),   # stance extension: straighten
-    ImpedanceTriple(20.0, 1.0, 1.00),   # swing flexion: clear the ground
-    ImpedanceTriple(20.0, 1.0, 0.12),   # swing extension: prepare heel strike
-))
+# one row per phase: stiffness (N*m/rad), damping (N*m*s/rad), equilibrium (rad)
+imp = np.array([
+    [20.0, 1.0, 0.60],   # stance flexion: yield under load
+    [20.0, 1.0, 0.15],   # stance extension: straighten
+    [20.0, 1.0, 1.00],   # swing flexion: clear the ground
+    [20.0, 1.0, 0.12],   # swing extension: prepare heel strike
+])
 
 print("the torque law at a few operating points (stance flexion triple):")
-stf = imp.for_phase(1)
+stf = imp[0]
 for angle, velocity in ((0.60, 0.0), (0.30, 0.0), (0.30, 1.5), (0.80, -1.0)):
     torque = joint_torque(stf, angle, velocity)
     print(f"  angle={angle:.2f} rad, velocity={velocity:+.1f} rad/s "
@@ -33,8 +36,8 @@ for cycle in range(3):
                       for n, f in zip(("STF", "STE", "SWF", "SWE"), out))
     print(f"  cycle {cycle}: {line}")
 
-softer = ImpedanceSet(tuple(
-    ImpedanceTriple(t.stiffness, 3.0, t.equilibrium) for t in imp.phases))
+softer = imp.copy()
+softer[:, 1] = 3.0
 heavy = OdeKneePlant(OdeKneeConfig()).step(softer)
 base = OdeKneePlant(OdeKneeConfig()).step(imp)
 print("\ntripling the damping lengthens the cycle: "

@@ -9,13 +9,11 @@ narrative walkthroughs of each capability.
 
 from .core import (
     BoundsTable,
-    ControlDelta,
     GaitFeatures,
-    ImpedanceTriple,
     PHASES,
     Phase,
     PhaseBound,
-    TrackingState,
+    check_impedance,
     within_bound,
 )
 from .dhdp import (
@@ -38,7 +36,6 @@ from .dhdp import (
 )
 from .fsm import (
     FsmState,
-    ImpedanceSet,
     ParameterRanges,
     apply_delta,
     joint_torque,

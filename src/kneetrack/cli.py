@@ -195,6 +195,8 @@ def cmd_report(args) -> int:
     for path in trial_files:
         try:
             doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError("top level is not a JSON object")
             if doc.get("schema") != "kneetrack-trial":
                 continue
             record = TrialRecord(
@@ -202,7 +204,7 @@ def cmd_report(args) -> int:
                 tuning_steps=doc["tuning_steps"],
                 rms_initial=doc.get("rms_initial"), rms_final=doc.get("rms_final"),
             )
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
             print(f"warning: skipping malformed {path}: {exc}", file=sys.stderr)
             skipped += 1
             continue

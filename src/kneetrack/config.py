@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundsTable, GaitFeatures, ImpedanceTriple, PhaseBound
+from .core import BoundsTable, GaitFeatures, PhaseBound
 from .dhdp import ActionScale, MonitorParams, StageCostParams
-from .fsm import ImpedanceSet, ParameterRanges, PhaseRanges
+from .fsm import ParameterRanges, PhaseRanges
 from .harness import DhdpConfig, TrialConfig
 from .plant import FeatureMapConfig, OdeKneeConfig
 
@@ -25,35 +25,29 @@ class ConfigError(ValueError):
     """A config file could not be read, parsed, or validated."""
 
 
-def _imp_to_list(imp: ImpedanceSet):
-    return [[t.stiffness, t.damping, t.equilibrium] for t in imp.phases]
-
-
 def default_config() -> dict:
     """Full config tree with library defaults filled in."""
-    fm = FeatureMapConfig.default()
-    ode = OdeKneeConfig()
-    dhdp = DhdpConfig()
-    bounds = BoundsTable.default()
-    ranges = ParameterRanges.default()
+    trial = TrialConfig()
+    fm, ode, dhdp = trial.feature_map, trial.ode, trial.dhdp
+    bounds, ranges = trial.bounds, trial.ranges
     return {
-        "scenario": 1,
-        "stage": "training",
-        "plant": "feature-map",
+        "scenario": trial.scenario,
+        "stage": trial.stage,
+        "plant": trial.plant_kind,
         "seed": 0,
         "jobs": 1,
-        "strict_monitor": False,
+        "strict_monitor": trial.strict_monitor,
         "out_dir": "runs/out",
         "trials": 30,
         "keep_policies": 10,
         "trials_per_policy": 30,
         "policy_dir": None,
-        "load_critic": False,
-        "max_cycles": 500,
-        "window": 10,
-        "quota": 8,
-        "rms_window": 10,
-        "init_spread": 0.3,
+        "load_critic": trial.load_critic,
+        "max_cycles": trial.max_cycles,
+        "window": trial.window,
+        "quota": trial.quota,
+        "rms_window": trial.rms_window,
+        "init_spread": trial.init_spread,
         "bounds": {
             "safety": [[b.angle, b.duration_pct] for b in bounds.safety],
             "tolerance": [[b.angle, b.duration_pct] for b in bounds.tolerance],
@@ -80,7 +74,7 @@ def default_config() -> dict:
             "smoothing": fm.smoothing,
             "noise_std": list(fm.noise_std),
             "pace_passthrough": fm.pace_passthrough,
-            "reference_impedance": _imp_to_list(fm.reference_impedance),
+            "reference_impedance": fm.reference_impedance.tolist(),
             "reference_features": [[f.duration, f.peak_angle] for f in fm.reference_features],
             "sensitivity": fm.sensitivity.tolist(),
         },
@@ -96,16 +90,16 @@ def default_config() -> dict:
             "velocity_limit": ode.velocity_limit,
         },
         "terrain": {
-            "pool_size": 5,
-            "pool_spread": 0.06,
-            "switch_period": 20,
-            "consecutive_tracks": 3,
+            "pool_size": trial.pool_size,
+            "pool_spread": trial.pool_spread,
+            "switch_period": trial.switch_period,
+            "consecutive_tracks": trial.consecutive_tracks,
         },
         "pace": {
-            "training": [1.0, 1.12, 1.0, 0.88],
-            "testing": [1.0, 0.8, 1.0, 1.2],
+            "training": list(trial.pace_training),
+            "testing": list(trial.pace_testing),
         },
-        "drift": {"gain": 0.0, "smoothing": 0.2},
+        "drift": {"gain": trial.drift_gain, "smoothing": trial.drift_smoothing},
     }
 
 
@@ -181,9 +175,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if key not in resolved:
             raise ConfigError(f"unknown override: {key}")
         resolved[key] = value
-    for key in ("trials", "trials_per_policy"):
-        if resolved[key] < 1:
-            raise ConfigError(f"{key}: must be at least 1, got {resolved[key]}")
+    for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0)):
+        if resolved[key] < least:
+            raise ConfigError(f"{key}: must be at least {least}, got {resolved[key]}")
     for key in ("critic_lr", "actor_lr"):
         if resolved["dhdp"][key] <= 0:
             raise ConfigError(f"dhdp.{key}: learning rate must be positive, "
@@ -238,7 +232,6 @@ def trial_config_from(resolved: dict) -> TrialConfig:
             cost=StageCostParams(
                 state_weight=np.array(raw["state_cost"], dtype=float),
                 action_weight=np.array(raw["action_cost"], dtype=float),
-                discount=discount,
             ),
             action_scale=ActionScale(np.array(raw["action_scale"], dtype=float)),
             monitor=monitor,
@@ -247,9 +240,7 @@ def trial_config_from(resolved: dict) -> TrialConfig:
     def feature_map():
         raw = resolved["feature_map"]
         return FeatureMapConfig(
-            reference_impedance=ImpedanceSet(tuple(
-                ImpedanceTriple(*map(float, t)) for t in raw["reference_impedance"]
-            )),
+            reference_impedance=raw["reference_impedance"],
             reference_features=tuple(
                 GaitFeatures(*map(float, f)) for f in raw["reference_features"]
             ),

@@ -58,48 +58,24 @@ class GaitFeatures:
             )
 
 
-@dataclass(frozen=True)
-class TrackingState:
-    """Per-phase tracking error: target feature minus measured feature."""
+def check_impedance(values) -> np.ndarray:
+    """Validated float copy of a (4, 3) impedance array.
 
-    d_duration: float
-    d_peak: float
-
-
-@dataclass(frozen=True)
-class ImpedanceTriple:
-    """Stiffness (N*m/rad), damping (N*m*s/rad) and equilibrium angle (rad)."""
-
-    stiffness: float
-    damping: float
-    equilibrium: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.stiffness) and self.stiffness >= 0.0):
-            raise ValueError(f"stiffness must be >= 0, got {self.stiffness}")
-        if not (math.isfinite(self.damping) and self.damping >= 0.0):
-            raise ValueError(f"damping must be >= 0, got {self.damping}")
-        if not (0.0 <= self.equilibrium <= KNEE_ANGLE_MAX):
-            raise ValueError(
-                f"equilibrium angle {self.equilibrium} outside [0, {KNEE_ANGLE_MAX}] rad"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.stiffness, self.damping, self.equilibrium])
-
-
-@dataclass(frozen=True)
-class ControlDelta:
-    """Per-cycle adjustment of one phase's impedance triple."""
-
-    d_stiffness: float
-    d_damping: float
-    d_equilibrium: float
-
-    def __post_init__(self):
-        for v in (self.d_stiffness, self.d_damping, self.d_equilibrium):
-            if not math.isfinite(v):
-                raise ValueError(f"control delta components must be finite, got {v}")
+    Rows are the gait phases in order; columns are stiffness (N*m/rad),
+    damping (N*m*s/rad) and equilibrium angle (rad).  Stiffness and damping
+    must be finite and non-negative, the equilibrium must lie in
+    [0, KNEE_ANGLE_MAX].
+    """
+    imp = np.array(values, dtype=float)
+    if imp.shape != (NUM_PHASES, 3):
+        raise ValueError(f"impedance must be a ({NUM_PHASES}, 3) array, got shape {imp.shape}")
+    for name, column in (("stiffness", imp[:, 0]), ("damping", imp[:, 1])):
+        if not (np.all(np.isfinite(column)) and np.all(column >= 0.0)):
+            raise ValueError(f"{name} must be >= 0, got {column.tolist()}")
+    if not np.all((imp[:, 2] >= 0.0) & (imp[:, 2] <= KNEE_ANGLE_MAX)):
+        raise ValueError(f"equilibrium angles {imp[:, 2].tolist()} "
+                         f"outside [0, {KNEE_ANGLE_MAX}] rad")
+    return imp
 
 
 @dataclass(frozen=True)
@@ -151,13 +127,14 @@ class BoundsTable:
         return cls(safety=safety, tolerance=tolerance)
 
 
-def within_bound(state: TrackingState, bound: PhaseBound, cycle_duration: float) -> bool:
-    """True iff the error is inside the bound in both components.
+def within_bound(error, bound: PhaseBound, cycle_duration: float) -> bool:
+    """True iff one phase's (d_duration, d_peak) error row is inside the bound.
 
     The duration component of ``bound`` is a percentage of the gait cycle,
     so the seconds-valued duration error is converted before comparison.
     """
     if not (math.isfinite(cycle_duration) and cycle_duration > 0.0):
         raise ValueError(f"cycle duration must be positive, got {cycle_duration}")
-    duration_pct = 100.0 * abs(state.d_duration) / cycle_duration
-    return abs(state.d_peak) <= bound.angle and duration_pct <= bound.duration_pct
+    d_duration, d_peak = error
+    duration_pct = 100.0 * abs(d_duration) / cycle_duration
+    return bool(abs(d_peak) <= bound.angle and duration_pct <= bound.duration_pct)

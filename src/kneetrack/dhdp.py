@@ -160,7 +160,6 @@ class StageCostParams:
 
     state_weight: np.ndarray   # (2, 2), positive definite
     action_weight: np.ndarray  # (3, 3), positive definite
-    discount: float = 0.95
 
     def __post_init__(self):
         for name, mat, dim in (
@@ -173,8 +172,6 @@ class StageCostParams:
                 raise ValueError(f"{name} must be symmetric")
             if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
 
     @classmethod
     def default(cls) -> "StageCostParams":

@@ -1,21 +1,20 @@
 """Finite-state-machine impedance controller.
 
-A gait cycle is split into four phases, each with its own impedance triple.
-The controller produces joint torque from the active triple, advances the
-phase on kinematic peaks and gait events, and applies per-cycle parameter
+A gait cycle is split into four phases, each with its own impedance row
+(stiffness, damping, equilibrium) of a (4, 3) impedance array.  The
+controller produces joint torque from the active row, advances the phase on
+kinematic peaks and gait events, and applies per-cycle parameter
 adjustments with clamping to configured physical ranges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core import (
-    NUM_PHASES,
-    ControlDelta,
-    ImpedanceTriple,
-    Phase,
-)
+import numpy as np
+
+from .core import KNEE_ANGLE_MAX, NUM_PHASES, Phase
 
 # A kinematic peak is declared when the angular velocity falls to (or through)
 # this threshold after the phase has been active for at least MIN_DWELL
@@ -26,36 +25,25 @@ MIN_DWELL = 0.05
 
 
 @dataclass(frozen=True)
-class ImpedanceSet:
-    """One impedance triple per gait phase."""
-
-    phases: tuple[ImpedanceTriple, ImpedanceTriple, ImpedanceTriple, ImpedanceTriple]
-
-    def __post_init__(self):
-        if len(self.phases) != NUM_PHASES:
-            raise ValueError("impedance set needs exactly four triples")
-
-    def for_phase(self, phase: Phase) -> ImpedanceTriple:
-        return self.phases[phase - 1]
-
-    def replace(self, phase: Phase, triple: ImpedanceTriple) -> "ImpedanceSet":
-        phases = list(self.phases)
-        phases[phase - 1] = triple
-        return ImpedanceSet(tuple(phases))
-
-
-@dataclass(frozen=True)
 class PhaseRanges:
-    """Allowed (lo, hi) interval per impedance component for one phase."""
+    """Allowed (lo, hi) interval per impedance component for one phase.
+
+    Every interval lies inside the physical domain that
+    :func:`~kneetrack.core.check_impedance` enforces, so clamping a legal
+    impedance into these ranges keeps it legal.
+    """
 
     stiffness: tuple[float, float] = (0.0, 100.0)
     damping: tuple[float, float] = (0.0, 5.0)
     equilibrium: tuple[float, float] = (0.0, 1.6)
 
     def __post_init__(self):
-        for lo, hi in (self.stiffness, self.damping, self.equilibrium):
-            if not lo <= hi:
-                raise ValueError("range lower bound exceeds upper bound")
+        for name, (lo, hi), top in (("stiffness", self.stiffness, math.inf),
+                                    ("damping", self.damping, math.inf),
+                                    ("equilibrium", self.equilibrium, KNEE_ANGLE_MAX)):
+            if not 0.0 <= lo <= hi <= top:
+                raise ValueError(f"{name} range ({lo}, {hi}) must satisfy "
+                                 f"0 <= lower <= upper <= {top}")
 
 
 @dataclass(frozen=True)
@@ -87,38 +75,37 @@ class FsmState:
             raise ValueError("phase time cannot exceed cycle time")
 
 
-def joint_torque(imp: ImpedanceTriple, angle: float, velocity: float) -> float:
-    """Impedance torque: stiffness about the equilibrium angle plus damping."""
-    return imp.stiffness * (angle - imp.equilibrium) + imp.damping * velocity
-
-
-def _clamp(value: float, lo: float, hi: float) -> tuple[float, bool]:
-    if value < lo:
-        return lo, True
-    if value > hi:
-        return hi, True
-    return value, False
+def joint_torque(imp, angle: float, velocity: float) -> float:
+    """Impedance torque of one (stiffness, damping, equilibrium) row."""
+    stiffness, damping, equilibrium = imp
+    return stiffness * (angle - equilibrium) + damping * velocity
 
 
 def apply_delta(
-    imp: ImpedanceSet,
+    imp: np.ndarray,
     phase: Phase,
-    delta: ControlDelta,
+    delta,
     ranges: ParameterRanges,
-) -> tuple[ImpedanceSet, bool]:
-    """Add ``delta`` to one phase's triple, clamping to the physical ranges.
+) -> tuple[np.ndarray, bool]:
+    """Add a (d_stiffness, d_damping, d_equilibrium) row to one phase's row.
 
-    Returns the updated set and a flag saying whether any component was
-    clamped.  Clamping rather than rejecting keeps the tuning loop running
-    with out-of-range requests while still guaranteeing valid parameters.
+    Returns a new (4, 3) array, clamped to the phase's ranges, and a flag
+    saying whether any component was clamped; ``imp`` is never written.
+    Clamping rather than rejecting keeps the tuning loop running with
+    out-of-range requests while still guaranteeing valid parameters.
     """
-    triple = imp.for_phase(phase)
+    # Python floats: this runs once per phase per cycle, and numpy scalar
+    # work on three values costs several times as much
+    step = np.asarray(delta, dtype=float).tolist()
+    if not all(map(math.isfinite, step)):
+        raise ValueError(f"control delta components must be finite, got {step}")
     limits = ranges.for_phase(phase)
-    stiffness, c1 = _clamp(triple.stiffness + delta.d_stiffness, *limits.stiffness)
-    damping, c2 = _clamp(triple.damping + delta.d_damping, *limits.damping)
-    equilibrium, c3 = _clamp(triple.equilibrium + delta.d_equilibrium, *limits.equilibrium)
-    updated = imp.replace(phase, ImpedanceTriple(stiffness, damping, equilibrium))
-    return updated, (c1 or c2 or c3)
+    raw = [v + d for v, d in zip(imp[phase - 1].tolist(), step, strict=True)]
+    row = [min(max(v, lo), hi) for v, (lo, hi)
+           in zip(raw, (limits.stiffness, limits.damping, limits.equilibrium))]
+    updated = imp.copy()
+    updated[phase - 1] = row
+    return updated, row != raw
 
 
 _NEXT_PHASE = {

@@ -30,14 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    KNEE_ANGLE_MAX,
     BoundsTable,
-    ControlDelta,
-    ImpedanceTriple,
     NUM_PHASES,
     PHASES,
     Phase,
     PhaseBound,
-    TrackingState,
+    check_impedance,
     within_bound,
 )
 from .dhdp import (
@@ -58,7 +57,7 @@ from .dhdp import (
     stage_cost,
     td_error,
 )
-from .fsm import ImpedanceSet, ParameterRanges, apply_delta
+from .fsm import ParameterRanges, apply_delta
 from .plant import (
     FeatureMapConfig,
     FeatureMapPlant,
@@ -110,6 +109,10 @@ class DhdpConfig:
     action_scale: ActionScale = field(default_factory=ActionScale.default)
     monitor: MonitorParams | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
+
     def monitor_params(self) -> MonitorParams:
         return self.monitor or MonitorParams.for_discount(self.discount)
 
@@ -153,6 +156,11 @@ class TrialConfig:
             raise ValueError("quota must lie in (0, window]")
         if self.max_cycles <= self.window:
             raise ValueError("max_cycles must exceed the convergence window")
+        # impedance draws scale the reference by factors in 1 +- spread,
+        # which stay positive, and so keep every drawn impedance legal
+        for name in ("init_spread", "pool_spread"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must lie in [0, 1), got {getattr(self, name)}")
 
     def pace_sequence(self) -> tuple[float, ...]:
         if self.scenario != SCENARIO_PACE:
@@ -218,7 +226,7 @@ class TrialRecord:
 
 
 def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
-    """True when every phase is inside its safety bound."""
+    """True when every phase's (d_duration, d_peak) error row is inside its safety bound."""
     return all(
         within_bound(err, bounds.safety_for(phase), cycle_dur)
         for phase, err in zip(PHASES, errors)
@@ -251,7 +259,7 @@ def make_plant(cfg: TrialConfig, rng: np.random.Generator):
     return OdeKneePlant(cfg.ode)
 
 
-def steady_profile(plant, imp: ImpedanceSet) -> GaitProfile:
+def steady_profile(plant, imp: np.ndarray) -> GaitProfile:
     """Features the plant settles to under constant impedance (noise-free)."""
     if isinstance(plant, FeatureMapPlant):
         return array_to_profile(plant.steady_state(imp))
@@ -262,15 +270,11 @@ def steady_profile(plant, imp: ImpedanceSet) -> GaitProfile:
     return profile
 
 
-def scaled_impedance(reference: ImpedanceSet, factors: np.ndarray) -> ImpedanceSet:
-    """Multiply each triple componentwise; equilibrium clipped to stay legal."""
-    triples = []
-    for triple, f in zip(reference.phases, factors):
-        values = triple.as_array() * f
-        triples.append(ImpedanceTriple(
-            float(values[0]), float(values[1]), float(min(values[2], 1.6))
-        ))
-    return ImpedanceSet(tuple(triples))
+def scaled_impedance(reference: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Multiply the impedance componentwise; equilibrium clipped to stay legal."""
+    scaled = reference * factors
+    scaled[:, 2] = np.minimum(scaled[:, 2], KNEE_ANGLE_MAX)
+    return scaled
 
 
 def _within_margin(errors, bounds: BoundsTable, margin: float, cycle_dur: float) -> bool:
@@ -283,7 +287,7 @@ def _within_margin(errors, bounds: BoundsTable, margin: float, cycle_dur: float)
 
 
 def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
-                           rng: np.random.Generator) -> ImpedanceSet:
+                           rng: np.random.Generator) -> np.ndarray:
     """Random impedance around the reference whose steady response is safe.
 
     Draws are uniform within +-init_spread of the reference and redrawn
@@ -302,7 +306,9 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
             factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
             candidate = scaled_impedance(reference, factors)
             errors = alignment_errors(target, steady_profile(plant, candidate))
-            angle_rms = float(np.sqrt(np.mean([err.d_peak ** 2 for err in errors])))
+            # Python's float ** (libm pow) and numpy's square can differ in the
+            # last bit; recorded runs and goldens were drawn with the former
+            angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))
             if angle_rms < MIN_INITIAL_ANGLE_RMS:
                 continue
             if _within_margin(errors, cfg.bounds, FEASIBILITY_MARGIN, target_dur):
@@ -314,13 +320,12 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
 def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
     """Pool of target profiles for terrain switching, mutually trackable.
 
-    Each member comes from a perturbed impedance set pushed through the
+    Each member comes from a perturbed impedance pushed through the
     plant's steady response.  Members are redrawn until every pair stays
     within a comfortable fraction of the safety bounds, so a switch never
     dooms the controller to reset forever.
     """
     reference = cfg.feature_map.reference_impedance
-    impedances: list[ImpedanceSet] = []
     profiles: list[GaitProfile] = []
     for _ in range(cfg.pool_size):
         for _ in range(MAX_INITIAL_DRAWS):
@@ -330,24 +335,22 @@ def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
             profile = steady_profile(plant, candidate)
             if all(_within_margin(alignment_errors(other, profile), cfg.bounds, 0.7,
                                   cycle_duration(other)) for other in profiles):
-                impedances.append(candidate)
                 profiles.append(profile)
                 break
         else:
             raise RuntimeError("could not build a mutually trackable profile pool")
-    return tuple(impedances), tuple(profiles)
+    return tuple(profiles)
 
 
 def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> TargetProgram:
     base = steady_profile(plant, cfg.feature_map.reference_impedance)
     if cfg.scenario == SCENARIO_TERRAIN:
-        impedances, profiles = build_profile_pool(cfg, plant, rng)
+        profiles = build_profile_pool(cfg, plant, rng)
         segments = cfg.max_cycles // cfg.switch_period + 1
         schedule = switch_schedule(cfg.pool_size, segments, rng)
         return TargetProgram(
             base_profile=profiles[schedule[0]],
             profile_pool=profiles,
-            impedance_pool=impedances,
             switch_period=cfg.switch_period,
             schedule=schedule,
             drift_gain=cfg.drift_gain,
@@ -378,7 +381,7 @@ class Trial:
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
                  target_program: TargetProgram | None = None,
-                 initial_impedance: ImpedanceSet | None = None):
+                 initial_impedance: np.ndarray | None = None):
         self.cfg = cfg
         seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         plant_seq, program_seq, init_seq, weight_seq = seq.spawn(4)
@@ -390,7 +393,7 @@ class Trial:
         self.pace_index = 0
         first_target = self.program.target_for(0, self.pace_index)
         if initial_impedance is not None:
-            self.initial_impedance = initial_impedance
+            self.initial_impedance = check_impedance(initial_impedance)
         else:
             self.initial_impedance = draw_initial_impedance(
                 cfg, self.plant, first_target, np.random.default_rng(init_seq))
@@ -481,15 +484,18 @@ class Trial:
 
         errors = alignment_errors(target, measured)
         self.program.observe_error(errors)
+        # The per-phase work below is scalar; it costs several times less on
+        # the rows as Python floats than on numpy rows.
+        err_rows = errors.tolist()
         cyc_dur = cycle_duration(target)
         in_tol = [
             within_bound(err, cfg.bounds.tolerance_for(phase), cyc_dur)
-            for phase, err in zip(PHASES, errors)
+            for phase, err in zip(PHASES, err_rows)
         ]
 
-        if not safety_check(errors, cfg.bounds, cyc_dur):
+        if not safety_check(err_rows, cfg.bounds, cyc_dur):
             self.record.rows.extend(
-                self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(errors))
+                self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(err_rows))
             self.impedance = self.initial_impedance
             self.record.resets += 1
             self._lag = [None] * NUM_PHASES
@@ -497,7 +503,7 @@ class Trial:
             return self.finished
 
         try:
-            rows = self._learn_and_act(errors, cyc_dur, in_tol)
+            rows = self._learn_and_act(err_rows, cyc_dur, in_tol)
         except NumericFaultError as exc:
             self.record.cycles_run = k + 1
             self._finish("failure", f"numeric-fault: {exc}")
@@ -509,7 +515,7 @@ class Trial:
         self._after_cycle(in_tol)
         return self.finished
 
-    def _network_state(self, phase: Phase, err: TrackingState, cyc_dur: float) -> np.ndarray:
+    def _network_state(self, phase: Phase, err: list[float], cyc_dur: float) -> np.ndarray:
         """Tracking error scaled by the phase's safety bound.
 
         Both components are dimensionless and lie in [-1, 1] as long as
@@ -517,16 +523,17 @@ class Trial:
         signals of order one regardless of the raw feature units.
         """
         safe = self.cfg.bounds.safety_for(phase)
+        d_duration, d_peak = err
         return np.array([
-            100.0 * err.d_duration / cyc_dur / safe.duration_pct,
-            err.d_peak / safe.angle,
+            100.0 * d_duration / cyc_dur / safe.duration_pct,
+            d_peak / safe.angle,
         ])
 
-    def _learn_and_act(self, errors, cyc_dur, in_tol) -> list[CycleLog]:
+    def _learn_and_act(self, err_rows, cyc_dur, in_tol) -> list[CycleLog]:
         cfg = self.cfg
         rows = []
         halt = False
-        for idx, (phase, err) in enumerate(zip(PHASES, errors)):
+        for idx, (phase, err) in enumerate(zip(PHASES, err_rows)):
             state = self._network_state(phase, err, cyc_dur)
 
             a_tape = actor_eval(self.actors[idx], state)
@@ -563,8 +570,7 @@ class Trial:
                 actor_bound=float(report.actor_bound),
                 monitor_ok=report.ok,
             ))
-            delta = ControlDelta(*[float(v) for v in delta_vec])
-            self.impedance, clamped = apply_delta(self.impedance, phase, delta, cfg.ranges)
+            self.impedance, clamped = apply_delta(self.impedance, phase, delta_vec, cfg.ranges)
             if clamped:
                 self.record.clamp_events += 1
         self._max_weight_norm = max(self._max_weight_norm, self._weight_norm())
@@ -572,17 +578,17 @@ class Trial:
             self._finish("failure", "monitor-violation")
         return rows
 
-    def _log_row(self, idx: int, err: TrackingState, cyc_dur: float, in_tol: bool,
+    def _log_row(self, idx: int, err: list[float], cyc_dur: float, in_tol: bool,
                  **learning) -> CycleLog:
         """One phase's row for this cycle; without ``learning`` fields it logs a reset."""
-        active = self.impedance.phases[idx]
+        d_duration, d_peak = err
+        stiffness, damping, equilibrium = self.impedance[idx].tolist()
         return CycleLog(
             cycle=self.k, phase=idx + 1,
-            d_duration=float(err.d_duration),
-            d_duration_pct=100.0 * float(err.d_duration) / cyc_dur,
-            d_peak=float(err.d_peak),
-            stiffness=active.stiffness, damping=active.damping,
-            equilibrium=active.equilibrium,
+            d_duration=d_duration,
+            d_duration_pct=100.0 * d_duration / cyc_dur,
+            d_peak=d_peak,
+            stiffness=stiffness, damping=damping, equilibrium=equilibrium,
             reset=not learning, in_tolerance=in_tol,
             converged=self._phase_converged(idx),
             **learning,

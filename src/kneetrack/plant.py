@@ -2,7 +2,7 @@
 
 Two plants sit behind the same step interface:
 
-* :class:`FeatureMapPlant` maps an impedance set directly to next-cycle
+* :class:`FeatureMapPlant` maps a (4, 3) impedance array directly to next-cycle
   gait features through a smoothed affine response around a reference
   operating point.  It is fast, analytically checkable, and is what the
   batch experiments and acceptance runs use.
@@ -27,13 +27,11 @@ from .core import (
     KNEE_ANGLE_MAX,
     NUM_PHASES,
     GaitFeatures,
-    ImpedanceTriple,
     Phase,
-    TrackingState,
+    check_impedance,
 )
 from .fsm import (
     FsmState,
-    ImpedanceSet,
     joint_torque,
     step_fsm,
 )
@@ -75,7 +73,7 @@ class FeatureMapConfig:
     stiffness slightly speeds the phase up and caps the peak.
     """
 
-    reference_impedance: ImpedanceSet
+    reference_impedance: np.ndarray  # (4, 3): per phase (stiffness, damping, equilibrium)
     reference_features: GaitProfile
     sensitivity: np.ndarray          # (4, 2, 3)
     smoothing: float = 0.6           # fraction of the affine response applied per cycle
@@ -86,6 +84,8 @@ class FeatureMapConfig:
     pace_passthrough: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "reference_impedance",
+                           check_impedance(self.reference_impedance))
         if self.sensitivity.shape != (NUM_PHASES, 2, 3):
             raise ValueError("sensitivity must be a (4, 2, 3) array")
         if not 0.0 < self.smoothing <= 1.0:
@@ -97,12 +97,12 @@ class FeatureMapConfig:
 
     @classmethod
     def default(cls) -> "FeatureMapConfig":
-        reference_impedance = ImpedanceSet((
-            ImpedanceTriple(55.0, 1.4, 0.30),
-            ImpedanceTriple(45.0, 1.1, 0.12),
-            ImpedanceTriple(18.0, 0.9, 1.00),
-            ImpedanceTriple(14.0, 0.7, 0.16),
-        ))
+        reference_impedance = np.array([
+            [55.0, 1.4, 0.30],
+            [45.0, 1.1, 0.12],
+            [18.0, 0.9, 1.00],
+            [14.0, 0.7, 0.16],
+        ])
         reference_features = (
             GaitFeatures(0.30, 0.33),
             GaitFeatures(0.32, 0.15),
@@ -126,25 +126,24 @@ class FeatureMapPlant:
     def __init__(self, config: FeatureMapConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        self._ref_imp = np.array([t.as_array() for t in config.reference_impedance.phases])
         self._ref_feat = profile_to_array(config.reference_features)
         self._state = self._ref_feat.copy()
 
-    def steady_state(self, imp: ImpedanceSet, pace: float = 1.0) -> np.ndarray:
+    def steady_state(self, imp: np.ndarray, pace: float = 1.0) -> np.ndarray:
         """Fixed point the features relax to under constant impedance.
 
         Under a pace multiplier, the natural phase durations shorten or
         lengthen by the passthrough share of the pace change; peak angles
         are unaffected by pace.
         """
-        offsets = np.array([t.as_array() for t in imp.phases]) - self._ref_imp
+        offsets = imp - self.config.reference_impedance
         base = self._ref_feat.copy()
         eta = self.config.pace_passthrough
         base[:, 0] *= eta / pace + (1.0 - eta)
         return base + np.einsum("pij,pj->pi", self.config.sensitivity, offsets)
 
-    def step(self, imp: ImpedanceSet, pace: float = 1.0) -> GaitProfile:
-        """Advance one gait cycle and return the measured features."""
+    def step(self, imp: np.ndarray, pace: float = 1.0) -> GaitProfile:
+        """Advance one gait cycle under a (4, 3) impedance array."""
         lam = self.config.smoothing
         target = self.steady_state(imp, pace)
         noise = self.rng.normal(0.0, self.config.noise_std, size=(NUM_PHASES, 2))
@@ -190,7 +189,7 @@ class OdeKneePlant:
         self._angle = config.initial_angle
         self._velocity = config.initial_velocity
 
-    def step(self, imp: ImpedanceSet, pace: float = 1.0) -> GaitProfile:
+    def step(self, imp: np.ndarray, pace: float = 1.0) -> GaitProfile:
         # pace is accepted for interface parity; the torque-law knee has no
         # body-motion channel for it, so durations respond to impedance only
         cfg = self.config
@@ -198,10 +197,13 @@ class OdeKneePlant:
         state = FsmState(Phase.STANCE_FLEXION)
         durations = np.zeros(NUM_PHASES)
         peaks = np.full(NUM_PHASES, self._angle)
+        # Python floats: the torque law runs ~60 times per cycle, and numpy
+        # scalar arithmetic there costs twice as much
+        rows = imp.tolist()
 
         while True:
             phase = state.phase
-            triple = imp.for_phase(phase)
+            triple = rows[phase - 1]
             load = cfg.load_torque[phase - 1]
 
             accel = (-joint_torque(triple, self._angle, self._velocity) + load) / cfg.inertia
@@ -265,7 +267,6 @@ class TargetProgram:
 
     base_profile: GaitProfile
     profile_pool: tuple[GaitProfile, ...] = ()
-    impedance_pool: tuple[ImpedanceSet, ...] = ()
     pace_sequence: tuple[float, ...] = (1.0,)
     switch_period: int = 20
     drift_gain: float = 0.0
@@ -302,13 +303,12 @@ class TargetProgram:
             values = values + self.drift_gain * self._drift
         return array_to_profile(values)
 
-    def observe_error(self, errors) -> None:
-        """Feed the per-phase prosthetic tracking error into the drift filter."""
+    def observe_error(self, errors: np.ndarray) -> None:
+        """Feed the (4, 2) prosthetic tracking error into the drift filter."""
         if self.drift_gain <= 0.0:
             return
-        err = np.array([[e.d_duration, e.d_peak] for e in errors])
         beta = self.drift_smoothing
-        self._drift = (1.0 - beta) * self._drift + beta * err
+        self._drift = (1.0 - beta) * self._drift + beta * errors
 
 
 def switch_schedule(pool_size: int, segments: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -324,8 +324,10 @@ def switch_schedule(pool_size: int, segments: int, rng: np.random.Generator) -> 
     return tuple(indices)
 
 
-def alignment_errors(target, measured) -> list[TrackingState]:
+def alignment_errors(target, measured) -> np.ndarray:
     """Tracking error per phase: intact-knee target minus prosthetic feature.
+
+    Returns one (d_duration, d_peak) row per phase, seconds and radians.
 
     This is the only place the library subtracts gait features.  The
     prosthetic leg strikes half a gait after the intact leg, so the
@@ -335,7 +337,4 @@ def alignment_errors(target, measured) -> list[TrackingState]:
     prosthetic measurement taken during cycle k's trailing half.  Plants
     with no intra-cycle timing reduce to plain same-index pairing.
     """
-    return [
-        TrackingState(y.duration - z.duration, y.peak_angle - z.peak_angle)
-        for y, z in zip(target, measured)
-    ]
+    return profile_to_array(target) - profile_to_array(measured)

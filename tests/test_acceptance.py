@@ -266,11 +266,11 @@ def test_criterion_8_safety_reset_preserves_weights():
     trial.step()
     before = [m.copy() for net in trial.actors + trial.critics
               for m in (net.w_hidden, net.w_out)]
-    assert trial.impedance != trial.initial_impedance
+    assert not np.array_equal(trial.impedance, trial.initial_impedance)
     trial.step()  # out-of-safety target -> reset
     assert trial.record.resets == 1
     assert all(r.reset for r in trial.record.rows if r.cycle == 2)
-    assert trial.impedance == trial.initial_impedance
+    assert np.array_equal(trial.impedance, trial.initial_impedance)
     after = [m for net in trial.actors + trial.critics
              for m in (net.w_hidden, net.w_out)]
     for a, b in zip(before, after):

@@ -77,6 +77,7 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"trials": 0}, "trials"),
         ({"trials": None}, "trials"),
         ({"trials_per_policy": 0}, "trials_per_policy"),
+        ({"seed": -1}, "seed"),
     ]
     for cfg, key in cases:
         path = tmp_path / "cfg.json"
@@ -86,6 +87,27 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{key}:" in capsys.readouterr().err
+    assert main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "seed:" in capsys.readouterr().err
+
+
+def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
+    # values that would let an impedance leave its legal domain, and a
+    # discount outside (0, 1), are refused before any trial runs
+    ranges = default_config()["ranges"]
+    ranges[1][0] = [-50.0, 100.0]
+    cases = [
+        ({"ranges": ranges}, "ranges:"),
+        ({"init_spread": 1.5}, "init_spread:"),
+        ({"terrain": {"pool_spread": 1.5}}, "pool_spread:"),
+        ({"dhdp": {"discount": 1.0}}, "dhdp:"),
+    ]
+    for cfg, key in cases:
+        code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
 
 def test_overrides_beat_file_values(tmp_path):
@@ -270,10 +292,11 @@ def test_report_empty_directory_fails(tmp_path, capsys):
 def test_report_skips_malformed_json(tmp_path, capsys):
     code, out = run_cli(tmp_path, small_run_config(trials=2))
     assert code == 0
+    (out / "trials" / "trial_998.json").write_text("[1]")
     (out / "trials" / "trial_999.json").write_text("{broken")
     assert main(["report", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "skipping malformed" in captured.err
+    assert captured.err.count("skipping malformed") == 2
     report = json.loads((out / "report.json").read_text())
-    assert report["skipped_files"] == 1
+    assert report["skipped_files"] == 2
     assert report["results"][0]["trials"] == 2

@@ -6,11 +6,10 @@ import pytest
 from kneetrack.core import (
     BoundsTable,
     GaitFeatures,
-    ImpedanceTriple,
     PHASES,
     Phase,
     PhaseBound,
-    TrackingState,
+    check_impedance,
     within_bound,
 )
 from kneetrack.plant import alignment_errors
@@ -32,27 +31,32 @@ def test_gait_features_validation():
 
 
 def test_impedance_triple_validation():
-    ImpedanceTriple(10.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ImpedanceTriple(-1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ImpedanceTriple(10.0, -0.1, 0.5)
-    with pytest.raises(ValueError):
-        ImpedanceTriple(10.0, 1.0, 1.61)
+    legal = [[10.0, 1.0, 0.5]] * 4
+    checked = check_impedance(legal)
+    assert checked.dtype == float and checked.shape == (4, 3)
+    assert np.array_equal(checked, legal)
+    source = np.array(legal)
+    assert check_impedance(source) is not source
+    for row, col, value in ((1, 0, -1.0), (2, 1, -0.1), (3, 2, 1.61), (0, 2, -0.01),
+                            (0, 0, float("nan")), (1, 1, float("inf"))):
+        bad = source.copy()
+        bad[row, col] = value
+        with pytest.raises(ValueError, match=("stiffness", "damping", "equilibrium")[col]):
+            check_impedance(bad)
+    for shape in ((3, 3), (4, 2), (12,)):
+        with pytest.raises(ValueError, match="shape"):
+            check_impedance(np.ones(shape))
 
 
 def test_tracking_error_identical_inputs():
     y = [GaitFeatures(0.40, 0.30), GaitFeatures(0.32, 1.05)]
-    assert alignment_errors(y, y) == [TrackingState(0.0, 0.0)] * 2
+    assert np.array_equal(alignment_errors(y, y), np.zeros((2, 2)))
 
 
 def test_tracking_error_componentwise():
     errs = alignment_errors([GaitFeatures(0.45, 0.35), GaitFeatures(0.40, 0.25)],
                             [GaitFeatures(0.40, 0.30), GaitFeatures(0.45, 0.30)])
-    assert errs[0].d_duration == pytest.approx(0.05)
-    assert errs[0].d_peak == pytest.approx(0.05)
-    assert errs[1].d_duration == pytest.approx(-0.05)
-    assert errs[1].d_peak == pytest.approx(-0.05)
+    np.testing.assert_allclose(errs, [[0.05, 0.05], [-0.05, -0.05]])
 
 
 def test_tracking_error_antisymmetric():
@@ -64,26 +68,24 @@ def test_tracking_error_antisymmetric():
 
     for _ in range(100):
         a, b = profile(), profile()
-        for fw, bw in zip(alignment_errors(a, b), alignment_errors(b, a)):
-            assert fw.d_duration == -bw.d_duration
-            assert fw.d_peak == -bw.d_peak
+        assert np.array_equal(alignment_errors(a, b), -alignment_errors(b, a))
 
 
 def test_within_bound_zero_error():
-    assert within_bound(TrackingState(0.0, 0.0), PhaseBound(0.001, 0.001), 1.0)
+    assert within_bound(np.zeros(2), PhaseBound(0.001, 0.001), 1.0) is True
 
 
 def test_within_bound_tolerance_row():
     bound = PhaseBound(0.0263, 2.0)
-    assert within_bound(TrackingState(0.012, 0.02), bound, 1.0)
-    assert not within_bound(TrackingState(0.03, 0.02), bound, 1.0)
+    assert within_bound(np.array([0.012, 0.02]), bound, 1.0) is True
+    assert within_bound(np.array([0.03, 0.02]), bound, 1.0) is False
 
 
 def test_within_bound_rejects_bad_cycle_duration():
     with pytest.raises(ValueError):
-        within_bound(TrackingState(0.0, 0.0), PhaseBound(0.1, 2.0), 0.0)
+        within_bound(np.zeros(2), PhaseBound(0.1, 2.0), 0.0)
     with pytest.raises(ValueError):
-        within_bound(TrackingState(0.0, 0.0), PhaseBound(0.1, 2.0), -1.0)
+        within_bound(np.zeros(2), PhaseBound(0.1, 2.0), -1.0)
 
 
 def test_within_bound_monotone_in_error_magnitude():
@@ -93,9 +95,9 @@ def test_within_bound_monotone_in_error_magnitude():
         d = float(rng.uniform(-0.1, 0.1))
         p = float(rng.uniform(-0.1, 0.1))
         shrink = float(rng.uniform(0.0, 1.0))
-        inside = within_bound(TrackingState(d, p), bound, 1.2)
+        inside = within_bound(np.array([d, p]), bound, 1.2)
         if inside:
-            assert within_bound(TrackingState(shrink * d, shrink * p), bound, 1.2)
+            assert within_bound(np.array([shrink * d, shrink * p]), bound, 1.2)
 
 
 def test_bounds_table_default_matches_published_limits():

@@ -32,6 +32,7 @@ from kneetrack.dhdp import (
     stage_cost,
     td_error,
 )
+from kneetrack.harness import DhdpConfig
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,9 @@ def test_stage_cost_params_reject_non_pd():
     with pytest.raises(ValueError):
         StageCostParams(state_weight=np.diag([1.0, -1.0]),
                         action_weight=np.diag([0.1, 0.1, 0.1]))
-    with pytest.raises(ValueError):
-        StageCostParams(state_weight=np.diag([1.0, 1.0]),
-                        action_weight=np.diag([0.1, 0.1, 0.1]), discount=1.0)
+    for discount in (1.0, 0.0, 1.5):
+        with pytest.raises(ValueError, match="discount"):
+            DhdpConfig(discount=discount)
 
 
 # ---------------------------------------------------------------------------

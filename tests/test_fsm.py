@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from kneetrack.core import ControlDelta, ImpedanceTriple, Phase
+from kneetrack.core import Phase
 from kneetrack.fsm import (
     FsmState,
-    ImpedanceSet,
     ParameterRanges,
+    PhaseRanges,
     apply_delta,
     joint_torque,
     step_fsm,
@@ -15,7 +15,7 @@ from kneetrack.fsm import (
 
 
 def make_set(k=10.0, b=1.0, eq=0.2):
-    return ImpedanceSet(tuple(ImpedanceTriple(k, b, eq) for _ in range(4)))
+    return np.tile([k, b, eq], (4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -23,34 +23,35 @@ def make_set(k=10.0, b=1.0, eq=0.2):
 
 
 def test_torque_zero_at_equilibrium_at_rest():
-    imp = ImpedanceTriple(10.0, 1.0, 0.2)
+    imp = np.array([10.0, 1.0, 0.2])
     assert joint_torque(imp, angle=0.2, velocity=0.0) == 0.0
 
 
 def test_torque_direct_evaluation():
-    imp = ImpedanceTriple(2.0, 0.1, 0.0)
+    imp = np.array([2.0, 0.1, 0.0])
     assert joint_torque(imp, angle=0.5, velocity=1.0) == pytest.approx(1.1)
 
 
 def test_torque_pure_damping():
-    imp = ImpedanceTriple(0.0, 0.5, 0.7)
+    imp = np.array([0.0, 0.5, 0.7])
     assert joint_torque(imp, angle=1.2, velocity=-2.0) == pytest.approx(-1.0)
 
 
 def test_torque_linear_in_deflection_and_velocity():
     rng = np.random.default_rng(2)
-    imp = ImpedanceTriple(12.0, 0.8, 0.3)
+    imp = np.array([12.0, 0.8, 0.3])
+    eq = imp[2]
     for _ in range(50):
         th, om, a = rng.uniform(0, 1.6), rng.uniform(-3, 3), rng.uniform(-2, 2)
-        base = joint_torque(imp, imp.equilibrium, 0.0)
+        base = joint_torque(imp, eq, 0.0)
         assert base == 0.0
         t1 = joint_torque(imp, th, om)
-        t2 = joint_torque(imp, imp.equilibrium + a * (th - imp.equilibrium), a * om)
+        t2 = joint_torque(imp, eq + a * (th - eq), a * om)
         assert t2 == pytest.approx(a * t1, abs=1e-12)
 
 
 def test_torque_zero_impedance_is_identically_zero():
-    imp = ImpedanceTriple(0.0, 0.0, 0.0)
+    imp = np.zeros(3)
     for th, om in [(0.1, -2.0), (1.5, 3.0), (0.0, 0.0)]:
         assert joint_torque(imp, th, om) == 0.0
 
@@ -61,29 +62,45 @@ def test_torque_zero_impedance_is_identically_zero():
 
 def test_apply_delta_zero_is_identity():
     imp = make_set()
-    out, clamped = apply_delta(imp, Phase.STANCE_FLEXION, ControlDelta(0, 0, 0),
+    out, clamped = apply_delta(imp, Phase.STANCE_FLEXION, np.zeros(3),
                                ParameterRanges.default())
     assert not clamped
-    assert out == imp
+    assert np.array_equal(out, imp)
 
 
 def test_apply_delta_adds_componentwise():
     imp = make_set(k=10.0)
-    out, clamped = apply_delta(imp, Phase.SWING_FLEXION, ControlDelta(2.0, 0.0, 0.0),
+    out, clamped = apply_delta(imp, Phase.SWING_FLEXION, [2.0, 0.0, 0.0],
                                ParameterRanges.default())
     assert not clamped
-    assert out.for_phase(Phase.SWING_FLEXION).stiffness == pytest.approx(12.0)
+    assert out[Phase.SWING_FLEXION - 1, 0] == pytest.approx(12.0)
     # other phases untouched
     for phase in (Phase.STANCE_FLEXION, Phase.STANCE_EXTENSION, Phase.SWING_EXTENSION):
-        assert out.for_phase(phase) == imp.for_phase(phase)
+        assert np.array_equal(out[phase - 1], imp[phase - 1])
+
+
+def test_apply_delta_never_writes_its_input():
+    imp = make_set(k=0.5)
+    before = imp.copy()
+    for delta in ([2.0, 0.1, 0.1], [-2.0, 0.0, 0.0]):
+        out, _ = apply_delta(imp, Phase.STANCE_FLEXION, delta, ParameterRanges.default())
+        assert out is not imp
+        assert np.array_equal(imp, before)
+
+
+def test_apply_delta_rejects_non_finite_delta():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            apply_delta(make_set(), Phase.STANCE_FLEXION, [0.0, bad, 0.0],
+                        ParameterRanges.default())
 
 
 def test_apply_delta_clamps_and_flags():
     imp = make_set(k=0.5)
-    out, clamped = apply_delta(imp, Phase.STANCE_FLEXION, ControlDelta(-2.0, 0.0, 0.0),
+    out, clamped = apply_delta(imp, Phase.STANCE_FLEXION, [-2.0, 0.0, 0.0],
                                ParameterRanges.default())
-    assert clamped
-    assert out.for_phase(Phase.STANCE_FLEXION).stiffness == 0.0
+    assert clamped is True
+    assert out[Phase.STANCE_FLEXION - 1, 0] == 0.0
 
 
 def test_apply_delta_invertible_without_clamping():
@@ -92,20 +109,14 @@ def test_apply_delta_invertible_without_clamping():
     for _ in range(100):
         imp = make_set(k=float(rng.uniform(10, 40)), b=float(rng.uniform(0.5, 2)),
                        eq=float(rng.uniform(0.2, 1.0)))
-        delta = ControlDelta(float(rng.uniform(-5, 5)), float(rng.uniform(-0.4, 0.4)),
-                             float(rng.uniform(-0.1, 0.1)))
+        delta = np.array([rng.uniform(-5, 5), rng.uniform(-0.4, 0.4),
+                          rng.uniform(-0.1, 0.1)])
         phase = Phase(int(rng.integers(1, 5)))
         fwd, clamped = apply_delta(imp, phase, delta, ranges)
         if clamped:
             continue
-        back, _ = apply_delta(fwd, phase, ControlDelta(-delta.d_stiffness,
-                                                       -delta.d_damping,
-                                                       -delta.d_equilibrium), ranges)
-        got = back.for_phase(phase)
-        want = imp.for_phase(phase)
-        assert got.stiffness == pytest.approx(want.stiffness, abs=1e-12)
-        assert got.damping == pytest.approx(want.damping, abs=1e-12)
-        assert got.equilibrium == pytest.approx(want.equilibrium, abs=1e-12)
+        back, _ = apply_delta(fwd, phase, -delta, ranges)
+        np.testing.assert_allclose(back, imp, rtol=0.0, atol=1e-12)
 
 
 def test_apply_delta_output_always_valid():
@@ -113,15 +124,23 @@ def test_apply_delta_output_always_valid():
     ranges = ParameterRanges.default()
     imp = make_set()
     for _ in range(300):
-        delta = ControlDelta(float(rng.uniform(-200, 200)), float(rng.uniform(-10, 10)),
-                             float(rng.uniform(-3, 3)))
+        delta = [rng.uniform(-200, 200), rng.uniform(-10, 10), rng.uniform(-3, 3)]
         phase = Phase(int(rng.integers(1, 5)))
         imp, _ = apply_delta(imp, phase, delta, ranges)
-        triple = imp.for_phase(phase)
+        stiffness, damping, equilibrium = imp[phase - 1]
         limits = ranges.for_phase(phase)
-        assert limits.stiffness[0] <= triple.stiffness <= limits.stiffness[1]
-        assert limits.damping[0] <= triple.damping <= limits.damping[1]
-        assert limits.equilibrium[0] <= triple.equilibrium <= limits.equilibrium[1]
+        assert limits.stiffness[0] <= stiffness <= limits.stiffness[1]
+        assert limits.damping[0] <= damping <= limits.damping[1]
+        assert limits.equilibrium[0] <= equilibrium <= limits.equilibrium[1]
+
+
+def test_phase_ranges_stay_inside_the_physical_domain():
+    PhaseRanges(stiffness=(0.0, 0.0), equilibrium=(0.0, 1.6))
+    for bad in (dict(stiffness=(-50.0, 100.0)), dict(damping=(-0.1, 5.0)),
+                dict(equilibrium=(-0.1, 1.0)), dict(equilibrium=(0.0, 1.7)),
+                dict(stiffness=(10.0, 5.0)), dict(damping=(float("nan"), 1.0))):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PhaseRanges(**bad)
 
 
 # ---------------------------------------------------------------------------

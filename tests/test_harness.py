@@ -10,13 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kneetrack.core import (
-    BoundsTable,
-    GaitFeatures,
-    ImpedanceTriple,
-    TrackingState,
-)
-from kneetrack.fsm import ImpedanceSet
+from kneetrack.core import BoundsTable, GaitFeatures
 from kneetrack.harness import (
     CSV_COLUMNS,
     CycleLog,
@@ -63,21 +57,22 @@ def shifted_profile(base, d_duration=0.0, d_peak=0.0):
 
 
 def test_safety_check_all_zero_ok():
-    errs = [TrackingState(0.0, 0.0)] * 4
+    errs = np.zeros((4, 2))
     assert safety_check(errs, BoundsTable.default(), 1.2)
 
 
 def test_safety_check_phase1_angle_violation():
-    errs = [TrackingState(0.0, 0.20)] + [TrackingState(0.0, 0.0)] * 3
+    errs = np.zeros((4, 2))
+    errs[0] = (0.0, 0.20)
     assert not safety_check(errs, BoundsTable.default(), 1.2)
 
 
 def test_safety_check_phase2_duration_within():
     # 11% duration error on phase 2 stays under the 12% safety bound
-    errs = [TrackingState(0.0, 0.0), TrackingState(0.11, 0.05),
-            TrackingState(0.0, 0.0), TrackingState(0.0, 0.0)]
+    errs = np.zeros((4, 2))
+    errs[1] = (0.11, 0.05)
     assert safety_check(errs, BoundsTable.default(), 1.0)
-    errs[1] = TrackingState(0.13, 0.05)
+    errs[1] = (0.13, 0.05)
     assert not safety_check(errs, BoundsTable.default(), 1.0)
 
 
@@ -148,7 +143,7 @@ def test_already_converged_succeeds_within_window():
 # safety reset semantics
 
 
-def rigged_switch_trial():
+def rigged_switch_trial(schedule=(0, 1, 0, 0, 0, 0, 0, 0), **kwargs):
     """Trial whose target jumps beyond the safety bound at cycle 2.
 
     The pre-switch target sits slightly off the plant's fixed point so the
@@ -158,11 +153,10 @@ def rigged_switch_trial():
     base = shifted_profile(fm.reference_features, d_peak=0.01)
     danger = shifted_profile(fm.reference_features, d_peak=0.25)
     program = TargetProgram(base_profile=base, profile_pool=(base, danger),
-                            switch_period=2, schedule=(0, 1, 0, 0, 0, 0, 0, 0),
-                            )
+                            switch_period=2, schedule=schedule)
     cfg = TrialConfig(max_cycles=20, feature_map=fm)
-    return Trial(cfg, 5, target_program=program,
-                 initial_impedance=fm.reference_impedance)
+    kwargs.setdefault("initial_impedance", fm.reference_impedance)
+    return Trial(cfg, 5, target_program=program, **kwargs)
 
 
 def test_reset_restores_initial_impedance_and_keeps_weights():
@@ -178,7 +172,7 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
     trial.step()  # k=2: target switched beyond safety -> reset
     reset_rows = [r for r in trial.record.rows if r.cycle == 2]
     assert all(r.reset for r in reset_rows)
-    assert trial.impedance == trial.initial_impedance
+    assert np.array_equal(trial.impedance, trial.initial_impedance)
     weights_after = [
         (a.w_hidden, a.w_out) for a in trial.actors
     ] + [
@@ -189,7 +183,27 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
         assert np.array_equal(o0, o1)
     assert trial.record.resets == 1
     # sanity: the controller had been adjusting before the reset
-    assert impedance_before_reset != trial.initial_impedance
+    assert not np.array_equal(impedance_before_reset, trial.initial_impedance)
+
+
+def test_initial_impedance_survives_resets():
+    # after a reset the active impedance is the initial array itself, so
+    # every later update must leave that array as it was drawn
+    trial = rigged_switch_trial(schedule=(0, 1) * 5, initial_impedance=None)
+    drawn = trial.initial_impedance.copy()
+    rec = trial.run()
+    assert rec.resets >= 3
+    assert np.array_equal(trial.initial_impedance, drawn)
+
+
+def test_initial_impedance_is_validated():
+    fm = quiet_feature_map()
+    bad = fm.reference_impedance.copy()
+    bad[2, 1] = -0.5
+    with pytest.raises(ValueError, match="damping"):
+        Trial(TrialConfig(feature_map=fm), 0, initial_impedance=bad)
+    with pytest.raises(ValueError, match="shape"):
+        Trial(TrialConfig(feature_map=fm), 0, initial_impedance=bad[:3])
 
 
 def test_reset_rows_carry_no_learning_fields():
@@ -211,9 +225,8 @@ def test_plant_instability_recorded_as_failure():
     )
     fm = quiet_feature_map()
     program = TargetProgram(base_profile=fm.reference_features)
-    hot = ImpedanceSet(tuple(
-        ImpedanceTriple(100.0, 0.0, t.equilibrium)
-        for t in fm.reference_impedance.phases))
+    hot = fm.reference_impedance.copy()
+    hot[:, :2] = (100.0, 0.0)
     rec = run_trial(cfg, 0, target_program=program, initial_impedance=hot)
     assert not rec.success
     assert rec.failure_reason.startswith("plant-instability")

@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kneetrack.core import GaitFeatures, ImpedanceTriple, Phase
-from kneetrack.fsm import ImpedanceSet
+from kneetrack.core import GaitFeatures, Phase
 from kneetrack.plant import (
     FeatureMapConfig,
     FeatureMapPlant,
@@ -59,11 +58,8 @@ def test_single_affine_evaluation_with_full_smoothing():
     cfg = quiet_config(sensitivity=sens, smoothing=1.0)
     plant = FeatureMapPlant(cfg, np.random.default_rng(0))
     ref = cfg.reference_impedance
-    shifted = ref.replace(
-        Phase.STANCE_FLEXION,
-        ImpedanceTriple(ref.for_phase(Phase.STANCE_FLEXION).stiffness,
-                        ref.for_phase(Phase.STANCE_FLEXION).damping,
-                        ref.for_phase(Phase.STANCE_FLEXION).equilibrium + 0.1))
+    shifted = ref.copy()
+    shifted[Phase.STANCE_FLEXION - 1, 2] += 0.1
     out = plant.step(shifted)
     want = cfg.reference_features
     assert out[0].peak_angle == pytest.approx(want[0].peak_angle + 0.01, abs=1e-12)
@@ -75,9 +71,7 @@ def test_single_affine_evaluation_with_full_smoothing():
 def test_geometric_convergence_to_steady_state():
     cfg = quiet_config()
     plant = FeatureMapPlant(cfg, np.random.default_rng(0))
-    imp = ImpedanceSet(tuple(
-        ImpedanceTriple(t.stiffness * 1.1, t.damping * 0.9, t.equilibrium * 1.05)
-        for t in cfg.reference_impedance.phases))
+    imp = cfg.reference_impedance * [1.1, 0.9, 1.05]
     target = plant.steady_state(imp)
     prev_gap = None
     for _ in range(8):
@@ -132,12 +126,12 @@ def test_pace_passthrough_scales_durations_only():
 
 
 def ode_impedance():
-    return ImpedanceSet((
-        ImpedanceTriple(20.0, 1.0, 0.60),
-        ImpedanceTriple(20.0, 1.0, 0.15),
-        ImpedanceTriple(20.0, 1.0, 1.00),
-        ImpedanceTriple(20.0, 1.0, 0.12),
-    ))
+    return np.array([
+        [20.0, 1.0, 0.60],
+        [20.0, 1.0, 0.15],
+        [20.0, 1.0, 1.00],
+        [20.0, 1.0, 0.12],
+    ])
 
 
 def test_ode_knee_qualitative_bounds():
@@ -168,9 +162,8 @@ def test_ode_knee_golden_values():
 
 def test_ode_knee_damping_lengthens_phases():
     base = OdeKneePlant(OdeKneeConfig()).step(ode_impedance())
-    damped_set = ImpedanceSet(tuple(
-        ImpedanceTriple(t.stiffness, 3.0, t.equilibrium)
-        for t in ode_impedance().phases))
+    damped_set = ode_impedance()
+    damped_set[:, 1] = 3.0
     damped = OdeKneePlant(OdeKneeConfig()).step(damped_set)
     assert cycle_duration(damped) > cycle_duration(base)
 
@@ -180,8 +173,8 @@ def test_ode_knee_instability_detected():
     # the integrator blow up, which must surface as a plant fault
     cfg = OdeKneeConfig(inertia=0.001, timestep=0.01)
     plant = OdeKneePlant(cfg)
-    hot = ImpedanceSet(tuple(
-        ImpedanceTriple(100.0, 0.0, t.equilibrium) for t in ode_impedance().phases))
+    hot = ode_impedance()
+    hot[:, :2] = (100.0, 0.0)
     with pytest.raises(PlantInstabilityError):
         for _ in range(5):
             plant.step(hot)
@@ -253,10 +246,7 @@ def test_switch_schedule_never_repeats_adjacent():
 
 def test_alignment_zero_error_at_steady_state():
     profile = base_profile()
-    errors = alignment_errors(profile, profile)
-    assert len(errors) == 4
-    for err in errors:
-        assert err.d_duration == 0.0 and err.d_peak == 0.0
+    assert np.array_equal(alignment_errors(profile, profile), np.zeros((4, 2)))
 
 
 def test_alignment_same_index_pairing():
@@ -266,6 +256,6 @@ def test_alignment_same_index_pairing():
     measured = tuple(GaitFeatures(f.duration - 0.001 * i, f.peak_angle + 0.01 * i)
                      for i, f in enumerate(target))
     for i, (err, y, z) in enumerate(zip(alignment_errors(target, measured), target, measured)):
-        assert err.d_duration == y.duration - z.duration
-        assert err.d_peak == y.peak_angle - z.peak_angle
-        assert err.d_peak == pytest.approx(-0.01 * i)
+        assert err[0] == y.duration - z.duration
+        assert err[1] == y.peak_angle - z.peak_angle
+        assert err[1] == pytest.approx(-0.01 * i)
