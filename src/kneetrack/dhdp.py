@@ -8,6 +8,9 @@ Both are trained once per gait cycle by plain gradient descent: the critic
 on the squared temporal-difference error, the actor on the squared critic
 value, chained through the critic's action inputs.
 
+Every rule takes nets with any leading batch shape, one net per batch
+entry; a single net is the empty batch.
+
 The activation is the bipolar sigmoid (1 - e^-x) / (1 + e^-x), identically
 tanh(x / 2).  Its derivative is (1 - value^2) / 2, which is the factor the
 update rules rely on.
@@ -55,38 +58,49 @@ def activation_deriv(value):
 
 @dataclass(frozen=True)
 class CriticNet:
-    """Hidden weights (hidden x 5) and linear output weights (hidden,)."""
+    """Hidden weights (..., hidden, 5) and linear output weights (..., hidden)."""
 
     w_hidden: np.ndarray
     w_out: np.ndarray
 
     def __post_init__(self):
-        if self.w_hidden.ndim != 2 or self.w_hidden.shape[1] != N_STATE + N_ACTION:
+        if self.w_hidden.ndim < 2 or self.w_hidden.shape[-1] != N_STATE + N_ACTION:
             raise ValueError(f"critic hidden weights must be (h, 5), got {self.w_hidden.shape}")
-        if self.w_out.shape != (self.w_hidden.shape[0],):
+        if self.w_out.shape != self.w_hidden.shape[:-1]:
             raise ValueError("critic output weights must match hidden size")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hidden.shape[0]
+        return self.w_hidden.shape[-2]
 
 
 @dataclass(frozen=True)
 class ActorNet:
-    """Hidden weights (hidden x 2) and saturating output weights (3 x hidden)."""
+    """Hidden weights (..., hidden, 2) and saturating output weights (..., 3, hidden)."""
 
     w_hidden: np.ndarray
     w_out: np.ndarray
 
     def __post_init__(self):
-        if self.w_hidden.ndim != 2 or self.w_hidden.shape[1] != N_STATE:
+        if self.w_hidden.ndim < 2 or self.w_hidden.shape[-1] != N_STATE:
             raise ValueError(f"actor hidden weights must be (h, 2), got {self.w_hidden.shape}")
-        if self.w_out.shape != (N_ACTION, self.w_hidden.shape[0]):
+        if self.w_out.shape != self.w_hidden.shape[:-2] + (N_ACTION, self.hidden_size):
             raise ValueError("actor output weights must be (3, hidden)")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hidden.shape[0]
+        return self.w_hidden.shape[-2]
+
+
+def stack_nets(nets):
+    """One batched net whose leading axis runs over same-shaped single ``nets``."""
+    return type(nets[0])(w_hidden=np.stack([n.w_hidden for n in nets]),
+                         w_out=np.stack([n.w_out for n in nets]))
+
+
+def unstack_net(net) -> list:
+    """The nets along a batched net's leading axis, as views of its weights."""
+    return [type(net)(w_hidden=h, w_out=o) for h, o in zip(net.w_hidden, net.w_out)]
 
 
 def init_critic(rng: np.random.Generator, hidden: int = DEFAULT_CRITIC_HIDDEN,
@@ -109,34 +123,49 @@ def init_actor(rng: np.random.Generator, hidden: int = DEFAULT_ACTOR_HIDDEN,
 class CriticTape:
     """Forward-pass intermediates needed by the update rules."""
 
-    z: np.ndarray    # network input [state; action], shape (5,)
-    phi: np.ndarray  # hidden activations, shape (hidden,)
-    value: float
+    z: np.ndarray      # network input [state; action], shape (..., 5)
+    phi: np.ndarray    # hidden activations, shape (..., hidden)
+    value: np.ndarray  # shape (...)
 
 
 @dataclass(frozen=True)
 class ActorTape:
-    state: np.ndarray  # shape (2,)
-    phi: np.ndarray    # hidden activations, shape (hidden,)
-    output: np.ndarray  # constrained action, shape (3,)
+    state: np.ndarray   # shape (..., 2)
+    phi: np.ndarray     # hidden activations, shape (..., hidden)
+    output: np.ndarray  # constrained action, shape (..., 3)
+
+
+# Contractions over the last axis as matmuls with a single net's core shapes:
+# numpy then runs the same BLAS kernel per net, so batched results equal
+# single-net ones bit for bit (einsum or .sum(-1) would reorder the sums).
+
+def _dot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _matvec(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def _vecmat(v, m):
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def critic_eval(net: CriticNet, state, action) -> CriticTape:
-    z = np.concatenate([np.asarray(state, dtype=float), np.asarray(action, dtype=float)])
-    phi = activation(net.w_hidden @ z)
-    value = float(net.w_out @ phi)
-    return CriticTape(z=z, phi=phi, value=value)
+    z = np.concatenate([np.asarray(state, float), np.asarray(action, float)], axis=-1)
+    phi = activation(_matvec(net.w_hidden, z))
+    return CriticTape(z=z, phi=phi, value=_dot(net.w_out, phi))
 
 
-def critic_forward(net: CriticNet, state, action) -> float:
+def critic_forward(net: CriticNet, state, action):
     """Approximate cost-to-go of taking ``action`` in ``state``."""
     return critic_eval(net, state, action).value
 
 
 def actor_eval(net: ActorNet, state) -> ActorTape:
     s = np.asarray(state, dtype=float)
-    phi = activation(net.w_hidden @ s)
-    output = activation(net.w_out @ phi)
+    phi = activation(_matvec(net.w_hidden, s))
+    output = activation(_matvec(net.w_out, phi))
     return ActorTape(state=s, phi=phi, output=output)
 
 
@@ -145,7 +174,7 @@ def actor_forward(net: ActorNet, state) -> np.ndarray:
     return actor_eval(net, state).output
 
 
-def td_error(value_now: float, value_prev: float, cost_prev: float, discount: float) -> float:
+def td_error(value_now, value_prev, cost_prev, discount: float):
     """Temporal-difference error of the critic.
 
     Zero exactly when the previous estimate satisfies the one-step
@@ -179,11 +208,11 @@ class StageCostParams:
                    action_weight=np.diag([0.1, 0.1, 0.1]))
 
 
-def stage_cost(state, action, params: StageCostParams) -> float:
+def stage_cost(state, action, params: StageCostParams):
     """Instantaneous quadratic cost; non-negative, zero only at the origin."""
     s = np.asarray(state, dtype=float)
     u = np.asarray(action, dtype=float)
-    return float(s @ params.state_weight @ s + u @ params.action_weight @ u)
+    return _dot(_vecmat(s, params.state_weight), s) + _dot(_vecmat(u, params.action_weight), u)
 
 
 def _check_finite(*arrays):
@@ -192,7 +221,7 @@ def _check_finite(*arrays):
             raise NumericFaultError("weight update overflowed to a non-finite value")
 
 
-def critic_update(net: CriticNet, td: float, tape: CriticTape,
+def critic_update(net: CriticNet, td, tape: CriticTape,
                   lr: float, discount: float) -> CriticNet:
     """One gradient step on half the squared TD error.
 
@@ -201,17 +230,17 @@ def critic_update(net: CriticNet, td: float, tape: CriticTape,
     hidden-layer delta uses the pre-update output weights.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_scale = lr * discount * td
+        grad_scale = np.asarray(lr * discount * td)[..., None, None]
         gate = activation_deriv(tape.phi)
-        w_out = net.w_out - grad_scale * tape.phi
-        w_hidden = net.w_hidden - grad_scale * (net.w_out * gate)[:, None] * tape.z[None, :]
+        w_out = net.w_out - grad_scale[..., 0] * tape.phi
+        w_hidden = net.w_hidden - grad_scale * (net.w_out * gate)[..., None] * tape.z[..., None, :]
     _check_finite(w_out, w_hidden)
     return CriticNet(w_hidden=w_hidden, w_out=w_out)
 
 
 def critic_action_gradient(net: CriticNet, tape: CriticTape) -> np.ndarray:
     """d(critic value)/d(action): the chain through the action input columns."""
-    return (net.w_out * activation_deriv(tape.phi)) @ net.w_hidden[:, N_STATE:]
+    return _vecmat(net.w_out * activation_deriv(tape.phi), net.w_hidden[..., N_STATE:])
 
 
 def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
@@ -224,14 +253,14 @@ def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
     derivative factor (1 - u^2) / 2 vanishes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        value = critic_tape.value
-        dq_du = critic_action_gradient(critic, critic_tape)      # (3,)
-        out_signal = dq_du * activation_deriv(actor_tape.output)  # (3,)
-        grad_out = value * out_signal[:, None] * actor_tape.phi[None, :]
-        back = out_signal @ actor.w_out                            # (hidden,)
+        value = np.asarray(critic_tape.value)[..., None, None]
+        dq_du = critic_action_gradient(critic, critic_tape)      # (..., 3)
+        out_signal = dq_du * activation_deriv(actor_tape.output)  # (..., 3)
+        grad_out = value * out_signal[..., :, None] * actor_tape.phi[..., None, :]
+        back = _vecmat(out_signal, actor.w_out)                    # (..., hidden)
         grad_hidden = (
-            value * (back * activation_deriv(actor_tape.phi))[:, None]
-            * actor_tape.state[None, :]
+            value * (back * activation_deriv(actor_tape.phi))[..., :, None]
+            * actor_tape.state[..., None, :]
         )
         w_out = actor.w_out - lr * grad_out
         w_hidden = actor.w_hidden - lr * grad_hidden
@@ -270,16 +299,21 @@ class MonitorParams:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Per-cycle learning-rate ceilings and whether the rates respect them."""
+    """Per-net learning-rate ceilings and flags; ``ok`` when every net keeps both."""
 
-    critic_bound: float
-    actor_bound: float
-    critic_ok: bool
-    actor_ok: bool
+    critic_bound: np.ndarray
+    actor_bound: np.ndarray
+    critic_ok: np.ndarray
+    actor_ok: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return self.critic_ok and self.actor_ok
+        return bool(np.all(self.critic_ok & self.actor_ok))
+
+
+def _ceiling(numerator: float, denom):
+    """``numerator / denom`` where ``denom`` > 0, else +inf (no constraint)."""
+    return np.divide(numerator, denom, out=np.full(denom.shape, math.inf), where=denom > 0.0)
 
 
 def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTape,
@@ -297,23 +331,22 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
 
     a_vec = activation_deriv(phi_c) * critic.w_out
     denom_c = g * g * params.alpha1 * (
-        float(phi_c @ phi_c)
-        + float(a_vec @ a_vec) * float(critic_tape.z @ critic_tape.z) / params.alpha1
+        _dot(phi_c, phi_c)
+        + _dot(a_vec, a_vec) * _dot(critic_tape.z, critic_tape.z) / params.alpha1
     )
-    critic_bound = (params.alpha1 - g) / denom_c if denom_c > 0.0 else math.inf
+    critic_bound = _ceiling(params.alpha1 - g, denom_c)
 
     c_mat = (
-        activation_deriv(phi_c)[:, None]
-        * critic.w_hidden[:, N_STATE:]
-        * activation_deriv(actor_tape.output)[None, :]
+        activation_deriv(phi_c)[..., :, None]
+        * critic.w_hidden[..., N_STATE:]
+        * activation_deriv(actor_tape.output)[..., None, :]
     )
-    wc = critic.w_out @ c_mat                                   # (3,)
-    d_mat = actor.w_out * activation_deriv(phi_a)[None, :]      # (3, hidden)
-    wcd = wc @ d_mat                                            # (hidden,)
-    denom_a = params.alpha3 * float(wc @ wc) * float(phi_a @ phi_a) + params.alpha2 * float(
-        wcd @ wcd
-    ) * float(actor_tape.state @ actor_tape.state)
-    actor_bound = (params.alpha3 - params.alpha2) / denom_a if denom_a > 0.0 else math.inf
+    wc = _vecmat(critic.w_out, c_mat)                           # (..., 3)
+    d_mat = actor.w_out * activation_deriv(phi_a)[..., None, :]  # (..., 3, hidden)
+    wcd = _vecmat(wc, d_mat)                                    # (..., hidden)
+    denom_a = (params.alpha3 * _dot(wc, wc) * _dot(phi_a, phi_a)
+               + params.alpha2 * _dot(wcd, wcd) * _dot(actor_tape.state, actor_tape.state))
+    actor_bound = _ceiling(params.alpha3 - params.alpha2, denom_a)
 
     return MonitorReport(
         critic_bound=critic_bound,
@@ -338,9 +371,6 @@ class ActionScale:
             raise ValueError("action scale must be a 4x3 table")
         if not np.all(self.half_ranges > 0.0):
             raise ValueError("action half-ranges must be strictly positive")
-
-    def for_phase(self, phase) -> np.ndarray:
-        return self.half_ranges[int(phase) - 1]
 
     @classmethod
     def default(cls) -> "ActionScale":
@@ -388,6 +418,8 @@ def _net_from_json(cls, entry, kind: str, path, expect_hidden):
     try:
         w_hidden = _matrix_from_json(entry[f"{kind}_hidden"], f"{kind}_hidden")
         w_out = _matrix_from_json(entry[f"{kind}_output"], f"{kind}_output")
+        if w_hidden.ndim != 2:
+            raise ValueError(f"hidden weights must be one net's matrix, got {w_hidden.shape}")
         net = cls(w_hidden=w_hidden, w_out=w_out.ravel() if cls is CriticNet else w_out)
     except (KeyError, TypeError, ValueError) as exc:
         raise PolicyFormatError(f"{path}: malformed {kind} weights: {exc}") from exc

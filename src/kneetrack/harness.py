@@ -24,7 +24,7 @@ import csv
 import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from .core import (
     BoundsTable,
     NUM_PHASES,
     PHASES,
-    Phase,
     PhaseBound,
     check_impedance,
     within_bound,
@@ -54,8 +53,10 @@ from .dhdp import (
     init_critic,
     scale_action,
     stability_monitor,
+    stack_nets,
     stage_cost,
     td_error,
+    unstack_net,
 )
 from .fsm import ParameterRanges, apply_delta
 from .plant import (
@@ -156,6 +157,9 @@ class TrialConfig:
             raise ValueError("quota must lie in (0, window]")
         if self.max_cycles <= self.window:
             raise ValueError("max_cycles must exceed the convergence window")
+        for name in ("pool_size", "switch_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         # impedance draws scale the reference by factors in 1 +- spread,
         # which stay positive, and so keep every drawn impedance legal
         for name in ("init_spread", "pool_spread"):
@@ -364,14 +368,6 @@ def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> Ta
     )
 
 
-@dataclass
-class _PhaseLag:
-    """Previous-cycle quantities one phase's critic update needs."""
-
-    q_value: float
-    cost: float
-
-
 class Trial:
     """One tuning trial, advanced cycle by cycle.
 
@@ -401,18 +397,18 @@ class Trial:
 
         wrng = np.random.default_rng(weight_seq)
         scale = cfg.dhdp.init_weight_scale
-        self.critics = [init_critic(wrng, cfg.dhdp.critic_hidden, scale) for _ in PHASES]
-        self.actors = [init_actor(wrng, cfg.dhdp.actor_hidden, scale) for _ in PHASES]
+        critics = [init_critic(wrng, cfg.dhdp.critic_hidden, scale) for _ in PHASES]
+        actors = [init_actor(wrng, cfg.dhdp.actor_hidden, scale) for _ in PHASES]
         if policy is not None:
-            actors, critics = policy
-            self.actors = [replace(a) for a in actors]
-            if cfg.load_critic and critics is not None:
-                self.critics = [replace(c) for c in critics]
+            actors = policy[0]
+            critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
+        self.critic = stack_nets(critics)
+        self.actor = stack_nets(actors)
 
         self._initial_weight_norm = self._weight_norm()
         self._max_weight_norm = self._initial_weight_norm
         self._monitor = cfg.dhdp.monitor_params()
-        self._lag: list[_PhaseLag | None] = [None] * NUM_PHASES
+        self._lag = None  # previous cycle's (q_values, costs); None after a reset
 
         self._flags = [deque(maxlen=cfg.window) for _ in PHASES]
         self._converged_at: list[int | None] = [None] * NUM_PHASES
@@ -428,8 +424,7 @@ class Trial:
     # -- bookkeeping -------------------------------------------------------
 
     def _weight_norm(self) -> float:
-        mats = [n.w_hidden for n in self.critics] + [n.w_out for n in self.critics]
-        mats += [n.w_hidden for n in self.actors] + [n.w_out for n in self.actors]
+        mats = (self.critic.w_hidden, self.critic.w_out, self.actor.w_hidden, self.actor.w_out)
         return max(float(np.max(np.abs(m))) for m in mats)
 
     def _reset_convergence_state(self):
@@ -498,7 +493,7 @@ class Trial:
                 self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(err_rows))
             self.impedance = self.initial_impedance
             self.record.resets += 1
-            self._lag = [None] * NUM_PHASES
+            self._lag = None
             self._after_cycle(in_tol)
             return self.finished
 
@@ -515,66 +510,58 @@ class Trial:
         self._after_cycle(in_tol)
         return self.finished
 
-    def _network_state(self, phase: Phase, err: list[float], cyc_dur: float) -> np.ndarray:
-        """Tracking error scaled by the phase's safety bound.
+    def _network_state(self, err_rows, cyc_dur: float) -> np.ndarray:
+        """Tracking error scaled by each phase's safety bound, one row per phase.
 
         Both components are dimensionless and lie in [-1, 1] as long as
         the cycle stayed inside the safety bound, which keeps all network
         signals of order one regardless of the raw feature units.
         """
-        safe = self.cfg.bounds.safety_for(phase)
-        d_duration, d_peak = err
         return np.array([
-            100.0 * d_duration / cyc_dur / safe.duration_pct,
-            d_peak / safe.angle,
+            [100.0 * d_duration / cyc_dur / safe.duration_pct, d_peak / safe.angle]
+            for (d_duration, d_peak), safe in zip(err_rows, self.cfg.bounds.safety)
         ])
 
     def _learn_and_act(self, err_rows, cyc_dur, in_tol) -> list[CycleLog]:
+        """One learning step of all four phases; a numeric fault keeps none of it."""
         cfg = self.cfg
-        rows = []
-        halt = False
-        for idx, (phase, err) in enumerate(zip(PHASES, err_rows)):
-            state = self._network_state(phase, err, cyc_dur)
+        dhdp = cfg.dhdp
+        state = self._network_state(err_rows, cyc_dur)
+        a_tape = actor_eval(self.actor, state)
+        cost = stage_cost(state, a_tape.output, dhdp.cost)
+        c_tape = critic_eval(self.critic, state, a_tape.output)
 
-            a_tape = actor_eval(self.actors[idx], state)
-            cost = stage_cost(state, a_tape.output, cfg.dhdp.cost)
-            c_tape = critic_eval(self.critics[idx], state, a_tape.output)
+        report = stability_monitor(self.critic, self.actor, c_tape, a_tape,
+                                   self._monitor, dhdp.critic_lr, dhdp.actor_lr)
+        phase_ok = (report.critic_ok & report.actor_ok).tolist()
+        self.record.monitor_violations += phase_ok.count(False)
 
-            report = stability_monitor(
-                self.critics[idx], self.actors[idx], c_tape, a_tape,
-                self._monitor, cfg.dhdp.critic_lr, cfg.dhdp.actor_lr)
-            if not report.ok:
-                self.record.monitor_violations += 1
-                if cfg.strict_monitor:
-                    halt = True
+        td = None
+        critic = self.critic
+        if self._lag is not None:
+            td = td_error(c_tape.value, *self._lag, dhdp.discount)
+            critic = critic_update(critic, td, c_tape, dhdp.critic_lr, dhdp.discount)
+            c_tape = critic_eval(critic, state, a_tape.output)
+        self.actor = actor_update(self.actor, critic, c_tape, a_tape, dhdp.actor_lr)
+        self.critic = critic
+        self._lag = (c_tape.value, cost)
 
-            td = None
-            lag = self._lag[idx]
-            if lag is not None:
-                td = td_error(c_tape.value, lag.q_value, lag.cost, cfg.dhdp.discount)
-                self.critics[idx] = critic_update(
-                    self.critics[idx], td, c_tape, cfg.dhdp.critic_lr, cfg.dhdp.discount)
-                c_tape = critic_eval(self.critics[idx], state, a_tape.output)
-            self.actors[idx] = actor_update(
-                self.actors[idx], self.critics[idx], c_tape, a_tape, cfg.dhdp.actor_lr)
-            self._lag[idx] = _PhaseLag(q_value=c_tape.value, cost=cost)
-
-            delta_vec = scale_action(a_tape.output, cfg.dhdp.action_scale.for_phase(phase))
-            rows.append(self._log_row(
-                idx, err, cyc_dur, in_tol[idx],
-                action=tuple(float(v) for v in a_tape.output),
-                delta=tuple(float(v) for v in delta_vec),
-                cost=float(cost), q_value=float(c_tape.value),
-                td=None if td is None else float(td),
-                critic_bound=float(report.critic_bound),
-                actor_bound=float(report.actor_bound),
-                monitor_ok=report.ok,
-            ))
-            self.impedance, clamped = apply_delta(self.impedance, phase, delta_vec, cfg.ranges)
+        deltas = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+        tds = [None] * NUM_PHASES if td is None else td.tolist()
+        rows = [
+            self._log_row(idx, err_rows[idx], cyc_dur, in_tol[idx], action=tuple(action),
+                          delta=tuple(delta), cost=c, q_value=q, td=t,
+                          critic_bound=c_bound, actor_bound=a_bound, monitor_ok=ok)
+            for idx, (action, delta, c, q, t, c_bound, a_bound, ok) in enumerate(zip(
+                a_tape.output.tolist(), deltas.tolist(), cost.tolist(), c_tape.value.tolist(),
+                tds, report.critic_bound.tolist(), report.actor_bound.tolist(), phase_ok))
+        ]
+        for phase, delta in zip(PHASES, deltas):
+            self.impedance, clamped = apply_delta(self.impedance, phase, delta, cfg.ranges)
             if clamped:
                 self.record.clamp_events += 1
         self._max_weight_norm = max(self._max_weight_norm, self._weight_norm())
-        if halt:
+        if cfg.strict_monitor and not report.ok:
             self._finish("failure", "monitor-violation")
         return rows
 
@@ -662,8 +649,8 @@ class Trial:
         rec.max_weight_ratio = self._max_weight_norm / self._initial_weight_norm
         if rec.rows:
             rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
-        rec.actors = self.actors
-        rec.critics = self.critics
+        rec.actors = unstack_net(self.actor)
+        rec.critics = unstack_net(self.critic)
         return rec
 
 

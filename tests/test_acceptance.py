@@ -138,7 +138,7 @@ def test_criterion_3_constrained_outputs():
         u = actor_forward(actor, s)
         assert np.all(np.abs(u) < 1.0)
         phase = int(rng.integers(1, 5))
-        half = scale.for_phase(phase)
+        half = scale.half_ranges[phase - 1]
         delta = scale_action(u, half)
         assert np.all(np.abs(delta) < half)
     report("3 constrained outputs", "10000 fuzzed states strictly inside (-1,1)")
@@ -264,14 +264,14 @@ def test_criterion_8_safety_reset_preserves_weights():
                   initial_impedance=fm.reference_impedance)
     trial.step()
     trial.step()
-    before = [m.copy() for net in trial.actors + trial.critics
+    before = [m.copy() for net in (trial.actor, trial.critic)
               for m in (net.w_hidden, net.w_out)]
     assert not np.array_equal(trial.impedance, trial.initial_impedance)
     trial.step()  # out-of-safety target -> reset
     assert trial.record.resets == 1
     assert all(r.reset for r in trial.record.rows if r.cycle == 2)
     assert np.array_equal(trial.impedance, trial.initial_impedance)
-    after = [m for net in trial.actors + trial.critics
+    after = [m for net in (trial.actor, trial.critic)
              for m in (net.w_hidden, net.w_out)]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)

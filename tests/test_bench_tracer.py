@@ -6,18 +6,39 @@ from pathlib import Path
 from kneetrack import cli, config, dhdp, fsm, harness, plant
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+MODS = {"cli": cli, "config": config, "dhdp": dhdp, "fsm": fsm,
+        "harness": harness, "plant": plant}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_tracer_targets_are_attributes_of_their_owners():
     # bench/tracer.py patches each (owner, attribute) in place; a renamed or
     # moved name would otherwise surface only when `bench/run.py --trace 1` runs
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    mods = {"cli": cli, "config": config, "dhdp": dhdp, "fsm": fsm,
-            "harness": harness, "plant": plant}
-    targets = tracer._targets(mods)
+    targets = load_tracer()._targets(MODS)
     assert targets
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_traced_trial_runs_through_the_result_hooks():
+    # the hooks read what the wrapped calls return (MonitorReport.ok as a
+    # bool, apply_delta's clamp flag); a changed return type breaks them
+    recorder = load_tracer().Recorder(MODS)
+    recorder.install()
+    try:
+        record = harness.run_trial(harness.TrialConfig(max_cycles=15), 3)
+    finally:
+        recorder.uninstall()
+    assert record.cycles_run > 0 and recorder.records == [record]
+    learning_cycles = {row.cycle for row in record.rows if not row.reset}
+    stats = recorder.summary()["stats"]
+    assert stats["dhdp.stability_monitor"]["calls"] == len(learning_cycles)
+    assert stats["fsm.apply_delta"]["calls"] == 4 * len(learning_cycles)
+    assert recorder.counts["clamps"] == record.clamp_events

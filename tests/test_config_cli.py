@@ -78,6 +78,7 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"trials": None}, "trials"),
         ({"trials_per_policy": 0}, "trials_per_policy"),
         ({"seed": -1}, "seed"),
+        ({"keep_policies": -1}, "keep_policies"),
     ]
     for cfg, key in cases:
         path = tmp_path / "cfg.json"
@@ -101,6 +102,8 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         ({"init_spread": 1.5}, "init_spread:"),
         ({"terrain": {"pool_spread": 1.5}}, "pool_spread:"),
         ({"dhdp": {"discount": 1.0}}, "dhdp:"),
+        ({"scenario": 2, "terrain": {"pool_size": 0}}, "pool_size:"),
+        ({"scenario": 2, "terrain": {"switch_period": 0}}, "switch_period:"),
     ]
     for cfg, key in cases:
         code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -20,6 +22,7 @@ from kneetrack.dhdp import (
     actor_eval,
     actor_forward,
     actor_update,
+    critic_action_gradient,
     critic_eval,
     critic_forward,
     critic_update,
@@ -29,8 +32,10 @@ from kneetrack.dhdp import (
     save_policy,
     scale_action,
     stability_monitor,
+    stack_nets,
     stage_cost,
     td_error,
+    unstack_net,
 )
 from kneetrack.harness import DhdpConfig
 
@@ -286,6 +291,74 @@ def test_update_overflow_raises_numeric_fault():
 
 
 # ---------------------------------------------------------------------------
+# batched nets
+
+
+def _equal_to_stacked(batched, singles):
+    return np.array_equal(batched, np.stack([np.asarray(v) for v in singles]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weight_scale=st.floats(0.05, 4.0),
+       critic_hidden=st.integers(1, 10), actor_hidden=st.integers(1, 10),
+       critic_lr=st.floats(1e-4, 1e3), actor_lr=st.floats(1e-4, 1e4),
+       idle_phase=st.sampled_from([None, 0, 1, 2, 3]))
+def test_stacked_rules_equal_single_net_calls(seed, weight_scale, critic_hidden, actor_hidden,
+                                              critic_lr, actor_lr, idle_phase):
+    # every rule on a (4, ...) stack must give, bit for bit, what four
+    # single-net calls give; an all-zero phase exercises the +inf ceilings
+    rng = np.random.default_rng(seed)
+    critics = [init_critic(rng, critic_hidden, weight_scale) for _ in range(4)]
+    actors = [init_actor(rng, actor_hidden, weight_scale) for _ in range(4)]
+    if idle_phase is not None:
+        critics[idle_phase] = CriticNet(np.zeros((critic_hidden, 5)), np.zeros(critic_hidden))
+        actors[idle_phase] = ActorNet(np.zeros((actor_hidden, 2)), np.zeros((3, actor_hidden)))
+    states = rng.uniform(-1.0, 1.0, size=(4, 2))
+    q_prev, cost_prev = rng.normal(size=4), rng.uniform(0.0, 2.0, size=4)
+    cost_params = StageCostParams.default()
+    monitor = MonitorParams.for_discount(0.95)
+
+    def rules(critic, actor, state, q, c):
+        a_tape = actor_eval(actor, state)
+        cost = stage_cost(state, a_tape.output, cost_params)
+        c_tape = critic_eval(critic, state, a_tape.output)
+        report = stability_monitor(critic, actor, c_tape, a_tape, monitor, critic_lr, actor_lr)
+        td = td_error(c_tape.value, q, c, 0.95)
+        new_critic = critic_update(critic, td, c_tape, critic_lr, 0.95)
+        new_tape = critic_eval(new_critic, state, a_tape.output)
+        new_actor = actor_update(actor, new_critic, new_tape, a_tape, actor_lr)
+        return {
+            "ok": report.ok, "actor_state": a_tape.state, "actor_phi": a_tape.phi, "action": a_tape.output,
+            "cost": cost, "z": c_tape.z, "critic_phi": c_tape.phi, "value": c_tape.value,
+            "critic_bound": report.critic_bound, "actor_bound": report.actor_bound,
+            "critic_ok": report.critic_ok, "actor_ok": report.actor_ok,
+            "dq_du": critic_action_gradient(critic, c_tape), "td": td,
+            "critic_hidden": new_critic.w_hidden, "critic_out": new_critic.w_out,
+            "actor_hidden": new_actor.w_hidden, "actor_out": new_actor.w_out,
+        }
+
+    batched = rules(stack_nets(critics), stack_nets(actors), states, q_prev, cost_prev)
+    singles = [rules(critics[i], actors[i], states[i], q_prev[i], cost_prev[i])
+               for i in range(4)]
+    ok = batched.pop("ok")
+    for key, value in batched.items():
+        assert _equal_to_stacked(value, [single[key] for single in singles]), key
+    assert ok is all(single["ok"] for single in singles)
+    if idle_phase is not None:
+        assert batched["critic_bound"][idle_phase] == math.inf
+    for net, single in zip(unstack_net(stack_nets(actors)), actors):
+        assert np.array_equal(net.w_hidden, single.w_hidden)
+        assert np.array_equal(net.w_out, single.w_out)
+
+
+def test_batched_nets_reject_mismatched_shapes():
+    with pytest.raises(ValueError):
+        CriticNet(w_hidden=np.zeros((4, 8, 5)), w_out=np.zeros((3, 8)))
+    with pytest.raises(ValueError):
+        ActorNet(w_hidden=np.zeros((4, 6, 2)), w_out=np.zeros((3, 6)))
+
+
+# ---------------------------------------------------------------------------
 # constrained outputs and scaling
 
 
@@ -301,9 +374,9 @@ def test_actor_output_strictly_constrained_fuzz():
         s = rng.uniform(-2, 2, 2)
         u = actor_forward(actor, s)
         assert np.all(np.abs(u) < 1.0)
-        phase = int(rng.integers(1, 5))
-        delta = scale_action(u, scale.for_phase(phase))
-        assert np.all(np.abs(delta) < scale.for_phase(phase))
+        half_ranges = scale.half_ranges[int(rng.integers(0, 4))]
+        delta = scale_action(u, half_ranges)
+        assert np.all(np.abs(delta) < half_ranges)
 
 
 def test_scale_action_reference_values():
@@ -431,11 +504,16 @@ def test_policy_shape_mismatch_diagnostic(tmp_path):
     def inf_weight(doc):
         doc["phases"][3]["actor_hidden"]["data"][0] = math.inf
 
+    def batched_actor(doc):
+        for key in ("actor_hidden", "actor_output"):
+            doc["phases"][0][key]["shape"].insert(0, 1)
+
     cases = [
         (drop_output, "actor weights"),
         (transpose_output, "must be \\(3, hidden\\)"),
         (nan_weight, "critic_hidden: weights must be finite"),
         (inf_weight, "actor_hidden: weights must be finite"),
+        (batched_actor, "one net's matrix"),
     ]
     for edit, message in cases:
         doc = copy.deepcopy(valid)

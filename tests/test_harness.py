@@ -164,9 +164,7 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
     trial.step()  # k=0, in tolerance
     trial.step()  # k=1
     weights_before = [
-        (a.w_hidden.copy(), a.w_out.copy()) for a in trial.actors
-    ] + [
-        (c.w_hidden.copy(), c.w_out.copy()) for c in trial.critics
+        (net.w_hidden.copy(), net.w_out.copy()) for net in (trial.actor, trial.critic)
     ]
     impedance_before_reset = trial.impedance
     trial.step()  # k=2: target switched beyond safety -> reset
@@ -174,9 +172,7 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
     assert all(r.reset for r in reset_rows)
     assert np.array_equal(trial.impedance, trial.initial_impedance)
     weights_after = [
-        (a.w_hidden, a.w_out) for a in trial.actors
-    ] + [
-        (c.w_hidden, c.w_out) for c in trial.critics
+        (net.w_hidden, net.w_out) for net in (trial.actor, trial.critic)
     ]
     for (h0, o0), (h1, o1) in zip(weights_before, weights_after):
         assert np.array_equal(h0, h1)
@@ -230,6 +226,26 @@ def test_plant_instability_recorded_as_failure():
     rec = run_trial(cfg, 0, target_program=program, initial_impedance=hot)
     assert not rec.success
     assert rec.failure_reason.startswith("plant-instability")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_numeric_fault_keeps_no_update_of_its_cycle():
+    # rates far above the monitor ceilings overflow the weights at cycle 30;
+    # that cycle is atomic: no phase keeps its update, all four reports count
+    trial = Trial(TrialConfig(dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6)), 7)
+    while True:
+        before = [m.copy() for net in (trial.actor, trial.critic)
+                  for m in (net.w_hidden, net.w_out)]
+        violations = trial.record.monitor_violations
+        if trial.step():
+            break
+    assert trial.record.failure_reason.startswith("numeric-fault")
+    assert trial.record.cycles_run == 31
+    after = [m for net in (trial.actor, trial.critic) for m in (net.w_hidden, net.w_out)]
+    for a, b in zip(before, after, strict=True):
+        assert np.array_equal(a, b)
+    assert trial.record.monitor_violations == violations + 4
+    assert not any(row.cycle == 30 for row in trial.record.rows)
 
 
 # ---------------------------------------------------------------------------
