@@ -176,7 +176,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"unknown override: {key}")
         resolved[key] = value
     for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
-                       ("keep_policies", 0)):
+                       ("keep_policies", 0), ("jobs", 1)):
         if resolved[key] < least:
             raise ConfigError(f"{key}: must be at least {least}, got {resolved[key]}")
     for key in ("critic_lr", "actor_lr"):

@@ -48,7 +48,9 @@ _OPEN_ONE = float(np.nextafter(1.0, 0.0))
 
 def activation(x):
     """Bipolar sigmoid (1 - e^-x) / (1 + e^-x), elementwise; range (-1, 1)."""
-    return np.clip(np.tanh(0.5 * np.asarray(x, dtype=float)), -_OPEN_ONE, _OPEN_ONE)
+    # np.clip's Python wrapper costs more than these two ufuncs on small arrays
+    return np.minimum(np.maximum(np.tanh(0.5 * np.asarray(x, dtype=float)), -_OPEN_ONE),
+                      _OPEN_ONE)
 
 
 def activation_deriv(value):
@@ -217,7 +219,7 @@ def stage_cost(state, action, params: StageCostParams):
 
 def _check_finite(*arrays):
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NumericFaultError("weight update overflowed to a non-finite value")
 
 
@@ -325,28 +327,31 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
     puts no constraint on the rates; the bound is reported as +inf and the
     check passes.
     """
-    g = params.discount
-    phi_c = critic_tape.phi
-    phi_a = actor_tape.phi
+    # diverging weights overflow here before the update rules catch them
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = params.discount
+        phi_c = critic_tape.phi
+        phi_a = actor_tape.phi
 
-    a_vec = activation_deriv(phi_c) * critic.w_out
-    denom_c = g * g * params.alpha1 * (
-        _dot(phi_c, phi_c)
-        + _dot(a_vec, a_vec) * _dot(critic_tape.z, critic_tape.z) / params.alpha1
-    )
-    critic_bound = _ceiling(params.alpha1 - g, denom_c)
+        gate_c = activation_deriv(phi_c)
+        a_vec = gate_c * critic.w_out
+        denom_c = g * g * params.alpha1 * (
+            _dot(phi_c, phi_c)
+            + _dot(a_vec, a_vec) * _dot(critic_tape.z, critic_tape.z) / params.alpha1
+        )
+        critic_bound = _ceiling(params.alpha1 - g, denom_c)
 
-    c_mat = (
-        activation_deriv(phi_c)[..., :, None]
-        * critic.w_hidden[..., N_STATE:]
-        * activation_deriv(actor_tape.output)[..., None, :]
-    )
-    wc = _vecmat(critic.w_out, c_mat)                           # (..., 3)
-    d_mat = actor.w_out * activation_deriv(phi_a)[..., None, :]  # (..., 3, hidden)
-    wcd = _vecmat(wc, d_mat)                                    # (..., hidden)
-    denom_a = (params.alpha3 * _dot(wc, wc) * _dot(phi_a, phi_a)
-               + params.alpha2 * _dot(wcd, wcd) * _dot(actor_tape.state, actor_tape.state))
-    actor_bound = _ceiling(params.alpha3 - params.alpha2, denom_a)
+        c_mat = (
+            gate_c[..., :, None]
+            * critic.w_hidden[..., N_STATE:]
+            * activation_deriv(actor_tape.output)[..., None, :]
+        )
+        wc = _vecmat(critic.w_out, c_mat)                           # (..., 3)
+        d_mat = actor.w_out * activation_deriv(phi_a)[..., None, :]  # (..., 3, hidden)
+        wcd = _vecmat(wc, d_mat)                                    # (..., hidden)
+        denom_a = (params.alpha3 * _dot(wc, wc) * _dot(phi_a, phi_a)
+                   + params.alpha2 * _dot(wcd, wcd) * _dot(actor_tape.state, actor_tape.state))
+        actor_bound = _ceiling(params.alpha3 - params.alpha2, denom_a)
 
     return MonitorReport(
         critic_bound=critic_bound,

@@ -372,7 +372,11 @@ class Trial:
     """One tuning trial, advanced cycle by cycle.
 
     Tests drive :meth:`step` directly to observe mid-trial state; normal
-    callers use :meth:`run`, or :func:`run_trial` for a one-shot.
+    callers use :meth:`run`, or :func:`run_trial` for a one-shot.  Both
+    step the trial as a :class:`_Lockstep` of one, the routine that steps
+    whole batches.  The trial keeps its nets and lag as stacks of one row,
+    the shape a lockstep stacks; while a lockstep steps it, they live in
+    the lockstep's stacks, and the trial gets them back when it leaves.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -402,13 +406,14 @@ class Trial:
         if policy is not None:
             actors = policy[0]
             critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
-        self.critic = stack_nets(critics)
-        self.actor = stack_nets(actors)
+        self._critic = stack_nets([stack_nets(critics)])  # shapes (1, 4, h, ...)
+        self._actor = stack_nets([stack_nets(actors)])
 
-        self._initial_weight_norm = self._weight_norm()
+        self._initial_weight_norm = _max_abs_weights(self._critic, self._actor)[0]
         self._max_weight_norm = self._initial_weight_norm
         self._monitor = cfg.dhdp.monitor_params()
-        self._lag = None  # previous cycle's (q_values, costs); None after a reset
+        # previous cycle's (q_values, costs), each (1, 4); None after a reset
+        self._lag = None
 
         self._flags = [deque(maxlen=cfg.window) for _ in PHASES]
         self._converged_at: list[int | None] = [None] * NUM_PHASES
@@ -421,11 +426,17 @@ class Trial:
 
         self.record = TrialRecord(scenario=cfg.scenario, stage=cfg.stage)
 
-    # -- bookkeeping -------------------------------------------------------
+    @property
+    def critic(self) -> CriticNet:
+        """The four phases' critics, stacked: weights (4, h, 5) and (4, h)."""
+        return _take(self._critic, 0)
 
-    def _weight_norm(self) -> float:
-        mats = (self.critic.w_hidden, self.critic.w_out, self.actor.w_hidden, self.actor.w_out)
-        return max(float(np.max(np.abs(m))) for m in mats)
+    @property
+    def actor(self) -> ActorNet:
+        """The four phases' actors, stacked: weights (4, h, 2) and (4, 3, h)."""
+        return _take(self._actor, 0)
+
+    # -- bookkeeping -------------------------------------------------------
 
     def _reset_convergence_state(self):
         for flags in self._flags:
@@ -448,12 +459,34 @@ class Trial:
         if outcome == "success":
             self.record.tuning_steps = self.k + 1
 
+    def _close_record(self):
+        """Fill in the finished trial's whole-run fields and its final nets."""
+        rec = self.record
+        rec.max_weight_ratio = self._max_weight_norm / self._initial_weight_norm
+        if rec.rows:
+            rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
+        rec.actors = unstack_net(self.actor)
+        rec.critics = unstack_net(self.critic)
+
     # -- the per-cycle loop ------------------------------------------------
 
     def step(self) -> bool:
         """Run one gait cycle; returns True once the trial has finished."""
-        if self.finished:
-            return True
+        if not self.finished:
+            lockstep = _Lockstep([self])
+            lockstep.step()
+            if lockstep.trials:
+                lockstep.leave([0])
+        return self.finished
+
+    def _walk(self):
+        """Walk the next gait cycle up to its learning step.
+
+        Returns the cycle's (error rows, cycle duration, in-tolerance flags)
+        when the trial learns in it, or None when the cycle ended without
+        learning: the trial finished, or a safety reset took the cycle (the
+        lockstep then drops the trial's lag).
+        """
         cfg = self.cfg
         k = self.k
 
@@ -461,7 +494,7 @@ class Trial:
                 and k % cfg.switch_period == 0):
             self._close_segment()
             if self.finished:
-                return True
+                return None
 
         target = self.program.target_for(k, self.pace_index)
         if k > 0 and self.program.profile_index(k) is not None:
@@ -475,7 +508,7 @@ class Trial:
         except PlantInstabilityError as exc:
             self.record.cycles_run = k
             self._finish("failure", f"plant-instability: {exc}")
-            return True
+            return None
 
         errors = alignment_errors(target, measured)
         self.program.observe_error(errors)
@@ -493,77 +526,54 @@ class Trial:
                 self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(err_rows))
             self.impedance = self.initial_impedance
             self.record.resets += 1
-            self._lag = None
             self._after_cycle(in_tol)
-            return self.finished
+            return None
+        return err_rows, cyc_dur, in_tol
 
-        try:
-            rows = self._learn_and_act(err_rows, cyc_dur, in_tol)
-        except NumericFaultError as exc:
-            self.record.cycles_run = k + 1
-            self._finish("failure", f"numeric-fault: {exc}")
-            return True
-        self.record.rows.extend(rows)
-        if self.finished:  # strict monitor halt
-            self.record.cycles_run = k + 1
-            return True
-        self._after_cycle(in_tol)
-        return self.finished
-
-    def _network_state(self, err_rows, cyc_dur: float) -> np.ndarray:
+    def _network_state(self, err_rows, cyc_dur: float) -> list[list[float]]:
         """Tracking error scaled by each phase's safety bound, one row per phase.
 
         Both components are dimensionless and lie in [-1, 1] as long as
         the cycle stayed inside the safety bound, which keeps all network
         signals of order one regardless of the raw feature units.
         """
-        return np.array([
+        return [
             [100.0 * d_duration / cyc_dur / safe.duration_pct, d_peak / safe.angle]
             for (d_duration, d_peak), safe in zip(err_rows, self.cfg.bounds.safety)
-        ])
+        ]
 
-    def _learn_and_act(self, err_rows, cyc_dur, in_tol) -> list[CycleLog]:
-        """One learning step of all four phases; a numeric fault keeps none of it."""
-        cfg = self.cfg
-        dhdp = cfg.dhdp
-        state = self._network_state(err_rows, cyc_dur)
-        a_tape = actor_eval(self.actor, state)
-        cost = stage_cost(state, a_tape.output, dhdp.cost)
-        c_tape = critic_eval(self.critic, state, a_tape.output)
+    def _fault(self, monitor_ok: list[bool], exc: NumericFaultError):
+        """End the cycle on a non-finite update: the monitor counts, nothing else is kept."""
+        self.record.monitor_violations += monitor_ok.count(False)
+        self.record.cycles_run = self.k + 1
+        self._finish("failure", f"numeric-fault: {exc}")
 
-        report = stability_monitor(self.critic, self.actor, c_tape, a_tape,
-                                   self._monitor, dhdp.critic_lr, dhdp.actor_lr)
-        phase_ok = (report.critic_ok & report.actor_ok).tolist()
-        self.record.monitor_violations += phase_ok.count(False)
+    def _act(self, walked, weight_norm: float, deltas: np.ndarray, phases):
+        """Log the cycle's learning rows, apply the deltas and close the cycle.
 
-        td = None
-        critic = self.critic
-        if self._lag is not None:
-            td = td_error(c_tape.value, *self._lag, dhdp.discount)
-            critic = critic_update(critic, td, c_tape, dhdp.critic_lr, dhdp.discount)
-            c_tape = critic_eval(critic, state, a_tape.output)
-        self.actor = actor_update(self.actor, critic, c_tape, a_tape, dhdp.actor_lr)
-        self.critic = critic
-        self._lag = (c_tape.value, cost)
-
-        deltas = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
-        tds = [None] * NUM_PHASES if td is None else td.tolist()
+        ``phases`` holds each phase's (action, delta, cost, q_value, td,
+        critic_bound, actor_bound, monitor_ok), as Python values.
+        """
+        err_rows, cyc_dur, in_tol = walked
         rows = [
             self._log_row(idx, err_rows[idx], cyc_dur, in_tol[idx], action=tuple(action),
                           delta=tuple(delta), cost=c, q_value=q, td=t,
                           critic_bound=c_bound, actor_bound=a_bound, monitor_ok=ok)
-            for idx, (action, delta, c, q, t, c_bound, a_bound, ok) in enumerate(zip(
-                a_tape.output.tolist(), deltas.tolist(), cost.tolist(), c_tape.value.tolist(),
-                tds, report.critic_bound.tolist(), report.actor_bound.tolist(), phase_ok))
+            for idx, (action, delta, c, q, t, c_bound, a_bound, ok) in enumerate(phases)
         ]
+        monitor_ok = [row.monitor_ok for row in rows]
+        self.record.monitor_violations += monitor_ok.count(False)
         for phase, delta in zip(PHASES, deltas):
-            self.impedance, clamped = apply_delta(self.impedance, phase, delta, cfg.ranges)
+            self.impedance, clamped = apply_delta(self.impedance, phase, delta, self.cfg.ranges)
             if clamped:
                 self.record.clamp_events += 1
-        self._max_weight_norm = max(self._max_weight_norm, self._weight_norm())
-        if cfg.strict_monitor and not report.ok:
+        self._max_weight_norm = max(self._max_weight_norm, weight_norm)
+        self.record.rows.extend(rows)
+        if self.cfg.strict_monitor and not all(monitor_ok):
             self._finish("failure", "monitor-violation")
-        return rows
+            self.record.cycles_run = self.k + 1
+            return
+        self._after_cycle(in_tol)
 
     def _log_row(self, idx: int, err: list[float], cyc_dur: float, in_tol: bool,
                  **learning) -> CycleLog:
@@ -643,20 +653,186 @@ class Trial:
             self._reset_convergence_state()
 
     def run(self) -> TrialRecord:
-        while not self.step():
-            pass
-        rec = self.record
-        rec.max_weight_ratio = self._max_weight_norm / self._initial_weight_norm
-        if rec.rows:
-            rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
-        rec.actors = unstack_net(self.actor)
-        rec.critics = unstack_net(self.critic)
-        return rec
+        """Run to the end, as a lockstep of one, and return the finished record."""
+        _step_to_end([self])
+        return self.record
+
+
+def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> list[float]:
+    """Largest absolute weight of each entry along the nets' leading trial axis."""
+    mats = (critic.w_hidden, critic.w_out, actor.w_hidden, actor.w_out)
+    flat = np.concatenate([m.reshape(len(m), -1) for m in mats], axis=1)
+    return np.abs(flat).max(axis=1).tolist()
+
+
+# A lockstep keeps per-trial arrays, nets and tapes stacked along a leading
+# trial axis.  These helpers act on an array, or field by field on a net or
+# tape.  An index of None stands for every entry, which costs nothing.
+
+def _concat(items):
+    """``items`` joined along their leading axis; a lone item is returned as is."""
+    first = items[0]
+    if len(items) == 1:
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(items)
+    return type(first)(**{name: np.concatenate([vars(i)[name] for i in items])
+                          for name in vars(first)})
+
+
+def _take(obj, idx):
+    """Entries ``idx`` along the leading axis."""
+    if idx is None:
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj[idx]
+    return type(obj)(**{name: value[idx] for name, value in vars(obj).items()})
+
+
+def _put(obj, idx, part):
+    """``obj`` with its entries ``idx`` replaced by ``part``."""
+    if idx is None:
+        return part
+    if isinstance(obj, np.ndarray):
+        out = obj.copy()
+        out[idx] = part
+        return out
+    return type(obj)(**{name: _put(value, idx, getattr(part, name))
+                        for name, value in vars(obj).items()})
+
+
+def _index(positions: list[int], count: int):
+    """Ascending ``positions`` as an index into ``count`` entries: None when all."""
+    return None if len(positions) == count else np.array(positions)
+
+
+class _Lockstep:
+    """Unfinished trials of one config advanced together, one gait cycle per step.
+
+    Row ``i`` of the stacked nets (shapes (n, 4, h, ...)) and of the lag
+    arrays belongs to ``trials[i]``.  Plant, target, errors, safety,
+    logging and events stay per trial; the trials that learn in a cycle
+    make each dHDP call once, on their rows of the stacks.  Every rule is
+    bit-identical across leading shapes, so each trial gets the numbers it
+    gets alone.  A trial leaves with its nets and lag written back to it.
+    """
+
+    def __init__(self, trials):
+        self.trials = list(trials)
+        self.critic = _concat([t._critic for t in self.trials])
+        self.actor = _concat([t._actor for t in self.trials])
+        no_lag = (np.zeros((1, NUM_PHASES)),) * 2
+        lags = [t._lag or no_lag for t in self.trials]
+        self.lagged = [t._lag is not None for t in self.trials]
+        self.lag_value = _concat([value for value, _ in lags])
+        self.lag_cost = _concat([cost for _, cost in lags])
+
+    def step(self):
+        """One gait cycle of every trial; the trials that finish in it leave."""
+        walked = [trial._walk() for trial in self.trials]
+        rows = [i for i, cycle in enumerate(walked) if cycle is not None]
+        if rows:
+            self._learn(rows, [walked[i] for i in rows])
+        # a trial keeps its lag only when it learned: a safety reset drops it
+        self.lagged = [cycle is not None for cycle in walked]
+        finished = [i for i, trial in enumerate(self.trials) if trial.finished]
+        if finished:
+            self.leave(finished)
+
+    def leave(self, positions: list[int]):
+        """Hand the trials at ``positions`` (ascending) their nets and lag back and drop them."""
+        for i in positions:
+            trial, row = self.trials[i], _index([i], len(self.trials))
+            trial._critic, trial._actor = _take(self.critic, row), _take(self.actor, row)
+            trial._lag = ((_take(self.lag_value, row), _take(self.lag_cost, row))
+                          if self.lagged[i] else None)
+            if trial.finished:
+                trial._close_record()
+        keep = [i for i in range(len(self.trials)) if i not in positions]
+        self.trials = [self.trials[i] for i in keep]
+        if keep:
+            self.critic, self.actor = _take(self.critic, keep), _take(self.actor, keep)
+            self.lagged = [self.lagged[i] for i in keep]
+            self.lag_value, self.lag_cost = self.lag_value[keep], self.lag_cost[keep]
+
+    def _learn(self, rows: list[int], walked: list):
+        """One learning step of the trials at ``rows``, all four phases each.
+
+        A numeric fault fails only the trials whose own update overflows:
+        the step is then redone one trial at a time, and each trial keeps
+        exactly what it keeps when run alone.
+        """
+        trials = [self.trials[i] for i in rows]
+        first = trials[0]
+        dhdp = first.cfg.dhdp
+        state = np.array([t._network_state(err_rows, cyc_dur)
+                          for t, (err_rows, cyc_dur, _) in zip(trials, walked)])
+        learners = _index(rows, len(self.trials))
+        critic, actor = _take(self.critic, learners), _take(self.actor, learners)
+        a_tape = actor_eval(actor, state)
+        cost = stage_cost(state, a_tape.output, dhdp.cost)
+        c_tape = critic_eval(critic, state, a_tape.output)
+        report = stability_monitor(critic, actor, c_tape, a_tape,
+                                   first._monitor, dhdp.critic_lr, dhdp.actor_lr)
+        monitor_ok = (report.critic_ok & report.actor_ok).tolist()
+
+        # the critic steps only where the previous cycle left a lag
+        lagged = [j for j, row in enumerate(rows) if self.lagged[row]]
+        td = None
+        try:
+            if lagged:
+                sub = _index(lagged, len(rows))
+                lag_rows = _index([rows[j] for j in lagged], len(self.trials))
+                td = td_error(_take(c_tape.value, sub), _take(self.lag_value, lag_rows),
+                              _take(self.lag_cost, lag_rows), dhdp.discount)
+                updated = critic_update(_take(critic, sub), td, _take(c_tape, sub),
+                                        dhdp.critic_lr, dhdp.discount)
+                critic = _put(critic, sub, updated)
+                c_tape = _put(c_tape, sub, critic_eval(
+                    updated, _take(state, sub), _take(a_tape.output, sub)))
+            actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
+        except NumericFaultError as exc:
+            if len(trials) == 1:
+                first._fault(monitor_ok[0], exc)
+            else:
+                for row, cycle in zip(rows, walked):
+                    self._learn([row], [cycle])
+            return
+
+        self.critic = _put(self.critic, learners, critic)
+        self.actor = _put(self.actor, learners, actor)
+        self.lag_value = _put(self.lag_value, learners, c_tape.value)
+        self.lag_cost = _put(self.lag_cost, learners, cost)
+
+        tds = [[None] * NUM_PHASES] * len(trials)
+        for j, row in zip(lagged, td.tolist() if td is not None else ()):
+            tds[j] = row
+        deltas = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+        columns = zip(a_tape.output.tolist(), deltas.tolist(), cost.tolist(),
+                      c_tape.value.tolist(), tds, report.critic_bound.tolist(),
+                      report.actor_bound.tolist(), monitor_ok)
+        for trial, cycle, norm, trial_deltas, phases in zip(
+                trials, walked, _max_abs_weights(critic, actor), deltas, columns):
+            trial._act(cycle, norm, trial_deltas, zip(*phases))
+
+
+def _step_to_end(trials):
+    """Step the unfinished ``trials`` together, one lockstep, until all have finished."""
+    live = [trial for trial in trials if not trial.finished]
+    if live:
+        lockstep = _Lockstep(live)
+        while lockstep.trials:
+            lockstep.step()
 
 
 def run_trial(cfg: TrialConfig, seed, policy=None, **kwargs) -> TrialRecord:
-    """Convenience wrapper: build a :class:`Trial` and run it to the end."""
-    return Trial(cfg, seed, policy=policy, **kwargs).run()
+    """Run one trial to its end and return its record.
+
+    ``seed`` may also be a :class:`Trial` already built, for instance one
+    a lockstep batch has stepped to its end; it runs on from where it stands.
+    """
+    trial = seed if isinstance(seed, Trial) else Trial(cfg, seed, policy=policy, **kwargs)
+    return trial.run()
 
 
 # ---------------------------------------------------------------------------
@@ -745,17 +921,28 @@ def aggregate_metrics(records: list[TrialRecord]) -> Metrics:
 # Batches
 
 
-def _run_trial_job(args):
-    cfg, seed, policy, policy_index = args
-    record = run_trial(cfg, seed, policy=policy)
-    return policy_index, record
+def _run_chunk(args) -> list[TrialRecord]:
+    """Records of a chunk's trials, stepped together in one lockstep, in order."""
+    cfg, specs = args
+    trials = [Trial(cfg, seq, policy=policy) for seq, policy in specs]
+    _step_to_end(trials)
+    # every record comes out of run_trial, as a lone trial's does; the
+    # benchmark's traced run collects the records there
+    return [run_trial(cfg, trial) for trial in trials]
 
 
-def _run_jobs(jobs_args, jobs: int):
+def _run_jobs(cfg: TrialConfig, specs: list, jobs: int) -> list[TrialRecord]:
+    """Records of the trials ``specs`` ((seed sequence, policy) pairs), in order.
+
+    The trials run in ``jobs`` contiguous chunks (fewer when there are
+    fewer trials), each one lockstep, in worker processes when ``jobs`` > 1.
+    """
     if jobs <= 1:
-        return [_run_trial_job(a) for a in jobs_args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_trial_job, jobs_args))
+        return _run_chunk((cfg, specs))
+    cuts = [len(specs) * i // jobs for i in range(jobs + 1)]
+    chunks = [(cfg, specs[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [rec for records in pool.map(_run_chunk, chunks) for rec in records]
 
 
 @dataclass
@@ -777,8 +964,7 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
     """
     seq = np.random.SeedSequence(seed)
     trial_seqs = seq.spawn(trials + 1)
-    results = _run_jobs([(cfg, trial_seqs[i], None, i) for i in range(trials)], jobs)
-    records = [rec for _, rec in sorted(results, key=lambda pair: pair[0])]
+    records = _run_jobs(cfg, [(trial_seqs[i], None) for i in range(trials)], jobs)
 
     successes = [i for i, rec in enumerate(records) if rec.success]
     picker = np.random.default_rng(trial_seqs[trials])
@@ -797,16 +983,10 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
     """Evaluate saved policies on fresh trials with new initial impedance."""
     if not policies:
         raise ValueError("testing requires at least one saved policy")
-    seq = np.random.SeedSequence(seed)
-    total = len(policies) * trials_per_policy
-    trial_seqs = seq.spawn(total)
-    jobs_args = []
-    for p_idx, policy in enumerate(policies):
-        for t in range(trials_per_policy):
-            jobs_args.append((cfg, trial_seqs[p_idx * trials_per_policy + t], policy, p_idx))
-    results = _run_jobs(jobs_args, jobs)
-    records = [rec for _, rec in results]
-    policy_index = [p_idx for p_idx, _ in results]
+    trial_seqs = np.random.SeedSequence(seed).spawn(len(policies) * trials_per_policy)
+    policy_index = [p_idx for p_idx in range(len(policies)) for _ in range(trials_per_policy)]
+    records = _run_jobs(cfg, [(trial_seq, policies[p_idx]) for trial_seq, p_idx
+                              in zip(trial_seqs, policy_index)], jobs)
     return BatchResult(cfg=cfg, seed=seed, records=records,
                        metrics=aggregate_metrics(records),
                        policy_index=policy_index)

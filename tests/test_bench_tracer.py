@@ -42,3 +42,15 @@ def test_traced_trial_runs_through_the_result_hooks():
     assert stats["dhdp.stability_monitor"]["calls"] == len(learning_cycles)
     assert stats["fsm.apply_delta"]["calls"] == 4 * len(learning_cycles)
     assert recorder.counts["clamps"] == record.clamp_events
+
+
+def test_traced_batch_hands_every_record_to_the_tracer():
+    # a lockstep batch's records come out of run_trial, where the traced run
+    # collects the records it counts trials, cycles and resets from
+    recorder = load_tracer().Recorder(MODS)
+    recorder.install()
+    try:
+        batch = harness.run_training_batch(harness.TrialConfig(max_cycles=15), 3, trials=3)
+    finally:
+        recorder.uninstall()
+    assert [id(r) for r in recorder.records] == [id(r) for r in batch.records]

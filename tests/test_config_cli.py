@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,7 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"trials_per_policy": 0}, "trials_per_policy"),
         ({"seed": -1}, "seed"),
         ({"keep_policies": -1}, "keep_policies"),
+        ({"jobs": 0}, "jobs"),
     ]
     for cfg, key in cases:
         path = tmp_path / "cfg.json"
@@ -90,6 +92,8 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         assert f"{key}:" in capsys.readouterr().err
     assert main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
     assert "seed:" in capsys.readouterr().err
+    assert main(["run", "--jobs", "-3", "--out", str(tmp_path / "out")]) == 2
+    assert "jobs:" in capsys.readouterr().err
 
 
 def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
@@ -198,6 +202,19 @@ def test_run_strict_monitor_halts_on_forced_violation(tmp_path):
     assert trial["outcome"] == "failure"
     assert trial["failure_reason"] == "monitor-violation"
     assert summary["monitor_violations"] >= 1
+
+
+def test_run_with_diverging_weights_emits_no_warning(tmp_path):
+    # rates far above the monitor ceilings overflow the weights; the trial
+    # ends in a numeric fault, and numpy's overflow warnings stay inside
+    cfg = {"dhdp": {"critic_lr": 1000.0, "actor_lr": 1000000.0}, "trials": 1, "seed": 7}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["trial_summaries"][0]["failure_reason"].startswith("numeric-fault")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -294,27 +294,28 @@ def test_update_overflow_raises_numeric_fault():
 # batched nets
 
 
-def _equal_to_stacked(batched, singles):
-    return np.array_equal(batched, np.stack([np.asarray(v) for v in singles]))
-
-
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), weight_scale=st.floats(0.05, 4.0),
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 6),
+       weight_scale=st.floats(0.05, 4.0),
        critic_hidden=st.integers(1, 10), actor_hidden=st.integers(1, 10),
        critic_lr=st.floats(1e-4, 1e3), actor_lr=st.floats(1e-4, 1e4),
        idle_phase=st.sampled_from([None, 0, 1, 2, 3]))
-def test_stacked_rules_equal_single_net_calls(seed, weight_scale, critic_hidden, actor_hidden,
-                                              critic_lr, actor_lr, idle_phase):
-    # every rule on a (4, ...) stack must give, bit for bit, what four
-    # single-net calls give; an all-zero phase exercises the +inf ceilings
+def test_stacked_rules_equal_single_net_calls(seed, trials, weight_scale, critic_hidden,
+                                              actor_hidden, critic_lr, actor_lr, idle_phase):
+    # every rule on an (n, 4, ...) stack of n trials' four phases, and on a
+    # fancy-indexed subset of its trials, must give, bit for bit, what the
+    # single-net calls give; an all-zero net exercises the +inf ceilings
     rng = np.random.default_rng(seed)
-    critics = [init_critic(rng, critic_hidden, weight_scale) for _ in range(4)]
-    actors = [init_actor(rng, actor_hidden, weight_scale) for _ in range(4)]
+    critics = [[init_critic(rng, critic_hidden, weight_scale) for _ in range(4)]
+               for _ in range(trials)]
+    actors = [[init_actor(rng, actor_hidden, weight_scale) for _ in range(4)]
+              for _ in range(trials)]
     if idle_phase is not None:
-        critics[idle_phase] = CriticNet(np.zeros((critic_hidden, 5)), np.zeros(critic_hidden))
-        actors[idle_phase] = ActorNet(np.zeros((actor_hidden, 2)), np.zeros((3, actor_hidden)))
-    states = rng.uniform(-1.0, 1.0, size=(4, 2))
-    q_prev, cost_prev = rng.normal(size=4), rng.uniform(0.0, 2.0, size=4)
+        critics[0][idle_phase] = CriticNet(np.zeros((critic_hidden, 5)), np.zeros(critic_hidden))
+        actors[0][idle_phase] = ActorNet(np.zeros((actor_hidden, 2)), np.zeros((3, actor_hidden)))
+    states = rng.uniform(-1.0, 1.0, size=(trials, 4, 2))
+    q_prev, cost_prev = rng.normal(size=(trials, 4)), rng.uniform(0.0, 2.0, size=(trials, 4))
+    subset = np.flatnonzero(rng.random(trials) < 0.5)
     cost_params = StageCostParams.default()
     monitor = MonitorParams.for_discount(0.95)
 
@@ -337,16 +338,31 @@ def test_stacked_rules_equal_single_net_calls(seed, weight_scale, critic_hidden,
             "actor_hidden": new_actor.w_hidden, "actor_out": new_actor.w_out,
         }
 
-    batched = rules(stack_nets(critics), stack_nets(actors), states, q_prev, cost_prev)
-    singles = [rules(critics[i], actors[i], states[i], q_prev[i], cost_prev[i])
-               for i in range(4)]
-    ok = batched.pop("ok")
-    for key, value in batched.items():
-        assert _equal_to_stacked(value, [single[key] for single in singles]), key
-    assert ok is all(single["ok"] for single in singles)
-    if idle_phase is not None:
-        assert batched["critic_bound"][idle_phase] == math.inf
-    for net, single in zip(unstack_net(stack_nets(actors)), actors):
+    singles = [[rules(critics[i][p], actors[i][p], states[i, p], q_prev[i, p], cost_prev[i, p])
+                for p in range(4)] for i in range(trials)]
+
+    def check(critic, actor, state, q, c, expected):
+        batched = rules(critic, actor, state, q, c)
+        ok = batched.pop("ok")
+        for key, value in batched.items():
+            stacked = np.array([np.asarray(single[key]) for single in expected])
+            assert np.array_equal(value, stacked.reshape(value.shape)), key
+        assert ok is all(single["ok"] for single in expected)
+        return batched
+
+    critic = stack_nets([stack_nets(row) for row in critics])
+    actor = stack_nets([stack_nets(row) for row in actors])
+    for idx in (np.arange(trials), subset):
+        batched = check(type(critic)(critic.w_hidden[idx], critic.w_out[idx]),
+                        type(actor)(actor.w_hidden[idx], actor.w_out[idx]),
+                        states[idx], q_prev[idx], cost_prev[idx],
+                        [single for i in idx.tolist() for single in singles[i]])
+        if idle_phase is not None and 0 in idx:
+            assert batched["critic_bound"][0, idle_phase] == math.inf
+    # one leading axis: the first trial's four phases
+    check(stack_nets(critics[0]), stack_nets(actors[0]), states[0], q_prev[0], cost_prev[0],
+          singles[0])
+    for net, single in zip(unstack_net(stack_nets(actors[0])), actors[0]):
         assert np.array_equal(net.w_hidden, single.w_hidden)
         assert np.array_equal(net.w_out, single.w_out)
 

@@ -4,7 +4,7 @@ import copy
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +228,7 @@ def test_plant_instability_recorded_as_failure():
     assert rec.failure_reason.startswith("plant-instability")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_fault_keeps_no_update_of_its_cycle():
     # rates far above the monitor ceilings overflow the weights at cycle 30;
     # that cycle is atomic: no phase keeps its update, all four reports count
@@ -275,6 +275,13 @@ def test_trial_differs_across_seeds():
     assert record_fingerprint(a) != record_fingerprint(b)
 
 
+def record_state(rec: TrialRecord) -> tuple:
+    """Every field of a record: floats at full precision, weights as bytes."""
+    fields = {k: v for k, v in vars(rec).items() if k not in ("rows", "actors", "critics")}
+    weights = [m.tobytes() for net in rec.actors + rec.critics for m in (net.w_hidden, net.w_out)]
+    return repr(fields), [repr(astuple(row)) for row in rec.rows], weights
+
+
 def test_batch_parallel_matches_serial():
     cfg = TrialConfig(max_cycles=50)
     serial = run_training_batch(cfg, seed=9, trials=4, jobs=1)
@@ -282,6 +289,57 @@ def test_batch_parallel_matches_serial():
     for a, b in zip(serial.records, parallel.records):
         assert record_fingerprint(a) == record_fingerprint(b)
     assert serial.policy_trials == parallel.policy_trials
+    # three trials over two workers: chunks of one and two, reassembled in order
+    policies = [(rec.actors, rec.critics) for rec in serial.records[:3]]
+    test_cfg = replace(cfg, stage="testing")
+    serial = run_testing_batch(test_cfg, seed=4, policies=policies, trials_per_policy=1, jobs=1)
+    parallel = run_testing_batch(test_cfg, seed=4, policies=policies, trials_per_policy=1,
+                                 jobs=2)
+    assert [record_state(r) for r in serial.records] == [record_state(r) for r in parallel.records]
+    assert serial.policy_index == parallel.policy_index == [0, 1, 2]
+
+
+# Batches whose trials end at different cycles and in different ways: each
+# (TrialConfig overrides, trials) steps in one lockstep.
+LOCKSTEP_CASES = {
+    "scenario-1": (dict(max_cycles=120), 5),
+    "scenario-2": (dict(scenario=2, max_cycles=100), 3),
+    "scenario-3": (dict(scenario=3, max_cycles=150), 3),
+    "ode-plant": (dict(plant_kind="ode", max_cycles=15), 3),
+    "strict-monitor": (dict(strict_monitor=True, dhdp=DhdpConfig(actor_lr=100.0),
+                            max_cycles=120), 5),
+    "numeric-fault": (dict(dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6), max_cycles=120), 5),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_training_batch_equals_lone_trials(case):
+    # every trial of a lockstep batch gets exactly the record it gets alone,
+    # also when other trials fault, halt or finish around it
+    overrides, trials = LOCKSTEP_CASES[case]
+    cfg = TrialConfig(**overrides)
+    batch = run_training_batch(cfg, seed=21, trials=trials)
+    seqs = np.random.SeedSequence(21).spawn(trials + 1)
+    for rec, seq in zip(batch.records, seqs):
+        assert record_state(rec) == record_state(run_trial(cfg, seq))
+    if case in ("numeric-fault", "strict-monitor"):
+        reason = "numeric-fault" if case == "numeric-fault" else "monitor-violation"
+        halted = {r.cycles_run for r in batch.records
+                  if (r.failure_reason or "").startswith(reason)}
+        assert len(halted) > 1
+
+
+def test_lockstep_testing_batch_equals_lone_trials():
+    cfg = TrialConfig(max_cycles=120)
+    trained = run_training_batch(cfg, seed=5, trials=2)
+    policies = [(rec.actors, rec.critics) for rec in trained.records]
+    test_cfg = replace(cfg, stage="testing")
+    batch = run_testing_batch(test_cfg, seed=8, policies=policies, trials_per_policy=3)
+    seqs = np.random.SeedSequence(8).spawn(6)
+    for i, (rec, seq) in enumerate(zip(batch.records, seqs)):
+        assert record_state(rec) == record_state(run_trial(test_cfg, seq, policy=policies[i // 3]))
+    assert batch.policy_index == [0, 0, 0, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
