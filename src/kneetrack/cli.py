@@ -59,17 +59,17 @@ def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
     plots.mkdir(parents=True, exist_ok=True)
     record = batch.records[0]
     tolerance = batch.cfg.bounds.tolerance
+    phases = record.column("phase")
     for phase in range(1, 5):
-        rows = [r for r in record.rows if r.phase == phase]
+        rows = phases == phase
         tol = tolerance[phase - 1]
         with open(plots / f"tracking_error_phase{phase}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cycle", "d_peak_rad", "d_duration_pct",
                              "tol_angle_rad", "tol_duration_pct"])
-            for r in rows:
-                writer.writerow([_fmt(v) for v in (
-                    r.cycle, r.d_peak, r.d_duration_pct, tol.angle, tol.duration_pct,
-                )])
+            for values in zip(*(record.column(name)[rows].tolist()
+                                for name in ("cycle", "d_peak_rad", "d_duration_pct"))):
+                writer.writerow([_fmt(v) for v in (*values, tol.angle, tol.duration_pct)])
 
     _write_rms_csv(plots / "rms_summary.csv",
                    [(batch.cfg.scenario, batch.cfg.stage, batch.metrics)])

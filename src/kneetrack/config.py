@@ -175,15 +175,40 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if key not in resolved:
             raise ConfigError(f"unknown override: {key}")
         resolved[key] = value
-    for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
-                       ("keep_policies", 0), ("jobs", 1)):
-        if resolved[key] < least:
-            raise ConfigError(f"{key}: must be at least {least}, got {resolved[key]}")
-    for key in ("critic_lr", "actor_lr"):
-        if resolved["dhdp"][key] <= 0:
-            raise ConfigError(f"dhdp.{key}: learning rate must be positive, "
-                              f"got {resolved['dhdp'][key]}")
+    _check_values(resolved)
     return resolved
+
+
+def _get(resolved: dict, key: str):
+    """The value at a dotted config path."""
+    for part in key.split("."):
+        resolved = resolved[part]
+    return resolved
+
+
+def _check_values(resolved: dict) -> None:
+    """Refuse values the run cannot use, naming the key: counts, sizes and shapes."""
+    for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
+                       ("keep_policies", 0), ("jobs", 1), ("rms_window", 1),
+                       ("dhdp.critic_hidden", 1), ("dhdp.actor_hidden", 1)):
+        if _get(resolved, key) < least:
+            raise ConfigError(f"{key}: must be at least {least}, got {_get(resolved, key)}")
+    for key in ("dhdp.critic_lr", "dhdp.actor_lr", "dhdp.init_weight_scale"):
+        if _get(resolved, key) <= 0:
+            raise ConfigError(f"{key}: must be positive, got {_get(resolved, key)}")
+    if resolved["drift"]["gain"] < 0:
+        raise ConfigError(f"drift.gain: must be non-negative, got {resolved['drift']['gain']}")
+    for key, size in (("ranges", 4), ("feature_map.reference_features", 4),
+                      ("feature_map.noise_std", 2), ("ode.load_torque", 4)):
+        if len(_get(resolved, key)) != size:
+            raise ConfigError(f"{key}: needs {size} entries, got {len(_get(resolved, key))}")
+    for key in ("pace.training", "pace.testing"):
+        paces = _get(resolved, key)
+        if not paces:
+            raise ConfigError(f"{key}: needs at least one pace multiplier")
+        for i, pace in enumerate(paces):
+            if isinstance(pace, bool) or not isinstance(pace, (int, float)) or pace <= 0:
+                raise ConfigError(f"{key}[{i}]: must be a positive number, got {pace!r}")
 
 
 def _section(fn, name):

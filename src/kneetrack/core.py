@@ -78,6 +78,22 @@ def check_impedance(values) -> np.ndarray:
     return imp
 
 
+def check_features(values) -> np.ndarray:
+    """Validated float copy of a (4, 2) gait-feature array.
+
+    Rows are the gait phases in order; columns are phase duration (s),
+    which must be positive and finite, and peak knee angle (rad), which
+    must lie in [0, KNEE_ANGLE_MAX]: the rules of :class:`GaitFeatures`.
+    """
+    features = np.array(values, dtype=float)
+    if features.shape != (NUM_PHASES, 2):
+        raise ValueError(f"features must be a ({NUM_PHASES}, 2) array, "
+                         f"got shape {features.shape}")
+    for duration, peak in features.tolist():
+        GaitFeatures(duration, peak)
+    return features
+
+
 @dataclass(frozen=True)
 class PhaseBound:
     """Error bound for one phase: angle in radians, duration in percent of cycle."""
@@ -115,6 +131,12 @@ class BoundsTable:
     def tolerance_for(self, phase: Phase) -> PhaseBound:
         return self.tolerance[phase - 1]
 
+    def limits(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ``kind`` ("safety" or "tolerance") bounds as (4,) angle and duration-% arrays."""
+        bounds = getattr(self, kind)
+        return (np.array([b.angle for b in bounds]),
+                np.array([b.duration_pct for b in bounds]))
+
     @classmethod
     def default(cls) -> "BoundsTable":
         safety = (
@@ -138,3 +160,15 @@ def within_bound(error, bound: PhaseBound, cycle_duration: float) -> bool:
     d_duration, d_peak = error
     duration_pct = 100.0 * abs(d_duration) / cycle_duration
     return bool(abs(d_peak) <= bound.angle and duration_pct <= bound.duration_pct)
+
+
+def inside_bounds(errors: np.ndarray, angle: np.ndarray, duration_pct: np.ndarray,
+                  cycle_duration) -> np.ndarray:
+    """:func:`within_bound` of every phase of (..., 4, 2) error rows, as (..., 4) flags.
+
+    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`)
+    and ``cycle_duration`` one positive duration per leading entry.  The
+    comparisons are within_bound's, so each flag is the one it returns.
+    """
+    pct = 100.0 * np.abs(errors[..., 0]) / np.asarray(cycle_duration)[..., None]
+    return (np.abs(errors[..., 1]) <= angle) & (pct <= duration_pct)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class ParameterRanges:
     def for_phase(self, phase: Phase) -> PhaseRanges:
         return self.phases[phase - 1]
 
+    @cached_property
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds as (4, 3) arrays, laid out like an impedance array."""
+        rows = [(p.stiffness, p.damping, p.equilibrium) for p in self.phases]
+        bounds = np.array(rows, dtype=float)  # (4, 3, 2)
+        return bounds[..., 0], bounds[..., 1]
+
     @classmethod
     def default(cls) -> "ParameterRanges":
         return cls(tuple(PhaseRanges() for _ in range(NUM_PHASES)))
@@ -89,23 +97,29 @@ def apply_delta(
 ) -> tuple[np.ndarray, bool]:
     """Add a (d_stiffness, d_damping, d_equilibrium) row to one phase's row.
 
-    Returns a new (4, 3) array, clamped to the phase's ranges, and a flag
-    saying whether any component was clamped; ``imp`` is never written.
-    Clamping rather than rejecting keeps the tuning loop running with
-    out-of-range requests while still guaranteeing valid parameters.
+    ``imp`` is a (4, 3) impedance array, or a stack (..., 4, 3) of them with
+    one delta row each.  Returns a new array, clamped to the phase's ranges,
+    and a flag saying whether any component was clamped; ``imp`` is never
+    written.  Clamping rather than rejecting keeps the tuning loop running
+    with out-of-range requests while still guaranteeing valid parameters.
     """
-    # Python floats: this runs once per phase per cycle, and numpy scalar
-    # work on three values costs several times as much
-    step = np.asarray(delta, dtype=float).tolist()
-    if not all(map(math.isfinite, step)):
-        raise ValueError(f"control delta components must be finite, got {step}")
-    limits = ranges.for_phase(phase)
-    raw = [v + d for v, d in zip(imp[phase - 1].tolist(), step, strict=True)]
-    row = [min(max(v, lo), hi) for v, (lo, hi)
-           in zip(raw, (limits.stiffness, limits.damping, limits.equilibrium))]
+    step = np.asarray(delta, dtype=float)
+    if step.shape[-1:] != (3,):
+        raise ValueError(f"control delta rows need 3 components, got shape {step.shape}")
+    if np.count_nonzero(np.isfinite(step)) < step.size:
+        raise ValueError(f"control delta components must be finite, got {step.tolist()}")
+    idx = phase - 1
+    lower, upper = ranges.limits
+    lo, hi = lower[idx], upper[idx]
+    raw = imp[..., idx, :] + step
+    # Python's min(max(v, lo), hi): lo where lo > v, else hi where hi < v,
+    # else v itself, so a -0.0 within range stays -0.0 (np.maximum would
+    # not keep it); the row differs from the sum exactly where it clamped
+    below, above = lo > raw, hi < raw
+    clamped = bool(np.count_nonzero(below | above))
     updated = imp.copy()
-    updated[phase - 1] = row
-    return updated, row != raw
+    updated[..., idx, :] = np.where(below, lo, np.where(above, hi, raw)) if clamped else raw
+    return updated, clamped
 
 
 _NEXT_PHASE = {

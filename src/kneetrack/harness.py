@@ -20,7 +20,6 @@ is tracked, and requires completing the whole sequence.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -34,8 +33,8 @@ from .core import (
     BoundsTable,
     NUM_PHASES,
     PHASES,
-    PhaseBound,
     check_impedance,
+    inside_bounds,
     within_bound,
 )
 from .dhdp import (
@@ -62,14 +61,14 @@ from .fsm import ParameterRanges, apply_delta
 from .plant import (
     FeatureMapConfig,
     FeatureMapPlant,
-    GaitProfile,
     OdeKneeConfig,
     OdeKneePlant,
     PlantInstabilityError,
     TargetProgram,
     alignment_errors,
-    array_to_profile,
+    clip_features,
     cycle_duration,
+    profile_to_array,
     switch_schedule,
 )
 
@@ -202,6 +201,40 @@ class CycleLog:
     monitor_ok: bool | None = None
 
 
+# The CSV column order below is a stable interface; downstream plot and
+# report tooling parses it positionally.
+CSV_COLUMNS = (
+    "cycle", "phase",
+    "d_duration_s", "d_duration_pct", "d_peak_rad",
+    "action_stiffness", "action_damping", "action_equilibrium",
+    "delta_stiffness", "delta_damping", "delta_equilibrium",
+    "stage_cost", "q_value", "td_error",
+    "stiffness", "damping", "equilibrium",
+    "critic_bound", "actor_bound", "monitor_ok",
+    "reset", "in_tolerance", "converged",
+)
+
+# A record stores its log as one array per field, four rows per gait cycle
+# in phase order, so ``cycle`` and ``phase`` follow from the row index.
+# Fields every row has come first, then those only learning rows have: on
+# a safety-reset row they are None, and ``td_error`` is also None where the
+# critic had no lag to step on (``lagged`` marks where it had one).
+# ``clamped`` marks the rows whose impedance update was clamped.
+_ROW_FIELDS = ("d_duration_s", "d_duration_pct", "d_peak_rad",
+               "stiffness", "damping", "equilibrium", "reset", "in_tolerance", "converged")
+_LEARNING_FIELDS = (
+    "action_stiffness", "action_damping", "action_equilibrium",
+    "delta_stiffness", "delta_damping", "delta_equilibrium",
+    "stage_cost", "q_value", "td_error", "critic_bound", "actor_bound", "monitor_ok", "lagged")
+_LOG_FIELDS = _ROW_FIELDS + _LEARNING_FIELDS + ("clamped",)
+_BOOL_FIELDS = frozenset(("reset", "in_tolerance", "converged", "monitor_ok", "lagged",
+                          "clamped"))
+
+
+def _empty_log() -> dict[str, np.ndarray]:
+    return {name: np.zeros(0, bool if name in _BOOL_FIELDS else float) for name in _LOG_FIELDS}
+
+
 @dataclass
 class TrialRecord:
     scenario: int
@@ -214,7 +247,7 @@ class TrialRecord:
     monitor_violations: int = 0
     clamp_events: int = 0
     converged_at: dict[int, int] = field(default_factory=dict)
-    rows: list[CycleLog] = field(default_factory=list)
+    log: dict[str, np.ndarray] = field(default_factory=_empty_log)
     switch_cycles: list[int] = field(default_factory=list)
     segments: list[dict] = field(default_factory=list)
     legs: list[dict] = field(default_factory=list)
@@ -228,6 +261,64 @@ class TrialRecord:
     def success(self) -> bool:
         return self.outcome == "success"
 
+    def column(self, name: str) -> np.ndarray:
+        """The log's values of one of the ``CSV_COLUMNS``, one per row."""
+        if name in ("cycle", "phase"):
+            index = np.arange(len(self.log["reset"]))
+            return index // NUM_PHASES if name == "cycle" else index % NUM_PHASES + 1
+        return self.log[name]
+
+    def missing(self, name: str) -> np.ndarray | None:
+        """Rows where column ``name`` holds None, or None when it never does."""
+        if name == "td_error":
+            return ~self.log["lagged"]
+        return self.log["reset"] if name in _LEARNING_FIELDS else None
+
+    @property
+    def rows(self) -> list[CycleLog]:
+        """The log as one :class:`CycleLog` per phase and cycle, built on each access."""
+        c = {name: values.tolist() for name, values in self.log.items()}
+        rows = []
+        for i, reset in enumerate(c["reset"]):
+            learning = {} if reset else dict(
+                action=(c["action_stiffness"][i], c["action_damping"][i],
+                        c["action_equilibrium"][i]),
+                delta=(c["delta_stiffness"][i], c["delta_damping"][i],
+                       c["delta_equilibrium"][i]),
+                cost=c["stage_cost"][i], q_value=c["q_value"][i],
+                td=c["td_error"][i] if c["lagged"][i] else None,
+                critic_bound=c["critic_bound"][i], actor_bound=c["actor_bound"][i],
+                monitor_ok=c["monitor_ok"][i],
+            )
+            rows.append(CycleLog(
+                cycle=i // NUM_PHASES, phase=i % NUM_PHASES + 1,
+                d_duration=c["d_duration_s"][i], d_duration_pct=c["d_duration_pct"][i],
+                d_peak=c["d_peak_rad"][i],
+                stiffness=c["stiffness"][i], damping=c["damping"][i],
+                equilibrium=c["equilibrium"][i],
+                reset=reset, in_tolerance=c["in_tolerance"][i], converged=c["converged"][i],
+                **learning,
+            ))
+        return rows
+
+
+def _append_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
+    """Append log rows, (cycles, 4, field) blocks in ``_LOG_FIELDS`` order, to ``record``.
+
+    The record's reset, monitor-violation and clamp counts grow by what
+    the rows hold.
+    """
+    if not blocks:
+        return
+    rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
+    new = {name: rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
+           for j, name in enumerate(_LOG_FIELDS)}
+    for name, values in new.items():
+        record.log[name] = np.concatenate([record.log[name], values])
+    record.resets += int(np.count_nonzero(new["reset"])) // NUM_PHASES
+    record.monitor_violations += int(np.count_nonzero(~(new["monitor_ok"] | new["reset"])))
+    record.clamp_events += int(np.count_nonzero(new["clamped"]))
+
 
 def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
     """True when every phase's (d_duration, d_peak) error row is inside its safety bound."""
@@ -237,22 +328,17 @@ def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
     )
 
 
-def _window_met(flags: deque, flag: bool, quota: int) -> bool:
-    """Push one in-tolerance flag into a sliding window; True once it holds ``quota``."""
-    flags.append(bool(flag))
-    return sum(flags) >= quota
-
-
 def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
     """First index at which a sliding window holds enough in-tolerance flags.
 
     Returns the 0-based cycle index where convergence latched, or None if
-    the quota was never met anywhere in the history.  :class:`Trial` applies
-    the same rule one cycle at a time.
+    the quota was never met anywhere in the history.  A lockstep applies
+    the same rule to every trial and phase at once, one cycle at a time.
     """
     flags: deque = deque(maxlen=window)
     for k, flag in enumerate(history):
-        if _window_met(flags, flag, quota):
+        flags.append(bool(flag))
+        if sum(flags) >= quota:
             return k
     return None
 
@@ -263,15 +349,14 @@ def make_plant(cfg: TrialConfig, rng: np.random.Generator):
     return OdeKneePlant(cfg.ode)
 
 
-def steady_profile(plant, imp: np.ndarray) -> GaitProfile:
-    """Features the plant settles to under constant impedance (noise-free)."""
+def steady_profile(plant, imp: np.ndarray) -> np.ndarray:
+    """(4, 2) features the plant settles to under constant impedance (noise-free)."""
     if isinstance(plant, FeatureMapPlant):
-        return array_to_profile(plant.steady_state(imp))
+        return clip_features(plant.steady_state(imp))
     probe = copy.deepcopy(plant)
-    profile = None
     for _ in range(3):
         profile = probe.step(imp)
-    return profile
+    return profile_to_array(profile)
 
 
 def scaled_impedance(reference: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -281,16 +366,18 @@ def scaled_impedance(reference: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _within_margin(errors, bounds: BoundsTable, margin: float, cycle_dur: float) -> bool:
-    """True when every phase's error is inside ``margin`` times its safety bound."""
-    return all(
-        within_bound(err, PhaseBound(margin * safe.angle, margin * safe.duration_pct),
-                     cycle_dur)
-        for err, safe in zip(errors, bounds.safety)
-    )
+def _margin_limits(bounds: BoundsTable, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """``margin`` times each phase's safety bound, as :meth:`BoundsTable.limits` arrays."""
+    angle, duration_pct = bounds.limits("safety")
+    return margin * angle, margin * duration_pct
 
 
-def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
+def _within(errors: np.ndarray, limits, cycle_dur) -> bool:
+    """True when every phase's error row is inside ``limits``."""
+    return bool(inside_bounds(errors, *limits, cycle_dur).all())
+
+
+def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Random impedance around the reference whose steady response is safe.
 
@@ -305,6 +392,7 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
     reference = cfg.feature_map.reference_impedance
     spread = cfg.init_spread
     target_dur = cycle_duration(target)
+    limits = _margin_limits(cfg.bounds, FEASIBILITY_MARGIN)
     for _ in range(6):
         for _ in range(MAX_INITIAL_DRAWS):
             factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
@@ -315,14 +403,14 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: GaitProfile,
             angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))
             if angle_rms < MIN_INITIAL_ANGLE_RMS:
                 continue
-            if _within_margin(errors, cfg.bounds, FEASIBILITY_MARGIN, target_dur):
+            if _within(errors, limits, target_dur):
                 return candidate
         spread *= 0.7
     raise RuntimeError("could not draw a feasible initial impedance")
 
 
 def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
-    """Pool of target profiles for terrain switching, mutually trackable.
+    """Pool of (4, 2) target profiles for terrain switching, mutually trackable.
 
     Each member comes from a perturbed impedance pushed through the
     plant's steady response.  Members are redrawn until every pair stays
@@ -330,15 +418,16 @@ def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
     dooms the controller to reset forever.
     """
     reference = cfg.feature_map.reference_impedance
-    profiles: list[GaitProfile] = []
+    limits = _margin_limits(cfg.bounds, 0.7)
+    profiles: list[np.ndarray] = []
     for _ in range(cfg.pool_size):
         for _ in range(MAX_INITIAL_DRAWS):
             factors = rng.uniform(1.0 - cfg.pool_spread, 1.0 + cfg.pool_spread,
                                   size=(NUM_PHASES, 3))
             candidate = scaled_impedance(reference, factors)
             profile = steady_profile(plant, candidate)
-            if all(_within_margin(alignment_errors(other, profile), cfg.bounds, 0.7,
-                                  cycle_duration(other)) for other in profiles):
+            if all(_within(alignment_errors(other, profile), limits, cycle_duration(other))
+                   for other in profiles):
                 profiles.append(profile)
                 break
         else:
@@ -374,9 +463,11 @@ class Trial:
     Tests drive :meth:`step` directly to observe mid-trial state; normal
     callers use :meth:`run`, or :func:`run_trial` for a one-shot.  Both
     step the trial as a :class:`_Lockstep` of one, the routine that steps
-    whole batches.  The trial keeps its nets and lag as stacks of one row,
-    the shape a lockstep stacks; while a lockstep steps it, they live in
-    the lockstep's stacks, and the trial gets them back when it leaves.
+    whole batches.  The trial keeps its per-cycle state (impedance, nets,
+    lag, convergence windows) as stacks of one row, the shape a lockstep
+    stacks; while a lockstep steps it, that state lives in the lockstep's
+    stacks, and the trial gets it back when it leaves.  The trial itself
+    handles its events: segment and leg bookkeeping, and its ending.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -397,7 +488,6 @@ class Trial:
         else:
             self.initial_impedance = draw_initial_impedance(
                 cfg, self.plant, first_target, np.random.default_rng(init_seq))
-        self.impedance = self.initial_impedance
 
         wrng = np.random.default_rng(weight_seq)
         scale = cfg.dhdp.init_weight_scale
@@ -406,20 +496,26 @@ class Trial:
         if policy is not None:
             actors = policy[0]
             critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
+
+        # the stacked state, one row each (see _STACKED)
+        self._impedance = self.initial_impedance[None]
         self._critic = stack_nets([stack_nets(critics)])  # shapes (1, 4, h, ...)
         self._actor = stack_nets([stack_nets(actors)])
+        self._max_weight_norm = _max_abs_weights(self._critic, self._actor)
+        # previous cycle's q-values and costs, kept only when it learned
+        self._lag_value = np.zeros((1, NUM_PHASES))
+        self._lag_cost = np.zeros((1, NUM_PHASES))
+        self._lagged = np.zeros(1, bool)
+        # each phase's in-tolerance flags of its last ``window`` cycles since
+        # the windows last started over, and the cycle its convergence
+        # latched at (-1 while it has not)
+        self._window = np.zeros((1, NUM_PHASES, cfg.window), bool)
+        self._converged = np.full((1, NUM_PHASES), -1)
 
-        self._initial_weight_norm = _max_abs_weights(self._critic, self._actor)[0]
-        self._max_weight_norm = self._initial_weight_norm
-        self._monitor = cfg.dhdp.monitor_params()
-        # previous cycle's (q_values, costs), each (1, 4); None after a reset
-        self._lag = None
-
-        self._flags = [deque(maxlen=cfg.window) for _ in PHASES]
-        self._converged_at: list[int | None] = [None] * NUM_PHASES
+        self._initial_weight_norm = float(self._max_weight_norm[0])
         self._consecutive_tracks = 0
         self._segment_index = 0
-        self._segment_done = False
+        self._segment_converged: int | None = None  # cycle the segment was tracked at
         self._leg_start = 0
         self.k = 0
         self.finished = False
@@ -436,39 +532,83 @@ class Trial:
         """The four phases' actors, stacked: weights (4, h, 2) and (4, 3, h)."""
         return _take(self._actor, 0)
 
-    # -- bookkeeping -------------------------------------------------------
+    @property
+    def impedance(self) -> np.ndarray:
+        """The (4, 3) impedance the next cycle is walked with."""
+        return self._impedance[0]
 
-    def _reset_convergence_state(self):
-        for flags in self._flags:
-            flags.clear()
-        self._converged_at = [None] * NUM_PHASES
+    @property
+    def _converged_at(self) -> list[int | None]:
+        return [None if c < 0 else c for c in self._converged[0].tolist()]
 
-    def _phase_converged(self, idx: int) -> bool:
-        return self._converged_at[idx] is not None
+    # -- events ------------------------------------------------------------
 
-    def _update_flags(self, in_tol: list[bool]):
-        for idx, flag in enumerate(in_tol):
-            met = _window_met(self._flags[idx], flag, self.cfg.quota)
-            if met and not self._phase_converged(idx):
-                self._converged_at[idx] = self.k
-
-    def _finish(self, outcome: str, reason: str | None = None):
+    def _finish(self, cycles_run: int, outcome: str, reason: str | None = None):
         self.finished = True
-        self.record.outcome = outcome
-        self.record.failure_reason = reason
+        rec = self.record
+        rec.cycles_run, rec.outcome, rec.failure_reason = cycles_run, outcome, reason
         if outcome == "success":
-            self.record.tuning_steps = self.k + 1
+            rec.tuning_steps = cycles_run
 
     def _close_record(self):
         """Fill in the finished trial's whole-run fields and its final nets."""
         rec = self.record
-        rec.max_weight_ratio = self._max_weight_norm / self._initial_weight_norm
-        if rec.rows:
+        rec.max_weight_ratio = float(self._max_weight_norm[0]) / self._initial_weight_norm
+        if len(rec.log["reset"]):
             rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
         rec.actors = unstack_net(self.actor)
         rec.critics = unstack_net(self.critic)
 
-    # -- the per-cycle loop ------------------------------------------------
+    def _all_converged(self, k: int, converged_at: list[int]) -> bool:
+        """Apply the scenario's rule once every phase has converged in cycle ``k``.
+
+        Returns True when the convergence windows start over: a new pace leg.
+        """
+        cfg = self.cfg
+        if cfg.scenario == SCENARIO_LEVEL_GROUND:
+            self.record.converged_at = dict(zip(map(int, PHASES), converged_at))
+            self._finish(k + 1, "success")
+        elif cfg.scenario == SCENARIO_TERRAIN:
+            if self._segment_converged is None:
+                self._segment_converged = max(converged_at)
+                if self._consecutive_tracks + 1 >= cfg.consecutive_tracks:
+                    self._record_segment()
+                    self._finish(k + 1, "success")
+        elif cfg.scenario == SCENARIO_PACE:
+            self.record.legs.append({
+                "leg": len(self.record.legs),
+                "pace": self.program.pace_sequence[self.pace_index],
+                "start_cycle": self._leg_start,
+                "converged_cycle": k,
+                "steps": k - self._leg_start + 1,
+            })
+            if self.pace_index + 1 >= len(self.program.pace_sequence):
+                self._finish(k + 1, "success")
+            else:
+                self.pace_index += 1
+                self._leg_start = k + 1
+                return True
+        return False
+
+    def _record_segment(self):
+        start = self._segment_index * self.cfg.switch_period
+        self.record.segments.append({
+            "segment": self._segment_index,
+            "pool_index": self.program.profile_index(start),
+            "start_cycle": start,
+            "converged": self._segment_converged is not None,
+            "converged_cycle": self._segment_converged,
+        })
+
+    def _close_segment(self):
+        """Record the terrain segment that ends here and open the next one."""
+        self._record_segment()
+        tracked = self._segment_converged is not None
+        self._consecutive_tracks = self._consecutive_tracks + 1 if tracked else 0
+        self._segment_converged = None
+        self._segment_index += 1
+
+    # -- stepping ----------------------------------------------------------
 
     def step(self) -> bool:
         """Run one gait cycle; returns True once the trial has finished."""
@@ -479,195 +619,23 @@ class Trial:
                 lockstep.leave([0])
         return self.finished
 
-    def _walk(self):
-        """Walk the next gait cycle up to its learning step.
-
-        Returns the cycle's (error rows, cycle duration, in-tolerance flags)
-        when the trial learns in it, or None when the cycle ended without
-        learning: the trial finished, or a safety reset took the cycle (the
-        lockstep then drops the trial's lag).
-        """
-        cfg = self.cfg
-        k = self.k
-
-        if (cfg.scenario == SCENARIO_TERRAIN and k > 0
-                and k % cfg.switch_period == 0):
-            self._close_segment()
-            if self.finished:
-                return None
-
-        target = self.program.target_for(k, self.pace_index)
-        if k > 0 and self.program.profile_index(k) is not None:
-            if self.program.profile_index(k) != self.program.profile_index(k - 1):
-                self.record.switch_cycles.append(k)
-
-        pace = self.program.pace_sequence[
-            min(self.pace_index, len(self.program.pace_sequence) - 1)]
-        try:
-            measured = self.plant.step(self.impedance, pace=pace)
-        except PlantInstabilityError as exc:
-            self.record.cycles_run = k
-            self._finish("failure", f"plant-instability: {exc}")
-            return None
-
-        errors = alignment_errors(target, measured)
-        self.program.observe_error(errors)
-        # The per-phase work below is scalar; it costs several times less on
-        # the rows as Python floats than on numpy rows.
-        err_rows = errors.tolist()
-        cyc_dur = cycle_duration(target)
-        in_tol = [
-            within_bound(err, cfg.bounds.tolerance_for(phase), cyc_dur)
-            for phase, err in zip(PHASES, err_rows)
-        ]
-
-        if not safety_check(err_rows, cfg.bounds, cyc_dur):
-            self.record.rows.extend(
-                self._log_row(idx, err, cyc_dur, in_tol[idx]) for idx, err in enumerate(err_rows))
-            self.impedance = self.initial_impedance
-            self.record.resets += 1
-            self._after_cycle(in_tol)
-            return None
-        return err_rows, cyc_dur, in_tol
-
-    def _network_state(self, err_rows, cyc_dur: float) -> list[list[float]]:
-        """Tracking error scaled by each phase's safety bound, one row per phase.
-
-        Both components are dimensionless and lie in [-1, 1] as long as
-        the cycle stayed inside the safety bound, which keeps all network
-        signals of order one regardless of the raw feature units.
-        """
-        return [
-            [100.0 * d_duration / cyc_dur / safe.duration_pct, d_peak / safe.angle]
-            for (d_duration, d_peak), safe in zip(err_rows, self.cfg.bounds.safety)
-        ]
-
-    def _fault(self, monitor_ok: list[bool], exc: NumericFaultError):
-        """End the cycle on a non-finite update: the monitor counts, nothing else is kept."""
-        self.record.monitor_violations += monitor_ok.count(False)
-        self.record.cycles_run = self.k + 1
-        self._finish("failure", f"numeric-fault: {exc}")
-
-    def _act(self, walked, weight_norm: float, deltas: np.ndarray, phases):
-        """Log the cycle's learning rows, apply the deltas and close the cycle.
-
-        ``phases`` holds each phase's (action, delta, cost, q_value, td,
-        critic_bound, actor_bound, monitor_ok), as Python values.
-        """
-        err_rows, cyc_dur, in_tol = walked
-        rows = [
-            self._log_row(idx, err_rows[idx], cyc_dur, in_tol[idx], action=tuple(action),
-                          delta=tuple(delta), cost=c, q_value=q, td=t,
-                          critic_bound=c_bound, actor_bound=a_bound, monitor_ok=ok)
-            for idx, (action, delta, c, q, t, c_bound, a_bound, ok) in enumerate(phases)
-        ]
-        monitor_ok = [row.monitor_ok for row in rows]
-        self.record.monitor_violations += monitor_ok.count(False)
-        for phase, delta in zip(PHASES, deltas):
-            self.impedance, clamped = apply_delta(self.impedance, phase, delta, self.cfg.ranges)
-            if clamped:
-                self.record.clamp_events += 1
-        self._max_weight_norm = max(self._max_weight_norm, weight_norm)
-        self.record.rows.extend(rows)
-        if self.cfg.strict_monitor and not all(monitor_ok):
-            self._finish("failure", "monitor-violation")
-            self.record.cycles_run = self.k + 1
-            return
-        self._after_cycle(in_tol)
-
-    def _log_row(self, idx: int, err: list[float], cyc_dur: float, in_tol: bool,
-                 **learning) -> CycleLog:
-        """One phase's row for this cycle; without ``learning`` fields it logs a reset."""
-        d_duration, d_peak = err
-        stiffness, damping, equilibrium = self.impedance[idx].tolist()
-        return CycleLog(
-            cycle=self.k, phase=idx + 1,
-            d_duration=d_duration,
-            d_duration_pct=100.0 * d_duration / cyc_dur,
-            d_peak=d_peak,
-            stiffness=stiffness, damping=damping, equilibrium=equilibrium,
-            reset=not learning, in_tolerance=in_tol,
-            converged=self._phase_converged(idx),
-            **learning,
-        )
-
-    def _after_cycle(self, in_tol):
-        cfg = self.cfg
-        self._update_flags(in_tol)
-        for row in self.record.rows[-NUM_PHASES:]:
-            row.converged = self._phase_converged(row.phase - 1)
-        all_converged = all(self._phase_converged(i) for i in range(NUM_PHASES))
-
-        if cfg.scenario == SCENARIO_LEVEL_GROUND:
-            if all_converged:
-                self.record.converged_at = {
-                    int(p): int(c) for p, c in zip(PHASES, self._converged_at)
-                }
-                self._finish("success")
-        elif cfg.scenario == SCENARIO_TERRAIN:
-            if all_converged and not self._segment_done:
-                self._segment_done = True
-                if self._consecutive_tracks + 1 >= cfg.consecutive_tracks:
-                    self._record_segment()
-                    self._finish("success")
-        elif cfg.scenario == SCENARIO_PACE:
-            if all_converged:
-                self.record.legs.append({
-                    "leg": len(self.record.legs),
-                    "pace": self.program.pace_sequence[self.pace_index],
-                    "start_cycle": self._leg_start,
-                    "converged_cycle": self.k,
-                    "steps": self.k - self._leg_start + 1,
-                })
-                if self.pace_index + 1 >= len(self.program.pace_sequence):
-                    self._finish("success")
-                else:
-                    self.pace_index += 1
-                    self._leg_start = self.k + 1
-                    self._reset_convergence_state()
-
-        self.k += 1
-        self.record.cycles_run = self.k
-        if not self.finished and self.k >= cfg.max_cycles:
-            if cfg.scenario == SCENARIO_TERRAIN:
-                self._close_segment(final=True)
-            if not self.finished:
-                self._finish("failure", "max-cycles")
-
-    def _record_segment(self):
-        self.record.segments.append({
-            "segment": self._segment_index,
-            "pool_index": self.program.profile_index(self._segment_index * self.cfg.switch_period),
-            "start_cycle": self._segment_index * self.cfg.switch_period,
-            "converged": self._segment_done,
-            "converged_cycle": None if not self._segment_done
-            else max(c for c in self._converged_at if c is not None),
-        })
-
-    def _close_segment(self, final: bool = False):
-        self._record_segment()
-        self._consecutive_tracks = self._consecutive_tracks + 1 if self._segment_done else 0
-        self._segment_done = False
-        self._segment_index += 1
-        if not final:
-            self._reset_convergence_state()
-
     def run(self) -> TrialRecord:
         """Run to the end, as a lockstep of one, and return the finished record."""
         _step_to_end([self])
         return self.record
 
 
-def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> list[float]:
+def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> np.ndarray:
     """Largest absolute weight of each entry along the nets' leading trial axis."""
     mats = (critic.w_hidden, critic.w_out, actor.w_hidden, actor.w_out)
     flat = np.concatenate([m.reshape(len(m), -1) for m in mats], axis=1)
-    return np.abs(flat).max(axis=1).tolist()
+    return np.abs(flat).max(axis=1)
 
 
 # A lockstep keeps per-trial arrays, nets and tapes stacked along a leading
-# trial axis.  These helpers act on an array, or field by field on a net or
-# tape.  An index of None stands for every entry, which costs nothing.
+# trial axis.  These helpers act on an array, or field by field on a net,
+# tape or other dataclass of arrays.  An index of None stands for every
+# entry, which costs nothing.
 
 def _concat(items):
     """``items`` joined along their leading axis; a lone item is returned as is."""
@@ -701,119 +669,329 @@ def _put(obj, idx, part):
                         for name, value in vars(obj).items()})
 
 
-def _index(positions: list[int], count: int):
+def _index(positions: np.ndarray, count: int):
     """Ascending ``positions`` as an index into ``count`` entries: None when all."""
-    return None if len(positions) == count else np.array(positions)
+    return None if len(positions) == count else positions
+
+
+def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRanges):
+    """(m, 4, 3) ``impedance`` plus ``delta``, clamped to ``ranges``, and (m, 4) clamp flags.
+
+    Each phase goes through :func:`apply_delta` for the whole stack; its
+    flag says whether any trial clamped, and only then do the per-trial
+    flags need the clamped rows compared with the unclamped sums.
+    """
+    updated, clamped = impedance, False
+    for phase in PHASES:
+        updated, flag = apply_delta(updated, phase, delta[:, phase - 1], ranges)
+        clamped |= flag
+    if not clamped:
+        return updated, np.zeros(delta.shape[:2], bool)
+    return updated, np.logical_or.reduce(updated != impedance + delta, axis=-1)
+
+
+# The per-cycle state a trial holds as one-row stacks and a lockstep stacks,
+# and the rows a lockstep keeps of its own for each trial.
+_STACKED = ("_impedance", "_critic", "_actor", "_max_weight_norm",
+            "_lag_value", "_lag_cost", "_lagged", "_window", "_converged")
+_LOCKSTEP_ROWS = ("_initial", "_features", "_pace", "_targets", "_cycle_dur", "_stale",
+                  "_period", "_drifting")
+
+
+@dataclass
+class _Learned:
+    """One lockstep cycle's learning results, one entry per trial that kept its update."""
+
+    rows: np.ndarray         # (m,) positions in the lockstep
+    fields: np.ndarray       # (m, 4, len(_LEARNING_FIELDS)): the log's learning fields
+    delta: np.ndarray        # (m, 4, 3)
+    monitor_ok: np.ndarray   # (m, 4)
+    weight_norm: np.ndarray  # (m,)
 
 
 class _Lockstep:
     """Unfinished trials of one config advanced together, one gait cycle per step.
 
-    Row ``i`` of the stacked nets (shapes (n, 4, h, ...)) and of the lag
-    arrays belongs to ``trials[i]``.  Plant, target, errors, safety,
-    logging and events stay per trial; the trials that learn in a cycle
-    make each dHDP call once, on their rows of the stacks.  Every rule is
-    bit-identical across leading shapes, so each trial gets the numbers it
-    gets alone.  A trial leaves with its nets and lag written back to it.
+    Row ``i`` of every stack (the ``_STACKED`` state, plant features,
+    targets, paces, tallies) belongs to ``trials[i]``, and every trial
+    walks cycle ``k``.  A cycle is array work on the stacks: the feature-map
+    plants step together, and errors, bounds, learning, the impedance
+    update, convergence windows and the log rows come out for all trials
+    at once.  Each trial still draws its plant noise from its own
+    generator, and torque-law knees integrate one by one.  Per-trial Python
+    runs only for events: terrain switches, finished segments and legs,
+    faults, halts and endings.  Every array rule is bit-identical to the
+    one-trial rule, so each trial gets the numbers it gets alone.  A
+    trial leaves with its state and log rows handed back to it.
     """
 
     def __init__(self, trials):
         self.trials = list(trials)
-        self.critic = _concat([t._critic for t in self.trials])
-        self.actor = _concat([t._actor for t in self.trials])
-        no_lag = (np.zeros((1, NUM_PHASES)),) * 2
-        lags = [t._lag or no_lag for t in self.trials]
-        self.lagged = [t._lag is not None for t in self.trials]
-        self.lag_value = _concat([value for value, _ in lags])
-        self.lag_cost = _concat([cost for _, cost in lags])
+        first = self.trials[0]
+        self.cfg = cfg = first.cfg
+        self.k = first.k
+        if any(t.k != self.k for t in self.trials):
+            raise ValueError("a lockstep steps trials that are at the same cycle")
+        n = len(self.trials)
+        for name in _STACKED:
+            setattr(self, name, _concat([getattr(t, name) for t in self.trials]))
+        self._initial = np.stack([t.initial_impedance for t in self.trials])
+        # feature-map plants share a config, so one of them steps the stack
+        self._plant = first.plant if isinstance(first.plant, FeatureMapPlant) else None
+        self._features = (np.stack([t.plant.state for t in self.trials])
+                          if self._plant is not None else None)
+        self._pace = np.array([t.program.pace(t.pace_index) for t in self.trials])
+        self._targets = np.zeros((n, NUM_PHASES, 2))
+        self._cycle_dur = np.zeros(n)
+        self._stale = np.ones(n, bool)  # targets to (re)compute before the next walk
+        programs = [t.program for t in self.trials]
+        self._period = np.array([p.switch_period if p.profile_pool else 0 for p in programs])
+        self._drifting = np.array([p.drift_gain > 0.0 for p in programs])
+        # tolerance and safety limits stacked, so one inside_bounds call checks both
+        tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
+        self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
+        self._monitor = cfg.dhdp.monitor_params()
+        # log blocks (rows, logged flags) not yet handed over, and each
+        # trial's handed-over blocks
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._chunks: list[list[np.ndarray]] = [[] for _ in self.trials]
 
     def step(self):
         """One gait cycle of every trial; the trials that finish in it leave."""
-        walked = [trial._walk() for trial in self.trials]
-        rows = [i for i, cycle in enumerate(walked) if cycle is not None]
-        if rows:
-            self._learn(rows, [walked[i] for i in rows])
+        cfg, k, n = self.cfg, self.k, len(self.trials)
+        self._start_cycle()
+        measured, walked = self._measure()
+        errors = alignment_errors(self._targets, measured)
+        for i in (self._drifting & walked).nonzero()[0]:
+            self.trials[i].program.observe_error(errors[i])
+        pct = 100.0 * errors[..., 0] / self._cycle_dur[:, None]
+        in_tol, in_safety = inside_bounds(errors, *self._bounds, self._cycle_dur)
+        learns = walked & np.logical_and.reduce(in_safety, axis=1)
+        reset = walked & ~learns
+
+        # the trials inside their safety bounds learn; the state the nets see
+        # is the error as a fraction of each phase's safety bound
+        state = np.empty((n, NUM_PHASES, 2))
+        state[..., 0] = pct / self._safety[1]
+        state[..., 1] = errors[..., 1] / self._safety[0]
+        learners = learns.nonzero()[0]
+        learned = (self._learn(learners, _take(state, _index(learners, n)))
+                   if len(learners) else None)
+
+        walked_impedance = impedance = self._impedance
+        if np.count_nonzero(reset):
+            impedance = np.where(reset[:, None, None], self._initial, impedance)
+        clamped = None
+        logged = closing = walked  # the trials whose cycle leaves rows, and keeps them running
+        if learned is not None:
+            kept = _index(learned.rows, n)
+            updated, clamped = _apply_deltas(_take(impedance, kept), learned.delta, cfg.ranges)
+            impedance = _put(impedance, kept, updated)
+            self._max_weight_norm = _put(self._max_weight_norm, kept, np.maximum(
+                _take(self._max_weight_norm, kept), learned.weight_norm))
+            if cfg.strict_monitor:
+                halted = learned.rows[np.logical_or.reduce(~learned.monitor_ok, axis=1)]
+                for i in halted:
+                    self.trials[i]._finish(k + 1, "failure", "monitor-violation")
+                closing = walked.copy()
+                closing[halted] = False
+        if learned is None or len(learned.rows) < len(learners):  # numeric faults
+            logged = reset.copy()
+            if learned is not None:
+                logged[learned.rows] = True
+            closing = closing & logged
+        self._impedance = impedance
         # a trial keeps its lag only when it learned: a safety reset drops it
-        self.lagged = [cycle is not None for cycle in walked]
+        self._lagged = learns
+
+        # each window is a ring of its last flags, cycle k's in slot k % window;
+        # a phase latches unless the cycle ended its trial
+        self._window[..., k % cfg.window] = in_tol
+        latch = ((np.add.reduce(self._window, axis=-1) >= cfg.quota) & (self._converged < 0)
+                 & closing[:, None])
+        self._converged = np.where(latch, k, self._converged)
+        converged = self._converged >= 0
+        self._log(logged, errors, pct, walked_impedance, reset, in_tol, converged,
+                  learned, clamped)
+
+        for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
+            trial = self.trials[i]
+            if trial._all_converged(k, self._converged[i].tolist()):
+                self._window[i] = False
+                self._converged[i] = -1
+                self._pace[i] = trial.program.pace(trial.pace_index)
+                self._stale[i] = True
+        if k + 1 >= cfg.max_cycles:
+            for i in closing.nonzero()[0]:
+                trial = self.trials[i]
+                if not trial.finished:
+                    if cfg.scenario == SCENARIO_TERRAIN:
+                        trial._close_segment()
+                    trial._finish(k + 1, "failure", "max-cycles")
+        self.k = k + 1
         finished = [i for i, trial in enumerate(self.trials) if trial.finished]
         if finished:
             self.leave(finished)
 
+    def _start_cycle(self):
+        """Events before cycle ``k`` is walked: segment closes, switches and new targets."""
+        k = self.k
+        if k > 0 and self.cfg.scenario == SCENARIO_TERRAIN and k % self.cfg.switch_period == 0:
+            for trial in self.trials:
+                trial._close_segment()
+            self._window = np.zeros_like(self._window)
+            self._converged = np.full_like(self._converged, -1)
+        for period in set(self._period.tolist()) - {0}:  # of the programs with a pool
+            if k > 0 and k % period == 0:
+                for i in (self._period == period).nonzero()[0]:
+                    trial = self.trials[i]
+                    if trial.program.profile_index(k) != trial.program.profile_index(k - 1):
+                        trial.record.switch_cycles.append(k)
+                    self._stale[i] = True
+        stale = (self._stale | self._drifting).nonzero()[0]
+        if len(stale):
+            for i in stale:
+                trial = self.trials[i]
+                self._targets[i] = trial.program.target_for(k, trial.pace_index)
+            self._cycle_dur[stale] = cycle_duration(self._targets[stale])
+            self._stale[:] = False
+
+    def _measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The features each plant walks cycle ``k`` with, and which trials walked it.
+
+        A torque-law knee that diverges ends its trial; its row of the
+        features is then the target, a stand-in no rule reads.
+        """
+        if self._plant is not None:
+            draws = np.array([t.plant.rng.standard_normal((NUM_PHASES, 2))
+                              for t in self.trials])
+            self._features = self._plant.respond(self._features, self._impedance,
+                                                 self._pace, draws)
+            return self._features, np.ones(len(self.trials), bool)
+        measured = self._targets.copy()
+        walked = np.ones(len(self.trials), bool)
+        for i, trial in enumerate(self.trials):
+            try:
+                measured[i] = profile_to_array(trial.plant.step(self._impedance[i]))
+            except PlantInstabilityError as exc:
+                walked[i] = False
+                trial._finish(self.k, "failure", f"plant-instability: {exc}")
+        return measured, walked
+
+    def _log(self, logged, errors, pct, impedance, reset, in_tol, converged, learned, clamped):
+        """Queue cycle ``k``'s log rows of every trial as one block in ``_LOG_FIELDS`` order."""
+        block = np.zeros((len(self.trials), NUM_PHASES, len(_LOG_FIELDS)))
+        block[..., 0] = errors[..., 0]
+        block[..., 1] = pct
+        block[..., 2] = errors[..., 1]
+        block[..., 3:6] = impedance
+        block[..., 6] = reset[:, None]
+        block[..., 7] = in_tol
+        block[..., 8] = converged
+        if learned is not None:
+            kept = _index(learned.rows, len(self.trials))
+            rows = slice(None) if kept is None else kept
+            block[rows, :, len(_ROW_FIELDS):-1] = learned.fields
+            block[rows, :, -1] = clamped
+        self._blocks.append((block, logged))
+
+    def _flush_log(self):
+        """Hand the queued log blocks to each trial's chunks, its rows only."""
+        if not self._blocks:
+            return
+        blocks = np.stack([block for block, _ in self._blocks], axis=1)  # (n, cycles, 4, F)
+        logged = np.stack([flags for _, flags in self._blocks], axis=1)
+        for chunks, rows, flags in zip(self._chunks, blocks, logged):
+            chunks.append(rows[flags])
+        self._blocks = []
+
     def leave(self, positions: list[int]):
-        """Hand the trials at ``positions`` (ascending) their nets and lag back and drop them."""
+        """Hand the trials at ``positions`` (ascending) their state back and drop them."""
+        self._flush_log()
+        n = len(self.trials)
         for i in positions:
-            trial, row = self.trials[i], _index([i], len(self.trials))
-            trial._critic, trial._actor = _take(self.critic, row), _take(self.actor, row)
-            trial._lag = ((_take(self.lag_value, row), _take(self.lag_cost, row))
-                          if self.lagged[i] else None)
+            trial, row = self.trials[i], _index(np.array([i]), n)
+            for name in _STACKED:
+                setattr(trial, name, _take(getattr(self, name), row))
+            if self._features is not None:
+                trial.plant.state = self._features[i].copy()
+            trial.k = self.k
+            _append_rows(trial.record, self._chunks[i])
             if trial.finished:
                 trial._close_record()
-        keep = [i for i in range(len(self.trials)) if i not in positions]
+            else:
+                trial.record.cycles_run = self.k
+        keep = [i for i in range(n) if i not in positions]
         self.trials = [self.trials[i] for i in keep]
+        self._chunks = [self._chunks[i] for i in keep]
         if keep:
-            self.critic, self.actor = _take(self.critic, keep), _take(self.actor, keep)
-            self.lagged = [self.lagged[i] for i in keep]
-            self.lag_value, self.lag_cost = self.lag_value[keep], self.lag_cost[keep]
+            for name in _STACKED + _LOCKSTEP_ROWS:
+                value = getattr(self, name)
+                if value is not None:
+                    setattr(self, name, _take(value, keep))
 
-    def _learn(self, rows: list[int], walked: list):
-        """One learning step of the trials at ``rows``, all four phases each.
+    def _learn(self, rows: np.ndarray, state: np.ndarray) -> _Learned | None:
+        """One learning step of the trials at positions ``rows``, all four phases each.
 
-        A numeric fault fails only the trials whose own update overflows:
-        the step is then redone one trial at a time, and each trial keeps
-        exactly what it keeps when run alone.
+        ``state`` is their (m, 4, 2) network input.  Returns the results of
+        the trials that kept their update.  A numeric fault fails only the
+        trials whose own update overflows: the step is then redone one
+        trial at a time, and each trial keeps exactly what it keeps alone.
         """
-        trials = [self.trials[i] for i in rows]
-        first = trials[0]
-        dhdp = first.cfg.dhdp
-        state = np.array([t._network_state(err_rows, cyc_dur)
-                          for t, (err_rows, cyc_dur, _) in zip(trials, walked)])
+        dhdp = self.cfg.dhdp
         learners = _index(rows, len(self.trials))
-        critic, actor = _take(self.critic, learners), _take(self.actor, learners)
+        critic, actor = _take(self._critic, learners), _take(self._actor, learners)
         a_tape = actor_eval(actor, state)
         cost = stage_cost(state, a_tape.output, dhdp.cost)
         c_tape = critic_eval(critic, state, a_tape.output)
         report = stability_monitor(critic, actor, c_tape, a_tape,
-                                   first._monitor, dhdp.critic_lr, dhdp.actor_lr)
-        monitor_ok = (report.critic_ok & report.actor_ok).tolist()
+                                   self._monitor, dhdp.critic_lr, dhdp.actor_lr)
+        monitor_ok = report.critic_ok & report.actor_ok
 
         # the critic steps only where the previous cycle left a lag
-        lagged = [j for j, row in enumerate(rows) if self.lagged[row]]
-        td = None
+        lagged = _take(self._lagged, learners)
+        td = np.zeros_like(cost)
         try:
-            if lagged:
-                sub = _index(lagged, len(rows))
-                lag_rows = _index([rows[j] for j in lagged], len(self.trials))
-                td = td_error(_take(c_tape.value, sub), _take(self.lag_value, lag_rows),
-                              _take(self.lag_cost, lag_rows), dhdp.discount)
-                updated = critic_update(_take(critic, sub), td, _take(c_tape, sub),
+            if np.count_nonzero(lagged):
+                sub = _index(lagged.nonzero()[0], len(rows))
+                lag_rows = _take(learners, sub) if learners is not None else sub
+                step_td = td_error(_take(c_tape.value, sub), _take(self._lag_value, lag_rows),
+                                   _take(self._lag_cost, lag_rows), dhdp.discount)
+                updated = critic_update(_take(critic, sub), step_td, _take(c_tape, sub),
                                         dhdp.critic_lr, dhdp.discount)
                 critic = _put(critic, sub, updated)
                 c_tape = _put(c_tape, sub, critic_eval(
                     updated, _take(state, sub), _take(a_tape.output, sub)))
+                td = _put(td, sub, step_td)
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
         except NumericFaultError as exc:
-            if len(trials) == 1:
-                first._fault(monitor_ok[0], exc)
-            else:
-                for row, cycle in zip(rows, walked):
-                    self._learn([row], [cycle])
-            return
+            if len(rows) == 1:
+                self._fault(rows[0], monitor_ok[0], exc)
+                return None
+            parts = [self._learn(rows[j:j + 1], state[j:j + 1]) for j in range(len(rows))]
+            parts = [part for part in parts if part is not None]
+            return _concat(parts) if parts else None
 
-        self.critic = _put(self.critic, learners, critic)
-        self.actor = _put(self.actor, learners, actor)
-        self.lag_value = _put(self.lag_value, learners, c_tape.value)
-        self.lag_cost = _put(self.lag_cost, learners, cost)
+        self._critic = _put(self._critic, learners, critic)
+        self._actor = _put(self._actor, learners, actor)
+        self._lag_value = _put(self._lag_value, learners, c_tape.value)
+        self._lag_cost = _put(self._lag_cost, learners, cost)
 
-        tds = [[None] * NUM_PHASES] * len(trials)
-        for j, row in zip(lagged, td.tolist() if td is not None else ()):
-            tds[j] = row
-        deltas = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
-        columns = zip(a_tape.output.tolist(), deltas.tolist(), cost.tolist(),
-                      c_tape.value.tolist(), tds, report.critic_bound.tolist(),
-                      report.actor_bound.tolist(), monitor_ok)
-        for trial, cycle, norm, trial_deltas, phases in zip(
-                trials, walked, _max_abs_weights(critic, actor), deltas, columns):
-            trial._act(cycle, norm, trial_deltas, zip(*phases))
+        delta = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+        fields = np.empty(cost.shape + (len(_LEARNING_FIELDS),))
+        fields[..., 0:3] = a_tape.output
+        fields[..., 3:6] = delta
+        for j, values in enumerate((cost, c_tape.value, td, report.critic_bound,
+                                    report.actor_bound, monitor_ok, lagged[:, None]), start=6):
+            fields[..., j] = values
+        return _Learned(rows=rows, fields=fields, delta=delta, monitor_ok=monitor_ok,
+                        weight_norm=_max_abs_weights(critic, actor))
+
+    def _fault(self, i: int, monitor_ok: np.ndarray, exc: NumericFaultError):
+        """End trial ``i``'s cycle on a non-finite update: the monitor counts, nothing else is kept."""
+        trial = self.trials[i]
+        trial.record.monitor_violations += int((~monitor_ok).sum())
+        trial._finish(self.k + 1, "failure", f"numeric-fault: {exc}")
 
 
 def _step_to_end(trials):
@@ -848,32 +1026,27 @@ def compute_rms(record: TrialRecord, window: int = 10):
     value is None only when some phase never reached tolerance at all.
     Peak-angle RMS is in radians, duration RMS in percent of gait cycle.
     """
-    if not record.rows:
+    peak, pct = record.log["d_peak_rad"], record.log["d_duration_pct"]
+    if not len(peak):
         raise ValueError("cannot compute RMS of an empty record")
-    by_cycle: dict[int, list[CycleLog]] = {}
-    for row in record.rows:
-        by_cycle.setdefault(row.cycle, []).append(row)
-    cycles = sorted(by_cycle)
 
-    def pooled(samples):
-        peaks = [r.d_peak for r in samples]
-        durs = [r.d_duration_pct for r in samples]
+    def pooled(rows):
         return {
-            "peak_rad": float(np.sqrt(np.mean(np.square(peaks)))),
-            "duration_pct": float(np.sqrt(np.mean(np.square(durs)))),
+            "peak_rad": float(np.sqrt(np.mean(np.square(peak[rows])))),
+            "duration_pct": float(np.sqrt(np.mean(np.square(pct[rows])))),
         }
 
-    initial = pooled([r for c in cycles[:window] for r in by_cycle[c]])
-
-    final_samples = []
-    for phase in PHASES:
-        in_tol = [c for c in cycles
-                  if any(r.phase == phase and r.in_tolerance for r in by_cycle[c])]
-        if not in_tol:
+    initial = pooled(slice(0, NUM_PHASES * window))
+    in_tol = record.log["in_tolerance"].reshape(-1, NUM_PHASES)
+    final_rows = []
+    for idx in range(NUM_PHASES):
+        cycles = np.flatnonzero(in_tol[:, idx])
+        if not len(cycles):
             return initial, None
-        keep = set(in_tol[-window:])
-        final_samples.extend(r for c in keep for r in by_cycle[c] if r.phase == phase)
-    return initial, pooled(final_samples)
+        # samples are pooled in the iteration order of a set of cycles, which
+        # fixes the order, and so the rounding, of the mean's sum
+        final_rows.extend(NUM_PHASES * c + idx for c in set(cycles[-window:].tolist()))
+    return initial, pooled(final_rows)
 
 
 @dataclass
@@ -994,20 +1167,6 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
 
 # ---------------------------------------------------------------------------
 # Structured logs
-#
-# The CSV column order below is a stable interface; downstream plot and
-# report tooling parses it positionally.
-
-CSV_COLUMNS = (
-    "cycle", "phase",
-    "d_duration_s", "d_duration_pct", "d_peak_rad",
-    "action_stiffness", "action_damping", "action_equilibrium",
-    "delta_stiffness", "delta_damping", "delta_equilibrium",
-    "stage_cost", "q_value", "td_error",
-    "stiffness", "damping", "equilibrium",
-    "critic_bound", "actor_bound", "monitor_ok",
-    "reset", "in_tolerance", "converged",
-)
 
 
 def _fmt(value) -> str:
@@ -1021,22 +1180,26 @@ def _fmt(value) -> str:
 
 
 def write_trial_csv(record: TrialRecord, path) -> None:
+    """The record's log as CSV, a header of ``CSV_COLUMNS`` then one line per row.
+
+    Each column is formatted whole, with :func:`_fmt`'s rules; the bytes
+    are those of a ``csv.writer`` writing ``_fmt`` of every cell.
+    """
+    columns = []
+    for name in CSV_COLUMNS:
+        values = record.column(name)
+        if values.dtype == bool:
+            cells = np.where(values, "1", "0").tolist()
+        else:
+            cells = list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+        missing = record.missing(name)
+        if missing is not None:
+            for i in np.flatnonzero(missing).tolist():
+                cells[i] = ""
+        columns.append(cells)
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in record.rows:
-            action = row.action or (None, None, None)
-            delta = row.delta or (None, None, None)
-            writer.writerow([_fmt(v) for v in (
-                row.cycle, row.phase,
-                row.d_duration, row.d_duration_pct, row.d_peak,
-                action[0], action[1], action[2],
-                delta[0], delta[1], delta[2],
-                row.cost, row.q_value, row.td,
-                row.stiffness, row.damping, row.equilibrium,
-                row.critic_bound, row.actor_bound, row.monitor_ok,
-                row.reset, row.in_tolerance, row.converged,
-            )])
+        fh.write("\r\n".join(lines))
 
 
 def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:

@@ -28,6 +28,7 @@ from .core import (
     NUM_PHASES,
     GaitFeatures,
     Phase,
+    check_features,
     check_impedance,
 )
 from .fsm import (
@@ -51,15 +52,26 @@ def profile_to_array(profile) -> np.ndarray:
     return np.array([[f.duration, f.peak_angle] for f in profile])
 
 
-def array_to_profile(values: np.ndarray) -> GaitProfile:
+def clip_features(values) -> np.ndarray:
+    """Copy of (..., 4, 2) features with every duration and peak angle made legal.
+
+    Durations are floored at ``MIN_DURATION``; peak angles are clipped into
+    [0, KNEE_ANGLE_MAX].
+    """
     clipped = np.array(values, dtype=float)
-    clipped[:, 0] = np.maximum(clipped[:, 0], MIN_DURATION)
-    clipped[:, 1] = np.clip(clipped[:, 1], 0.0, KNEE_ANGLE_MAX)
-    return tuple(GaitFeatures(float(d), float(p)) for d, p in clipped)
+    clipped[..., 0] = np.maximum(clipped[..., 0], MIN_DURATION)
+    clipped[..., 1] = np.clip(clipped[..., 1], 0.0, KNEE_ANGLE_MAX)
+    return clipped
 
 
-def cycle_duration(profile) -> float:
-    return float(sum(f.duration for f in profile))
+def array_to_profile(values: np.ndarray) -> GaitProfile:
+    return tuple(GaitFeatures(float(d), float(p)) for d, p in clip_features(values))
+
+
+def cycle_duration(features):
+    """Summed phase durations of (..., 4, 2) features, added left to right."""
+    d = features[..., 0]
+    return ((d[..., 0] + d[..., 1]) + d[..., 2]) + d[..., 3]
 
 
 @dataclass(frozen=True)
@@ -121,36 +133,53 @@ class FeatureMapConfig:
 
 
 class FeatureMapPlant:
-    """Cycle-atomic plant: impedance in, next-cycle gait features out."""
+    """Cycle-atomic plant: impedance in, next-cycle gait features out.
+
+    ``state`` holds the last cycle's features as a (4, 2) array.
+    :meth:`steady_state` and :meth:`respond` also take stacks: a leading
+    trial axis on the impedance and the state, and one pace multiplier per
+    trial.  A lockstep of trials then steps all its plants in one call,
+    each with the numbers its own plant gives.
+    """
 
     def __init__(self, config: FeatureMapConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self._ref_feat = profile_to_array(config.reference_features)
-        self._state = self._ref_feat.copy()
+        self._noise_std = np.array(config.noise_std, dtype=float)
+        self.state = self._ref_feat.copy()
 
-    def steady_state(self, imp: np.ndarray, pace: float = 1.0) -> np.ndarray:
+    def steady_state(self, imp: np.ndarray, pace=1.0) -> np.ndarray:
         """Fixed point the features relax to under constant impedance.
 
         Under a pace multiplier, the natural phase durations shorten or
         lengthen by the passthrough share of the pace change; peak angles
         are unaffected by pace.
         """
-        offsets = imp - self.config.reference_impedance
-        base = self._ref_feat.copy()
         eta = self.config.pace_passthrough
-        base[:, 0] *= eta / pace + (1.0 - eta)
-        return base + np.einsum("pij,pj->pi", self.config.sensitivity, offsets)
+        # durations times the pace factor, peak angles times 1.0 (exactly themselves)
+        scale = np.ones(np.shape(pace) + (1, 2))
+        scale[..., 0] = eta / np.asarray(pace)[..., None] + (1.0 - eta)
+        offsets = imp - self.config.reference_impedance
+        return (self._ref_feat * scale
+                + np.einsum("pij,...pj->...pi", self.config.sensitivity, offsets))
 
-    def step(self, imp: np.ndarray, pace: float = 1.0) -> GaitProfile:
-        """Advance one gait cycle under a (4, 3) impedance array."""
+    def respond(self, state: np.ndarray, imp: np.ndarray, pace, draws: np.ndarray) -> np.ndarray:
+        """Features of the cycle after ``state``, walked under ``imp``.
+
+        ``draws`` are standard-normal draws shaped like ``state``; scaled by
+        the noise std they equal ``rng.normal(0.0, noise_std)`` on the same
+        generator, bit for bit.
+        """
         lam = self.config.smoothing
-        target = self.steady_state(imp, pace)
-        noise = self.rng.normal(0.0, self.config.noise_std, size=(NUM_PHASES, 2))
-        self._state = (1.0 - lam) * self._state + lam * target + noise
-        self._state[:, 0] = np.maximum(self._state[:, 0], MIN_DURATION)
-        self._state[:, 1] = np.clip(self._state[:, 1], 0.0, KNEE_ANGLE_MAX)
-        return array_to_profile(self._state)
+        noise = 0.0 + draws * self._noise_std
+        return clip_features((1.0 - lam) * state + lam * self.steady_state(imp, pace) + noise)
+
+    def step(self, imp: np.ndarray, pace: float = 1.0) -> np.ndarray:
+        """Advance one gait cycle under a (4, 3) impedance array; returns the new state."""
+        self.state = self.respond(self.state, imp, pace,
+                                  self.rng.standard_normal((NUM_PHASES, 2)))
+        return self.state
 
 
 @dataclass(frozen=True)
@@ -265,8 +294,8 @@ class TargetProgram:
     intact side adapts to the prosthesis.
     """
 
-    base_profile: GaitProfile
-    profile_pool: tuple[GaitProfile, ...] = ()
+    base_profile: np.ndarray                  # (4, 2): per phase (duration, peak angle)
+    profile_pool: tuple[np.ndarray, ...] = ()
     pace_sequence: tuple[float, ...] = (1.0,)
     switch_period: int = 20
     drift_gain: float = 0.0
@@ -275,6 +304,8 @@ class TargetProgram:
     _drift: np.ndarray = field(default_factory=lambda: np.zeros((NUM_PHASES, 2)))
 
     def __post_init__(self):
+        self.base_profile = check_features(self.base_profile)
+        self.profile_pool = tuple(check_features(p) for p in self.profile_pool)
         if self.switch_period <= 0:
             raise ValueError("switch period must be positive")
         if any(m <= 0.0 for m in self.pace_sequence):
@@ -290,18 +321,20 @@ class TargetProgram:
             return None
         return self.schedule[min(k // self.switch_period, len(self.schedule) - 1)]
 
-    def target_for(self, k: int, pace_index: int = 0) -> GaitProfile:
-        """Target features for cycle ``k`` under the given pace leg."""
+    def pace(self, pace_index: int) -> float:
+        """Pace multiplier of the given leg; the last leg's holds after the sequence ends."""
+        return self.pace_sequence[min(pace_index, len(self.pace_sequence) - 1)]
+
+    def target_for(self, k: int, pace_index: int = 0) -> np.ndarray:
+        """Target features, a (4, 2) array, for cycle ``k`` under the given pace leg."""
         if k < 0:
             raise ValueError("cycle index must be non-negative")
         idx = self.profile_index(k)
-        base = self.base_profile if idx is None else self.profile_pool[idx]
-        values = profile_to_array(base)
-        pace = self.pace_sequence[min(pace_index, len(self.pace_sequence) - 1)]
-        values[:, 0] = values[:, 0] / pace
+        values = (self.base_profile if idx is None else self.profile_pool[idx]).copy()
+        values[:, 0] = values[:, 0] / self.pace(pace_index)
         if self.drift_gain > 0.0:
             values = values + self.drift_gain * self._drift
-        return array_to_profile(values)
+        return clip_features(values)
 
     def observe_error(self, errors: np.ndarray) -> None:
         """Feed the (4, 2) prosthetic tracking error into the drift filter."""
@@ -324,10 +357,11 @@ def switch_schedule(pool_size: int, segments: int, rng: np.random.Generator) -> 
     return tuple(indices)
 
 
-def alignment_errors(target, measured) -> np.ndarray:
+def alignment_errors(target: np.ndarray, measured: np.ndarray) -> np.ndarray:
     """Tracking error per phase: intact-knee target minus prosthetic feature.
 
-    Returns one (d_duration, d_peak) row per phase, seconds and radians.
+    Takes (..., 4, 2) feature arrays and returns one (d_duration, d_peak)
+    row per phase, seconds and radians.
 
     This is the only place the library subtracts gait features.  The
     prosthetic leg strikes half a gait after the intact leg, so the
@@ -337,4 +371,4 @@ def alignment_errors(target, measured) -> np.ndarray:
     prosthetic measurement taken during cycle k's trailing half.  Plants
     with no intra-cycle timing reduce to plain same-index pairing.
     """
-    return profile_to_array(target) - profile_to_array(measured)
+    return target - measured

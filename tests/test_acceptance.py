@@ -242,9 +242,8 @@ def test_criterion_7_scenario_protocols(train_batch):
 
 
 def test_criterion_8_safety_reset_preserves_weights():
-    from kneetrack.core import GaitFeatures
     from kneetrack.harness import Trial
-    from kneetrack.plant import FeatureMapConfig, TargetProgram
+    from kneetrack.plant import FeatureMapConfig, TargetProgram, profile_to_array
 
     base_cfg = FeatureMapConfig.default()
     fm = FeatureMapConfig(
@@ -253,10 +252,8 @@ def test_criterion_8_safety_reset_preserves_weights():
         sensitivity=base_cfg.sensitivity,
         noise_std=(0.0, 0.0),
     )
-    near = tuple(GaitFeatures(f.duration, f.peak_angle + 0.01)
-                 for f in fm.reference_features)
-    danger = tuple(GaitFeatures(f.duration, f.peak_angle + 0.25)
-                   for f in fm.reference_features)
+    near = profile_to_array(fm.reference_features) + [0.0, 0.01]
+    danger = profile_to_array(fm.reference_features) + [0.0, 0.25]
     program = TargetProgram(base_profile=near, profile_pool=(near, danger),
                             switch_period=2, schedule=(0, 1, 0, 0))
     trial = Trial(TrialConfig(max_cycles=20, feature_map=fm), 5,

@@ -81,6 +81,22 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"seed": -1}, "seed"),
         ({"keep_policies": -1}, "keep_policies"),
         ({"jobs": 0}, "jobs"),
+        # a zero window pooled an empty RMS into NaN, zero hidden units ran
+        # nets of nothing, and the rest crashed mid-run
+        ({"rms_window": 0}, "rms_window"),
+        ({"dhdp": {"critic_hidden": 0}}, "dhdp.critic_hidden"),
+        ({"dhdp": {"actor_hidden": 0}}, "dhdp.actor_hidden"),
+        ({"dhdp": {"init_weight_scale": 0.0}}, "dhdp.init_weight_scale"),
+        ({"pace": {"training": []}}, "pace.training"),
+        ({"pace": {"testing": [1.0, 0.0]}}, "pace.testing[1]"),
+        ({"pace": {"testing": [1.0, -0.8]}}, "pace.testing[1]"),
+        ({"drift": {"gain": -0.1}}, "drift.gain"),
+        ({"feature_map": {"reference_features": [[0.3, 0.3]] * 3}},
+         "feature_map.reference_features"),
+        ({"feature_map": {"noise_std": [0.005, 0.005, 0.005]}}, "feature_map.noise_std"),
+        ({"feature_map": {"noise_std": [0.005]}}, "feature_map.noise_std"),
+        ({"ode": {"load_torque": [-2.5, -1.5, -4.0]}}, "ode.load_torque"),
+        ({"ranges": default_config()["ranges"][:3]}, "ranges"),
     ]
     for cfg, key in cases:
         path = tmp_path / "cfg.json"

@@ -49,13 +49,13 @@ def test_impedance_triple_validation():
 
 
 def test_tracking_error_identical_inputs():
-    y = [GaitFeatures(0.40, 0.30), GaitFeatures(0.32, 1.05)]
+    y = np.array([[0.40, 0.30], [0.32, 1.05]])
     assert np.array_equal(alignment_errors(y, y), np.zeros((2, 2)))
 
 
 def test_tracking_error_componentwise():
-    errs = alignment_errors([GaitFeatures(0.45, 0.35), GaitFeatures(0.40, 0.25)],
-                            [GaitFeatures(0.40, 0.30), GaitFeatures(0.45, 0.30)])
+    errs = alignment_errors(np.array([[0.45, 0.35], [0.40, 0.25]]),
+                            np.array([[0.40, 0.30], [0.45, 0.30]]))
     np.testing.assert_allclose(errs, [[0.05, 0.05], [-0.05, -0.05]])
 
 
@@ -63,8 +63,7 @@ def test_tracking_error_antisymmetric():
     rng = np.random.default_rng(0)
 
     def profile():
-        return [GaitFeatures(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.0, 1.6)))
-                for _ in PHASES]
+        return np.array([[rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.6)] for _ in PHASES])
 
     for _ in range(100):
         a, b = profile(), profile()

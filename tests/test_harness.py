@@ -4,16 +4,16 @@ import copy
 import csv
 import json
 import os
+import pickle
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kneetrack.core import BoundsTable, GaitFeatures
+from kneetrack.core import BoundsTable
 from kneetrack.harness import (
     CSV_COLUMNS,
-    CycleLog,
     DhdpConfig,
     Trial,
     TrialConfig,
@@ -25,10 +25,12 @@ from kneetrack.harness import (
     run_training_batch,
     run_trial,
     safety_check,
+    _fmt,
+    _step_to_end,
     trial_summary,
     write_trial_csv,
 )
-from kneetrack.plant import FeatureMapConfig, TargetProgram, alignment_errors
+from kneetrack.plant import FeatureMapConfig, TargetProgram, alignment_errors, profile_to_array
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("KNEETRACK_REGEN_GOLDEN") == "1"
@@ -48,8 +50,7 @@ def quiet_feature_map(**kwargs) -> FeatureMapConfig:
 
 
 def shifted_profile(base, d_duration=0.0, d_peak=0.0):
-    return tuple(GaitFeatures(f.duration + d_duration, f.peak_angle + d_peak)
-                 for f in base)
+    return profile_to_array(base) + [d_duration, d_peak]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_uncontrollable_plant_fails_at_max_cycles():
 def test_already_converged_succeeds_within_window():
     fm = quiet_feature_map()
     cfg = TrialConfig(feature_map=fm)
-    program = TargetProgram(base_profile=fm.reference_features)
+    program = TargetProgram(base_profile=profile_to_array(fm.reference_features))
     rec = run_trial(cfg, 0, target_program=program,
                     initial_impedance=fm.reference_impedance)
     assert rec.success
@@ -220,7 +221,7 @@ def test_plant_instability_recorded_as_failure():
         max_cycles=30,
     )
     fm = quiet_feature_map()
-    program = TargetProgram(base_profile=fm.reference_features)
+    program = TargetProgram(base_profile=profile_to_array(fm.reference_features))
     hot = fm.reference_impedance.copy()
     hot[:, :2] = (100.0, 0.0)
     rec = run_trial(cfg, 0, target_program=program, initial_impedance=hot)
@@ -342,23 +343,47 @@ def test_lockstep_testing_batch_equals_lone_trials():
     assert batch.policy_index == [0, 0, 0, 1, 1, 1]
 
 
+def test_lockstep_retargets_the_trial_whose_leg_advanced_while_another_leaves():
+    # The same trial under a one-leg and a two-leg pace program converges
+    # its first leg in the same cycle: the first trial finishes and leaves
+    # the lockstep while the second starts its next leg, whose new target
+    # must reach the second trial at its new position in the stacks.
+    cfg = TrialConfig(scenario=3, max_cycles=200)
+    base = Trial(cfg, 4).program.base_profile
+
+    def trial(paces):
+        return Trial(cfg, 4, target_program=TargetProgram(base_profile=base,
+                                                          pace_sequence=paces))
+
+    paces = ((1.0,), (1.0, 1.12))
+    alone = [trial(p).run() for p in paces]
+    together = [trial(p) for p in paces]
+    _step_to_end(together)
+    assert together[0].record.legs == together[1].record.legs[:1]
+    assert together[1].record.cycles_run > together[0].record.cycles_run
+    for t, rec in zip(together, alone):
+        assert record_state(t.record) == record_state(rec)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
 
 def synthetic_record(errors_by_cycle, in_tol_by_cycle) -> TrialRecord:
+    """A record whose log holds the given per-cycle, per-phase errors and flags.
+
+    ``errors_by_cycle`` holds four (d_duration_pct, d_peak) pairs per cycle;
+    every other field of the log is zero.
+    """
     rec = TrialRecord(scenario=1, stage="training")
-    for k, (errs, tols) in enumerate(zip(errors_by_cycle, in_tol_by_cycle)):
-        for p in range(1, 5):
-            d_dur_pct, d_peak = errs[p - 1]
-            rec.rows.append(CycleLog(
-                cycle=k, phase=p, d_duration=d_dur_pct / 100.0 * 1.2,
-                d_duration_pct=d_dur_pct, d_peak=d_peak,
-                action=None, delta=None, cost=None, q_value=None, td=None,
-                stiffness=0.0, damping=0.0, equilibrium=0.0,
-                critic_bound=None, actor_bound=None, monitor_ok=None,
-                reset=False, in_tolerance=tols[p - 1], converged=False,
-            ))
+    errs = np.array(errors_by_cycle, dtype=float).reshape(-1, 2)
+    rec.log = {name: np.zeros(len(errs), values.dtype) for name, values in rec.log.items()}
+    rec.log.update(
+        d_duration_s=errs[:, 0] / 100.0 * 1.2, d_duration_pct=errs[:, 0], d_peak_rad=errs[:, 1],
+        in_tolerance=np.array(in_tol_by_cycle, dtype=bool).reshape(-1),
+    )
+    assert [(r.cycle, r.phase) for r in rec.rows] == [
+        (k, p) for k in range(len(errors_by_cycle)) for p in range(1, 5)]
     return rec
 
 
@@ -493,6 +518,83 @@ def test_trial_csv_round_trip_values(tmp_path):
             assert parsed["q_value"] == ""
         else:
             assert float(parsed["q_value"]) == row.q_value
+
+
+def write_csv_per_row(record: TrialRecord, path) -> None:
+    """The CSV writer the columnar one replaced: csv.writer and _fmt on every CycleLog."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in record.rows:
+            action = row.action or (None, None, None)
+            delta = row.delta or (None, None, None)
+            writer.writerow([_fmt(v) for v in (
+                row.cycle, row.phase,
+                row.d_duration, row.d_duration_pct, row.d_peak,
+                action[0], action[1], action[2],
+                delta[0], delta[1], delta[2],
+                row.cost, row.q_value, row.td,
+                row.stiffness, row.damping, row.equilibrium,
+                row.critic_bound, row.actor_bound, row.monitor_ok,
+                row.reset, row.in_tolerance, row.converged,
+            )])
+
+
+def random_record(rng, cycles: int) -> TrialRecord:
+    """A record whose log holds random values, edge values and missing cells."""
+    rec = TrialRecord(scenario=1, stage="training")
+    rows = 4 * cycles
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 0.1 + 0.2, 1e-300, 1e300, 100.0, 5.0, 1.6])
+
+    def floats():
+        values = rng.normal(size=rows) * 10.0 ** rng.integers(-9, 9, rows)
+        return np.where(rng.random(rows) < 0.25, rng.choice(edges, rows), values)
+
+    rec.log = {name: rng.random(rows) < 0.5 if values.dtype == bool else floats()
+               for name, values in rec.log.items()}
+    rec.log["reset"] = np.repeat(rng.random(cycles) < 0.3, 4)
+    rec.log["lagged"] &= ~rec.log["reset"]
+    return rec
+
+
+def test_trial_csv_equals_the_per_row_writer(tmp_path):
+    # the columnar writer's bytes are the per-row writer's, on random logs
+    # with reset rows, rows without a lag, infinite bounds and signed zeros,
+    # and on real trials with resets and clamps
+    rng = np.random.default_rng(2024)
+    records = [random_record(rng, cycles) for cycles in (0, 1, 3, 40, 40, 40)]
+    rigged = rigged_switch_trial(schedule=(0, 1) * 5, initial_impedance=None).run()
+    clamping = run_trial(TrialConfig(max_cycles=60, dhdp=DhdpConfig(actor_lr=300.0)), 3)
+    assert rigged.resets > 0 and clamping.clamp_events > 0
+    for rec in records + [rigged, clamping]:
+        write_trial_csv(rec, tmp_path / "columns.csv")
+        write_csv_per_row(rec, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_log_marks_missing_cells_with_masks_not_nan():
+    rec = rigged_switch_trial(schedule=(0, 1) * 5, initial_impedance=None).run()
+    assert rec.resets > 0
+    for name, values in rec.log.items():
+        assert values.dtype == bool or not np.isnan(values).any(), name
+    reset, lagged = rec.log["reset"], rec.log["lagged"]
+    assert (lagged & ~reset).any() and (~lagged & ~reset).any()
+    for row, was_reset, had_lag in zip(rec.rows, reset.tolist(), lagged.tolist()):
+        assert row.reset == was_reset
+        for value in (row.action, row.delta, row.cost, row.q_value, row.critic_bound,
+                      row.actor_bound, row.monitor_ok):
+            assert (value is None) == was_reset
+        assert (row.td is None) == (not had_lag)
+    assert np.array_equal(rec.missing("q_value"), reset)
+    assert np.array_equal(rec.missing("td_error"), ~lagged)
+    assert rec.missing("d_peak_rad") is None
+
+
+def test_record_of_200_cycles_pickles_small():
+    # seventeen float64 columns of 800 rows alone take 108,800 bytes
+    rec = run_trial(TrialConfig(max_cycles=200), 0)
+    assert len(rec.rows) == 800
+    assert len(pickle.dumps(rec)) <= 120_000
 
 
 def test_trial_summary_schema():

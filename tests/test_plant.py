@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kneetrack.core import GaitFeatures, Phase
+from kneetrack.core import Phase
 from kneetrack.plant import (
     FeatureMapConfig,
     FeatureMapPlant,
@@ -45,9 +45,9 @@ def test_fixed_point_at_reference():
     plant = FeatureMapPlant(cfg, np.random.default_rng(0))
     for _ in range(5):
         out = plant.step(cfg.reference_impedance)
-    for got, want in zip(out, cfg.reference_features):
-        assert got.duration == pytest.approx(want.duration, abs=1e-12)
-        assert got.peak_angle == pytest.approx(want.peak_angle, abs=1e-12)
+    assert out.shape == (4, 2)
+    np.testing.assert_allclose(out, profile_to_array(cfg.reference_features),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_single_affine_evaluation_with_full_smoothing():
@@ -61,11 +61,11 @@ def test_single_affine_evaluation_with_full_smoothing():
     shifted = ref.copy()
     shifted[Phase.STANCE_FLEXION - 1, 2] += 0.1
     out = plant.step(shifted)
-    want = cfg.reference_features
-    assert out[0].peak_angle == pytest.approx(want[0].peak_angle + 0.01, abs=1e-12)
-    assert out[0].duration == pytest.approx(want[0].duration, abs=1e-12)
+    want = profile_to_array(cfg.reference_features)
+    assert out[0, 1] == pytest.approx(want[0, 1] + 0.01, abs=1e-12)
+    assert out[0, 0] == pytest.approx(want[0, 0], abs=1e-12)
     for got, ref_f in zip(out[1:], want[1:]):
-        assert got.peak_angle == pytest.approx(ref_f.peak_angle, abs=1e-12)
+        assert got[1] == pytest.approx(ref_f[1], abs=1e-12)
 
 
 def test_geometric_convergence_to_steady_state():
@@ -75,7 +75,7 @@ def test_geometric_convergence_to_steady_state():
     target = plant.steady_state(imp)
     prev_gap = None
     for _ in range(8):
-        got = profile_to_array(plant.step(imp))
+        got = plant.step(imp)
         gap = np.abs(got - target)
         if prev_gap is not None:
             mask = prev_gap > 1e-13
@@ -90,8 +90,8 @@ def test_same_seed_bitwise_identical():
     b = FeatureMapPlant(cfg, np.random.default_rng(1234))
     imp = cfg.reference_impedance
     for _ in range(20):
-        pa = profile_to_array(a.step(imp))
-        pb = profile_to_array(b.step(imp))
+        pa = a.step(imp)
+        pb = b.step(imp)
         assert np.array_equal(pa, pb)
 
 
@@ -104,9 +104,9 @@ def test_emitted_features_always_valid():
     )
     plant = FeatureMapPlant(cfg, np.random.default_rng(7))
     for _ in range(200):
-        for feat in plant.step(cfg.reference_impedance):
-            assert feat.duration > 0
-            assert 0.0 <= feat.peak_angle <= 1.6
+        for duration, peak in plant.step(cfg.reference_impedance):
+            assert duration > 0
+            assert 0.0 <= peak <= 1.6
 
 
 def test_pace_passthrough_scales_durations_only():
@@ -165,7 +165,7 @@ def test_ode_knee_damping_lengthens_phases():
     damped_set = ode_impedance()
     damped_set[:, 1] = 3.0
     damped = OdeKneePlant(OdeKneeConfig()).step(damped_set)
-    assert cycle_duration(damped) > cycle_duration(base)
+    assert cycle_duration(profile_to_array(damped)) > cycle_duration(profile_to_array(base))
 
 
 def test_ode_knee_instability_detected():
@@ -185,28 +185,28 @@ def test_ode_knee_instability_detected():
 
 
 def base_profile():
-    return FeatureMapConfig.default().reference_features
+    return profile_to_array(FeatureMapConfig.default().reference_features)
 
 
 def test_constant_target_without_schedule_or_drift():
     program = TargetProgram(base_profile=base_profile())
     first = program.target_for(0)
     for k in (1, 5, 50, 499):
-        assert program.target_for(k) == first
+        assert np.array_equal(program.target_for(k), first)
 
 
 def test_terrain_switches_exactly_on_schedule():
     pool = (base_profile(),
-            tuple(GaitFeatures(f.duration * 1.02, f.peak_angle + 0.02) for f in base_profile()),
-            tuple(GaitFeatures(f.duration * 0.98, f.peak_angle - 0.02) for f in base_profile()))
+            base_profile() * [1.02, 1.0] + [0.0, 0.02],
+            base_profile() * [0.98, 1.0] - [0.0, 0.02])
     schedule = (0, 1, 2, 1)
     program = TargetProgram(base_profile=pool[0], profile_pool=pool,
                             switch_period=20, schedule=schedule)
     for k in range(80):
         expected = schedule[min(k // 20, 3)]
         assert program.profile_index(k) == expected
-    assert program.target_for(19) != program.target_for(20)
-    assert program.target_for(20) == program.target_for(39)
+    assert not np.array_equal(program.target_for(19), program.target_for(20))
+    assert np.array_equal(program.target_for(20), program.target_for(39))
 
 
 def test_pace_scaling_divides_durations_only():
@@ -214,22 +214,20 @@ def test_pace_scaling_divides_durations_only():
     normal = program.target_for(0, pace_index=0)
     fast = program.target_for(0, pace_index=1)
     for a, b in zip(normal, fast):
-        assert b.duration == pytest.approx(a.duration / 1.12, rel=1e-12)
-        assert b.peak_angle == a.peak_angle  # bit-identical
+        assert b[0] == pytest.approx(a[0] / 1.12, rel=1e-12)
+        assert b[1] == a[1]  # bit-identical
 
 
 def test_drift_follows_lowpassed_error():
     program = TargetProgram(base_profile=base_profile(), drift_gain=0.1,
                             drift_smoothing=0.5)
     before = program.target_for(0)
-    errs = alignment_errors(
-        tuple(GaitFeatures(f.duration + 0.02, f.peak_angle + 0.05) for f in base_profile()),
-        base_profile())
+    errs = alignment_errors(base_profile() + [0.02, 0.05], base_profile())
     for _ in range(50):
         program.observe_error(errs)
     after = program.target_for(0)
-    assert after[0].peak_angle == pytest.approx(before[0].peak_angle + 0.1 * 0.05, abs=1e-6)
-    assert after[0].duration == pytest.approx(before[0].duration + 0.1 * 0.02, abs=1e-6)
+    assert after[0, 1] == pytest.approx(before[0, 1] + 0.1 * 0.05, abs=1e-6)
+    assert after[0, 0] == pytest.approx(before[0, 0] + 0.1 * 0.02, abs=1e-6)
 
 
 def test_switch_schedule_never_repeats_adjacent():
@@ -253,9 +251,8 @@ def test_alignment_same_index_pairing():
     # each phase is paired with the same phase of the same cycle: a shift
     # of one phase shows up in that phase's error only
     target = base_profile()
-    measured = tuple(GaitFeatures(f.duration - 0.001 * i, f.peak_angle + 0.01 * i)
-                     for i, f in enumerate(target))
+    measured = np.array([[d - 0.001 * i, p + 0.01 * i] for i, (d, p) in enumerate(target)])
     for i, (err, y, z) in enumerate(zip(alignment_errors(target, measured), target, measured)):
-        assert err[0] == y.duration - z.duration
-        assert err[1] == y.peak_angle - z.peak_angle
+        assert err[0] == y[0] - z[0]
+        assert err[1] == y[1] - z[1]
         assert err[1] == pytest.approx(-0.01 * i)
