@@ -187,7 +187,7 @@ def _get(resolved: dict, key: str):
 
 
 def _check_values(resolved: dict) -> None:
-    """Refuse values the run cannot use, naming the key: counts, sizes and shapes."""
+    """Refuse values the run cannot use, naming the key: counts, sizes, shapes, ODE knee."""
     for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
                        ("keep_policies", 0), ("jobs", 1), ("rms_window", 1),
                        ("dhdp.critic_hidden", 1), ("dhdp.actor_hidden", 1)):
@@ -202,6 +202,7 @@ def _check_values(resolved: dict) -> None:
                       ("feature_map.noise_std", 2), ("ode.load_torque", 4)):
         if len(_get(resolved, key)) != size:
             raise ConfigError(f"{key}: needs {size} entries, got {len(_get(resolved, key))}")
+    _ode_config(resolved["ode"])
     for key in ("pace.training", "pace.testing"):
         paces = _get(resolved, key)
         if not paces:
@@ -211,11 +212,31 @@ def _check_values(resolved: dict) -> None:
                 raise ConfigError(f"{key}[{i}]: must be a positive number, got {pace!r}")
 
 
-def _section(fn, name):
+def _section(fn, name, keys=()):
+    """Call ``fn``, refusing its errors under ``name``.
+
+    An error message that opens with one of the section's ``keys`` and a
+    colon names that key by its dotted path, ``name.key:``.
+    """
     try:
         return fn()
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        key = str(exc).partition(":")[0]
+        raise ConfigError(f"{name}.{exc}" if key in keys else f"{name}: {exc}") from exc
+
+
+def _ode_config(raw: dict) -> OdeKneeConfig:
+    return _section(lambda: OdeKneeConfig(
+        inertia=float(raw["inertia"]),
+        timestep=float(raw["timestep"]),
+        initial_angle=float(raw["initial_angle"]),
+        initial_velocity=float(raw["initial_velocity"]),
+        load_torque=tuple(float(v) for v in raw["load_torque"]),
+        toe_off_angle=float(raw["toe_off_angle"]),
+        heel_strike_angle=float(raw["heel_strike_angle"]),
+        max_phase_time=float(raw["max_phase_time"]),
+        velocity_limit=float(raw["velocity_limit"]),
+    ), "ode", raw)
 
 
 def trial_config_from(resolved: dict) -> TrialConfig:
@@ -276,20 +297,6 @@ def trial_config_from(resolved: dict) -> TrialConfig:
             pace_passthrough=float(raw["pace_passthrough"]),
         )
 
-    def ode():
-        raw = resolved["ode"]
-        return OdeKneeConfig(
-            inertia=float(raw["inertia"]),
-            timestep=float(raw["timestep"]),
-            initial_angle=float(raw["initial_angle"]),
-            initial_velocity=float(raw["initial_velocity"]),
-            load_torque=tuple(float(v) for v in raw["load_torque"]),
-            toe_off_angle=float(raw["toe_off_angle"]),
-            heel_strike_angle=float(raw["heel_strike_angle"]),
-            max_phase_time=float(raw["max_phase_time"]),
-            velocity_limit=float(raw["velocity_limit"]),
-        )
-
     terrain = resolved["terrain"]
     return _section(lambda: TrialConfig(
         scenario=int(resolved["scenario"]),
@@ -303,7 +310,7 @@ def trial_config_from(resolved: dict) -> TrialConfig:
         ranges=_section(ranges, "ranges"),
         dhdp=_section(dhdp, "dhdp"),
         feature_map=_section(feature_map, "feature_map"),
-        ode=_section(ode, "ode"),
+        ode=_ode_config(resolved["ode"]),
         init_spread=float(resolved["init_spread"]),
         pool_size=int(terrain["pool_size"]),
         pool_spread=float(terrain["pool_spread"]),

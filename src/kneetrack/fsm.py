@@ -5,6 +5,10 @@ A gait cycle is split into four phases, each with its own impedance row
 controller produces joint torque from the active row, advances the phase on
 kinematic peaks and gait events, and applies per-cycle parameter
 adjustments with clamping to configured physical ranges.
+
+The flexion-peak rule is :func:`flexion_peaked`.  :func:`step_fsm` applies it
+to an :class:`FsmState` per timestep; the torque-law knee (``OdeKneePlant``)
+calls it and :func:`joint_torque` from its own float loop, building no state.
 """
 
 from __future__ import annotations
@@ -81,6 +85,18 @@ class FsmState:
             raise ValueError("elapsed times must be non-negative")
         if self.phase_elapsed > self.cycle_elapsed + 1e-12:
             raise ValueError("phase time cannot exceed cycle time")
+
+
+def flexion_peaked(phase_elapsed: float, velocity: float,
+                   prev_velocity: float | None = None) -> bool:
+    """Whether a flexion phase has reached its kinematic peak.
+
+    The peak needs ``MIN_DWELL`` seconds in the phase and a velocity at or
+    below ``PEAK_VELOCITY_EPS``.  Given the previous timestep's velocity, it
+    must also have been above the threshold, so the velocity fell through it.
+    """
+    return (phase_elapsed >= MIN_DWELL and velocity <= PEAK_VELOCITY_EPS
+            and (prev_velocity is None or prev_velocity > PEAK_VELOCITY_EPS))
 
 
 def joint_torque(imp, angle: float, velocity: float) -> float:
@@ -160,12 +176,7 @@ def step_fsm(
     phase = state.phase
     transition = False
     if phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION):
-        if prev_velocity is None:
-            transition = phase_elapsed >= MIN_DWELL and velocity <= PEAK_VELOCITY_EPS
-        else:
-            transition = (phase_elapsed >= MIN_DWELL
-                          and prev_velocity > PEAK_VELOCITY_EPS
-                          and velocity <= PEAK_VELOCITY_EPS)
+        transition = flexion_peaked(phase_elapsed, velocity, prev_velocity)
     elif phase is Phase.STANCE_EXTENSION:
         transition = toe_off
     elif phase is Phase.SWING_EXTENSION:

@@ -353,7 +353,9 @@ def steady_profile(plant, imp: np.ndarray) -> np.ndarray:
     """(4, 2) features the plant settles to under constant impedance (noise-free)."""
     if isinstance(plant, FeatureMapPlant):
         return clip_features(plant.steady_state(imp))
-    probe = copy.deepcopy(plant)
+    # an OdeKneePlant holds two floats and a frozen config: a shallow copy
+    # probes without touching the trial's plant
+    probe = copy.copy(plant)
     for _ in range(3):
         profile = probe.step(imp)
     return profile_to_array(profile)

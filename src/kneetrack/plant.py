@@ -9,7 +9,9 @@ Two plants sit behind the same step interface:
 * :class:`OdeKneePlant` integrates the impedance torque law through one
   full phase-machine cycle of a single-joint knee and extracts per-phase
   (duration, peak angle) features from the trajectory.  It exercises the
-  torque law in closed loop and is used for realism checks.
+  torque law in closed loop and is used for realism checks.  Each phase is
+  one Euler loop on Python floats, with the phase machine's rules
+  (:func:`~kneetrack.fsm.joint_torque`, :func:`~kneetrack.fsm.flexion_peaked`).
 
 The intact-knee side is a :class:`TargetProgram`: a base feature profile
 with optional terrain switching (a pool of profiles swapped on a fixed
@@ -26,16 +28,13 @@ import numpy as np
 from .core import (
     KNEE_ANGLE_MAX,
     NUM_PHASES,
+    PHASES,
     GaitFeatures,
     Phase,
     check_features,
     check_impedance,
 )
-from .fsm import (
-    FsmState,
-    joint_torque,
-    step_fsm,
-)
+from .fsm import flexion_peaked, joint_torque
 
 MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
 
@@ -206,8 +205,13 @@ class OdeKneeConfig:
     velocity_limit: float = 50.0     # rad/s; beyond this the plant has diverged
 
     def __post_init__(self):
-        if self.inertia <= 0.0 or self.timestep <= 0.0:
-            raise ValueError("inertia and timestep must be positive")
+        for name in ("inertia", "timestep", "max_phase_time", "velocity_limit"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("initial_angle", "toe_off_angle", "heel_strike_angle"):
+            if not 0.0 <= getattr(self, name) <= KNEE_ANGLE_MAX:
+                raise ValueError(f"{name}: must lie in [0, {KNEE_ANGLE_MAX}] rad, "
+                                 f"got {getattr(self, name)}")
 
 
 class OdeKneePlant:
@@ -222,63 +226,60 @@ class OdeKneePlant:
         # pace is accepted for interface parity; the torque-law knee has no
         # body-motion channel for it, so durations respond to impedance only
         cfg = self.config
-        dt = cfg.timestep
-        state = FsmState(Phase.STANCE_FLEXION)
-        durations = np.zeros(NUM_PHASES)
-        peaks = np.full(NUM_PHASES, self._angle)
-        # Python floats: the torque law runs ~60 times per cycle, and numpy
-        # scalar arithmetic there costs twice as much
-        rows = imp.tolist()
+        dt, inertia, limit, max_time = (cfg.timestep, cfg.inertia, cfg.velocity_limit,
+                                        cfg.max_phase_time)
+        angle, velocity = self._angle, self._velocity
+        cycle_elapsed = 0.0
+        peak = angle
+        features = []
+        # one Euler loop per phase on Python floats: ~50 substeps per cycle,
+        # where numpy scalars or an FsmState each cost more than the arithmetic
+        try:
+            for phase, row, load in zip(PHASES, imp.tolist(), cfg.load_torque):
+                flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)
+                threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
+                             else cfg.heel_strike_angle)
+                elapsed = 0.0
+                while True:
+                    accel = (-joint_torque(row, angle, velocity) + load) / inertia
+                    prev_velocity = velocity
+                    velocity += dt * accel
+                    if abs(velocity) > limit:
+                        raise PlantInstabilityError(
+                            f"knee velocity {velocity:.1f} rad/s exceeds "
+                            f"{limit} rad/s in phase {phase.short_name}"
+                        )
+                    angle += dt * velocity
+                    if angle <= 0.0:
+                        angle, velocity = 0.0, 0.0
+                    elif angle >= KNEE_ANGLE_MAX:
+                        angle, velocity = KNEE_ANGLE_MAX, 0.0
+                    elapsed += dt
+                    cycle_elapsed += dt
+                    if angle > peak:
+                        peak = angle
+                    if flexion:
+                        ended = flexion_peaked(elapsed, velocity, prev_velocity)
+                    else:
+                        # toe-off or heel strike: extended down through the
+                        # threshold after two substeps, or timed out
+                        ended = ((angle < threshold and velocity <= 0.0 and elapsed > 2 * dt)
+                                 or elapsed >= max_time)
+                    if ended:
+                        break
+                    if elapsed > cycle_elapsed + 1e-12:
+                        raise ValueError("phase time cannot exceed cycle time")
+                    if elapsed >= max_time:
+                        # flexion peak never materialized (e.g. zero stiffness); force on
+                        break
+                features.append((elapsed, peak))
+                peak = angle
+        finally:
+            # also on a raise: a velocity-limit fault leaves the new velocity
+            # with the angle it was integrated from
+            self._angle, self._velocity = angle, velocity
 
-        while True:
-            phase = state.phase
-            triple = rows[phase - 1]
-            load = cfg.load_torque[phase - 1]
-
-            accel = (-joint_torque(triple, self._angle, self._velocity) + load) / cfg.inertia
-            prev_velocity = self._velocity
-            self._velocity += dt * accel
-            if abs(self._velocity) > cfg.velocity_limit:
-                raise PlantInstabilityError(
-                    f"knee velocity {self._velocity:.1f} rad/s exceeds "
-                    f"{cfg.velocity_limit} rad/s in phase {phase.short_name}"
-                )
-            self._angle += dt * self._velocity
-            if self._angle <= 0.0:
-                self._angle, self._velocity = 0.0, 0.0
-            elif self._angle >= KNEE_ANGLE_MAX:
-                self._angle, self._velocity = KNEE_ANGLE_MAX, 0.0
-
-            idx = phase - 1
-            durations[idx] += dt
-            peaks[idx] = max(peaks[idx], self._angle)
-
-            threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
-                         else cfg.heel_strike_angle)
-            extended = (
-                self._angle < threshold
-                and self._velocity <= 0.0
-                and state.phase_elapsed + dt > 2 * dt
-            )
-            timed_out = durations[idx] >= cfg.max_phase_time
-            fire_event = extended or timed_out
-            next_state = step_fsm(
-                state, dt, self._angle, self._velocity,
-                heel_strike=fire_event and phase is Phase.SWING_EXTENSION,
-                toe_off=fire_event and phase is Phase.STANCE_EXTENSION,
-                prev_velocity=prev_velocity,
-            )
-            if next_state.phase is Phase.STANCE_FLEXION and phase is not Phase.STANCE_FLEXION:
-                break
-            if next_state.phase is not phase:
-                peaks[next_state.phase - 1] = self._angle
-            elif timed_out and phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION):
-                # flexion peak never materialized (e.g. zero stiffness); force on
-                next_state = FsmState(Phase(phase + 1), 0.0, next_state.cycle_elapsed)
-                peaks[next_state.phase - 1] = self._angle
-            state = next_state
-
-        return array_to_profile(np.column_stack([durations, peaks]))
+        return array_to_profile(np.array(features))
 
 
 @dataclass

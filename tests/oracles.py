@@ -2,14 +2,19 @@
 
 Everything here is deliberately written with plain Python loops and the
 closed-form activation formula, so it exercises none of the library's
-vectorized code paths.
+vectorized code paths.  The torque-law knee has two references: the
+per-substep phase-machine loop its step replaced, and an event-exact
+``solve_ivp`` integration of the same phase machine.
 """
 
 import math
 
 import numpy as np
 
+from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, Phase
 from kneetrack.dhdp import ActorNet, CriticNet, actor_forward, critic_forward, td_error
+from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, FsmState, joint_torque, step_fsm
+from kneetrack.plant import PlantInstabilityError, array_to_profile
 
 
 def sigmoid(x: float) -> float:
@@ -117,3 +122,132 @@ def loop_monitor_bounds(critic, actor, c_tape, a_tape, params):
                + params.alpha2 * sum(v * v for v in wcd) * s_sq)
     bound_a = (params.alpha3 - params.alpha2) / denom_a if denom_a > 0 else math.inf
     return bound_c, bound_a
+
+
+def loop_ode_step(plant, imp):
+    """One cycle of ``plant`` (an OdeKneePlant) walked through the phase machine.
+
+    Every Euler substep builds an :class:`FsmState` through ``step_fsm``, as
+    the plant's step once did; the plant's own step must equal it bit for bit.
+    """
+    cfg = plant.config
+    dt = cfg.timestep
+    state = FsmState(Phase.STANCE_FLEXION)
+    durations = np.zeros(NUM_PHASES)
+    peaks = np.full(NUM_PHASES, plant._angle)
+    rows = imp.tolist()
+
+    while True:
+        phase = state.phase
+        triple = rows[phase - 1]
+        load = cfg.load_torque[phase - 1]
+
+        accel = (-joint_torque(triple, plant._angle, plant._velocity) + load) / cfg.inertia
+        prev_velocity = plant._velocity
+        plant._velocity += dt * accel
+        if abs(plant._velocity) > cfg.velocity_limit:
+            raise PlantInstabilityError(
+                f"knee velocity {plant._velocity:.1f} rad/s exceeds "
+                f"{cfg.velocity_limit} rad/s in phase {phase.short_name}"
+            )
+        plant._angle += dt * plant._velocity
+        if plant._angle <= 0.0:
+            plant._angle, plant._velocity = 0.0, 0.0
+        elif plant._angle >= KNEE_ANGLE_MAX:
+            plant._angle, plant._velocity = KNEE_ANGLE_MAX, 0.0
+
+        idx = phase - 1
+        durations[idx] += dt
+        peaks[idx] = max(peaks[idx], plant._angle)
+
+        threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
+                     else cfg.heel_strike_angle)
+        extended = (
+            plant._angle < threshold
+            and plant._velocity <= 0.0
+            and state.phase_elapsed + dt > 2 * dt
+        )
+        timed_out = durations[idx] >= cfg.max_phase_time
+        fire_event = extended or timed_out
+        next_state = step_fsm(
+            state, dt, plant._angle, plant._velocity,
+            heel_strike=fire_event and phase is Phase.SWING_EXTENSION,
+            toe_off=fire_event and phase is Phase.STANCE_EXTENSION,
+            prev_velocity=prev_velocity,
+        )
+        if next_state.phase is Phase.STANCE_FLEXION and phase is not Phase.STANCE_FLEXION:
+            break
+        if next_state.phase is not phase:
+            peaks[next_state.phase - 1] = plant._angle
+        elif timed_out and phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION):
+            # flexion peak never materialized (e.g. zero stiffness); force on
+            next_state = FsmState(Phase(phase + 1), 0.0, next_state.cycle_elapsed)
+            peaks[next_state.phase - 1] = plant._angle
+        state = next_state
+
+    return array_to_profile(np.column_stack([durations, peaks]))
+
+
+def event_ode_cycle(cfg, imp, angle, velocity, rtol=1e-10, atol=1e-12):
+    """One torque-law cycle from (angle, velocity), integrated to its exact events.
+
+    The phase machine of ``OdeKneePlant.step`` in continuous time, walked by
+    ``scipy.integrate.solve_ivp``: a flexion phase ends when, after
+    ``MIN_DWELL``, the velocity falls through ``PEAK_VELOCITY_EPS`` (or at the
+    upper joint stop, which zeroes it); an extension phase ends once the
+    angle is below its toe-off or heel-strike threshold with the velocity at
+    or below zero; any phase ends at ``max_phase_time``.  At a joint stop the
+    velocity is zeroed and integration restarts, unless the torque holds the
+    knee against the stop.  Returns the (4, 2) features, the end angle and
+    the end velocity.
+    """
+    from scipy.integrate import solve_ivp
+
+    def event(fn, direction, terminal=True):
+        fn.direction, fn.terminal = direction, terminal
+        return fn
+
+    features = []
+    for phase, row, load in zip(Phase, imp.tolist(), cfg.load_torque):
+        flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)
+        threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
+                     else cfg.heel_strike_angle)
+
+        def accel(y, row=row, load=load):
+            return (-joint_torque(row, y[0], y[1]) + load) / cfg.inertia
+
+        stops = [event(lambda t, y: y[0], -1),
+                 event(lambda t, y: y[0] - KNEE_ANGLE_MAX, 1)]
+        turn = event(lambda t, y: y[1], -1, terminal=False)  # local angle maxima
+        peaked = event(lambda t, y: y[1] - PEAK_VELOCITY_EPS, -1)
+        extended = event(lambda t, y: max(y[0] - threshold, y[1]), -1)
+
+        t, y, peak = 0.0, np.array([angle, velocity]), angle
+        while True:
+            if not flexion and max(y[0] - threshold, y[1]) <= 0.0:
+                break
+            at_stop = y[1] == 0.0 and y[0] in (0.0, KNEE_ANGLE_MAX)
+            if at_stop and (accel(y) <= 0.0) == (y[0] == 0.0):
+                t = cfg.max_phase_time  # held against the stop until the timeout
+                break
+            dwelling = flexion and t < MIN_DWELL
+            events = stops + [turn] + ([] if dwelling else [peaked if flexion else extended])
+            sol = solve_ivp(lambda t, y: (y[1], accel(y)), (t, MIN_DWELL if dwelling
+                                                           else cfg.max_phase_time),
+                            y, method="DOP853", events=events, rtol=rtol, atol=atol)
+            t, y = sol.t[-1], sol.y[:, -1].copy()
+            peak = max([peak, y[0]] + [v[0] for v in sol.y_events[2]])
+            if sol.status == 0:
+                if dwelling:
+                    continue
+                break  # timed out
+            fired = [i for i, times in enumerate(sol.t_events) if i != 2 and len(times)]
+            if fired[0] >= 3:
+                break  # flexion peak, or extended past the threshold
+            y = np.array([(0.0, KNEE_ANGLE_MAX)[fired[0]], 0.0])
+            peak = max(peak, y[0])
+            if flexion and fired[0] == 1 and not dwelling:
+                break  # the upper stop zeroes a rising velocity: the flexion peak
+        features.append((t, peak))
+        angle, velocity = float(y[0]), float(y[1])
+    return np.array(features), angle, velocity

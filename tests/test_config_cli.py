@@ -96,6 +96,17 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"feature_map": {"noise_std": [0.005, 0.005, 0.005]}}, "feature_map.noise_std"),
         ({"feature_map": {"noise_std": [0.005]}}, "feature_map.noise_std"),
         ({"ode": {"load_torque": [-2.5, -1.5, -4.0]}}, "ode.load_torque"),
+        # a non-positive velocity limit failed the first substep as a plant
+        # instability; the rest ran silently to max_cycles
+        ({"plant": "ode", "ode": {"velocity_limit": -1.0}}, "ode.velocity_limit"),
+        ({"ode": {"velocity_limit": 0.0}}, "ode.velocity_limit"),
+        ({"ode": {"max_phase_time": 0}}, "ode.max_phase_time"),
+        ({"ode": {"max_phase_time": -1}}, "ode.max_phase_time"),
+        ({"ode": {"initial_angle": 3.0}}, "ode.initial_angle"),
+        ({"ode": {"initial_angle": -0.5}}, "ode.initial_angle"),
+        ({"ode": {"toe_off_angle": -1}}, "ode.toe_off_angle"),
+        ({"ode": {"heel_strike_angle": 5.0}}, "ode.heel_strike_angle"),
+        ({"ode": {"timestep": 0.0}}, "ode.timestep"),
         ({"ranges": default_config()["ranges"][:3]}, "ranges"),
     ]
     for cfg, key in cases:

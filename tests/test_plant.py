@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kneetrack.core import Phase
+import oracles
+from kneetrack.core import KNEE_ANGLE_MAX, Phase
 from kneetrack.plant import (
     FeatureMapConfig,
     FeatureMapPlant,
@@ -171,13 +174,104 @@ def test_ode_knee_damping_lengthens_phases():
 def test_ode_knee_instability_detected():
     # negative-damping equivalent: a huge stiffness with tiny inertia makes
     # the integrator blow up, which must surface as a plant fault
+    # the fault, its message and the state it leaves match the reference loop
     cfg = OdeKneeConfig(inertia=0.001, timestep=0.01)
-    plant = OdeKneePlant(cfg)
     hot = ode_impedance()
     hot[:, :2] = (100.0, 0.0)
-    with pytest.raises(PlantInstabilityError):
-        for _ in range(5):
-            plant.step(hot)
+    outcomes, plant = assert_step_matches_loop(cfg, hot, cycles=5)
+    assert outcomes[-1].startswith("PlantInstabilityError: knee velocity")
+    assert abs(plant._velocity) > cfg.velocity_limit
+
+
+def step_outcome(step, imp) -> str:
+    """repr of a cycle's features, or the type and message of its fault."""
+    try:
+        return repr(step(imp))
+    except (PlantInstabilityError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_step_matches_loop(cfg, imp, cycles=4):
+    """Walk successive cycles with the plant's step and with the reference loop.
+
+    Features, faults and the (angle, velocity) left behind, even by a fault,
+    must agree bit for bit.  Returns the outcomes and the stepped plant.
+    """
+    fast, loop = OdeKneePlant(cfg), OdeKneePlant(cfg)
+    outcomes = []
+    for _ in range(cycles):
+        got = step_outcome(fast.step, imp)
+        want = step_outcome(lambda i: oracles.loop_ode_step(loop, i), imp)
+        assert got == want
+        assert repr((fast._angle, fast._velocity)) == repr((loop._angle, loop._velocity))
+        outcomes.append(got)
+        if not got.startswith("("):
+            break
+    return outcomes, fast
+
+
+angles = st.floats(0.0, KNEE_ANGLE_MAX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                               st.floats(0.0, 5.0), angles), min_size=4, max_size=4),
+       inertia=st.floats(0.002, 0.1), timestep=st.floats(0.002, 0.03),
+       initial_angle=angles, initial_velocity=st.floats(-8.0, 8.0),
+       load_torque=st.tuples(*[st.floats(-6.0, 2.0)] * 4),
+       toe_off_angle=angles, heel_strike_angle=angles,
+       max_phase_time=st.floats(0.01, 2.0), velocity_limit=st.floats(0.5, 60.0))
+def test_ode_step_equals_the_phase_machine_loop(rows, **fields):
+    assert_step_matches_loop(OdeKneeConfig(**fields), np.array(rows))
+
+
+def test_ode_step_equals_the_loop_at_the_upper_stop():
+    imp = ode_impedance()
+    imp[2] = (40.0, 0.5, KNEE_ANGLE_MAX)
+    outcomes, _ = assert_step_matches_loop(OdeKneeConfig(), imp)
+    assert f"peak_angle={KNEE_ANGLE_MAX})" in outcomes[0]
+
+
+def test_ode_step_equals_the_loop_at_the_lower_stop():
+    # with zero thresholds the extension phases end only at their timeouts,
+    # and swing extension settles against the lower stop
+    cfg = OdeKneeConfig(toe_off_angle=0.0, heel_strike_angle=0.0, max_phase_time=0.5)
+    _, plant = assert_step_matches_loop(cfg, ode_impedance())
+    assert (plant._angle, plant._velocity) == (0.0, 0.0)
+
+
+def test_ode_step_equals_the_loop_on_flexion_timeouts():
+    imp = ode_impedance()
+    imp[:, 0] = 0.0  # no stiffness: the flexion peaks never come
+    cfg = OdeKneeConfig(max_phase_time=0.3)
+    assert_step_matches_loop(cfg, imp)
+    features = profile_to_array(OdeKneePlant(cfg).step(imp))
+    assert features[0, 0] >= 0.3 and features[2, 0] >= 0.3
+
+
+@pytest.mark.parametrize("fields, row", [
+    ({}, None),
+    ({"initial_velocity": -8.0}, None),               # bounces off the lower stop
+    ({}, (2, (40.0, 0.5, KNEE_ANGLE_MAX))),           # swing flexion ends at the upper stop
+], ids=["reference", "lower-stop", "upper-stop"])
+def test_ode_euler_error_shrinks_toward_the_event_exact_oracle(fields, row):
+    # Euler is first order: each tenfold smaller timestep should cut the
+    # error against the event-exact trajectory about tenfold
+    imp = ode_impedance()
+    if row is not None:
+        imp[row[0]] = row[1]
+    cfg = OdeKneeConfig(**fields)
+    angle, velocity = cfg.initial_angle, cfg.initial_velocity
+    exact = []
+    for _ in range(2):
+        features, angle, velocity = oracles.event_ode_cycle(cfg, imp, angle, velocity)
+        exact.append(features)
+    errors = []
+    for dt in (1e-2, 1e-3, 1e-4):
+        plant = OdeKneePlant(OdeKneeConfig(timestep=dt, **fields))
+        euler = [profile_to_array(plant.step(imp)) for _ in range(2)]
+        errors.append(np.abs(np.array(euler) - np.array(exact)).max())
+    assert errors[0] > 5 * errors[1] > 25 * errors[2]
 
 
 # ---------------------------------------------------------------------------
