@@ -92,7 +92,6 @@ def cmd_run(args) -> int:
         "stage": args.stage,
         "plant": args.plant,
         "seed": args.seed,
-        "jobs": args.jobs,
         "out_dir": None if args.out is None else str(args.out),
         "strict_monitor": True if args.strict_monitor else None,
     }
@@ -109,11 +108,9 @@ def cmd_run(args) -> int:
     write_json(resolved, outdir / "config.json")
 
     seed = int(resolved["seed"])
-    jobs = int(resolved["jobs"])
     try:
         if cfg.stage == "training":
             batch = run_training_batch(cfg, seed, trials=int(resolved["trials"]),
-                                       jobs=jobs,
                                        keep_policies=int(resolved["keep_policies"]))
             policy_dir = outdir / "policies"
             policy_dir.mkdir(exist_ok=True)
@@ -127,8 +124,7 @@ def cmd_run(args) -> int:
                 return 2
             policies = _load_policies(Path(resolved["policy_dir"]), cfg)
             batch = run_testing_batch(cfg, seed, policies,
-                                      trials_per_policy=int(resolved["trials_per_policy"]),
-                                      jobs=jobs)
+                                      trials_per_policy=int(resolved["trials_per_policy"]))
     except (PolicyFormatError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -183,6 +179,14 @@ def cmd_load_policy(args) -> int:
     return 0
 
 
+# The trial-summary fields ``report`` reads and the JSON types each may hold;
+# types match exactly, so a boolean is not taken for a number.
+_SUMMARY_TYPES = {"scenario": (int,), "stage": (str,), "outcome": (str,),
+                  "tuning_steps": (int, type(None)), "rms_initial": (dict, type(None)),
+                  "rms_final": (dict, type(None))}
+_RMS_KEYS = ("peak_rad", "duration_pct")  # each a number in an RMS object
+
+
 def cmd_report(args) -> int:
     directory = Path(args.directory)
     trial_files = sorted(directory.rglob("trial_*.json"))
@@ -199,11 +203,13 @@ def cmd_report(args) -> int:
                 raise ValueError("top level is not a JSON object")
             if doc.get("schema") != "kneetrack-trial":
                 continue
-            record = TrialRecord(
-                scenario=doc["scenario"], stage=doc["stage"], outcome=doc["outcome"],
-                tuning_steps=doc["tuning_steps"],
-                rms_initial=doc.get("rms_initial"), rms_final=doc.get("rms_final"),
-            )
+            fields = {key: doc.get(key) if key.startswith("rms_") else doc[key]
+                      for key in _SUMMARY_TYPES}
+            for key, value in fields.items():
+                if type(value) not in _SUMMARY_TYPES[key] or isinstance(value, dict) and any(
+                        type(value.get(rms)) not in (int, float) for rms in _RMS_KEYS):
+                    raise ValueError(f"{key}: unexpected value {value!r}")
+            record = TrialRecord(**fields)
         except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
             print(f"warning: skipping malformed {path}: {exc}", file=sys.stderr)
             skipped += 1
@@ -252,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--stage", choices=("training", "testing"))
     run_p.add_argument("--plant", choices=("feature-map", "ode"))
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--jobs", type=int)
     run_p.add_argument("--strict-monitor", action="store_true", default=False,
                        help="halt a trial when a learning rate exceeds its ceiling")
     run_p.add_argument("--out", type=Path, help="output directory")

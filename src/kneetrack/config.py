@@ -35,7 +35,6 @@ def default_config() -> dict:
         "stage": trial.stage,
         "plant": trial.plant_kind,
         "seed": 0,
-        "jobs": 1,
         "strict_monitor": trial.strict_monitor,
         "out_dir": "runs/out",
         "trials": 30,
@@ -189,7 +188,7 @@ def _get(resolved: dict, key: str):
 def _check_values(resolved: dict) -> None:
     """Refuse values the run cannot use, naming the key: counts, sizes, shapes, ODE knee."""
     for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
-                       ("keep_policies", 0), ("jobs", 1), ("rms_window", 1),
+                       ("keep_policies", 0), ("rms_window", 1),
                        ("dhdp.critic_hidden", 1), ("dhdp.actor_hidden", 1)):
         if _get(resolved, key) < least:
             raise ConfigError(f"{key}: must be at least {least}, got {_get(resolved, key)}")

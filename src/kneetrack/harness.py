@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import json
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -593,7 +592,7 @@ class Trial:
         return False
 
     def _record_segment(self):
-        start = self._segment_index * self.cfg.switch_period
+        start = self._segment_index * self.program.switch_period
         self.record.segments.append({
             "segment": self._segment_index,
             "pool_index": self.program.profile_index(start),
@@ -836,20 +835,24 @@ class _Lockstep:
             self.leave(finished)
 
     def _start_cycle(self):
-        """Events before cycle ``k`` is walked: segment closes, switches and new targets."""
+        """Events before cycle ``k`` is walked: switches of pool programs and new targets.
+
+        In scenario 2 a switch closes the trial's segment and restarts its windows.
+        """
         k = self.k
-        if k > 0 and self.cfg.scenario == SCENARIO_TERRAIN and k % self.cfg.switch_period == 0:
-            for trial in self.trials:
-                trial._close_segment()
-            self._window = np.zeros_like(self._window)
-            self._converged = np.full_like(self._converged, -1)
         for period in set(self._period.tolist()) - {0}:  # of the programs with a pool
             if k > 0 and k % period == 0:
-                for i in (self._period == period).nonzero()[0]:
+                rows = (self._period == period).nonzero()[0]
+                for i in rows:
                     trial = self.trials[i]
+                    if self.cfg.scenario == SCENARIO_TERRAIN:
+                        trial._close_segment()
                     if trial.program.profile_index(k) != trial.program.profile_index(k - 1):
                         trial.record.switch_cycles.append(k)
-                    self._stale[i] = True
+                self._stale[rows] = True
+                if self.cfg.scenario == SCENARIO_TERRAIN:
+                    self._window[rows] = False
+                    self._converged[rows] = -1
         stale = (self._stale | self._drifting).nonzero()[0]
         if len(stale):
             for i in stale:
@@ -1096,28 +1099,13 @@ def aggregate_metrics(records: list[TrialRecord]) -> Metrics:
 # Batches
 
 
-def _run_chunk(args) -> list[TrialRecord]:
-    """Records of a chunk's trials, stepped together in one lockstep, in order."""
-    cfg, specs = args
+def _run_batch(cfg: TrialConfig, specs: list) -> list[TrialRecord]:
+    """Records of the trials ``specs`` ((seed sequence, policy) pairs), stepped in one lockstep."""
     trials = [Trial(cfg, seq, policy=policy) for seq, policy in specs]
     _step_to_end(trials)
     # every record comes out of run_trial, as a lone trial's does; the
     # benchmark's traced run collects the records there
     return [run_trial(cfg, trial) for trial in trials]
-
-
-def _run_jobs(cfg: TrialConfig, specs: list, jobs: int) -> list[TrialRecord]:
-    """Records of the trials ``specs`` ((seed sequence, policy) pairs), in order.
-
-    The trials run in ``jobs`` contiguous chunks (fewer when there are
-    fewer trials), each one lockstep, in worker processes when ``jobs`` > 1.
-    """
-    if jobs <= 1:
-        return _run_chunk((cfg, specs))
-    cuts = [len(specs) * i // jobs for i in range(jobs + 1)]
-    chunks = [(cfg, specs[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [rec for records in pool.map(_run_chunk, chunks) for rec in records]
 
 
 @dataclass
@@ -1131,7 +1119,7 @@ class BatchResult:
 
 
 def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
-                       jobs: int = 1, keep_policies: int = 10) -> BatchResult:
+                       keep_policies: int = 10) -> BatchResult:
     """Run ``trials`` independent training trials and pick saved policies.
 
     Policies are drawn, without replacement, from the successful trials;
@@ -1139,7 +1127,7 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
     """
     seq = np.random.SeedSequence(seed)
     trial_seqs = seq.spawn(trials + 1)
-    records = _run_jobs(cfg, [(trial_seqs[i], None) for i in range(trials)], jobs)
+    records = _run_batch(cfg, [(trial_seqs[i], None) for i in range(trials)])
 
     successes = [i for i, rec in enumerate(records) if rec.success]
     picker = np.random.default_rng(trial_seqs[trials])
@@ -1155,13 +1143,18 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
 
 def run_testing_batch(cfg: TrialConfig, seed: int, policies,
                       trials_per_policy: int = 30, jobs: int = 1) -> BatchResult:
-    """Evaluate saved policies on fresh trials with new initial impedance."""
+    """Evaluate saved policies on fresh trials with new initial impedance.
+
+    The batch runs in this process: ``jobs`` other than 1 is refused.
+    """
+    if jobs != 1:
+        raise ValueError(f"jobs: batches run in one process, got {jobs}")
     if not policies:
         raise ValueError("testing requires at least one saved policy")
     trial_seqs = np.random.SeedSequence(seed).spawn(len(policies) * trials_per_policy)
     policy_index = [p_idx for p_idx in range(len(policies)) for _ in range(trials_per_policy)]
-    records = _run_jobs(cfg, [(trial_seq, policies[p_idx]) for trial_seq, p_idx
-                              in zip(trial_seqs, policy_index)], jobs)
+    records = _run_batch(cfg, [(trial_seq, policies[p_idx]) for trial_seq, p_idx
+                               in zip(trial_seqs, policy_index)])
     return BatchResult(cfg=cfg, seed=seed, records=records,
                        metrics=aggregate_metrics(records),
                        policy_index=policy_index)

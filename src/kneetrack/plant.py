@@ -215,16 +215,18 @@ class OdeKneeConfig:
 
 
 class OdeKneePlant:
-    """Integrates one full four-phase cycle per step and extracts features."""
+    """Integrates one full four-phase cycle per step and extracts features.
+
+    The knee has no body-motion channel for pace, so its durations respond
+    to impedance only and :meth:`step` takes no pace multiplier.
+    """
 
     def __init__(self, config: OdeKneeConfig):
         self.config = config
         self._angle = config.initial_angle
         self._velocity = config.initial_velocity
 
-    def step(self, imp: np.ndarray, pace: float = 1.0) -> GaitProfile:
-        # pace is accepted for interface parity; the torque-law knee has no
-        # body-motion channel for it, so durations respond to impedance only
+    def step(self, imp: np.ndarray) -> GaitProfile:
         cfg = self.config
         dt, inertia, limit, max_time = (cfg.timestep, cfg.inertia, cfg.velocity_limit,
                                         cfg.max_phase_time)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 from kneetrack import cli, config, dhdp, fsm, harness, plant
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 MODS = {"cli": cli, "config": config, "dhdp": dhdp, "fsm": fsm,
         "harness": harness, "plant": plant}
 
@@ -54,3 +55,14 @@ def test_traced_batch_hands_every_record_to_the_tracer():
     finally:
         recorder.uninstall()
     assert [id(r) for r in recorder.records] == [id(r) for r in batch.records]
+
+
+def test_testing_batch_takes_the_benchmarks_call():
+    # the s1-test workload calls run_testing_batch with jobs=1 on its stored
+    # policies; a changed signature would otherwise surface only in a bench run
+    cfg = harness.TrialConfig(stage="testing", max_cycles=15)
+    path = sorted((BENCH / "data" / "policies").glob("policy_*.json"))[0]
+    policies = [dhdp.load_policy(path, expect_actor_hidden=cfg.dhdp.actor_hidden,
+                                 expect_critic_hidden=cfg.dhdp.critic_hidden)]
+    batch = harness.run_testing_batch(cfg, 3, policies, trials_per_policy=1, jobs=1)
+    assert len(batch.records) == 1 and batch.policy_index == [0]

@@ -80,7 +80,6 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"trials_per_policy": 0}, "trials_per_policy"),
         ({"seed": -1}, "seed"),
         ({"keep_policies": -1}, "keep_policies"),
-        ({"jobs": 0}, "jobs"),
         # a zero window pooled an empty RMS into NaN, zero hidden units ran
         # nets of nothing, and the rest crashed mid-run
         ({"rms_window": 0}, "rms_window"),
@@ -119,8 +118,14 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         assert f"{key}:" in capsys.readouterr().err
     assert main(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
     assert "seed:" in capsys.readouterr().err
-    assert main(["run", "--jobs", "-3", "--out", str(tmp_path / "out")]) == 2
-    assert "jobs:" in capsys.readouterr().err
+    # batches run in one process: the former jobs key and --jobs flag are refused
+    path.write_text(json.dumps({"jobs": 1}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "jobs")]) == 2
+    assert "unknown config key: jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--jobs", "2", "--out", str(tmp_path / "jobs")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "jobs").exists()
 
 
 def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
@@ -341,9 +346,15 @@ def test_report_skips_malformed_json(tmp_path, capsys):
     assert code == 0
     (out / "trials" / "trial_998.json").write_text("[1]")
     (out / "trials" / "trial_999.json").write_text("{broken")
+    # summaries that parse but hold a field of the wrong type
+    good = json.loads((out / "trials" / "trial_000.json").read_text())
+    wrong_types = [{"rms_initial": [1, 2]}, {"tuning_steps": "ten"},
+                   {"scenario": [1]}, {"scenario": "1"}]
+    for n, fields in enumerate(wrong_types, start=994):
+        (out / "trials" / f"trial_{n}.json").write_text(json.dumps({**good, **fields}))
     assert main(["report", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.count("skipping malformed") == 2
+    assert captured.err.count("skipping malformed") == 6
     report = json.loads((out / "report.json").read_text())
-    assert report["skipped_files"] == 2
+    assert report["skipped_files"] == 6
     assert report["results"][0]["trials"] == 2

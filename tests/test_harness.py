@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kneetrack.core import BoundsTable
+from kneetrack.dhdp import init_actor
 from kneetrack.harness import (
     CSV_COLUMNS,
     DhdpConfig,
@@ -283,23 +284,6 @@ def record_state(rec: TrialRecord) -> tuple:
     return repr(fields), [repr(astuple(row)) for row in rec.rows], weights
 
 
-def test_batch_parallel_matches_serial():
-    cfg = TrialConfig(max_cycles=50)
-    serial = run_training_batch(cfg, seed=9, trials=4, jobs=1)
-    parallel = run_training_batch(cfg, seed=9, trials=4, jobs=2)
-    for a, b in zip(serial.records, parallel.records):
-        assert record_fingerprint(a) == record_fingerprint(b)
-    assert serial.policy_trials == parallel.policy_trials
-    # three trials over two workers: chunks of one and two, reassembled in order
-    policies = [(rec.actors, rec.critics) for rec in serial.records[:3]]
-    test_cfg = replace(cfg, stage="testing")
-    serial = run_testing_batch(test_cfg, seed=4, policies=policies, trials_per_policy=1, jobs=1)
-    parallel = run_testing_batch(test_cfg, seed=4, policies=policies, trials_per_policy=1,
-                                 jobs=2)
-    assert [record_state(r) for r in serial.records] == [record_state(r) for r in parallel.records]
-    assert serial.policy_index == parallel.policy_index == [0, 1, 2]
-
-
 # Batches whose trials end at different cycles and in different ways: each
 # (TrialConfig overrides, trials) steps in one lockstep.
 LOCKSTEP_CASES = {
@@ -341,6 +325,14 @@ def test_lockstep_testing_batch_equals_lone_trials():
     for i, (rec, seq) in enumerate(zip(batch.records, seqs)):
         assert record_state(rec) == record_state(run_trial(test_cfg, seq, policy=policies[i // 3]))
     assert batch.policy_index == [0, 0, 0, 1, 1, 1]
+
+
+def test_testing_batch_refuses_more_than_one_job():
+    # batches run in one process; the keyword stays only for callers passing 1
+    rng = np.random.default_rng(0)
+    policy = ([init_actor(rng, 6, 0.5) for _ in range(4)], None)
+    with pytest.raises(ValueError, match="jobs"):
+        run_testing_batch(TrialConfig(stage="testing"), seed=0, policies=[policy], jobs=2)
 
 
 def test_lockstep_retargets_the_trial_whose_leg_advanced_while_another_leaves():
