@@ -155,7 +155,11 @@ def _check_leaf(value, default, path: str):
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Resolve defaults <- file <- overrides into a validated config tree."""
+    """Resolve defaults <- file <- overrides into a validated config tree.
+
+    ``overrides`` nest like the file and pass the same checks: a section
+    override merges into its section.
+    """
     user: dict = {}
     if path is not None:
         file = Path(path)
@@ -167,13 +171,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config is not valid JSON: {file}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {file}")
-    resolved = _merge(default_config(), user)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in resolved:
-            raise ConfigError(f"unknown override: {key}")
-        resolved[key] = value
+    # a None override is a flag left unset
+    resolved = _merge(_merge(default_config(), user),
+                      {key: value for key, value in (overrides or {}).items()
+                       if value is not None})
     _check_values(resolved)
     return resolved
 

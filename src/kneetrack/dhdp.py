@@ -13,7 +13,8 @@ entry; a single net is the empty batch.
 
 The activation is the bipolar sigmoid (1 - e^-x) / (1 + e^-x), identically
 tanh(x / 2).  Its derivative is (1 - value^2) / 2, which is the factor the
-update rules rely on.
+update rules and the stability monitor rely on; the forward passes compute
+it once and keep it on their tapes.
 """
 
 from __future__ import annotations
@@ -123,18 +124,21 @@ def init_actor(rng: np.random.Generator, hidden: int = DEFAULT_ACTOR_HIDDEN,
 
 @dataclass(frozen=True)
 class CriticTape:
-    """Forward-pass intermediates needed by the update rules."""
+    """Forward-pass intermediates needed by the update rules and the monitor."""
 
     z: np.ndarray      # network input [state; action], shape (..., 5)
     phi: np.ndarray    # hidden activations, shape (..., hidden)
+    gate: np.ndarray   # activation_deriv(phi)
     value: np.ndarray  # shape (...)
 
 
 @dataclass(frozen=True)
 class ActorTape:
-    state: np.ndarray   # shape (..., 2)
-    phi: np.ndarray     # hidden activations, shape (..., hidden)
-    output: np.ndarray  # constrained action, shape (..., 3)
+    state: np.ndarray     # shape (..., 2)
+    phi: np.ndarray       # hidden activations, shape (..., hidden)
+    gate_phi: np.ndarray  # activation_deriv(phi)
+    output: np.ndarray    # constrained action, shape (..., 3)
+    gate_out: np.ndarray  # activation_deriv(output)
 
 
 # Contractions over the last axis as matmuls with a single net's core shapes:
@@ -156,7 +160,7 @@ def _vecmat(v, m):
 def critic_eval(net: CriticNet, state, action) -> CriticTape:
     z = np.concatenate([np.asarray(state, float), np.asarray(action, float)], axis=-1)
     phi = activation(_matvec(net.w_hidden, z))
-    return CriticTape(z=z, phi=phi, value=_dot(net.w_out, phi))
+    return CriticTape(z=z, phi=phi, gate=activation_deriv(phi), value=_dot(net.w_out, phi))
 
 
 def critic_forward(net: CriticNet, state, action):
@@ -168,7 +172,8 @@ def actor_eval(net: ActorNet, state) -> ActorTape:
     s = np.asarray(state, dtype=float)
     phi = activation(_matvec(net.w_hidden, s))
     output = activation(_matvec(net.w_out, phi))
-    return ActorTape(state=s, phi=phi, output=output)
+    return ActorTape(state=s, phi=phi, gate_phi=activation_deriv(phi), output=output,
+                     gate_out=activation_deriv(output))
 
 
 def actor_forward(net: ActorNet, state) -> np.ndarray:
@@ -233,16 +238,16 @@ def critic_update(net: CriticNet, td, tape: CriticTape,
     """
     with np.errstate(over="ignore", invalid="ignore"):
         grad_scale = np.asarray(lr * discount * td)[..., None, None]
-        gate = activation_deriv(tape.phi)
         w_out = net.w_out - grad_scale[..., 0] * tape.phi
-        w_hidden = net.w_hidden - grad_scale * (net.w_out * gate)[..., None] * tape.z[..., None, :]
+        w_hidden = (net.w_hidden
+                    - grad_scale * (net.w_out * tape.gate)[..., None] * tape.z[..., None, :])
     _check_finite(w_out, w_hidden)
     return CriticNet(w_hidden=w_hidden, w_out=w_out)
 
 
 def critic_action_gradient(net: CriticNet, tape: CriticTape) -> np.ndarray:
     """d(critic value)/d(action): the chain through the action input columns."""
-    return _vecmat(net.w_out * activation_deriv(tape.phi), net.w_hidden[..., N_STATE:])
+    return _vecmat(net.w_out * tape.gate, net.w_hidden[..., N_STATE:])
 
 
 def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
@@ -257,11 +262,11 @@ def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.asarray(critic_tape.value)[..., None, None]
         dq_du = critic_action_gradient(critic, critic_tape)      # (..., 3)
-        out_signal = dq_du * activation_deriv(actor_tape.output)  # (..., 3)
+        out_signal = dq_du * actor_tape.gate_out                 # (..., 3)
         grad_out = value * out_signal[..., :, None] * actor_tape.phi[..., None, :]
         back = _vecmat(out_signal, actor.w_out)                    # (..., hidden)
         grad_hidden = (
-            value * (back * activation_deriv(actor_tape.phi))[..., :, None]
+            value * (back * actor_tape.gate_phi)[..., :, None]
             * actor_tape.state[..., None, :]
         )
         w_out = actor.w_out - lr * grad_out
@@ -315,7 +320,7 @@ class MonitorReport:
 
 def _ceiling(numerator: float, denom):
     """``numerator / denom`` where ``denom`` > 0, else +inf (no constraint)."""
-    return np.divide(numerator, denom, out=np.full(denom.shape, math.inf), where=denom > 0.0)
+    return np.where(denom > 0.0, numerator / denom, math.inf)
 
 
 def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTape,
@@ -327,13 +332,14 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
     puts no constraint on the rates; the bound is reported as +inf and the
     check passes.
     """
-    # diverging weights overflow here before the update rules catch them
-    with np.errstate(over="ignore", invalid="ignore"):
+    # diverging weights overflow here before the update rules catch them,
+    # and _ceiling divides by zero denominators before it discards them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = params.discount
         phi_c = critic_tape.phi
         phi_a = actor_tape.phi
 
-        gate_c = activation_deriv(phi_c)
+        gate_c = critic_tape.gate
         a_vec = gate_c * critic.w_out
         denom_c = g * g * params.alpha1 * (
             _dot(phi_c, phi_c)
@@ -344,10 +350,10 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
         c_mat = (
             gate_c[..., :, None]
             * critic.w_hidden[..., N_STATE:]
-            * activation_deriv(actor_tape.output)[..., None, :]
+            * actor_tape.gate_out[..., None, :]
         )
         wc = _vecmat(critic.w_out, c_mat)                           # (..., 3)
-        d_mat = actor.w_out * activation_deriv(phi_a)[..., None, :]  # (..., 3, hidden)
+        d_mat = actor.w_out * actor_tape.gate_phi[..., None, :]     # (..., 3, hidden)
         wcd = _vecmat(wc, d_mat)                                    # (..., hidden)
         denom_a = (params.alpha3 * _dot(wc, wc) * _dot(phi_a, phi_a)
                    + params.alpha2 * _dot(wcd, wcd) * _dot(actor_tape.state, actor_tape.state))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -361,9 +362,12 @@ def steady_profile(plant, imp: np.ndarray) -> np.ndarray:
 
 
 def scaled_impedance(reference: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Multiply the impedance componentwise; equilibrium clipped to stay legal."""
+    """Multiply the impedance componentwise; equilibrium clipped to stay legal.
+
+    ``factors`` is one (4, 3) array or a stack (..., 4, 3) of them.
+    """
     scaled = reference * factors
-    scaled[:, 2] = np.minimum(scaled[:, 2], KNEE_ANGLE_MAX)
+    scaled[..., 2] = np.minimum(scaled[..., 2], KNEE_ANGLE_MAX)
     return scaled
 
 
@@ -389,23 +393,31 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
     sensitive than the configured spread allows for (the torque-law knee)
     exhaust a round of draws; the spread is then narrowed and drawing
     resumes, so the most-detuned feasible start is still found.
+
+    Each round's candidates come from one block draw, which equals the
+    round's successive (4, 3) draws bit for bit; ``rng`` must be this
+    call's own, since the block draws past the candidate returned.
     """
     reference = cfg.feature_map.reference_impedance
     spread = cfg.init_spread
     target_dur = cycle_duration(target)
     limits = _margin_limits(cfg.bounds, FEASIBILITY_MARGIN)
     for _ in range(6):
-        for _ in range(MAX_INITIAL_DRAWS):
-            factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
-            candidate = scaled_impedance(reference, factors)
+        factors = rng.uniform(1.0 - spread, 1.0 + spread,
+                              size=(MAX_INITIAL_DRAWS, NUM_PHASES, 3))
+        for candidate in scaled_impedance(reference, factors):
             errors = alignment_errors(target, steady_profile(plant, candidate))
             # Python's float ** (libm pow) and numpy's square can differ in the
-            # last bit; recorded runs and goldens were drawn with the former
-            angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))
-            if angle_rms < MIN_INITIAL_ANGLE_RMS:
+            # last bit; recorded runs and goldens were drawn with the former,
+            # and with numpy's mean of four, which sums left to right as this
+            # loop does (sum() compensates from Python 3.12)
+            total = 0.0
+            for p in errors[:, 1].tolist():
+                total += p ** 2
+            if math.sqrt(total / NUM_PHASES) < MIN_INITIAL_ANGLE_RMS:
                 continue
             if _within(errors, limits, target_dur):
-                return candidate
+                return candidate.copy()
         spread *= 0.7
     raise RuntimeError("could not draw a feasible initial impedance")
 

@@ -63,10 +63,6 @@ def clip_features(values) -> np.ndarray:
     return clipped
 
 
-def array_to_profile(values: np.ndarray) -> GaitProfile:
-    return tuple(GaitFeatures(float(d), float(p)) for d, p in clip_features(values))
-
-
 def cycle_duration(features):
     """Summed phase durations of (..., 4, 2) features, added left to right."""
     d = features[..., 0]
@@ -281,7 +277,10 @@ class OdeKneePlant:
             # with the angle it was integrated from
             self._angle, self._velocity = angle, velocity
 
-        return array_to_profile(np.array(features))
+        # clip_features' rules on floats: max and min keep their first
+        # argument on ties and NaN, as np.maximum and np.clip do
+        return tuple(GaitFeatures(max(d, MIN_DURATION), min(max(p, 0.0), KNEE_ANGLE_MAX))
+                     for d, p in features)
 
 
 @dataclass

@@ -4,17 +4,20 @@ Everything here is deliberately written with plain Python loops and the
 closed-form activation formula, so it exercises none of the library's
 vectorized code paths.  The torque-law knee has two references: the
 per-substep phase-machine loop its step replaced, and an event-exact
-``solve_ivp`` integration of the same phase machine.
+``solve_ivp`` integration of the same phase machine.  The initial
+impedance draw has one: the one-candidate-at-a-time loop its block draw
+replaced.
 """
 
 import math
 
 import numpy as np
 
-from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, Phase
+from kneetrack import harness
+from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, GaitFeatures, Phase
 from kneetrack.dhdp import ActorNet, CriticNet, actor_forward, critic_forward, td_error
 from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, FsmState, joint_torque, step_fsm
-from kneetrack.plant import PlantInstabilityError, array_to_profile
+from kneetrack.plant import PlantInstabilityError, alignment_errors, clip_features, cycle_duration
 
 
 def sigmoid(x: float) -> float:
@@ -124,6 +127,11 @@ def loop_monitor_bounds(critic, actor, c_tape, a_tape, params):
     return bound_c, bound_a
 
 
+def array_to_profile(values):
+    """Four ``GaitFeatures`` of (4, 2) features, made legal by ``clip_features``."""
+    return tuple(GaitFeatures(float(d), float(p)) for d, p in clip_features(values))
+
+
 def loop_ode_step(plant, imp):
     """One cycle of ``plant`` (an OdeKneePlant) walked through the phase machine.
 
@@ -186,6 +194,33 @@ def loop_ode_step(plant, imp):
         state = next_state
 
     return array_to_profile(np.column_stack([durations, peaks]))
+
+
+def loop_draw_initial_impedance(cfg, plant, target, rng):
+    """``harness.draw_initial_impedance`` as it drew one candidate at a time.
+
+    The body is the former function's, with the harness names it used
+    read from the module at call time, so a test may patch them; the
+    block-drawing function must return the same impedance bytes.
+    """
+    reference = cfg.feature_map.reference_impedance
+    spread = cfg.init_spread
+    target_dur = cycle_duration(target)
+    limits = harness._margin_limits(cfg.bounds, harness.FEASIBILITY_MARGIN)
+    for _ in range(6):
+        for _ in range(harness.MAX_INITIAL_DRAWS):
+            factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
+            candidate = harness.scaled_impedance(reference, factors)
+            errors = alignment_errors(target, harness.steady_profile(plant, candidate))
+            # Python's float ** (libm pow) and numpy's square can differ in the
+            # last bit; recorded runs and goldens were drawn with the former
+            angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))
+            if angle_rms < harness.MIN_INITIAL_ANGLE_RMS:
+                continue
+            if harness._within(errors, limits, target_dur):
+                return candidate
+        spread *= 0.7
+    raise RuntimeError("could not draw a feasible initial impedance")
 
 
 def event_ode_cycle(cfg, imp, angle, velocity, rtol=1e-10, atol=1e-12):

@@ -157,6 +157,26 @@ def test_overrides_beat_file_values(tmp_path):
     assert resolved["seed"] == 5        # file value kept when flag absent
 
 
+def test_overrides_pass_the_file_checks(tmp_path):
+    # a section override merges into its section, over the file's values
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dhdp": {"actor_lr": 0.02}}))
+    resolved = load_config(path, {"dhdp": {"critic_lr": 1e3}})
+    assert resolved["dhdp"]["critic_lr"] == 1e3
+    assert resolved["dhdp"]["actor_lr"] == 0.02
+    assert resolved["dhdp"]["critic_hidden"] == default_config()["dhdp"]["critic_hidden"]
+    # a bad override names its dotted key, as the same value in the file does
+    for overrides, message in (
+        ({"bounds": 3}, "bounds: expected an object"),
+        ({"dhdp": {"critic_lr": "fast"}}, "dhdp.critic_lr: expected a number"),
+        ({"dhdp": {"critic_lr": -1.0}}, "dhdp.critic_lr: must be positive"),
+        ({"dhdp": {"nope": 1}}, "unknown config key: dhdp.nope"),
+        ({"nope": 1}, "unknown config key: nope"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(None, overrides)
+
+
 def test_default_config_round_trips_through_json():
     blob = json.dumps(default_config())
     assert json.loads(blob) == default_config()

@@ -19,6 +19,7 @@ from kneetrack.dhdp import (
     NumericFaultError,
     StageCostParams,
     activation,
+    activation_deriv,
     actor_eval,
     actor_forward,
     actor_update,
@@ -423,6 +424,20 @@ def test_monitor_matches_loop_oracle():
         assert report.actor_bound == pytest.approx(want_a, abs=1e-10, rel=1e-10)
 
 
+def test_tapes_carry_their_activation_derivatives():
+    # the monitor and both update rules read these instead of recomputing them
+    rng = np.random.default_rng(12)
+    actor = stack_nets([init_actor(rng, scale=3.0) for _ in range(4)])
+    critic = stack_nets([init_critic(rng, scale=3.0) for _ in range(4)])
+    a_tape = actor_eval(actor, rng.uniform(-2.0, 2.0, (4, 2)))
+    c_tape = critic_eval(critic, a_tape.state, a_tape.output)
+    for gate, values in ((c_tape.gate, c_tape.phi), (a_tape.gate_phi, a_tape.phi),
+                         (a_tape.gate_out, a_tape.output)):
+        assert gate.shape == values.shape
+        assert gate.tobytes() == activation_deriv(values).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_monitor_degenerate_zero_weights_passes():
     critic = CriticNet(w_hidden=np.zeros((8, 5)), w_out=np.zeros(8))
     actor = ActorNet(w_hidden=np.zeros((6, 2)), w_out=np.zeros((3, 6)))

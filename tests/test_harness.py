@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kneetrack.core import BoundsTable
+import oracles
+from kneetrack import harness
+from kneetrack.core import KNEE_ANGLE_MAX, BoundsTable
 from kneetrack.dhdp import init_actor
 from kneetrack.harness import (
     CSV_COLUMNS,
@@ -22,10 +24,14 @@ from kneetrack.harness import (
     aggregate_metrics,
     compute_rms,
     convergence_check,
+    draw_initial_impedance,
+    make_plant,
+    make_target_program,
     run_testing_batch,
     run_training_batch,
     run_trial,
     safety_check,
+    scaled_impedance,
     _fmt,
     _step_to_end,
     trial_summary,
@@ -248,6 +254,62 @@ def test_numeric_fault_keeps_no_update_of_its_cycle():
         assert np.array_equal(a, b)
     assert trial.record.monitor_violations == violations + 4
     assert not any(row.cycle == 30 for row in trial.record.rows)
+
+
+# ---------------------------------------------------------------------------
+# initial impedance
+
+
+def test_scaled_impedance_stack_equals_row_by_row():
+    reference = FeatureMapConfig.default().reference_impedance
+    factors = np.random.default_rng(5).uniform(0.5, 1.8, (20, 4, 3))
+    stacked = scaled_impedance(reference, factors)
+    rows = np.stack([scaled_impedance(reference, f) for f in factors])
+    assert stacked.tobytes() == rows.tobytes()
+    # swing flexion's 1.0 rad equilibrium is pushed past the stop and clipped
+    assert (stacked[..., 2] == KNEE_ANGLE_MAX).any()
+
+
+def draw_outcomes(plant_kind, seeds, monkeypatch):
+    """Per seed, the drawn impedance's bytes or the error, and the candidates probed.
+
+    Asserts that the block draw and the one-at-a-time oracle agree.
+    """
+    cfg = TrialConfig(plant_kind=plant_kind)
+    plant = make_plant(cfg, np.random.default_rng(0))
+    target = make_target_program(cfg, plant, np.random.default_rng(1)).target_for(0)
+    probed = []
+    steady = harness.steady_profile
+    monkeypatch.setattr(harness, "steady_profile",
+                        lambda p, imp: probed.append(1) or steady(p, imp))
+    runs = []
+    for draw in (draw_initial_impedance, oracles.loop_draw_initial_impedance):
+        outcomes = []
+        for seed in seeds:
+            probed.clear()
+            try:
+                got = draw(cfg, plant, target, np.random.default_rng(seed)).tobytes()
+            except RuntimeError as exc:
+                got = str(exc)
+            outcomes.append((got, len(probed)))
+        runs.append(outcomes)
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize("plant_kind, seeds", [("feature-map", range(10)), ("ode", range(4))])
+def test_initial_draw_equals_the_one_at_a_time_oracle(plant_kind, seeds, monkeypatch):
+    assert all(isinstance(got, bytes) for got, _ in draw_outcomes(plant_kind, seeds, monkeypatch))
+
+
+@pytest.mark.parametrize("plant_kind", ["feature-map", "ode"])
+def test_initial_draw_narrows_and_gives_up_as_the_oracle(plant_kind, monkeypatch):
+    # ten candidates a round: some seeds succeed only at a narrowed spread,
+    # others miss all six rounds
+    monkeypatch.setattr(harness, "MAX_INITIAL_DRAWS", 10)
+    outcomes = draw_outcomes(plant_kind, range(8), monkeypatch)
+    assert any(isinstance(got, bytes) and probed > 10 for got, probed in outcomes)
+    assert ("could not draw a feasible initial impedance", 60) in outcomes
 
 
 # ---------------------------------------------------------------------------

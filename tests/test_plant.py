@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from kneetrack.core import KNEE_ANGLE_MAX, Phase
 from kneetrack.plant import (
+    MIN_DURATION,
     FeatureMapConfig,
     FeatureMapPlant,
     OdeKneeConfig,
@@ -247,6 +248,23 @@ def test_ode_step_equals_the_loop_on_flexion_timeouts():
     assert_step_matches_loop(cfg, imp)
     features = profile_to_array(OdeKneePlant(cfg).step(imp))
     assert features[0, 0] >= 0.3 and features[2, 0] >= 0.3
+
+
+def test_ode_step_equals_the_loop_on_a_floored_duration():
+    # above its threshold from the start, stance extension ends after its
+    # three-substep minimum, 0.6 ms, which the features floor at MIN_DURATION
+    cfg = OdeKneeConfig(timestep=2e-4, toe_off_angle=KNEE_ANGLE_MAX)
+    outcomes, _ = assert_step_matches_loop(cfg, ode_impedance(), cycles=2)
+    assert f"GaitFeatures(duration={MIN_DURATION}," in outcomes[0]
+
+
+def test_ode_step_equals_the_loop_from_negative_zero():
+    # without stiffness stance flexion sits on the lower stop at 0.0, which
+    # is no higher than -0.0: the clip keeps that peak's sign
+    imp = ode_impedance()
+    imp[0] = (0.0, 1.0, 0.0)
+    outcomes, _ = assert_step_matches_loop(OdeKneeConfig(initial_angle=-0.0), imp)
+    assert "peak_angle=-0.0)" in outcomes[0]
 
 
 @pytest.mark.parametrize("fields, row", [

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kneetrack.core import (
     KNEE_ANGLE_MAX,
     BoundsTable,
@@ -24,7 +25,6 @@ from kneetrack.plant import (
     MIN_DURATION,
     FeatureMapConfig,
     FeatureMapPlant,
-    array_to_profile,
     cycle_duration,
     profile_to_array,
 )
@@ -63,7 +63,7 @@ def test_stacked_feature_map_response_equals_lone_steps(seed, trials, smoothing,
     default = FeatureMapConfig.default()
     cfg = FeatureMapConfig(
         reference_impedance=default.reference_impedance * rng.uniform(0.5, 1.5, (4, 3)),
-        reference_features=array_to_profile(rng.uniform([0.2, 0.1], [0.5, 1.2], (4, 2))),
+        reference_features=oracles.array_to_profile(rng.uniform([0.2, 0.1], [0.5, 1.2], (4, 2))),
         sensitivity=rng.normal(size=(4, 2, 3)) * 10.0 ** rng.uniform(-4, 0, (4, 2, 3)),
         smoothing=smoothing, noise_std=noise, pace_passthrough=passthrough,
     )
@@ -181,5 +181,5 @@ def test_stacked_cycle_duration_equals_python_sum(seed, trials):
     features = np.random.default_rng(seed).uniform([1e-3, 0.0], [2.0, 1.6], (trials, 4, 2))
     got = cycle_duration(features)
     for i in range(trials):
-        want = float(sum(f.duration for f in array_to_profile(features[i])))
+        want = float(sum(f.duration for f in oracles.array_to_profile(features[i])))
         assert got[i] == want
