@@ -139,7 +139,12 @@ def _check_leaf(value, default, path: str):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
         return value
-    if isinstance(default, (int, float)):
+    if isinstance(default, int):
+        # a count, size or seed: 2.5 would be truncated where it is used
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer")
+        return value
+    if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
         return value

@@ -411,10 +411,18 @@ def _matrix_to_json(mat: np.ndarray) -> dict:
 
 def _matrix_from_json(obj, name: str) -> np.ndarray:
     try:
-        shape = tuple(int(d) for d in obj["shape"])
-        data = np.array([float(v) for v in obj["data"]], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        shape, data = obj["shape"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise PolicyFormatError(f"{name}: malformed matrix entry") from exc
+    # JSON numbers only: float() would take true as 1.0 and "0.5" as 0.5,
+    # int() a shape entry 6.7 as 6
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise PolicyFormatError(f"{name}: shape must be a list of non-negative integers")
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise PolicyFormatError(f"{name}: data must be a list of numbers")
+    shape = tuple(shape)
+    data = np.array(data, dtype=float)
     if data.size != math.prod(shape):
         raise PolicyFormatError(
             f"{name}: {data.size} values do not fill shape {list(shape)}"

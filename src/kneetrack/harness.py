@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _repr
 from .core import (
     KNEE_ANGLE_MAX,
     BoundsTable,
@@ -1186,27 +1187,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# a comma goes into the free byte 0 of every cell but a line's first
+_COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
+
+
 def write_trial_csv(record: TrialRecord, path) -> None:
     """The record's log as CSV, a header of ``CSV_COLUMNS`` then one line per row.
 
-    Each column is formatted whole, with :func:`_fmt`'s rules; the bytes
-    are those of a ``csv.writer`` writing ``_fmt`` of every cell.
+    The bytes are those of a ``csv.writer`` writing :func:`_fmt` of every
+    cell.
     """
-    columns = []
-    for name in CSV_COLUMNS:
-        values = record.column(name)
-        if values.dtype == bool:
-            cells = np.where(values, "1", "0").tolist()
+    lines = _padded_lines(record)
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
+        fh.write(lines.tobytes().translate(None, b"\0"))
+
+
+def _padded_lines(record: TrialRecord) -> np.ndarray:
+    """The log's CSV lines as bytes with NUL padding between the characters.
+
+    All lines are built as one word-major array of cells, one array column
+    per line (see ``_repr``); its cell arrays are freed on return, before
+    the bytes are copied out.
+    """
+    n = len(record.log["reset"])
+    columns = [record.column(name) for name in CSV_COLUMNS]
+    floats = iter(_repr.float_columns(np.array([c for c in columns if c.dtype.kind == "f"])))
+    blocks = []
+    for name, values in zip(CSV_COLUMNS, columns):
+        if values.dtype.kind == "f":
+            cells = next(floats)
         else:
-            cells = list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+            # a digit more than the largest value has keeps byte 0 free
+            cells = _repr.int_words(values, len(str(int(values.max(initial=0)))) // 4 + 1)
         missing = record.missing(name)
         if missing is not None:
-            for i in np.flatnonzero(missing).tolist():
-                cells[i] = ""
-        columns.append(cells)
-    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+            cells *= ~missing
+        blocks.append(cells)
+    for cells in blocks[1:]:
+        cells[0] |= _COMMA
+    blocks.append(np.full((1, n), _CRLF))
+    return np.ascontiguousarray(np.concatenate(blocks).T).view(np.uint8).reshape(-1)
 
 
 def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:

@@ -227,7 +227,6 @@ class OdeKneePlant:
         dt, inertia, limit, max_time = (cfg.timestep, cfg.inertia, cfg.velocity_limit,
                                         cfg.max_phase_time)
         angle, velocity = self._angle, self._velocity
-        cycle_elapsed = 0.0
         peak = angle
         features = []
         # one Euler loop per phase on Python floats: ~50 substeps per cycle,
@@ -253,7 +252,6 @@ class OdeKneePlant:
                     elif angle >= KNEE_ANGLE_MAX:
                         angle, velocity = KNEE_ANGLE_MAX, 0.0
                     elapsed += dt
-                    cycle_elapsed += dt
                     if angle > peak:
                         peak = angle
                     if flexion:
@@ -265,8 +263,6 @@ class OdeKneePlant:
                                  or elapsed >= max_time)
                     if ended:
                         break
-                    if elapsed > cycle_elapsed + 1e-12:
-                        raise ValueError("phase time cannot exceed cycle time")
                     if elapsed >= max_time:
                         # flexion peak never materialized (e.g. zero stiffness); force on
                         break

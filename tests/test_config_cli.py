@@ -149,6 +149,24 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_integer_keys_refuse_fractions_and_booleans(tmp_path, capsys):
+    # 2.5 trials used to run 2 while config.json recorded 2.5
+    cases = [
+        ({"trials": 2.5}, "trials"),
+        ({"max_cycles": 40.7}, "max_cycles"),
+        ({"seed": 3.9}, "seed"),
+        ({"seed": 3.0}, "seed"),
+        ({"window": True}, "window"),
+        ({"dhdp": {"critic_hidden": 8.0}}, "dhdp.critic_hidden"),
+        ({"terrain": {"pool_size": 2.5}}, "terrain.pool_size"),
+    ]
+    for cfg, key in cases:
+        code, out = run_cli(tmp_path, small_run_config(**cfg))
+        assert code == 2
+        assert f"error: {key}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_overrides_beat_file_values(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": 2, "seed": 5}))
@@ -338,6 +356,28 @@ def test_load_policy_garbage_file(tmp_path, capsys):
         snap.write_text(text)
         assert main(["load-policy", str(snap)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_load_policy_refuses_non_numbers(tmp_path, capsys):
+    # a weight true read as 1.0, "0.5" as 0.5 and a shape entry 6.7 as 6
+    rng = np.random.default_rng(5)
+    snap = tmp_path / "p.json"
+    save_policy(snap, [init_actor(rng) for _ in range(4)],
+                [init_critic(rng) for _ in range(4)])
+    valid = json.loads(snap.read_text())
+    for matrix, key, index, value in [
+        ("actor_hidden", "data", 0, True),
+        ("critic_output", "data", 1, "0.5"),
+        ("actor_output", "shape", 1, 6.7),
+        ("critic_hidden", "shape", 0, True),
+        ("actor_hidden", "shape", 0, -6),
+    ]:
+        doc = copy.deepcopy(valid)
+        doc["phases"][2][matrix][key][index] = value
+        snap.write_text(json.dumps(doc))
+        assert main(["load-policy", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and matrix in err
 
 
 # ---------------------------------------------------------------------------
