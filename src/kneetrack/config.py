@@ -25,6 +25,12 @@ class ConfigError(ValueError):
     """A config file could not be read, parsed, or validated."""
 
 
+# The networks see states inside [-1, 1] while a trial is safe, so initial
+# weights far above 1 start every unit saturated; the ceiling only keeps the
+# draw's width, twice the scale, finite with room to spare.
+MAX_INIT_WEIGHT_SCALE = 1e6
+
+
 def default_config() -> dict:
     """Full config tree with library defaults filled in."""
     trial = TrialConfig()
@@ -123,6 +129,22 @@ def _merge(template: dict, user: dict, path: str = "") -> dict:
     return merged
 
 
+def _require_numbers(value, template, path: str) -> None:
+    """Refuse anything but a number where ``template`` is one, nested in lists as it is.
+
+    A numeric list's entries all share the shape of its first, so one
+    template entry stands for every entry: nulls, booleans and strings are
+    refused inside lists as they are at a number's own key.
+    """
+    if isinstance(template, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _require_numbers(item, template[0], f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+
+
 def _require_finite(value, path: str) -> None:
     if isinstance(value, list):
         for i, item in enumerate(value):
@@ -153,8 +175,7 @@ def _check_leaf(value, default, path: str):
             raise ConfigError(f"{path}: expected a string")
         return value
     if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list")
+        _require_numbers(value, default, path)
         return copy.deepcopy(value)
     raise ConfigError(f"{path}: unsupported value type")
 
@@ -201,20 +222,44 @@ def _check_values(resolved: dict) -> None:
     for key in ("dhdp.critic_lr", "dhdp.actor_lr", "dhdp.init_weight_scale"):
         if _get(resolved, key) <= 0:
             raise ConfigError(f"{key}: must be positive, got {_get(resolved, key)}")
+    if resolved["dhdp"]["init_weight_scale"] > MAX_INIT_WEIGHT_SCALE:
+        raise ConfigError(f"dhdp.init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
+                          f"got {resolved['dhdp']['init_weight_scale']}")
+    _check_alphas(resolved["dhdp"])
     if resolved["drift"]["gain"] < 0:
         raise ConfigError(f"drift.gain: must be non-negative, got {resolved['drift']['gain']}")
     for key, size in (("ranges", 4), ("feature_map.reference_features", 4),
                       ("feature_map.noise_std", 2), ("ode.load_torque", 4)):
         if len(_get(resolved, key)) != size:
             raise ConfigError(f"{key}: needs {size} entries, got {len(_get(resolved, key))}")
+    for i, phase in enumerate(resolved["ranges"]):
+        if len(phase) != 3:
+            raise ConfigError(f"ranges[{i}]: needs 3 intervals (stiffness, damping, "
+                              f"equilibrium), got {len(phase)}")
+        for j, interval in enumerate(phase):
+            if len(interval) != 2:
+                raise ConfigError(f"ranges[{i}][{j}]: expected two numbers [lower, upper], "
+                                  f"got {interval!r}")
     _ode_config(resolved["ode"])
     for key in ("pace.training", "pace.testing"):
         paces = _get(resolved, key)
         if not paces:
             raise ConfigError(f"{key}: needs at least one pace multiplier")
         for i, pace in enumerate(paces):
-            if isinstance(pace, bool) or not isinstance(pace, (int, float)) or pace <= 0:
+            if pace <= 0:
                 raise ConfigError(f"{key}[{i}]: must be a positive number, got {pace!r}")
+
+
+def _check_alphas(dhdp: dict) -> None:
+    """The monitor's weighting factors: all three numbers, or all three null (the defaults)."""
+    keys = ("alpha1", "alpha2", "alpha3")
+    for key in keys:
+        if dhdp[key] is not None:
+            _require_numbers(dhdp[key], 0.0, f"dhdp.{key}")
+    unset = [key for key in keys if dhdp[key] is None]
+    if unset and len(unset) < len(keys):
+        raise ConfigError(f"dhdp.{unset[0]}: alpha1, alpha2 and alpha3 are set together "
+                          f"or all left null")
 
 
 def _section(fn, name, keys=()):

@@ -141,26 +141,16 @@ class ActorTape:
     gate_out: np.ndarray  # activation_deriv(output)
 
 
-# Contractions over the last axis as matmuls with a single net's core shapes:
-# numpy then runs the same BLAS kernel per net, so batched results equal
-# single-net ones bit for bit (einsum or .sum(-1) would reorder the sums).
-
-def _dot(x, y):
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _matvec(m, v):
-    return (m @ v[..., None])[..., 0]
-
-
-def _vecmat(v, m):
-    return (v[..., None, :] @ m)[..., 0, :]
+# Contractions over the last axis go through numpy's gufuncs np.vecdot,
+# np.matvec and np.vecmat: their inner loop runs once per net on its core
+# shapes, so batched results equal single-net ones bit for bit (einsum or
+# .sum(-1) would reorder the sums).
 
 
 def critic_eval(net: CriticNet, state, action) -> CriticTape:
     z = np.concatenate([np.asarray(state, float), np.asarray(action, float)], axis=-1)
-    phi = activation(_matvec(net.w_hidden, z))
-    return CriticTape(z=z, phi=phi, gate=activation_deriv(phi), value=_dot(net.w_out, phi))
+    phi = activation(np.matvec(net.w_hidden, z))
+    return CriticTape(z=z, phi=phi, gate=activation_deriv(phi), value=np.vecdot(net.w_out, phi))
 
 
 def critic_forward(net: CriticNet, state, action):
@@ -170,8 +160,8 @@ def critic_forward(net: CriticNet, state, action):
 
 def actor_eval(net: ActorNet, state) -> ActorTape:
     s = np.asarray(state, dtype=float)
-    phi = activation(_matvec(net.w_hidden, s))
-    output = activation(_matvec(net.w_out, phi))
+    phi = activation(np.matvec(net.w_hidden, s))
+    output = activation(np.matvec(net.w_out, phi))
     return ActorTape(state=s, phi=phi, gate_phi=activation_deriv(phi), output=output,
                      gate_out=activation_deriv(output))
 
@@ -219,12 +209,14 @@ def stage_cost(state, action, params: StageCostParams):
     """Instantaneous quadratic cost; non-negative, zero only at the origin."""
     s = np.asarray(state, dtype=float)
     u = np.asarray(action, dtype=float)
-    return _dot(_vecmat(s, params.state_weight), s) + _dot(_vecmat(u, params.action_weight), u)
+    return (np.vecdot(np.vecmat(s, params.state_weight), s)
+            + np.vecdot(np.vecmat(u, params.action_weight), u))
 
 
 def _check_finite(*arrays):
     for a in arrays:
-        if not np.isfinite(a).all():
+        # count_nonzero is a plain C call; ndarray.all goes through Python
+        if np.count_nonzero(np.isfinite(a)) < a.size:
             raise NumericFaultError("weight update overflowed to a non-finite value")
 
 
@@ -247,7 +239,7 @@ def critic_update(net: CriticNet, td, tape: CriticTape,
 
 def critic_action_gradient(net: CriticNet, tape: CriticTape) -> np.ndarray:
     """d(critic value)/d(action): the chain through the action input columns."""
-    return _vecmat(net.w_out * tape.gate, net.w_hidden[..., N_STATE:])
+    return np.vecmat(net.w_out * tape.gate, net.w_hidden[..., N_STATE:])
 
 
 def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
@@ -264,7 +256,7 @@ def actor_update(actor: ActorNet, critic: CriticNet, critic_tape: CriticTape,
         dq_du = critic_action_gradient(critic, critic_tape)      # (..., 3)
         out_signal = dq_du * actor_tape.gate_out                 # (..., 3)
         grad_out = value * out_signal[..., :, None] * actor_tape.phi[..., None, :]
-        back = _vecmat(out_signal, actor.w_out)                    # (..., hidden)
+        back = np.vecmat(out_signal, actor.w_out)                 # (..., hidden)
         grad_hidden = (
             value * (back * actor_tape.gate_phi)[..., :, None]
             * actor_tape.state[..., None, :]
@@ -342,8 +334,8 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
         gate_c = critic_tape.gate
         a_vec = gate_c * critic.w_out
         denom_c = g * g * params.alpha1 * (
-            _dot(phi_c, phi_c)
-            + _dot(a_vec, a_vec) * _dot(critic_tape.z, critic_tape.z) / params.alpha1
+            np.vecdot(phi_c, phi_c)
+            + np.vecdot(a_vec, a_vec) * np.vecdot(critic_tape.z, critic_tape.z) / params.alpha1
         )
         critic_bound = _ceiling(params.alpha1 - g, denom_c)
 
@@ -352,11 +344,12 @@ def stability_monitor(critic: CriticNet, actor: ActorNet, critic_tape: CriticTap
             * critic.w_hidden[..., N_STATE:]
             * actor_tape.gate_out[..., None, :]
         )
-        wc = _vecmat(critic.w_out, c_mat)                           # (..., 3)
+        wc = np.vecmat(critic.w_out, c_mat)                         # (..., 3)
         d_mat = actor.w_out * actor_tape.gate_phi[..., None, :]     # (..., 3, hidden)
-        wcd = _vecmat(wc, d_mat)                                    # (..., hidden)
-        denom_a = (params.alpha3 * _dot(wc, wc) * _dot(phi_a, phi_a)
-                   + params.alpha2 * _dot(wcd, wcd) * _dot(actor_tape.state, actor_tape.state))
+        wcd = np.vecmat(wc, d_mat)                                  # (..., hidden)
+        s = actor_tape.state
+        denom_a = (params.alpha3 * np.vecdot(wc, wc) * np.vecdot(phi_a, phi_a)
+                   + params.alpha2 * np.vecdot(wcd, wcd) * np.vecdot(s, s))
         actor_bound = _ceiling(params.alpha3 - params.alpha2, denom_a)
 
     return MonitorReport(

@@ -708,19 +708,28 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
 # and the rows a lockstep keeps of its own for each trial.
 _STACKED = ("_impedance", "_critic", "_actor", "_max_weight_norm",
             "_lag_value", "_lag_cost", "_lagged", "_window", "_converged")
-_LOCKSTEP_ROWS = ("_initial", "_features", "_pace", "_targets", "_cycle_dur", "_stale",
+_LOCKSTEP_ROWS = ("_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale",
                   "_period", "_drifting")
 
 
 @dataclass
 class _Learned:
-    """One lockstep cycle's learning results, one entry per trial that kept its update."""
+    """One lockstep cycle's learning results, one entry per trial that kept its update.
 
-    rows: np.ndarray         # (m,) positions in the lockstep
-    fields: np.ndarray       # (m, 4, len(_LEARNING_FIELDS)): the log's learning fields
-    delta: np.ndarray        # (m, 4, 3)
-    monitor_ok: np.ndarray   # (m, 4)
-    weight_norm: np.ndarray  # (m,)
+    The fields from ``action`` to ``lagged`` are the log's learning fields.
+    """
+
+    rows: np.ndarray          # (m,) positions in the lockstep
+    action: np.ndarray        # (m, 4, 3)
+    delta: np.ndarray         # (m, 4, 3)
+    cost: np.ndarray          # (m, 4)
+    q_value: np.ndarray       # (m, 4)
+    td: np.ndarray            # (m, 4), 0 where the trial had no lag
+    critic_bound: np.ndarray  # (m, 4)
+    actor_bound: np.ndarray   # (m, 4)
+    monitor_ok: np.ndarray    # (m, 4)
+    lagged: np.ndarray        # (m,)
+    weight_norm: np.ndarray   # (m,)
 
 
 class _Lockstep:
@@ -754,7 +763,10 @@ class _Lockstep:
         self._plant = first.plant if isinstance(first.plant, FeatureMapPlant) else None
         self._features = (np.stack([t.plant.state for t in self.trials])
                           if self._plant is not None else None)
-        self._pace = np.array([t.program.pace(t.pace_index) for t in self.trials])
+        # the plants' reference features at their trials' paces, kept while a pace holds
+        self._reference = (self._plant.paced_reference(
+            np.array([t.program.pace(t.pace_index) for t in self.trials]))
+            if self._plant is not None else None)
         self._targets = np.zeros((n, NUM_PHASES, 2))
         self._cycle_dur = np.zeros(n)
         self._stale = np.ones(n, bool)  # targets to (re)compute before the next walk
@@ -776,10 +788,12 @@ class _Lockstep:
         self._start_cycle()
         measured, walked = self._measure()
         errors = alignment_errors(self._targets, measured)
-        for i in (self._drifting & walked).nonzero()[0]:
-            self.trials[i].program.observe_error(errors[i])
+        for i in self._drifting.nonzero()[0]:
+            if walked[i]:
+                self.trials[i].program.observe_error(errors[i])
         pct = 100.0 * errors[..., 0] / self._cycle_dur[:, None]
-        in_tol, in_safety = inside_bounds(errors, *self._bounds, self._cycle_dur)
+        flags = inside_bounds(errors, *self._bounds, self._cycle_dur)
+        in_tol, in_safety = flags[0], flags[1]  # indexing beats unpacking an array
         learns = walked & np.logical_and.reduce(in_safety, axis=1)
         reset = walked & ~learns
 
@@ -823,18 +837,24 @@ class _Lockstep:
         self._window[..., k % cfg.window] = in_tol
         latch = ((np.add.reduce(self._window, axis=-1) >= cfg.quota) & (self._converged < 0)
                  & closing[:, None])
-        self._converged = np.where(latch, k, self._converged)
+        self._converged[latch] = k
         converged = self._converged >= 0
         self._log(logged, errors, pct, walked_impedance, reset, in_tol, converged,
                   learned, clamped)
 
-        for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
-            trial = self.trials[i]
-            if trial._all_converged(k, self._converged[i].tolist()):
-                self._window[i] = False
-                self._converged[i] = -1
-                self._pace[i] = trial.program.pace(trial.pace_index)
-                self._stale[i] = True
+        # a trial's phases first stand all converged in the cycle its last one
+        # latches; later calls of _all_converged before its windows start over
+        # change nothing, so only a cycle with a latch makes them
+        if np.count_nonzero(latch):
+            for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
+                trial = self.trials[i]
+                if trial._all_converged(k, self._converged[i].tolist()):
+                    self._window[i] = False
+                    self._converged[i] = -1
+                    if self._plant is not None:
+                        self._reference[i] = self._plant.paced_reference(
+                            trial.program.pace(trial.pace_index))
+                    self._stale[i] = True
         if k + 1 >= cfg.max_cycles:
             for i in closing.nonzero()[0]:
                 trial = self.trials[i]
@@ -884,7 +904,7 @@ class _Lockstep:
             draws = np.array([t.plant.rng.standard_normal((NUM_PHASES, 2))
                               for t in self.trials])
             self._features = self._plant.respond(self._features, self._impedance,
-                                                 self._pace, draws)
+                                                 self._reference, draws)
             return self._features, np.ones(len(self.trials), bool)
         measured = self._targets.copy()
         walked = np.ones(len(self.trials), bool)
@@ -909,7 +929,14 @@ class _Lockstep:
         if learned is not None:
             kept = _index(learned.rows, len(self.trials))
             rows = slice(None) if kept is None else kept
-            block[rows, :, len(_ROW_FIELDS):-1] = learned.fields
+            at = len(_ROW_FIELDS)
+            block[rows, :, at:at + 3] = learned.action
+            block[rows, :, at + 3:at + 6] = learned.delta
+            for j, values in enumerate((learned.cost, learned.q_value, learned.td,
+                                        learned.critic_bound, learned.actor_bound,
+                                        learned.monitor_ok), start=at + 6):
+                block[rows, :, j] = values
+            block[rows, :, -2] = learned.lagged[:, None]
             block[rows, :, -1] = clamped
         self._blocks.append((block, logged))
 
@@ -968,10 +995,12 @@ class _Lockstep:
 
         # the critic steps only where the previous cycle left a lag
         lagged = _take(self._lagged, learners)
-        td = np.zeros_like(cost)
+        lag = lagged.nonzero()[0]
+        # a learner without a lag logs no TD error; its entry stays 0
+        td = None if len(lag) == len(rows) else np.zeros_like(cost)
         try:
-            if np.count_nonzero(lagged):
-                sub = _index(lagged.nonzero()[0], len(rows))
+            if len(lag):
+                sub = _index(lag, len(rows))
                 lag_rows = _take(learners, sub) if learners is not None else sub
                 step_td = td_error(_take(c_tape.value, sub), _take(self._lag_value, lag_rows),
                                    _take(self._lag_cost, lag_rows), dhdp.discount)
@@ -995,15 +1024,12 @@ class _Lockstep:
         self._lag_value = _put(self._lag_value, learners, c_tape.value)
         self._lag_cost = _put(self._lag_cost, learners, cost)
 
-        delta = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
-        fields = np.empty(cost.shape + (len(_LEARNING_FIELDS),))
-        fields[..., 0:3] = a_tape.output
-        fields[..., 3:6] = delta
-        for j, values in enumerate((cost, c_tape.value, td, report.critic_bound,
-                                    report.actor_bound, monitor_ok, lagged[:, None]), start=6):
-            fields[..., j] = values
-        return _Learned(rows=rows, fields=fields, delta=delta, monitor_ok=monitor_ok,
-                        weight_norm=_max_abs_weights(critic, actor))
+        return _Learned(
+            rows=rows, action=a_tape.output,
+            delta=scale_action(a_tape.output, dhdp.action_scale.half_ranges),
+            cost=cost, q_value=c_tape.value, td=td, critic_bound=report.critic_bound,
+            actor_bound=report.actor_bound, monitor_ok=monitor_ok, lagged=lagged,
+            weight_norm=_max_abs_weights(critic, actor))
 
     def _fault(self, i: int, monitor_ok: np.ndarray, exc: NumericFaultError):
         """End trial ``i``'s cycle on a non-finite update: the monitor counts, nothing else is kept."""

@@ -131,10 +131,11 @@ class FeatureMapPlant:
     """Cycle-atomic plant: impedance in, next-cycle gait features out.
 
     ``state`` holds the last cycle's features as a (4, 2) array.
-    :meth:`steady_state` and :meth:`respond` also take stacks: a leading
-    trial axis on the impedance and the state, and one pace multiplier per
-    trial.  A lockstep of trials then steps all its plants in one call,
-    each with the numbers its own plant gives.
+    :meth:`steady_state`, :meth:`paced_reference` and :meth:`respond` also
+    take stacks: a leading trial axis on the impedance, the state and the
+    reference, and one pace multiplier per trial.  A lockstep of trials
+    then steps all its plants in one call, each with the numbers its own
+    plant gives.
     """
 
     def __init__(self, config: FeatureMapConfig, rng: np.random.Generator):
@@ -144,8 +145,8 @@ class FeatureMapPlant:
         self._noise_std = np.array(config.noise_std, dtype=float)
         self.state = self._ref_feat.copy()
 
-    def steady_state(self, imp: np.ndarray, pace=1.0) -> np.ndarray:
-        """Fixed point the features relax to under constant impedance.
+    def paced_reference(self, pace=1.0) -> np.ndarray:
+        """The reference features at pace multiplier ``pace``, or a stack for a stack of them.
 
         Under a pace multiplier, the natural phase durations shorten or
         lengthen by the passthrough share of the pace change; peak angles
@@ -155,24 +156,32 @@ class FeatureMapPlant:
         # durations times the pace factor, peak angles times 1.0 (exactly themselves)
         scale = np.ones(np.shape(pace) + (1, 2))
         scale[..., 0] = eta / np.asarray(pace)[..., None] + (1.0 - eta)
-        offsets = imp - self.config.reference_impedance
-        return (self._ref_feat * scale
-                + np.einsum("pij,...pj->...pi", self.config.sensitivity, offsets))
+        return self._ref_feat * scale
 
-    def respond(self, state: np.ndarray, imp: np.ndarray, pace, draws: np.ndarray) -> np.ndarray:
+    def steady_state(self, imp: np.ndarray, pace=1.0) -> np.ndarray:
+        """Fixed point the features relax to under constant impedance at ``pace``."""
+        return self._steady(imp, self.paced_reference(pace))
+
+    def _steady(self, imp: np.ndarray, reference: np.ndarray) -> np.ndarray:
+        offsets = imp - self.config.reference_impedance
+        return reference + np.einsum("pij,...pj->...pi", self.config.sensitivity, offsets)
+
+    def respond(self, state: np.ndarray, imp: np.ndarray, reference: np.ndarray,
+                draws: np.ndarray) -> np.ndarray:
         """Features of the cycle after ``state``, walked under ``imp``.
 
-        ``draws`` are standard-normal draws shaped like ``state``; scaled by
-        the noise std they equal ``rng.normal(0.0, noise_std)`` on the same
-        generator, bit for bit.
+        ``reference`` is the :meth:`paced_reference` of the pace walked; a
+        caller keeps it while the pace holds.  ``draws`` are standard-normal
+        draws shaped like ``state``; scaled by the noise std they equal
+        ``rng.normal(0.0, noise_std)`` on the same generator, bit for bit.
         """
         lam = self.config.smoothing
         noise = 0.0 + draws * self._noise_std
-        return clip_features((1.0 - lam) * state + lam * self.steady_state(imp, pace) + noise)
+        return clip_features((1.0 - lam) * state + lam * self._steady(imp, reference) + noise)
 
     def step(self, imp: np.ndarray, pace: float = 1.0) -> np.ndarray:
         """Advance one gait cycle under a (4, 3) impedance array; returns the new state."""
-        self.state = self.respond(self.state, imp, pace,
+        self.state = self.respond(self.state, imp, self.paced_reference(pace),
                                   self.rng.standard_normal((NUM_PHASES, 2)))
         return self.state
 

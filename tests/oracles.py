@@ -6,7 +6,8 @@ vectorized code paths.  The torque-law knee has two references: the
 per-substep phase-machine loop its step replaced, and an event-exact
 ``solve_ivp`` integration of the same phase machine.  The initial
 impedance draw has one: the one-candidate-at-a-time loop its block draw
-replaced.
+replaced.  The dHDP contractions have one: the matmul forms that numpy's
+vecdot/matvec/vecmat gufuncs replaced.
 """
 
 import math
@@ -125,6 +126,21 @@ def loop_monitor_bounds(critic, actor, c_tape, a_tape, params):
                + params.alpha2 * sum(v * v for v in wcd) * s_sq)
     bound_a = (params.alpha3 - params.alpha2) / denom_a if denom_a > 0 else math.inf
     return bound_c, bound_a
+
+
+# The contractions the dHDP rules made before they used np.vecdot, np.matvec
+# and np.vecmat: each one a matmul of a single net's core shapes.
+
+def matmul_dot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def matmul_matvec(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def matmul_vecmat(v, m):
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def array_to_profile(values):

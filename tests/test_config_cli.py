@@ -1,6 +1,7 @@
 """Config loading, CLI subcommands and output files."""
 
 import copy
+import hashlib
 import json
 import re
 import warnings
@@ -12,6 +13,8 @@ import pytest
 from kneetrack.cli import main
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
 from kneetrack.dhdp import init_actor, init_critic, save_policy
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_run_config(**overrides):
@@ -167,6 +170,66 @@ def test_integer_keys_refuse_fractions_and_booleans(tmp_path, capsys):
         assert not out.exists()
 
 
+def assert_refused(tmp_path, capsys, cfg, key):
+    """``cfg`` exits 2 naming ``key``, with no traceback, no warning and no output."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, small_run_config(trials=1, max_cycles=20, **cfg))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {key}:"), err
+    assert "Traceback" not in err
+    assert caught == []
+    assert not out.exists()
+
+
+def test_range_interval_must_be_two_numbers(tmp_path, capsys):
+    # an empty interval raised IndexError and an object KeyError, as tracebacks;
+    # a third number was silently dropped
+    for interval, j in (([], 0), ({}, 1), ([1.0], 2), ([0.0, 1.0, 1.6], 2)):
+        ranges = default_config()["ranges"]
+        ranges[2][j] = interval
+        assert_refused(tmp_path, capsys, {"ranges": ranges}, f"ranges[2][{j}]")
+    ranges = default_config()["ranges"]
+    del ranges[1][2]
+    assert_refused(tmp_path, capsys, {"ranges": ranges}, "ranges[1]")
+
+
+def test_numeric_lists_refuse_null(tmp_path, capsys):
+    # a null sensitivity made NaN features and a plant ValueError traceback
+    sensitivity = default_config()["feature_map"]["sensitivity"]
+    sensitivity[1][0][2] = None
+    assert_refused(tmp_path, capsys, {"feature_map": {"sensitivity": sensitivity}},
+                   "feature_map.sensitivity[1][0][2]")
+    assert_refused(tmp_path, capsys, {"pace": {"testing": [1.0, "fast"]}}, "pace.testing[1]")
+
+
+def test_numeric_lists_refuse_booleans(tmp_path, capsys):
+    # a true safety bound ran as 1.0, with exit 0
+    safety = default_config()["bounds"]["safety"]
+    safety[3][0] = True
+    assert_refused(tmp_path, capsys, {"bounds": {"safety": safety}}, "bounds.safety[3][0]")
+
+
+def test_init_weight_scale_has_a_finite_ceiling(tmp_path, capsys):
+    # 1e308 overflowed the uniform draw's width in an OverflowError traceback
+    for scale in (1e308, 2e6):
+        assert_refused(tmp_path, capsys, {"dhdp": {"init_weight_scale": scale}},
+                       "dhdp.init_weight_scale")
+
+
+def test_monitor_alphas_are_numbers_set_together(tmp_path, capsys):
+    # alpha2 and alpha3 were read only when alpha1 was set, so any value passed
+    assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": None, "alpha2": "x"}}, "dhdp.alpha2")
+    assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": 2.0}}, "dhdp.alpha2")
+    assert_refused(tmp_path, capsys, {"dhdp": {"alpha3": 20.0}}, "dhdp.alpha1")
+    assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": True, "alpha2": 6.0, "alpha3": 12.0}},
+                   "dhdp.alpha1")
+    code, _ = run_cli(tmp_path, small_run_config(
+        trials=1, max_cycles=20, dhdp={"alpha1": 2.0, "alpha2": 6.0, "alpha3": 12.0}))
+    assert code == 0
+
+
 def test_overrides_beat_file_values(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": 2, "seed": 5}))
@@ -303,6 +366,27 @@ def test_run_deterministic_outputs(tmp_path):
             assert a == b
         else:
             assert a == b
+
+
+def test_run_outputs_match_the_golden_digests(tmp_path):
+    # every output byte of a small scenario-2 batch, recorded before the
+    # dHDP contractions moved to numpy's gufuncs; config.json is compared
+    # without its out_dir, the only entry that names the run's location
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 3, "max_cycles": 60}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--scenario", "2", "--stage", "training",
+                 "--seed", "5", "--out", str(out)]) == 0
+    got = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "config.json":
+            doc = json.loads(data)
+            doc.pop("out_dir")
+            data = json.dumps(doc, sort_keys=True).encode()
+        got[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    want = json.loads((GOLDEN / "scenario2_run_sha256.json").read_text())
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_stacked_feature_map_response_equals_lone_steps(seed, trials, smoothing,
 
     stacked_rngs = [np.random.default_rng(s) for s in seeds]
     draws = np.array([r.standard_normal((4, 2)) for r in stacked_rngs])
-    stacked = plant.respond(state, imp, pace, draws)
+    stacked = plant.respond(state, imp, plant.paced_reference(pace), draws)
 
     for i, s in enumerate(seeds):
         lone_rng = np.random.default_rng(s)
@@ -183,3 +183,29 @@ def test_stacked_cycle_duration_equals_python_sum(seed, trials):
     for i in range(trials):
         want = float(sum(f.duration for f in oracles.array_to_profile(features[i])))
         assert got[i] == want
+
+
+LEADING_SHAPES = [(), (1,), (4,), (1, 4), (3, 4), (16, 4), (60, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from(LEADING_SHAPES),
+       inner=st.integers(1, 40), outer=st.integers(1, 40))
+def test_contraction_gufuncs_equal_the_matmul_forms(seed, lead, inner, outer):
+    # the dHDP rules contract with np.vecdot/np.matvec/np.vecmat; each must give
+    # the bits of the matmul form it replaced, for every stack of nets and for
+    # a column slice such as w_hidden[..., 2:], which is not contiguous
+    rng = np.random.default_rng(seed)
+
+    def operand(*core):
+        # random signs, magnitudes spread log-uniformly over 1e-5 .. 1e5; half
+        # of the operands are a [..., 2:] slice
+        skip = int(rng.choice([0, 2]))
+        shape = lead + core[:-1] + (core[-1] + skip,)
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+        return values[..., skip:]
+
+    x, y, m, v = operand(inner), operand(inner), operand(outer, inner), operand(outer)
+    assert same_bits(np.vecdot(x, y), oracles.matmul_dot(x, y))
+    assert same_bits(np.matvec(m, x), oracles.matmul_matvec(m, x))
+    assert same_bits(np.vecmat(v, m), oracles.matmul_vecmat(v, m))
