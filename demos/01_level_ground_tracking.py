@@ -30,12 +30,10 @@ print("per-phase convergence cycle:", record.converged_at)
 print()
 
 print("peak-angle tracking error by phase (every 20th cycle, radians):")
-by_cycle = {}
-for row in record.rows:
-    by_cycle.setdefault(row.cycle, {})[row.phase] = row
+# the log holds one row per phase and cycle: (cycles, 4) after a reshape
+d_peak = record.column("d_peak_rad").reshape(-1, 4)
+in_tolerance = record.column("in_tolerance").reshape(-1, 4)
 print(f"{'cycle':>6} {'STF':>8} {'STE':>8} {'SWF':>8} {'SWE':>8}  in-tolerance")
 for k in range(0, record.cycles_run, 20):
-    rows = by_cycle[k]
-    tol = "".join("y" if rows[p].in_tolerance else "." for p in (1, 2, 3, 4))
-    print(f"{k:>6} " + " ".join(f"{rows[p].d_peak:+.4f}" for p in (1, 2, 3, 4))
-          + f"  {tol}")
+    tol = "".join("y" if flag else "." for flag in in_tolerance[k])
+    print(f"{k:>6} " + " ".join(f"{err:+.4f}" for err in d_peak[k]) + f"  {tol}")

@@ -15,10 +15,9 @@ for gain in (0.0, 0.1):
     steps = record.tuning_steps if record.success else "did not converge"
     print(f"{label}: outcome={record.outcome}, steps={steps}, "
           f"resets={record.resets}")
-    first = record.rows[2]      # swing flexion, first cycle
-    last = [r for r in record.rows if r.phase == 3][-1]
-    print(f"  swing-flexion peak error: {first.d_peak:+.4f} rad at start, "
-          f"{last.d_peak:+.4f} rad at end")
+    swing_flexion = record.column("d_peak_rad")[2::4]  # phase 3 of every cycle
+    print(f"  swing-flexion peak error: {swing_flexion[0]:+.4f} rad at start, "
+          f"{swing_flexion[-1]:+.4f} rad at end")
 print()
 print("with drift on, the intact profile shifts a little toward the")
 print("prosthesis while the prosthesis converges toward the profile;")

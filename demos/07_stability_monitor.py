@@ -12,8 +12,9 @@ import numpy as np
 from kneetrack import DhdpConfig, TrialConfig, run_trial
 
 record = run_trial(TrialConfig(), seed=7)
-bounds_c = [r.critic_bound for r in record.rows if r.critic_bound is not None]
-bounds_a = [r.actor_bound for r in record.rows if r.actor_bound is not None]
+# safety-reset cycles do not learn, so their rows carry no ceilings
+bounds_c = record.column("critic_bound")[~record.missing("critic_bound")]
+bounds_a = record.column("actor_bound")[~record.missing("actor_bound")]
 cfg = TrialConfig()
 print("default rates vs observed ceilings over one successful trial:")
 print(f"  critic rate {cfg.dhdp.critic_lr} vs ceiling min {min(bounds_c):.2f} "

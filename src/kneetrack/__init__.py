@@ -35,11 +35,9 @@ from .dhdp import (
     td_error,
 )
 from .fsm import (
-    FsmState,
     ParameterRanges,
     apply_delta,
     joint_torque,
-    step_fsm,
 )
 from .harness import (
     DhdpConfig,
@@ -48,7 +46,6 @@ from .harness import (
     TrialConfig,
     TrialRecord,
     compute_rms,
-    convergence_check,
     run_testing_batch,
     run_training_batch,
     run_trial,

@@ -98,6 +98,8 @@ def cmd_run(args) -> int:
     try:
         resolved = load_config(args.config, overrides)
         cfg = trial_config_from(resolved)
+        if cfg.stage == "testing" and not resolved["policy_dir"]:
+            raise ConfigError("testing stage needs policy_dir in the config")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -118,10 +120,6 @@ def cmd_run(args) -> int:
                 rec = batch.records[trial_idx]
                 save_policy(policy_dir / f"policy_{n:02d}.json", rec.actors, rec.critics)
         else:
-            if not resolved["policy_dir"]:
-                print("error: testing stage needs policy_dir in the config",
-                      file=sys.stderr)
-                return 2
             policies = _load_policies(Path(resolved["policy_dir"]), cfg)
             batch = run_testing_batch(cfg, seed, policies,
                                       trials_per_policy=int(resolved["trials_per_policy"]))

@@ -226,6 +226,8 @@ def _check_values(resolved: dict) -> None:
         raise ConfigError(f"dhdp.init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
                           f"got {resolved['dhdp']['init_weight_scale']}")
     _check_alphas(resolved["dhdp"])
+    if resolved["policy_dir"] is not None and not isinstance(resolved["policy_dir"], str):
+        raise ConfigError(f"policy_dir: expected a string or null, got {resolved['policy_dir']!r}")
     if resolved["drift"]["gain"] < 0:
         raise ConfigError(f"drift.gain: must be non-negative, got {resolved['drift']['gain']}")
     for key, size in (("ranges", 4), ("feature_map.reference_features", 4),

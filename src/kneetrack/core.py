@@ -128,9 +128,6 @@ class BoundsTable:
     def safety_for(self, phase: Phase) -> PhaseBound:
         return self.safety[phase - 1]
 
-    def tolerance_for(self, phase: Phase) -> PhaseBound:
-        return self.tolerance[phase - 1]
-
     def limits(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """The ``kind`` ("safety" or "tolerance") bounds as (4,) angle and duration-% arrays."""
         bounds = getattr(self, kind)

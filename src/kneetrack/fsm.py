@@ -1,14 +1,13 @@
 """Finite-state-machine impedance controller.
 
 A gait cycle is split into four phases, each with its own impedance row
-(stiffness, damping, equilibrium) of a (4, 3) impedance array.  The
-controller produces joint torque from the active row, advances the phase on
-kinematic peaks and gait events, and applies per-cycle parameter
-adjustments with clamping to configured physical ranges.
-
-The flexion-peak rule is :func:`flexion_peaked`.  :func:`step_fsm` applies it
-to an :class:`FsmState` per timestep; the torque-law knee (``OdeKneePlant``)
-calls it and :func:`joint_torque` from its own float loop, building no state.
+(stiffness, damping, equilibrium) of a (4, 3) impedance array.  This module
+holds the controller's rules: the joint torque of the active row
+(:func:`joint_torque`), the kinematic peak that ends a flexion phase
+(:func:`flexion_peaked`), and per-cycle parameter adjustments clamped to
+configured physical ranges (:func:`apply_delta`).  The torque-law knee
+(``OdeKneePlant``) walks the phase machine in its own float loop with the
+first two.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class ParameterRanges:
 
     phases: tuple[PhaseRanges, PhaseRanges, PhaseRanges, PhaseRanges]
 
-    def for_phase(self, phase: Phase) -> PhaseRanges:
-        return self.phases[phase - 1]
-
     @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds as (4, 3) arrays, laid out like an impedance array."""
@@ -70,21 +66,6 @@ class ParameterRanges:
     @classmethod
     def default(cls) -> "ParameterRanges":
         return cls(tuple(PhaseRanges() for _ in range(NUM_PHASES)))
-
-
-@dataclass(frozen=True)
-class FsmState:
-    """Current phase plus elapsed time in the phase and in the cycle."""
-
-    phase: Phase
-    phase_elapsed: float = 0.0
-    cycle_elapsed: float = 0.0
-
-    def __post_init__(self):
-        if self.phase_elapsed < 0.0 or self.cycle_elapsed < 0.0:
-            raise ValueError("elapsed times must be non-negative")
-        if self.phase_elapsed > self.cycle_elapsed + 1e-12:
-            raise ValueError("phase time cannot exceed cycle time")
 
 
 def flexion_peaked(phase_elapsed: float, velocity: float,
@@ -136,56 +117,3 @@ def apply_delta(
     updated = imp.copy()
     updated[..., idx, :] = np.where(below, lo, np.where(above, hi, raw)) if clamped else raw
     return updated, clamped
-
-
-_NEXT_PHASE = {
-    Phase.STANCE_FLEXION: Phase.STANCE_EXTENSION,
-    Phase.STANCE_EXTENSION: Phase.SWING_FLEXION,
-    Phase.SWING_FLEXION: Phase.SWING_EXTENSION,
-    Phase.SWING_EXTENSION: Phase.STANCE_FLEXION,
-}
-
-
-def step_fsm(
-    state: FsmState,
-    dt: float,
-    angle: float,
-    velocity: float,
-    heel_strike: bool = False,
-    toe_off: bool = False,
-    prev_velocity: float | None = None,
-) -> FsmState:
-    """Advance the phase machine by one timestep.
-
-    Transition rules: the flexion phases end at their kinematic peak (the
-    angular velocity crossing from rising to falling), stance extension
-    ends at toe-off, and swing extension ends at heel strike, which also
-    starts a new cycle.  At most one transition fires per step, so the
-    emitted phase sequence can never skip a phase.
-
-    When the caller can supply the previous timestep's velocity, the peak
-    is the true sign change (previous above, current at or below the
-    threshold); otherwise a low current velocity after the minimum dwell
-    is taken as the peak.
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    phase_elapsed = state.phase_elapsed + dt
-    cycle_elapsed = state.cycle_elapsed + dt
-
-    phase = state.phase
-    transition = False
-    if phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION):
-        transition = flexion_peaked(phase_elapsed, velocity, prev_velocity)
-    elif phase is Phase.STANCE_EXTENSION:
-        transition = toe_off
-    elif phase is Phase.SWING_EXTENSION:
-        transition = heel_strike
-
-    if not transition:
-        return FsmState(phase, phase_elapsed, cycle_elapsed)
-
-    next_phase = _NEXT_PHASE[phase]
-    if next_phase is Phase.STANCE_FLEXION:
-        cycle_elapsed = 0.0
-    return FsmState(next_phase, 0.0, cycle_elapsed)

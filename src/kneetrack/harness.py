@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,36 +171,6 @@ class TrialConfig:
         return self.pace_training if self.stage == "training" else self.pace_testing
 
 
-@dataclass
-class CycleLog:
-    """One phase's log entry for one gait cycle.
-
-    ``stiffness``/``damping``/``equilibrium`` are the parameters that were
-    active while the cycle was walked.  Action and learning fields are
-    None on safety-reset cycles, where the controller does not act.
-    """
-
-    cycle: int
-    phase: int
-    d_duration: float
-    d_duration_pct: float
-    d_peak: float
-    stiffness: float
-    damping: float
-    equilibrium: float
-    reset: bool
-    in_tolerance: bool
-    converged: bool
-    action: tuple[float, float, float] | None = None
-    delta: tuple[float, float, float] | None = None
-    cost: float | None = None
-    q_value: float | None = None
-    td: float | None = None
-    critic_bound: float | None = None
-    actor_bound: float | None = None
-    monitor_ok: bool | None = None
-
-
 # The CSV column order below is a stable interface; downstream plot and
 # report tooling parses it positionally.
 CSV_COLUMNS = (
@@ -275,33 +244,6 @@ class TrialRecord:
             return ~self.log["lagged"]
         return self.log["reset"] if name in _LEARNING_FIELDS else None
 
-    @property
-    def rows(self) -> list[CycleLog]:
-        """The log as one :class:`CycleLog` per phase and cycle, built on each access."""
-        c = {name: values.tolist() for name, values in self.log.items()}
-        rows = []
-        for i, reset in enumerate(c["reset"]):
-            learning = {} if reset else dict(
-                action=(c["action_stiffness"][i], c["action_damping"][i],
-                        c["action_equilibrium"][i]),
-                delta=(c["delta_stiffness"][i], c["delta_damping"][i],
-                       c["delta_equilibrium"][i]),
-                cost=c["stage_cost"][i], q_value=c["q_value"][i],
-                td=c["td_error"][i] if c["lagged"][i] else None,
-                critic_bound=c["critic_bound"][i], actor_bound=c["actor_bound"][i],
-                monitor_ok=c["monitor_ok"][i],
-            )
-            rows.append(CycleLog(
-                cycle=i // NUM_PHASES, phase=i % NUM_PHASES + 1,
-                d_duration=c["d_duration_s"][i], d_duration_pct=c["d_duration_pct"][i],
-                d_peak=c["d_peak_rad"][i],
-                stiffness=c["stiffness"][i], damping=c["damping"][i],
-                equilibrium=c["equilibrium"][i],
-                reset=reset, in_tolerance=c["in_tolerance"][i], converged=c["converged"][i],
-                **learning,
-            ))
-        return rows
-
 
 def _append_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
     """Append log rows, (cycles, 4, field) blocks in ``_LOG_FIELDS`` order, to ``record``.
@@ -327,21 +269,6 @@ def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
         within_bound(err, bounds.safety_for(phase), cycle_dur)
         for phase, err in zip(PHASES, errors)
     )
-
-
-def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
-    """First index at which a sliding window holds enough in-tolerance flags.
-
-    Returns the 0-based cycle index where convergence latched, or None if
-    the quota was never met anywhere in the history.  A lockstep applies
-    the same rule to every trial and phase at once, one cycle at a time.
-    """
-    flags: deque = deque(maxlen=window)
-    for k, flag in enumerate(history):
-        flags.append(bool(flag))
-        if sum(flags) >= quota:
-            return k
-    return None
 
 
 def make_plant(cfg: TrialConfig, rng: np.random.Generator):
@@ -550,10 +477,6 @@ class Trial:
     def impedance(self) -> np.ndarray:
         """The (4, 3) impedance the next cycle is walked with."""
         return self._impedance[0]
-
-    @property
-    def _converged_at(self) -> list[int | None]:
-        return [None if c < 0 else c for c in self._converged[0].tolist()]
 
     # -- events ------------------------------------------------------------
 

@@ -239,7 +239,7 @@ class OdeKneePlant:
         peak = angle
         features = []
         # one Euler loop per phase on Python floats: ~50 substeps per cycle,
-        # where numpy scalars or an FsmState each cost more than the arithmetic
+        # where numpy scalars or a state object per substep cost more than the arithmetic
         try:
             for phase, row, load in zip(PHASES, imp.tolist(), cfg.load_torque):
                 flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)

@@ -7,17 +7,20 @@ per-substep phase-machine loop its step replaced, and an event-exact
 ``solve_ivp`` integration of the same phase machine.  The initial
 impedance draw has one: the one-candidate-at-a-time loop its block draw
 replaced.  The dHDP contractions have one: the matmul forms that numpy's
-vecdot/matvec/vecmat gufuncs replaced.
+vecdot/matvec/vecmat gufuncs replaced.  The lockstep's convergence windows
+have one: a sliding window over one phase's in-tolerance history.
 """
 
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from kneetrack import harness
 from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, GaitFeatures, Phase
 from kneetrack.dhdp import ActorNet, CriticNet, actor_forward, critic_forward, td_error
-from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, FsmState, joint_torque, step_fsm
+from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
 from kneetrack.plant import PlantInstabilityError, alignment_errors, clip_features, cycle_duration
 
 
@@ -146,6 +149,89 @@ def matmul_vecmat(v, m):
 def array_to_profile(values):
     """Four ``GaitFeatures`` of (4, 2) features, made legal by ``clip_features``."""
     return tuple(GaitFeatures(float(d), float(p)) for d, p in clip_features(values))
+
+
+def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
+    """First index at which a sliding window holds enough in-tolerance flags.
+
+    Returns the 0-based cycle index where convergence latched, or None if
+    the quota was never met anywhere in the history.  A lockstep applies
+    the same rule to every trial and phase at once, one cycle at a time.
+    """
+    flags: deque = deque(maxlen=window)
+    for k, flag in enumerate(history):
+        flags.append(bool(flag))
+        if sum(flags) >= quota:
+            return k
+    return None
+
+
+@dataclass(frozen=True)
+class FsmState:
+    """Current phase plus elapsed time in the phase and in the cycle."""
+
+    phase: Phase
+    phase_elapsed: float = 0.0
+    cycle_elapsed: float = 0.0
+
+    def __post_init__(self):
+        if self.phase_elapsed < 0.0 or self.cycle_elapsed < 0.0:
+            raise ValueError("elapsed times must be non-negative")
+        if self.phase_elapsed > self.cycle_elapsed + 1e-12:
+            raise ValueError("phase time cannot exceed cycle time")
+
+
+_NEXT_PHASE = {
+    Phase.STANCE_FLEXION: Phase.STANCE_EXTENSION,
+    Phase.STANCE_EXTENSION: Phase.SWING_FLEXION,
+    Phase.SWING_FLEXION: Phase.SWING_EXTENSION,
+    Phase.SWING_EXTENSION: Phase.STANCE_FLEXION,
+}
+
+
+def step_fsm(
+    state: FsmState,
+    dt: float,
+    angle: float,
+    velocity: float,
+    heel_strike: bool = False,
+    toe_off: bool = False,
+    prev_velocity: float | None = None,
+) -> FsmState:
+    """Advance the phase machine by one timestep.
+
+    Transition rules: the flexion phases end at their kinematic peak (the
+    angular velocity crossing from rising to falling), stance extension
+    ends at toe-off, and swing extension ends at heel strike, which also
+    starts a new cycle.  At most one transition fires per step, so the
+    emitted phase sequence can never skip a phase.
+
+    When the caller can supply the previous timestep's velocity, the peak
+    is the true sign change (previous above, current at or below the
+    threshold); otherwise a low current velocity after the minimum dwell
+    is taken as the peak.
+    """
+    if dt < 0.0:
+        raise ValueError("dt must be non-negative")
+    phase_elapsed = state.phase_elapsed + dt
+    cycle_elapsed = state.cycle_elapsed + dt
+
+    phase = state.phase
+    transition = False
+    if phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION):
+        transition = flexion_peaked(phase_elapsed, velocity, prev_velocity)
+    elif phase is Phase.STANCE_EXTENSION:
+        transition = toe_off
+    elif phase is Phase.SWING_EXTENSION:
+        transition = heel_strike
+
+    if not transition:
+        return FsmState(phase, phase_elapsed, cycle_elapsed)
+
+    next_phase = _NEXT_PHASE[phase]
+    if next_phase is Phase.STANCE_FLEXION:
+        cycle_elapsed = 0.0
+    return FsmState(next_phase, 0.0, cycle_elapsed)
 
 
 def loop_ode_step(plant, imp):

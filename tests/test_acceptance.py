@@ -266,7 +266,7 @@ def test_criterion_8_safety_reset_preserves_weights():
     assert not np.array_equal(trial.impedance, trial.initial_impedance)
     trial.step()  # out-of-safety target -> reset
     assert trial.record.resets == 1
-    assert all(r.reset for r in trial.record.rows if r.cycle == 2)
+    assert trial.record.log["reset"][trial.record.column("cycle") == 2].all()
     assert np.array_equal(trial.impedance, trial.initial_impedance)
     after = [m for net in (trial.actor, trial.critic)
              for m in (net.w_hidden, net.w_out)]

@@ -38,7 +38,7 @@ def test_traced_trial_runs_through_the_result_hooks():
     finally:
         recorder.uninstall()
     assert record.cycles_run > 0 and recorder.records == [record]
-    learning_cycles = {row.cycle for row in record.rows if not row.reset}
+    learning_cycles = set(record.column("cycle")[~record.log["reset"]].tolist())
     stats = recorder.summary()["stats"]
     assert stats["dhdp.stability_monitor"]["calls"] == len(learning_cycles)
     assert stats["fsm.apply_delta"]["calls"] == 4 * len(learning_cycles)

@@ -143,6 +143,11 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         ({"dhdp": {"discount": 1.0}}, "dhdp:"),
         ({"scenario": 2, "terrain": {"pool_size": 0}}, "pool_size:"),
         ({"scenario": 2, "terrain": {"switch_period": 0}}, "switch_period:"),
+        # policy_dir is a path or null in every stage; a testing run needs one
+        ({"policy_dir": 5}, "policy_dir:"),
+        ({"stage": "testing", "policy_dir": 5}, "policy_dir:"),
+        ({"stage": "testing", "policy_dir": True}, "policy_dir:"),
+        ({"stage": "testing"}, "policy_dir"),
     ]
     for cfg, key in cases:
         code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
@@ -305,9 +310,10 @@ def test_run_missing_config_nonzero_exit(tmp_path, capsys):
 
 
 def test_run_testing_needs_policy_dir(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, small_run_config(stage="testing"))
+    code, out = run_cli(tmp_path, small_run_config(stage="testing"))
     assert code == 2
     assert "policy_dir" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_testing_loads_policies(tmp_path):

@@ -105,7 +105,7 @@ def test_bounds_table_default_matches_published_limits():
     assert all(b.duration_pct == 12.0 for b in table.safety)
     assert all(b.angle == 0.0263 and b.duration_pct == 2.0 for b in table.tolerance)
     assert table.safety_for(Phase.STANCE_FLEXION).angle == 0.184
-    assert table.tolerance_for(Phase.SWING_EXTENSION).duration_pct == 2.0
+    assert table.tolerance[Phase.SWING_EXTENSION - 1].duration_pct == 2.0
 
 
 def test_bounds_table_rejects_tolerance_wider_than_safety():

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from kneetrack.core import Phase
-from kneetrack.fsm import (
-    FsmState,
-    ParameterRanges,
-    PhaseRanges,
-    apply_delta,
-    joint_torque,
-    step_fsm,
-)
+from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta, joint_torque
+from oracles import FsmState, step_fsm
 
 
 def make_set(k=10.0, b=1.0, eq=0.2):
@@ -128,7 +122,7 @@ def test_apply_delta_output_always_valid():
         phase = Phase(int(rng.integers(1, 5)))
         imp, _ = apply_delta(imp, phase, delta, ranges)
         stiffness, damping, equilibrium = imp[phase - 1]
-        limits = ranges.for_phase(phase)
+        limits = ranges.phases[phase - 1]
         assert limits.stiffness[0] <= stiffness <= limits.stiffness[1]
         assert limits.damping[0] <= damping <= limits.damping[1]
         assert limits.equilibrium[0] <= equilibrium <= limits.equilibrium[1]
@@ -144,7 +138,7 @@ def test_phase_ranges_stay_inside_the_physical_domain():
 
 
 # ---------------------------------------------------------------------------
-# phase machine
+# phase machine (the oracles' per-substep reference for the torque-law knee)
 
 
 def advance(state, dt, n, **kw):

@@ -5,11 +5,13 @@ import csv
 import json
 import os
 import pickle
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kneetrack import harness
@@ -23,7 +25,6 @@ from kneetrack.harness import (
     TrialRecord,
     aggregate_metrics,
     compute_rms,
-    convergence_check,
     draw_initial_impedance,
     make_plant,
     make_target_program,
@@ -89,36 +90,43 @@ def test_safety_check_phase2_duration_within():
 
 
 def test_convergence_ten_consecutive():
-    assert convergence_check([True] * 10) == 7  # 8 of the quota reached first
+    assert oracles.convergence_check([True] * 10) == 7  # 8 of the quota reached first
 
 
 def test_convergence_eight_of_ten_pattern():
     pattern = [True, True, True, True, False, True, True, True, False, True]
-    assert convergence_check(pattern) == 9
+    assert oracles.convergence_check(pattern) == 9
 
 
 def test_convergence_seven_of_ten_never():
     pattern = ([True] * 7 + [False] * 3) * 20
-    assert convergence_check(pattern) is None
+    assert oracles.convergence_check(pattern) is None
 
 
 def test_convergence_matches_trial_flag_logic():
-    # a trial latches convergence where the batch rule does on its own
-    # per-phase in-tolerance history
-    cfg = TrialConfig(max_cycles=150, window=6, quota=4)
-    latched = 0
-    for seed in range(3):
-        trial = Trial(cfg, seed)
-        rec = trial.run()
-        for idx in range(4):
-            history = [r.in_tolerance for r in rec.rows if r.phase == idx + 1]
-            assert len(history) == rec.cycles_run
-            expected = convergence_check(history, cfg.window, cfg.quota)
-            assert trial._converged_at[idx] == expected
-            latched += expected is not None
+    # a trial latches each phase's convergence in the cycle the sliding-window
+    # rule does on that phase's in-tolerance history, for any window and quota
+    latched = []
+
+    @settings(max_examples=25, deadline=None)
+    @given(rule=st.integers(2, 12).flatmap(lambda w: st.tuples(st.just(w), st.integers(1, w))),
+           seed=st.integers(0, 2**32 - 1))
+    def check(rule, seed):
+        window, quota = rule
+        rec = run_trial(TrialConfig(max_cycles=60, window=window, quota=quota), seed)
+        in_tol = rec.column("in_tolerance").reshape(-1, 4)
+        converged = rec.column("converged").reshape(-1, 4)
+        assert len(in_tol) == rec.cycles_run
+        expected = [oracles.convergence_check(in_tol[:, idx], window, quota) for idx in range(4)]
+        for idx, at in enumerate(expected):
+            want = [at is not None and k >= at for k in range(rec.cycles_run)]
+            assert converged[:, idx].tolist() == want
         if rec.success:
-            assert rec.converged_at == dict(zip(range(1, 5), trial._converged_at))
-    assert latched > 0
+            assert rec.converged_at == dict(zip(range(1, 5), expected))
+        latched.extend(at for at in expected if at is not None)
+
+    check()
+    assert latched
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +184,7 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
     ]
     impedance_before_reset = trial.impedance
     trial.step()  # k=2: target switched beyond safety -> reset
-    reset_rows = [r for r in trial.record.rows if r.cycle == 2]
-    assert all(r.reset for r in reset_rows)
+    assert trial.record.log["reset"][trial.record.column("cycle") == 2].all()
     assert np.array_equal(trial.impedance, trial.initial_impedance)
     weights_after = [
         (net.w_hidden, net.w_out) for net in (trial.actor, trial.critic)
@@ -214,10 +221,11 @@ def test_reset_rows_carry_no_learning_fields():
     trial = rigged_switch_trial()
     for _ in range(3):
         trial.step()
-    rows = [r for r in trial.record.rows if r.reset]
-    assert rows
-    for r in rows:
-        assert r.action is None and r.cost is None and r.q_value is None
+    reset = trial.record.log["reset"]
+    assert reset.any()
+    for name in ("action_stiffness", "action_damping", "action_equilibrium", "stage_cost",
+                 "q_value"):
+        assert trial.record.missing(name)[reset].all()
 
 
 def test_plant_instability_recorded_as_failure():
@@ -253,7 +261,7 @@ def test_numeric_fault_keeps_no_update_of_its_cycle():
     for a, b in zip(before, after, strict=True):
         assert np.array_equal(a, b)
     assert trial.record.monitor_violations == violations + 4
-    assert not any(row.cycle == 30 for row in trial.record.rows)
+    assert 30 not in trial.record.column("cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +327,9 @@ def test_initial_draw_narrows_and_gives_up_as_the_oracle(plant_kind, monkeypatch
 def record_fingerprint(rec: TrialRecord) -> tuple:
     return (
         rec.outcome, rec.tuning_steps, rec.resets, rec.monitor_violations,
-        tuple((r.cycle, r.phase, r.d_peak, r.d_duration, r.cost, r.q_value)
-              for r in rec.rows),
+        tuple(rec.column(name).tobytes() for name in (
+            "cycle", "phase", "d_peak_rad", "d_duration_s", "stage_cost", "q_value")),
+        rec.missing("q_value").tobytes(),
         tuple(tuple(a.w_out.ravel()) for a in rec.actors),
     )
 
@@ -340,10 +349,11 @@ def test_trial_differs_across_seeds():
 
 
 def record_state(rec: TrialRecord) -> tuple:
-    """Every field of a record: floats at full precision, weights as bytes."""
-    fields = {k: v for k, v in vars(rec).items() if k not in ("rows", "actors", "critics")}
+    """Every field of a record: floats at full precision, log columns and weights as bytes."""
+    fields = {k: v for k, v in vars(rec).items() if k not in ("log", "actors", "critics")}
+    log = {name: (values.dtype.str, values.tobytes()) for name, values in rec.log.items()}
     weights = [m.tobytes() for net in rec.actors + rec.critics for m in (net.w_hidden, net.w_out)]
-    return repr(fields), [repr(astuple(row)) for row in rec.rows], weights
+    return repr(fields), log, weights
 
 
 # Batches whose trials end at different cycles and in different ways: each
@@ -436,7 +446,7 @@ def synthetic_record(errors_by_cycle, in_tol_by_cycle) -> TrialRecord:
         d_duration_s=errs[:, 0] / 100.0 * 1.2, d_duration_pct=errs[:, 0], d_peak_rad=errs[:, 1],
         in_tolerance=np.array(in_tol_by_cycle, dtype=bool).reshape(-1),
     )
-    assert [(r.cycle, r.phase) for r in rec.rows] == [
+    assert list(zip(rec.column("cycle").tolist(), rec.column("phase").tolist())) == [
         (k, p) for k in range(len(errors_by_cycle)) for p in range(1, 5)]
     return rec
 
@@ -563,35 +573,36 @@ def test_trial_csv_round_trip_values(tmp_path):
     write_trial_csv(rec, out)
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(rec.rows)
-    for parsed, row in zip(rows, rec.rows):
-        assert int(parsed["cycle"]) == row.cycle
-        assert int(parsed["phase"]) == row.phase
-        assert float(parsed["d_peak_rad"]) == row.d_peak
-        if row.q_value is None:
+    assert len(rows) == len(rec.log["reset"])
+    columns = zip(*(rec.column(name).tolist() for name in ("cycle", "phase", "d_peak_rad",
+                                                           "q_value")),
+                  rec.missing("q_value").tolist())
+    for parsed, (cycle, phase, d_peak, q_value, missing) in zip(rows, columns, strict=True):
+        assert int(parsed["cycle"]) == cycle
+        assert int(parsed["phase"]) == phase
+        assert float(parsed["d_peak_rad"]) == d_peak
+        if missing:
             assert parsed["q_value"] == ""
         else:
-            assert float(parsed["q_value"]) == row.q_value
+            assert float(parsed["q_value"]) == q_value
 
 
 def write_csv_per_row(record: TrialRecord, path) -> None:
-    """The CSV writer the columnar one replaced: csv.writer and _fmt on every CycleLog."""
+    """The CSV writer the columnar one replaced: csv.writer and _fmt on every cell.
+
+    A missing cell is written as None.
+    """
+    columns = []
+    for name in CSV_COLUMNS:
+        values, missing = record.column(name).tolist(), record.missing(name)
+        if missing is not None:
+            values = [None if gone else v for v, gone in zip(values, missing.tolist())]
+        columns.append(values)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in record.rows:
-            action = row.action or (None, None, None)
-            delta = row.delta or (None, None, None)
-            writer.writerow([_fmt(v) for v in (
-                row.cycle, row.phase,
-                row.d_duration, row.d_duration_pct, row.d_peak,
-                action[0], action[1], action[2],
-                delta[0], delta[1], delta[2],
-                row.cost, row.q_value, row.td,
-                row.stiffness, row.damping, row.equilibrium,
-                row.critic_bound, row.actor_bound, row.monitor_ok,
-                row.reset, row.in_tolerance, row.converged,
-            )])
+        for row in zip(*columns):
+            writer.writerow([_fmt(v) for v in row])
 
 
 def random_record(rng, cycles: int) -> TrialRecord:
@@ -633,21 +644,23 @@ def test_log_marks_missing_cells_with_masks_not_nan():
         assert values.dtype == bool or not np.isnan(values).any(), name
     reset, lagged = rec.log["reset"], rec.log["lagged"]
     assert (lagged & ~reset).any() and (~lagged & ~reset).any()
-    for row, was_reset, had_lag in zip(rec.rows, reset.tolist(), lagged.tolist()):
-        assert row.reset == was_reset
-        for value in (row.action, row.delta, row.cost, row.q_value, row.critic_bound,
-                      row.actor_bound, row.monitor_ok):
-            assert (value is None) == was_reset
-        assert (row.td is None) == (not had_lag)
-    assert np.array_equal(rec.missing("q_value"), reset)
-    assert np.array_equal(rec.missing("td_error"), ~lagged)
-    assert rec.missing("d_peak_rad") is None
+    learning = ("action_stiffness", "action_damping", "action_equilibrium",
+                "delta_stiffness", "delta_damping", "delta_equilibrium",
+                "stage_cost", "q_value", "critic_bound", "actor_bound", "monitor_ok")
+    for name in CSV_COLUMNS:
+        missing = rec.missing(name)
+        if name == "td_error":
+            assert np.array_equal(missing, ~lagged)
+        elif name in learning:
+            assert np.array_equal(missing, reset), name
+        else:
+            assert missing is None, name
 
 
 def test_record_of_200_cycles_pickles_small():
     # seventeen float64 columns of 800 rows alone take 108,800 bytes
     rec = run_trial(TrialConfig(max_cycles=200), 0)
-    assert len(rec.rows) == 800
+    assert len(rec.log["reset"]) == 800
     assert len(pickle.dumps(rec)) <= 120_000
 
 
