@@ -1,24 +1,26 @@
 """Run configuration: JSON files with defaults, validation and overrides.
 
-A config file is a plain JSON object mirroring the template below.  Any
-key the template does not know is rejected, naming its full dotted path.
-Command-line flags override file values, which override defaults.
+A config file is a plain JSON object mirroring :func:`default_config`.  The
+one schema is a default :class:`TrialConfig`: the tree, the shape of every
+numeric list and the types of the built config all come from it.  An
+unknown key is rejected, naming its full dotted path.  Command-line flags
+override file values, which override defaults.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import BoundsTable, GaitFeatures, PhaseBound
-from .dhdp import ActionScale, MonitorParams, StageCostParams
-from .fsm import ParameterRanges, PhaseRanges
+from .dhdp import MonitorParams, StageCostParams
 from .harness import DhdpConfig, TrialConfig
-from .plant import FeatureMapConfig, OdeKneeConfig
 
 
 class ConfigError(ValueError):
@@ -29,155 +31,155 @@ class ConfigError(ValueError):
 # weights far above 1 start every unit saturated; the ceiling only keeps the
 # draw's width, twice the scale, finite with room to spare.
 MAX_INIT_WEIGHT_SCALE = 1e6
+# Measurement noise (s, rad) wider than a whole default gait cycle (1.2 s)
+# or the knee's whole range (1.6 rad) leaves no feature to track.
+MAX_NOISE_STD = 2.0
+# Feature change (s or rad) per unit of impedance: the defaults stay below
+# 1, and 10 s per N*m/rad of stiffness would move a phase by eight cycles.
+MAX_SENSITIVITY = 10.0
+# Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
+# the intact side would adapt past the prosthesis, and the target runs away.
+MAX_DRIFT_GAIN = 1.0
+
+# keys of a run that are no part of a trial, with their defaults
+_RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/out", "trials": 30, "keep_policies": 10,
+                 "trials_per_policy": 30, "policy_dir": None}
+# dotted config keys that differ from the TrialConfig field they set
+_RENAMED = {"plant": "plant_kind", "terrain.pool_size": "pool_size",
+            "terrain.pool_spread": "pool_spread", "terrain.switch_period": "switch_period",
+            "terrain.consecutive_tracks": "consecutive_tracks",
+            "pace.training": "pace_training", "pace.testing": "pace_testing",
+            "drift.gain": "drift_gain", "drift.smoothing": "drift_smoothing"}
+# config key -> TrialConfig field, for every field but dhdp
+_FIELDS = {**{key: key for key in ("scenario", "stage", "strict_monitor", "load_critic",
+                                   "max_cycles", "window", "quota", "rms_window",
+                                   "init_spread", "bounds", "ranges", "feature_map", "ode")},
+           **_RENAMED}
+# dhdp keys named as their DhdpConfig field
+_DHDP_FIELDS = ("critic_hidden", "actor_hidden", "discount", "critic_lr", "actor_lr",
+                "init_weight_scale", "action_scale")
+_ALPHAS = ("alpha1", "alpha2", "alpha3")
+# the numeric lists whose length is up to the user
+_ANY_LENGTH = ("pace.training", "pace.testing")
+
+
+@functools.cache
+def _defaults() -> TrialConfig:
+    """The default trial configuration, the schema of every tree; read, never handed out."""
+    return TrialConfig()
+
+
+def _plain(value):
+    """The JSON form of a default: a dataclass is an object of its fields, or
+    its one field's value; one inside a list is the list of its field values."""
+    if dataclasses.is_dataclass(value):
+        fields = {name: _plain(getattr(value, name)) for name in value.__dataclass_fields__}
+        return fields.popitem()[1] if len(fields) == 1 else fields
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [list(_plain(item).values()) if dataclasses.is_dataclass(item) else _plain(item)
+                for item in value]
+    return value
+
+
+def _built(default, raw):
+    """``raw`` built with the types of ``default``, the inverse of :func:`_plain`.
+
+    A float default makes ``float(raw)``, so a JSON ``1`` builds ``1.0``; the
+    entries of a tuple all take the type of the default's first entry.
+    """
+    if isinstance(default, (int, float, str)):
+        return type(default)(raw)
+    if isinstance(default, np.ndarray):
+        return np.array(raw, dtype=default.dtype)
+    if dataclasses.is_dataclass(default):
+        names = list(default.__dataclass_fields__)
+        values = ([raw] if len(names) == 1 else raw if isinstance(raw, list)
+                  else [raw[name] for name in names])
+        return type(default)(*map(_built, [getattr(default, name) for name in names], values))
+    return tuple(_built(default[0], item) for item in raw)
 
 
 def default_config() -> dict:
     """Full config tree with library defaults filled in."""
-    trial = TrialConfig()
-    fm, ode, dhdp = trial.feature_map, trial.ode, trial.dhdp
-    bounds, ranges = trial.bounds, trial.ranges
-    return {
-        "scenario": trial.scenario,
-        "stage": trial.stage,
-        "plant": trial.plant_kind,
-        "seed": 0,
-        "strict_monitor": trial.strict_monitor,
-        "out_dir": "runs/out",
-        "trials": 30,
-        "keep_policies": 10,
-        "trials_per_policy": 30,
-        "policy_dir": None,
-        "load_critic": trial.load_critic,
-        "max_cycles": trial.max_cycles,
-        "window": trial.window,
-        "quota": trial.quota,
-        "rms_window": trial.rms_window,
-        "init_spread": trial.init_spread,
-        "bounds": {
-            "safety": [[b.angle, b.duration_pct] for b in bounds.safety],
-            "tolerance": [[b.angle, b.duration_pct] for b in bounds.tolerance],
-        },
-        "ranges": [
-            [list(p.stiffness), list(p.damping), list(p.equilibrium)]
-            for p in ranges.phases
-        ],
-        "dhdp": {
-            "critic_hidden": dhdp.critic_hidden,
-            "actor_hidden": dhdp.actor_hidden,
-            "discount": dhdp.discount,
-            "critic_lr": dhdp.critic_lr,
-            "actor_lr": dhdp.actor_lr,
-            "init_weight_scale": dhdp.init_weight_scale,
-            "state_cost": dhdp.cost.state_weight.tolist(),
-            "action_cost": dhdp.cost.action_weight.tolist(),
-            "action_scale": dhdp.action_scale.half_ranges.tolist(),
-            "alpha1": None,
-            "alpha2": None,
-            "alpha3": None,
-        },
-        "feature_map": {
-            "smoothing": fm.smoothing,
-            "noise_std": list(fm.noise_std),
-            "pace_passthrough": fm.pace_passthrough,
-            "reference_impedance": fm.reference_impedance.tolist(),
-            "reference_features": [[f.duration, f.peak_angle] for f in fm.reference_features],
-            "sensitivity": fm.sensitivity.tolist(),
-        },
-        "ode": {
-            "inertia": ode.inertia,
-            "timestep": ode.timestep,
-            "initial_angle": ode.initial_angle,
-            "initial_velocity": ode.initial_velocity,
-            "load_torque": list(ode.load_torque),
-            "toe_off_angle": ode.toe_off_angle,
-            "heel_strike_angle": ode.heel_strike_angle,
-            "max_phase_time": ode.max_phase_time,
-            "velocity_limit": ode.velocity_limit,
-        },
-        "terrain": {
-            "pool_size": trial.pool_size,
-            "pool_spread": trial.pool_spread,
-            "switch_period": trial.switch_period,
-            "consecutive_tracks": trial.consecutive_tracks,
-        },
-        "pace": {
-            "training": list(trial.pace_training),
-            "testing": list(trial.pace_testing),
-        },
-        "drift": {"gain": trial.drift_gain, "smoothing": trial.drift_smoothing},
-    }
+    trial = _defaults()
+    tree = dict(_RUN_DEFAULTS)
+    for key, name in _FIELDS.items():
+        section, _, leaf = key.rpartition(".")
+        (tree.setdefault(section, {}) if section else tree)[leaf] = _plain(getattr(trial, name))
+    dhdp = trial.dhdp
+    tree["dhdp"] = {**{key: _plain(getattr(dhdp, key)) for key in _DHDP_FIELDS},
+                    "state_cost": dhdp.cost.state_weight.tolist(),
+                    "action_cost": dhdp.cost.action_weight.tolist(),
+                    **dict.fromkeys(_ALPHAS)}
+    return tree
 
 
 def _merge(template: dict, user: dict, path: str = "") -> dict:
     merged = {}
     for key, default in template.items():
         here = f"{path}.{key}" if path else key
-        if key in user:
-            value = user[key]
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{here}: expected an object")
-                merged[key] = _merge(default, value, here)
-            else:
-                merged[key] = _check_leaf(value, default, here)
-        else:
+        if key not in user:
             merged[key] = copy.deepcopy(default)
-    for key in user:
-        if key not in template:
-            here = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {here}")
+        elif not isinstance(default, dict):
+            merged[key] = _check_leaf(user[key], default, here)
+        elif isinstance(user[key], dict):
+            merged[key] = _merge(default, user[key], here)
+        else:
+            raise ConfigError(f"{here}: expected an object")
+    unknown = [f"{path}.{key}" if path else key for key in user if key not in template]
+    if unknown:
+        raise ConfigError(f"unknown config key: {unknown[0]}")
     return merged
 
 
 def _require_numbers(value, template, path: str) -> None:
-    """Refuse anything but a number where ``template`` is one, nested in lists as it is.
+    """Refuse anything but numbers in the shape of ``template``, a default.
 
-    A numeric list's entries all share the shape of its first, so one
-    template entry stands for every entry: nulls, booleans and strings are
-    refused inside lists as they are at a number's own key.
+    A numeric list has its default's length (a pace list any length), and its
+    entries share the shape of the default's first: nulls, booleans and
+    strings are refused inside lists as they are at a number's own key.
     """
     if isinstance(template, list):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if len(value) != len(template) and path not in _ANY_LENGTH:
+            raise ConfigError(f"{path}: needs {len(template)} entries, got {len(value)}")
         for i, item in enumerate(value):
             _require_numbers(item, template[0], f"{path}[{i}]")
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
-def _require_finite(value, path: str) -> None:
+def _entries(value, path: str):
+    """(entry, its path) for every non-list value nested in lists in ``value``."""
     if isinstance(value, list):
         for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
+            yield from _entries(item, f"{path}[{i}]")
+    else:
+        yield value, path
+
+
+# The JSON values a leaf takes, by the type of its default, and their name.
+# An integer default is a count, size or seed: 2.5 would be truncated where
+# it is used.  A boolean is taken only where the default is one.
+_KINDS = {bool: (bool, "a boolean"), int: (int, "an integer"),
+          float: ((int, float), "a number"), str: (str, "a string")}
 
 
 def _check_leaf(value, default, path: str):
-    _require_finite(value, path)
-    if default is None:
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if isinstance(default, int):
-        # a count, size or seed: 2.5 would be truncated where it is used
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return value
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-        return value
+    for entry, here in _entries(value, path):
+        if isinstance(entry, float) and not math.isfinite(entry):
+            raise ConfigError(f"{here}: expected a finite number, got {entry}")
     if isinstance(default, list):
         _require_numbers(value, default, path)
         return copy.deepcopy(value)
-    raise ConfigError(f"{path}: unsupported value type")
+    if default is not None:
+        kind, name = _KINDS[type(default)]
+        if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
+            raise ConfigError(f"{path}: expected {name}")
+    return value
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -213,7 +215,7 @@ def _get(resolved: dict, key: str):
 
 
 def _check_values(resolved: dict) -> None:
-    """Refuse values the run cannot use, naming the key: counts, sizes, shapes, ODE knee."""
+    """Refuse values the run cannot use, naming the key: counts, sizes, ceilings, ODE knee."""
     for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
                        ("keep_policies", 0), ("rms_window", 1),
                        ("dhdp.critic_hidden", 1), ("dhdp.actor_hidden", 1)):
@@ -222,156 +224,73 @@ def _check_values(resolved: dict) -> None:
     for key in ("dhdp.critic_lr", "dhdp.actor_lr", "dhdp.init_weight_scale"):
         if _get(resolved, key) <= 0:
             raise ConfigError(f"{key}: must be positive, got {_get(resolved, key)}")
-    if resolved["dhdp"]["init_weight_scale"] > MAX_INIT_WEIGHT_SCALE:
-        raise ConfigError(f"dhdp.init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
-                          f"got {resolved['dhdp']['init_weight_scale']}")
+    if resolved["drift"]["gain"] < 0:
+        raise ConfigError(f"drift.gain: must be non-negative, got {resolved['drift']['gain']}")
+    for key, ceiling in (("dhdp.init_weight_scale", MAX_INIT_WEIGHT_SCALE),
+                         ("feature_map.noise_std", MAX_NOISE_STD),
+                         ("feature_map.sensitivity", MAX_SENSITIVITY),
+                         ("drift.gain", MAX_DRIFT_GAIN)):
+        for value, path in _entries(_get(resolved, key), key):
+            if abs(value) > ceiling:
+                raise ConfigError(f"{path}: must be at most {ceiling:g} in magnitude, "
+                                  f"got {value}")
     _check_alphas(resolved["dhdp"])
     if resolved["policy_dir"] is not None and not isinstance(resolved["policy_dir"], str):
         raise ConfigError(f"policy_dir: expected a string or null, got {resolved['policy_dir']!r}")
-    if resolved["drift"]["gain"] < 0:
-        raise ConfigError(f"drift.gain: must be non-negative, got {resolved['drift']['gain']}")
-    for key, size in (("ranges", 4), ("feature_map.reference_features", 4),
-                      ("feature_map.noise_std", 2), ("ode.load_torque", 4)):
-        if len(_get(resolved, key)) != size:
-            raise ConfigError(f"{key}: needs {size} entries, got {len(_get(resolved, key))}")
-    for i, phase in enumerate(resolved["ranges"]):
-        if len(phase) != 3:
-            raise ConfigError(f"ranges[{i}]: needs 3 intervals (stiffness, damping, "
-                              f"equilibrium), got {len(phase)}")
-        for j, interval in enumerate(phase):
-            if len(interval) != 2:
-                raise ConfigError(f"ranges[{i}][{j}]: expected two numbers [lower, upper], "
-                                  f"got {interval!r}")
-    _ode_config(resolved["ode"])
-    for key in ("pace.training", "pace.testing"):
-        paces = _get(resolved, key)
-        if not paces:
+    ode = _defaults().ode
+    with _refused("ode", ode.__dataclass_fields__):
+        _built(ode, resolved["ode"])
+    for key in _ANY_LENGTH:
+        if not _get(resolved, key):
             raise ConfigError(f"{key}: needs at least one pace multiplier")
-        for i, pace in enumerate(paces):
+        for pace, path in _entries(_get(resolved, key), key):
             if pace <= 0:
-                raise ConfigError(f"{key}[{i}]: must be a positive number, got {pace!r}")
+                raise ConfigError(f"{path}: must be a positive number, got {pace!r}")
 
 
 def _check_alphas(dhdp: dict) -> None:
     """The monitor's weighting factors: all three numbers, or all three null (the defaults)."""
-    keys = ("alpha1", "alpha2", "alpha3")
-    for key in keys:
+    for key in _ALPHAS:
         if dhdp[key] is not None:
             _require_numbers(dhdp[key], 0.0, f"dhdp.{key}")
-    unset = [key for key in keys if dhdp[key] is None]
-    if unset and len(unset) < len(keys):
+    unset = [key for key in _ALPHAS if dhdp[key] is None]
+    if unset and len(unset) < len(_ALPHAS):
         raise ConfigError(f"dhdp.{unset[0]}: alpha1, alpha2 and alpha3 are set together "
                           f"or all left null")
 
 
-def _section(fn, name, keys=()):
-    """Call ``fn``, refusing its errors under ``name``.
-
-    An error message that opens with one of the section's ``keys`` and a
-    colon names that key by its dotted path, ``name.key:``.
-    """
+@contextlib.contextmanager
+def _refused(name: str, keys=()):
+    """Refuse the block's errors under ``name``; a message that opens with one
+    of ``keys`` and a colon names that key by its dotted path, ``name.key:``."""
     try:
-        return fn()
+        yield
     except (ValueError, TypeError) as exc:
         key = str(exc).partition(":")[0]
         raise ConfigError(f"{name}.{exc}" if key in keys else f"{name}: {exc}") from exc
 
 
-def _ode_config(raw: dict) -> OdeKneeConfig:
-    return _section(lambda: OdeKneeConfig(
-        inertia=float(raw["inertia"]),
-        timestep=float(raw["timestep"]),
-        initial_angle=float(raw["initial_angle"]),
-        initial_velocity=float(raw["initial_velocity"]),
-        load_torque=tuple(float(v) for v in raw["load_torque"]),
-        toe_off_angle=float(raw["toe_off_angle"]),
-        heel_strike_angle=float(raw["heel_strike_angle"]),
-        max_phase_time=float(raw["max_phase_time"]),
-        velocity_limit=float(raw["velocity_limit"]),
-    ), "ode", raw)
+def _dhdp(raw: dict, default: DhdpConfig) -> DhdpConfig:
+    discount = float(raw["discount"])
+    monitor = (None if raw["alpha1"] is None else
+               MonitorParams(*(float(raw[key]) for key in _ALPHAS), discount=discount))
+    return DhdpConfig(
+        **{key: _built(getattr(default, key), raw[key]) for key in _DHDP_FIELDS},
+        cost=StageCostParams(state_weight=np.array(raw["state_cost"], dtype=float),
+                             action_weight=np.array(raw["action_cost"], dtype=float)),
+        monitor=monitor,
+    )
 
 
 def trial_config_from(resolved: dict) -> TrialConfig:
     """Build the typed trial configuration out of a resolved config tree."""
-
-    def bounds():
-        raw = resolved["bounds"]
-        return BoundsTable(
-            safety=tuple(PhaseBound(*map(float, b)) for b in raw["safety"]),
-            tolerance=tuple(PhaseBound(*map(float, b)) for b in raw["tolerance"]),
-        )
-
-    def ranges():
-        phases = []
-        for entry in resolved["ranges"]:
-            ks, bs, es = entry
-            phases.append(PhaseRanges(
-                stiffness=(float(ks[0]), float(ks[1])),
-                damping=(float(bs[0]), float(bs[1])),
-                equilibrium=(float(es[0]), float(es[1])),
-            ))
-        return ParameterRanges(tuple(phases))
-
-    def dhdp():
-        raw = resolved["dhdp"]
-        discount = float(raw["discount"])
-        monitor = None
-        if raw["alpha1"] is not None:
-            monitor = MonitorParams(
-                alpha1=float(raw["alpha1"]), alpha2=float(raw["alpha2"]),
-                alpha3=float(raw["alpha3"]), discount=discount,
-            )
-        return DhdpConfig(
-            critic_hidden=int(raw["critic_hidden"]),
-            actor_hidden=int(raw["actor_hidden"]),
-            discount=discount,
-            critic_lr=float(raw["critic_lr"]),
-            actor_lr=float(raw["actor_lr"]),
-            init_weight_scale=float(raw["init_weight_scale"]),
-            cost=StageCostParams(
-                state_weight=np.array(raw["state_cost"], dtype=float),
-                action_weight=np.array(raw["action_cost"], dtype=float),
-            ),
-            action_scale=ActionScale(np.array(raw["action_scale"], dtype=float)),
-            monitor=monitor,
-        )
-
-    def feature_map():
-        raw = resolved["feature_map"]
-        return FeatureMapConfig(
-            reference_impedance=raw["reference_impedance"],
-            reference_features=tuple(
-                GaitFeatures(*map(float, f)) for f in raw["reference_features"]
-            ),
-            sensitivity=np.array(raw["sensitivity"], dtype=float),
-            smoothing=float(raw["smoothing"]),
-            noise_std=tuple(float(v) for v in raw["noise_std"]),
-            pace_passthrough=float(raw["pace_passthrough"]),
-        )
-
-    terrain = resolved["terrain"]
-    return _section(lambda: TrialConfig(
-        scenario=int(resolved["scenario"]),
-        stage=str(resolved["stage"]),
-        plant_kind=str(resolved["plant"]),
-        max_cycles=int(resolved["max_cycles"]),
-        window=int(resolved["window"]),
-        quota=int(resolved["quota"]),
-        rms_window=int(resolved["rms_window"]),
-        bounds=_section(bounds, "bounds"),
-        ranges=_section(ranges, "ranges"),
-        dhdp=_section(dhdp, "dhdp"),
-        feature_map=_section(feature_map, "feature_map"),
-        ode=_ode_config(resolved["ode"]),
-        init_spread=float(resolved["init_spread"]),
-        pool_size=int(terrain["pool_size"]),
-        pool_spread=float(terrain["pool_spread"]),
-        switch_period=int(terrain["switch_period"]),
-        consecutive_tracks=int(terrain["consecutive_tracks"]),
-        pace_training=tuple(float(v) for v in resolved["pace"]["training"]),
-        pace_testing=tuple(float(v) for v in resolved["pace"]["testing"]),
-        drift_gain=float(resolved["drift"]["gain"]),
-        drift_smoothing=float(resolved["drift"]["smoothing"]),
-        strict_monitor=bool(resolved["strict_monitor"]),
-        load_critic=bool(resolved["load_critic"]),
-    ), "config")
+    default = _defaults()
+    with _refused("config"):
+        fields = {}
+        for key, name in _FIELDS.items():
+            value = getattr(default, name)
+            with _refused(key, getattr(value, "__dataclass_fields__", ())):
+                fields[name] = _built(value, _get(resolved, key))
+        with _refused("dhdp"):
+            fields["dhdp"] = _dhdp(resolved["dhdp"], default.dhdp)
+        return TrialConfig(**fields)

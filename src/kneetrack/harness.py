@@ -156,9 +156,12 @@ class TrialConfig:
             raise ValueError("quota must lie in (0, window]")
         if self.max_cycles <= self.window:
             raise ValueError("max_cycles must exceed the convergence window")
-        for name in ("pool_size", "switch_period"):
+        for name in ("pool_size", "switch_period", "consecutive_tracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        # the drift low-pass, like the feature map's, takes a fraction per cycle
+        if not 0.0 < self.drift_smoothing <= 1.0:
+            raise ValueError(f"drift_smoothing: must lie in (0, 1], got {self.drift_smoothing}")
         # impedance draws scale the reference by factors in 1 +- spread,
         # which stay positive, and so keep every drawn impedance legal
         for name in ("init_spread", "pool_spread"):

@@ -1,14 +1,20 @@
 """Config loading, CLI subcommands and output files."""
 
+import contextlib
 import copy
+import dataclasses
 import hashlib
+import io
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kneetrack.cli import main
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
@@ -148,6 +154,23 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         ({"stage": "testing", "policy_dir": 5}, "policy_dir:"),
         ({"stage": "testing", "policy_dir": True}, "policy_dir:"),
         ({"stage": "testing"}, "policy_dir"),
+        # a drift low-pass outside (0, 1] ran with exit 0; at 5 it multiplied
+        # the drift by -4 every cycle
+        ({"drift": {"smoothing": -1}}, "drift_smoothing:"),
+        ({"drift": {"smoothing": 0}}, "drift_smoothing:"),
+        ({"drift": {"smoothing": 1.5}}, "drift_smoothing:"),
+        ({"drift": {"gain": 0.1, "smoothing": 5}}, "drift_smoothing:"),
+        ({"scenario": 2, "terrain": {"consecutive_tracks": 0}}, "consecutive_tracks:"),
+        ({"terrain": {"consecutive_tracks": -1}}, "consecutive_tracks:"),
+        # these overflowed in a RuntimeWarning, or ran with exit 0
+        ({"feature_map": {"noise_std": [1e308, 0.005]}}, "feature_map.noise_std[0]:"),
+        ({"feature_map": {"noise_std": [0.005, 2.5]}}, "feature_map.noise_std[1]:"),
+        ({"feature_map": {"sensitivity": [[[1e308, 0, 0], [0, 0, 0.85]]] * 4}},
+         "feature_map.sensitivity[0][0][0]:"),
+        ({"feature_map": {"sensitivity": [[[-0.0015, 0.045, 0], [0, -1e308, 0.85]]] * 4}},
+         "feature_map.sensitivity[0][1][1]:"),
+        ({"drift": {"gain": 1e308}}, "drift.gain:"),
+        ({"drift": {"gain": 1.5}}, "drift.gain:"),
     ]
     for cfg, key in cases:
         code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
@@ -200,6 +223,31 @@ def test_range_interval_must_be_two_numbers(tmp_path, capsys):
     assert_refused(tmp_path, capsys, {"ranges": ranges}, "ranges[1]")
 
 
+def test_wrong_shape_rows_name_their_key(tmp_path, capsys):
+    # each of these failed inside a dataclass, with a TypeError or a shape
+    # message that did not name the dotted key
+    fm = default_config()["feature_map"]
+    for row, key in (([0.1], "bounds.safety[3]"), ([0.1, 12.0, 1.0], "bounds.safety[3]")):
+        safety = default_config()["bounds"]["safety"]
+        safety[3] = row
+        assert_refused(tmp_path, capsys, {"bounds": {"safety": safety}}, key)
+    features = copy.deepcopy(fm["reference_features"])
+    features[0] = [0.3, 0.33, 0.1]
+    assert_refused(tmp_path, capsys, {"feature_map": {"reference_features": features}},
+                   "feature_map.reference_features[0]")
+    impedance = copy.deepcopy(fm["reference_impedance"])
+    impedance[0] = [55.0, 1.4]
+    assert_refused(tmp_path, capsys, {"feature_map": {"reference_impedance": impedance}},
+                   "feature_map.reference_impedance[0]")
+    assert_refused(tmp_path, capsys, {"dhdp": {"state_cost": np.eye(3).tolist()}},
+                   "dhdp.state_cost")
+    assert_refused(tmp_path, capsys,
+                   {"dhdp": {"action_scale": default_config()["dhdp"]["action_scale"][:3]}},
+                   "dhdp.action_scale")
+    assert_refused(tmp_path, capsys, {"feature_map": {"sensitivity": fm["sensitivity"][:3]}},
+                   "feature_map.sensitivity")
+
+
 def test_numeric_lists_refuse_null(tmp_path, capsys):
     # a null sensitivity made NaN features and a plant ValueError traceback
     sensitivity = default_config()["feature_map"]["sensitivity"]
@@ -221,6 +269,55 @@ def test_init_weight_scale_has_a_finite_ceiling(tmp_path, capsys):
     for scale in (1e308, 2e6):
         assert_refused(tmp_path, capsys, {"dhdp": {"init_weight_scale": scale}},
                        "dhdp.init_weight_scale")
+
+
+# the input scan's bad values, each set in turn at every leaf of the tree
+BAD_VALUES = [None, True, "fast", [], {}, -1, 0, 0.0, 1e308, -1e308, [1], [[1, 2]], 1.5]
+
+
+def leaf_paths(node, path=()):
+    """The path of every value in a config tree that is not an object, lists included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+        for i, value in enumerate(node if isinstance(node, list) else ()):
+            yield from leaf_paths(value, path + (i,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(leaf_paths(default_config()))),
+       bad=st.sampled_from(BAD_VALUES))
+@example(path=("drift", "smoothing"), bad=1.5)
+@example(path=("terrain", "consecutive_tracks"), bad=0)
+@example(path=("feature_map", "noise_std", 0), bad=1e308)
+@example(path=("feature_map", "sensitivity", 1, 0, 2), bad=-1e308)
+@example(path=("drift", "gain"), bad=1e308)
+@example(path=("bounds", "safety", 3), bad=[1])
+@example(path=("dhdp", "state_cost"), bad=[[1, 2]])
+@example(path=("ranges", 2, 1), bad={})
+@example(path=("dhdp", "init_weight_scale"), bad=1e308)
+def test_a_bad_leaf_exits_cleanly(path, bad):
+    # no traceback and no warning: a run ends in 0, 1 or a one-line refusal
+    # that leaves no output directory
+    tree = default_config()
+    tree.update(trials=1, max_cycles=20)
+    node = tree
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = copy.deepcopy(bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(tree))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
 
 
 def test_monitor_alphas_are_numbers_set_together(tmp_path, capsys):
@@ -266,6 +363,63 @@ def test_overrides_pass_the_file_checks(tmp_path):
 def test_default_config_round_trips_through_json():
     blob = json.dumps(default_config())
     assert json.loads(blob) == default_config()
+
+
+def _fingerprint(value):
+    """Each leaf's type and exact value: ``float.hex`` for floats, dtype and bytes for arrays."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return [str(value.dtype), list(value.shape), value.tobytes().hex()]
+    if isinstance(value, (tuple, list)):
+        return [type(value).__name__, [_fingerprint(v) for v in value]]
+    if isinstance(value, float):
+        return [type(value).__name__, value.hex()]
+    return [type(value).__name__, value]
+
+
+# valid trees, several with integer-valued floats, whose typed build is pinned
+GOLDEN_TREES = {
+    "defaults": {},
+    "scenario2": {"scenario": 2, "terrain": {"pool_size": 3, "pool_spread": 0.1,
+                                             "switch_period": 15, "consecutive_tracks": 2}},
+    "scenario3": {"scenario": 3, "stage": "testing"},
+    "ode_integer_floats": {"plant": "ode", "ode": {
+        "inertia": 1, "timestep": 0.005, "initial_angle": 0, "initial_velocity": 1,
+        "load_torque": [-2, -1.5, -4, -3], "max_phase_time": 3, "velocity_limit": 40}},
+    "alphas": {"dhdp": {"alpha1": 2, "alpha2": 6.0, "alpha3": 12}},
+    "dhdp": {"strict_monitor": True, "load_critic": True, "dhdp": {
+        "critic_hidden": 5, "actor_hidden": 4, "discount": 0.9, "critic_lr": 1,
+        "actor_lr": 20, "init_weight_scale": 1, "state_cost": [[2, 0], [0, 1]],
+        "action_cost": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "action_scale": [[5, 1, 0.1], [5, 1, 0.1], [4, 1, 0.2], [4, 1, 0.2]]}},
+    "bounds": {"bounds": {"safety": [[0.2, 10], [0.15, 11.5], [0.2, 12], [0.1, 9]],
+                          "tolerance": [[0.03, 2], [0.02, 1], [0.05, 3.5], [0.01, 1]]}},
+    "ranges": {"init_spread": 0, "ranges": [[[10, 90], [0, 4], [0.1, 1.5]]] * 4},
+    "noise": {"feature_map": {"noise_std": [0, 0.01], "smoothing": 1,
+                              "pace_passthrough": 0}},
+    "feature_map": {"feature_map": {
+        "reference_impedance": [[50, 1, 0.3], [40, 1, 0.1], [20, 1, 1], [15, 1, 0.2]],
+        "reference_features": [[0.3, 0.3], [0.3, 0], [0.35, 1], [0.25, 0.3]],
+        "sensitivity": [[[-0.001, 0.04, 0], [0, 0, 1]]] * 4}},
+    "integer_arrays": {"feature_map": {"sensitivity": [[[0, 0, 0], [0, 0, 1]]] * 4},
+                       "dhdp": {"action_scale": [[10, 1, 1]] * 4}},
+    "paces": {"scenario": 3, "max_cycles": 300, "window": 12, "quota": 9, "rms_window": 5,
+              "pace": {"training": [1, 1.1], "testing": [0.9]},
+              "drift": {"gain": 0.1, "smoothing": 1}},
+}
+
+
+def test_config_schema_matches_the_golden_digests():
+    # recorded before the config schema was derived from the dataclass defaults
+    want = json.loads((GOLDEN / "config_sha256.json").read_text())
+    got = {"default_config": hashlib.sha256(
+        json.dumps(default_config(), sort_keys=True).encode()).hexdigest()}
+    for name, tree in GOLDEN_TREES.items():
+        cfg = trial_config_from(load_config(None, tree))
+        got[name] = hashlib.sha256(
+            json.dumps(_fingerprint(cfg), sort_keys=True).encode()).hexdigest()
+    assert got == want
 
 
 def test_bad_section_value_reports_section(tmp_path):
