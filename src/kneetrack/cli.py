@@ -99,30 +99,30 @@ def cmd_run(args) -> int:
         resolved = load_config(args.config, overrides)
         cfg = trial_config_from(resolved)
         if cfg.stage == "testing" and not resolved["policy_dir"]:
-            raise ConfigError("testing stage needs policy_dir in the config")
+            raise ConfigError("policy_dir: the testing stage needs one in the config")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    seed = int(resolved["seed"])
     outdir = Path(resolved["out_dir"])
     trials_dir = outdir / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
-    write_json(resolved, outdir / "config.json")
-
-    seed = int(resolved["seed"])
     try:
         if cfg.stage == "training":
             batch = run_training_batch(cfg, seed, trials=int(resolved["trials"]),
                                        keep_policies=int(resolved["keep_policies"]))
-            policy_dir = outdir / "policies"
-            policy_dir.mkdir(exist_ok=True)
-            for n, trial_idx in enumerate(batch.policy_trials, start=1):
-                rec = batch.records[trial_idx]
-                save_policy(policy_dir / f"policy_{n:02d}.json", rec.actors, rec.critics)
         else:
             policies = _load_policies(Path(resolved["policy_dir"]), cfg)
             batch = run_testing_batch(cfg, seed, policies,
                                       trials_per_policy=int(resolved["trials_per_policy"]))
+        # the output directory is made only for a batch that ran
+        trials_dir.mkdir(parents=True, exist_ok=True)
+        write_json(resolved, outdir / "config.json")
+        if cfg.stage == "training":
+            (outdir / "policies").mkdir(exist_ok=True)
+        for n, trial_idx in enumerate(batch.policy_trials, start=1):
+            rec = batch.records[trial_idx]
+            save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
     except (PolicyFormatError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

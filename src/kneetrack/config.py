@@ -55,6 +55,8 @@ _FIELDS = {**{key: key for key in ("scenario", "stage", "strict_monitor", "load_
                                    "max_cycles", "window", "quota", "rms_window",
                                    "init_spread", "bounds", "ranges", "feature_map", "ode")},
            **_RENAMED}
+# TrialConfig field -> the config key that sets it
+_KEYS = {name: key for key, name in _FIELDS.items()}
 # dhdp keys named as their DhdpConfig field
 _DHDP_FIELDS = ("critic_hidden", "actor_hidden", "discount", "critic_lr", "actor_lr",
                 "init_weight_scale", "action_scale")
@@ -116,16 +118,18 @@ def default_config() -> dict:
     return tree
 
 
-def _merge(template: dict, user: dict, path: str = "") -> dict:
+def _merge(template: dict, user: dict, path: str = "", base: dict | None = None) -> dict:
+    """``user``'s values, checked against the defaults ``template``, over ``base``'s."""
+    base = template if base is None else base
     merged = {}
     for key, default in template.items():
         here = f"{path}.{key}" if path else key
         if key not in user:
-            merged[key] = copy.deepcopy(default)
+            merged[key] = copy.deepcopy(base[key])
         elif not isinstance(default, dict):
             merged[key] = _check_leaf(user[key], default, here)
         elif isinstance(user[key], dict):
-            merged[key] = _merge(default, user[key], here)
+            merged[key] = _merge(default, user[key], here, base[key])
         else:
             raise ConfigError(f"{here}: expected an object")
     unknown = [f"{path}.{key}" if path else key for key in user if key not in template]
@@ -185,8 +189,8 @@ def _check_leaf(value, default, path: str):
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Resolve defaults <- file <- overrides into a validated config tree.
 
-    ``overrides`` nest like the file and pass the same checks: a section
-    override merges into its section.
+    ``overrides`` nest like the file and pass the same checks, against
+    the defaults: a section override merges into its section.
     """
     user: dict = {}
     if path is not None:
@@ -200,9 +204,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {file}")
     # a None override is a flag left unset
-    resolved = _merge(_merge(default_config(), user),
-                      {key: value for key, value in (overrides or {}).items()
-                       if value is not None})
+    defaults = default_config()
+    resolved = _merge(defaults, {key: value for key, value in (overrides or {}).items()
+                                 if value is not None}, base=_merge(defaults, user))
     _check_values(resolved)
     return resolved
 
@@ -285,12 +289,15 @@ def _dhdp(raw: dict, default: DhdpConfig) -> DhdpConfig:
 def trial_config_from(resolved: dict) -> TrialConfig:
     """Build the typed trial configuration out of a resolved config tree."""
     default = _defaults()
-    with _refused("config"):
-        fields = {}
-        for key, name in _FIELDS.items():
-            value = getattr(default, name)
-            with _refused(key, getattr(value, "__dataclass_fields__", ())):
-                fields[name] = _built(value, _get(resolved, key))
-        with _refused("dhdp"):
-            fields["dhdp"] = _dhdp(resolved["dhdp"], default.dhdp)
+    fields = {}
+    for key, name in _FIELDS.items():
+        value = getattr(default, name)
+        with _refused(key, getattr(value, "__dataclass_fields__", ())):
+            fields[name] = _built(value, _get(resolved, key))
+    with _refused("dhdp", default.dhdp.__dataclass_fields__):
+        fields["dhdp"] = _dhdp(resolved["dhdp"], default.dhdp)
+    try:
         return TrialConfig(**fields)
+    except ValueError as exc:  # it names a field, which _KEYS maps back to its key
+        name, _, rest = str(exc).partition(":")
+        raise ConfigError(f"{_KEYS.get(name, name)}:{rest}") from exc

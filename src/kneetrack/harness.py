@@ -111,7 +111,7 @@ class DhdpConfig:
 
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must lie in (0, 1), got {self.discount}")
+            raise ValueError(f"discount: must lie in (0, 1), got {self.discount}")
 
     def monitor_params(self) -> MonitorParams:
         return self.monitor or MonitorParams.for_discount(self.discount)
@@ -146,16 +146,17 @@ class TrialConfig:
     load_critic: bool = False
 
     def __post_init__(self):
+        # each refusal opens with the field it names
         if self.scenario not in (SCENARIO_LEVEL_GROUND, SCENARIO_TERRAIN, SCENARIO_PACE):
-            raise ValueError(f"unknown scenario {self.scenario}")
+            raise ValueError(f"scenario: must be 1, 2 or 3, got {self.scenario}")
         if self.stage not in ("training", "testing"):
-            raise ValueError(f"unknown stage {self.stage!r}")
+            raise ValueError(f"stage: must be 'training' or 'testing', got {self.stage!r}")
         if self.plant_kind not in ("feature-map", "ode"):
-            raise ValueError(f"unknown plant kind {self.plant_kind!r}")
+            raise ValueError(f"plant_kind: must be feature-map or ode, got {self.plant_kind!r}")
         if not 0 < self.quota <= self.window:
-            raise ValueError("quota must lie in (0, window]")
+            raise ValueError(f"quota: must lie in (0, window], got {self.quota}")
         if self.max_cycles <= self.window:
-            raise ValueError("max_cycles must exceed the convergence window")
+            raise ValueError(f"max_cycles: must exceed window, got {self.max_cycles}")
         for name in ("pool_size", "switch_period", "consecutive_tracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
@@ -408,10 +409,10 @@ class Trial:
     callers use :meth:`run`, or :func:`run_trial` for a one-shot.  Both
     step the trial as a :class:`_Lockstep` of one, the routine that steps
     whole batches.  The trial keeps its per-cycle state (impedance, nets,
-    lag, convergence windows) as stacks of one row, the shape a lockstep
-    stacks; while a lockstep steps it, that state lives in the lockstep's
-    stacks, and the trial gets it back when it leaves.  The trial itself
-    handles its events: segment and leg bookkeeping, and its ending.
+    lag, convergence windows) in its own shapes; while a lockstep steps
+    it, that state lives in the lockstep's stacks, and the trial gets a
+    copy of its row back when it leaves.  The trial itself handles its
+    events: segment and leg bookkeeping, kept in its record, and its ending.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -425,13 +426,11 @@ class Trial:
         self.program = target_program if target_program is not None else make_target_program(
             cfg, self.plant, np.random.default_rng(program_seq))
 
-        self.pace_index = 0
-        first_target = self.program.target_for(0, self.pace_index)
         if initial_impedance is not None:
             self.initial_impedance = check_impedance(initial_impedance)
         else:
             self.initial_impedance = draw_initial_impedance(
-                cfg, self.plant, first_target, np.random.default_rng(init_seq))
+                cfg, self.plant, self.program.target_for(0), np.random.default_rng(init_seq))
 
         wrng = np.random.default_rng(weight_seq)
         scale = cfg.dhdp.init_weight_scale
@@ -441,45 +440,32 @@ class Trial:
             actors = policy[0]
             critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
 
-        # the stacked state, one row each (see _STACKED)
-        self._impedance = self.initial_impedance[None]
-        self._critic = stack_nets([stack_nets(critics)])  # shapes (1, 4, h, ...)
-        self._actor = stack_nets([stack_nets(actors)])
-        self._max_weight_norm = _max_abs_weights(self._critic, self._actor)
+        # the per-cycle state a lockstep stacks (see _STACKED)
+        self.impedance = self.initial_impedance  # (4, 3), for the next cycle
+        self.critic = stack_nets(critics)  # weights (4, h, 5) and (4, h)
+        self.actor = stack_nets(actors)  # weights (4, h, 2) and (4, 3, h)
+        self._max_weight_norm = self._initial_weight_norm = float(
+            _max_abs_weights(self.critic, self.actor).max())
         # previous cycle's q-values and costs, kept only when it learned
-        self._lag_value = np.zeros((1, NUM_PHASES))
-        self._lag_cost = np.zeros((1, NUM_PHASES))
-        self._lagged = np.zeros(1, bool)
+        self._lag_value = np.zeros(NUM_PHASES)
+        self._lag_cost = np.zeros(NUM_PHASES)
+        self._lagged = False
         # each phase's in-tolerance flags of its last ``window`` cycles since
         # the windows last started over, and the cycle its convergence
         # latched at (-1 while it has not)
-        self._window = np.zeros((1, NUM_PHASES, cfg.window), bool)
-        self._converged = np.full((1, NUM_PHASES), -1)
+        self._window = np.zeros((NUM_PHASES, cfg.window), bool)
+        self._converged = np.full(NUM_PHASES, -1)
 
-        self._initial_weight_norm = float(self._max_weight_norm[0])
-        self._consecutive_tracks = 0
-        self._segment_index = 0
         self._segment_converged: int | None = None  # cycle the segment was tracked at
-        self._leg_start = 0
         self.k = 0
         self.finished = False
 
         self.record = TrialRecord(scenario=cfg.scenario, stage=cfg.stage)
 
     @property
-    def critic(self) -> CriticNet:
-        """The four phases' critics, stacked: weights (4, h, 5) and (4, h)."""
-        return _take(self._critic, 0)
-
-    @property
-    def actor(self) -> ActorNet:
-        """The four phases' actors, stacked: weights (4, h, 2) and (4, 3, h)."""
-        return _take(self._actor, 0)
-
-    @property
-    def impedance(self) -> np.ndarray:
-        """The (4, 3) impedance the next cycle is walked with."""
-        return self._impedance[0]
+    def pace_index(self) -> int:
+        """The pace leg the trial walks: one per leg its record holds."""
+        return len(self.record.legs)
 
     # -- events ------------------------------------------------------------
 
@@ -493,7 +479,7 @@ class Trial:
     def _close_record(self):
         """Fill in the finished trial's whole-run fields and its final nets."""
         rec = self.record
-        rec.max_weight_ratio = float(self._max_weight_norm[0]) / self._initial_weight_norm
+        rec.max_weight_ratio = float(self._max_weight_norm) / self._initial_weight_norm
         if len(rec.log["reset"]):
             rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
         rec.actors = unstack_net(self.actor)
@@ -504,49 +490,45 @@ class Trial:
 
         Returns True when the convergence windows start over: a new pace leg.
         """
-        cfg = self.cfg
+        cfg, rec = self.cfg, self.record
         if cfg.scenario == SCENARIO_LEVEL_GROUND:
-            self.record.converged_at = dict(zip(map(int, PHASES), converged_at))
+            rec.converged_at = dict(zip(map(int, PHASES), converged_at))
             self._finish(k + 1, "success")
         elif cfg.scenario == SCENARIO_TERRAIN:
             if self._segment_converged is None:
                 self._segment_converged = max(converged_at)
-                if self._consecutive_tracks + 1 >= cfg.consecutive_tracks:
-                    self._record_segment()
+                run = cfg.consecutive_tracks - 1  # tracked segments to close before this one
+                recent = rec.segments[len(rec.segments) - run:] if run else []
+                if len(recent) == run and all(s["converged"] for s in recent):
+                    self._close_segment()
                     self._finish(k + 1, "success")
         elif cfg.scenario == SCENARIO_PACE:
-            self.record.legs.append({
-                "leg": len(self.record.legs),
-                "pace": self.program.pace_sequence[self.pace_index],
-                "start_cycle": self._leg_start,
+            legs = rec.legs
+            start = legs[-1]["converged_cycle"] + 1 if legs else 0
+            legs.append({
+                "leg": len(legs),
+                "pace": self.program.pace_sequence[len(legs)],
+                "start_cycle": start,
                 "converged_cycle": k,
-                "steps": k - self._leg_start + 1,
+                "steps": k - start + 1,
             })
-            if self.pace_index + 1 >= len(self.program.pace_sequence):
-                self._finish(k + 1, "success")
-            else:
-                self.pace_index += 1
-                self._leg_start = k + 1
+            if len(legs) < len(self.program.pace_sequence):
                 return True
+            self._finish(k + 1, "success")
         return False
 
-    def _record_segment(self):
-        start = self._segment_index * self.program.switch_period
+    def _close_segment(self):
+        """Record the terrain segment that ends here; the next one opens untracked."""
+        index = len(self.record.segments)
+        start = index * self.program.switch_period
         self.record.segments.append({
-            "segment": self._segment_index,
+            "segment": index,
             "pool_index": self.program.profile_index(start),
             "start_cycle": start,
             "converged": self._segment_converged is not None,
             "converged_cycle": self._segment_converged,
         })
-
-    def _close_segment(self):
-        """Record the terrain segment that ends here and open the next one."""
-        self._record_segment()
-        tracked = self._segment_converged is not None
-        self._consecutive_tracks = self._consecutive_tracks + 1 if tracked else 0
         self._segment_converged = None
-        self._segment_index += 1
 
     # -- stepping ----------------------------------------------------------
 
@@ -566,7 +548,7 @@ class Trial:
 
 
 def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> np.ndarray:
-    """Largest absolute weight of each entry along the nets' leading trial axis."""
+    """Largest absolute weight of each entry along the nets' leading axis."""
     mats = (critic.w_hidden, critic.w_out, actor.w_hidden, actor.w_out)
     flat = np.concatenate([m.reshape(len(m), -1) for m in mats], axis=1)
     return np.abs(flat).max(axis=1)
@@ -576,17 +558,6 @@ def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> np.ndarray:
 # trial axis.  These helpers act on an array, or field by field on a net,
 # tape or other dataclass of arrays.  An index of None stands for every
 # entry, which costs nothing.
-
-def _concat(items):
-    """``items`` joined along their leading axis; a lone item is returned as is."""
-    first = items[0]
-    if len(items) == 1:
-        return first
-    if isinstance(first, np.ndarray):
-        return np.concatenate(items)
-    return type(first)(**{name: np.concatenate([vars(i)[name] for i in items])
-                          for name in vars(first)})
-
 
 def _take(obj, idx):
     """Entries ``idx`` along the leading axis."""
@@ -607,6 +578,13 @@ def _put(obj, idx, part):
         return out
     return type(obj)(**{name: _put(value, idx, getattr(part, name))
                         for name, value in vars(obj).items()})
+
+
+def _row(obj, i: int):
+    """Entry ``i`` along the leading axis as a copy, which keeps no stack alive."""
+    if isinstance(obj, np.ndarray):
+        return obj[i].copy()
+    return type(obj)(**{name: value[i].copy() for name, value in vars(obj).items()})
 
 
 def _index(positions: np.ndarray, count: int):
@@ -630,32 +608,11 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
     return updated, np.logical_or.reduce(updated != impedance + delta, axis=-1)
 
 
-# The per-cycle state a trial holds as one-row stacks and a lockstep stacks,
+# The per-cycle state a trial holds in its own shapes and a lockstep stacks,
 # and the rows a lockstep keeps of its own for each trial.
-_STACKED = ("_impedance", "_critic", "_actor", "_max_weight_norm",
+_STACKED = ("impedance", "critic", "actor", "_max_weight_norm",
             "_lag_value", "_lag_cost", "_lagged", "_window", "_converged")
-_LOCKSTEP_ROWS = ("_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale",
-                  "_period", "_drifting")
-
-
-@dataclass
-class _Learned:
-    """One lockstep cycle's learning results, one entry per trial that kept its update.
-
-    The fields from ``action`` to ``lagged`` are the log's learning fields.
-    """
-
-    rows: np.ndarray          # (m,) positions in the lockstep
-    action: np.ndarray        # (m, 4, 3)
-    delta: np.ndarray         # (m, 4, 3)
-    cost: np.ndarray          # (m, 4)
-    q_value: np.ndarray       # (m, 4)
-    td: np.ndarray            # (m, 4), 0 where the trial had no lag
-    critic_bound: np.ndarray  # (m, 4)
-    actor_bound: np.ndarray   # (m, 4)
-    monitor_ok: np.ndarray    # (m, 4)
-    lagged: np.ndarray        # (m,)
-    weight_norm: np.ndarray   # (m,)
+_LOCKSTEP_ROWS = ("_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale")
 
 
 class _Lockstep:
@@ -663,7 +620,8 @@ class _Lockstep:
 
     Row ``i`` of every stack (the ``_STACKED`` state, plant features,
     targets, paces, tallies) belongs to ``trials[i]``, and every trial
-    walks cycle ``k``.  A cycle is array work on the stacks: the feature-map
+    walks cycle ``k`` of a program that switches and drifts as the
+    others' do.  A cycle is array work on the stacks: the feature-map
     plants step together, and errors, bounds, learning, the impedance
     update, convergence windows and the log rows come out for all trials
     at once.  Each trial still draws its plant noise from its own
@@ -671,19 +629,25 @@ class _Lockstep:
     runs only for events: terrain switches, finished segments and legs,
     faults, halts and endings.  Every array rule is bit-identical to the
     one-trial rule, so each trial gets the numbers it gets alone.  A
-    trial leaves with its state and log rows handed back to it.
+    trial leaves with a copy of its state and its log rows.
     """
 
     def __init__(self, trials):
         self.trials = list(trials)
         first = self.trials[0]
         self.cfg = cfg = first.cfg
-        self.k = first.k
-        if any(t.k != self.k for t in self.trials):
-            raise ValueError("a lockstep steps trials that are at the same cycle")
+        # the cycle, the switch period of a program with a pool (0 without
+        # one), and whether the program drifts: one of each per lockstep
+        shared = {(t.k, t.program.switch_period if t.program.profile_pool else 0,
+                   t.program.drift_gain > 0.0) for t in self.trials}
+        if len(shared) > 1:
+            raise ValueError("a lockstep steps trials at one cycle, with programs that "
+                             "switch and drift alike")
+        [(self.k, self._period, self._drifting)] = shared
         n = len(self.trials)
         for name in _STACKED:
-            setattr(self, name, _concat([getattr(t, name) for t in self.trials]))
+            stack = stack_nets if name in ("critic", "actor") else np.stack
+            setattr(self, name, stack([getattr(t, name) for t in self.trials]))
         self._initial = np.stack([t.initial_impedance for t in self.trials])
         # feature-map plants share a config, so one of them steps the stack
         self._plant = first.plant if isinstance(first.plant, FeatureMapPlant) else None
@@ -696,9 +660,6 @@ class _Lockstep:
         self._targets = np.zeros((n, NUM_PHASES, 2))
         self._cycle_dur = np.zeros(n)
         self._stale = np.ones(n, bool)  # targets to (re)compute before the next walk
-        programs = [t.program for t in self.trials]
-        self._period = np.array([p.switch_period if p.profile_pool else 0 for p in programs])
-        self._drifting = np.array([p.drift_gain > 0.0 for p in programs])
         # tolerance and safety limits stacked, so one inside_bounds call checks both
         tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
         self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
@@ -714,8 +675,8 @@ class _Lockstep:
         self._start_cycle()
         measured, walked = self._measure()
         errors = alignment_errors(self._targets, measured)
-        for i in self._drifting.nonzero()[0]:
-            if walked[i]:
+        if self._drifting:
+            for i in walked.nonzero()[0]:
                 self.trials[i].program.observe_error(errors[i])
         pct = 100.0 * errors[..., 0] / self._cycle_dur[:, None]
         flags = inside_bounds(errors, *self._bounds, self._cycle_dur)
@@ -723,38 +684,40 @@ class _Lockstep:
         learns = walked & np.logical_and.reduce(in_safety, axis=1)
         reset = walked & ~learns
 
-        # the trials inside their safety bounds learn; the state the nets see
-        # is the error as a fraction of each phase's safety bound
+        # the trials inside their safety bounds learn, into cycle k's log block;
+        # the nets see the error as a fraction of each phase's safety bound
+        block = np.zeros((n, NUM_PHASES, len(_LOG_FIELDS)))
         state = np.empty((n, NUM_PHASES, 2))
         state[..., 0] = pct / self._safety[1]
         state[..., 1] = errors[..., 1] / self._safety[0]
         learners = learns.nonzero()[0]
-        learned = (self._learn(learners, _take(state, _index(learners, n)))
+        learned = (self._learn(learners, _take(state, _index(learners, n)), block)
                    if len(learners) else None)
 
-        walked_impedance = impedance = self._impedance
+        walked_impedance = impedance = self.impedance
         if np.count_nonzero(reset):
             impedance = np.where(reset[:, None, None], self._initial, impedance)
-        clamped = None
         logged = closing = walked  # the trials whose cycle leaves rows, and keeps them running
         if learned is not None:
-            kept = _index(learned.rows, n)
-            updated, clamped = _apply_deltas(_take(impedance, kept), learned.delta, cfg.ranges)
+            rows, delta, weight_norm, monitor_ok = learned
+            kept = _index(rows, n)
+            updated, clamped = _apply_deltas(_take(impedance, kept), delta, cfg.ranges)
+            block[slice(None) if kept is None else kept, :, -1] = clamped
             impedance = _put(impedance, kept, updated)
             self._max_weight_norm = _put(self._max_weight_norm, kept, np.maximum(
-                _take(self._max_weight_norm, kept), learned.weight_norm))
+                _take(self._max_weight_norm, kept), weight_norm))
             if cfg.strict_monitor:
-                halted = learned.rows[np.logical_or.reduce(~learned.monitor_ok, axis=1)]
+                halted = rows[np.logical_or.reduce(~monitor_ok, axis=1)]
                 for i in halted:
                     self.trials[i]._finish(k + 1, "failure", "monitor-violation")
                 closing = walked.copy()
                 closing[halted] = False
-        if learned is None or len(learned.rows) < len(learners):  # numeric faults
+        if learned is None or len(rows) < len(learners):  # numeric faults
             logged = reset.copy()
             if learned is not None:
-                logged[learned.rows] = True
+                logged[rows] = True
             closing = closing & logged
-        self._impedance = impedance
+        self.impedance = impedance
         # a trial keeps its lag only when it learned: a safety reset drops it
         self._lagged = learns
 
@@ -765,22 +728,15 @@ class _Lockstep:
                  & closing[:, None])
         self._converged[latch] = k
         converged = self._converged >= 0
-        self._log(logged, errors, pct, walked_impedance, reset, in_tol, converged,
-                  learned, clamped)
+        self._log(block, logged, errors, pct, walked_impedance, reset, in_tol, converged)
 
         # a trial's phases first stand all converged in the cycle its last one
         # latches; later calls of _all_converged before its windows start over
         # change nothing, so only a cycle with a latch makes them
         if np.count_nonzero(latch):
             for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
-                trial = self.trials[i]
-                if trial._all_converged(k, self._converged[i].tolist()):
-                    self._window[i] = False
-                    self._converged[i] = -1
-                    if self._plant is not None:
-                        self._reference[i] = self._plant.paced_reference(
-                            trial.program.pace(trial.pace_index))
-                    self._stale[i] = True
+                if self.trials[i]._all_converged(k, self._converged[i].tolist()):
+                    self._restart(i)
         if k + 1 >= cfg.max_cycles:
             for i in closing.nonzero()[0]:
                 trial = self.trials[i]
@@ -793,26 +749,30 @@ class _Lockstep:
         if finished:
             self.leave(finished)
 
+    def _restart(self, i: int):
+        """Start trial ``i``'s convergence windows over, on its current target and pace."""
+        self._window[i] = False
+        self._converged[i] = -1
+        if self._plant is not None:
+            trial = self.trials[i]
+            self._reference[i] = self._plant.paced_reference(trial.program.pace(trial.pace_index))
+        self._stale[i] = True
+
     def _start_cycle(self):
         """Events before cycle ``k`` is walked: switches of pool programs and new targets.
 
-        In scenario 2 a switch closes the trial's segment and restarts its windows.
+        In scenario 2 a switch closes each trial's segment and restarts its windows.
         """
         k = self.k
-        for period in set(self._period.tolist()) - {0}:  # of the programs with a pool
-            if k > 0 and k % period == 0:
-                rows = (self._period == period).nonzero()[0]
-                for i in rows:
-                    trial = self.trials[i]
-                    if self.cfg.scenario == SCENARIO_TERRAIN:
-                        trial._close_segment()
-                    if trial.program.profile_index(k) != trial.program.profile_index(k - 1):
-                        trial.record.switch_cycles.append(k)
-                self._stale[rows] = True
+        if self._period and k > 0 and k % self._period == 0:
+            for i, trial in enumerate(self.trials):
+                if trial.program.profile_index(k) != trial.program.profile_index(k - 1):
+                    trial.record.switch_cycles.append(k)
                 if self.cfg.scenario == SCENARIO_TERRAIN:
-                    self._window[rows] = False
-                    self._converged[rows] = -1
-        stale = (self._stale | self._drifting).nonzero()[0]
+                    trial._close_segment()
+                    self._restart(i)
+            self._stale[:] = True
+        stale = np.arange(len(self.trials)) if self._drifting else self._stale.nonzero()[0]
         if len(stale):
             for i in stale:
                 trial = self.trials[i]
@@ -829,22 +789,21 @@ class _Lockstep:
         if self._plant is not None:
             draws = np.array([t.plant.rng.standard_normal((NUM_PHASES, 2))
                               for t in self.trials])
-            self._features = self._plant.respond(self._features, self._impedance,
+            self._features = self._plant.respond(self._features, self.impedance,
                                                  self._reference, draws)
             return self._features, np.ones(len(self.trials), bool)
         measured = self._targets.copy()
         walked = np.ones(len(self.trials), bool)
         for i, trial in enumerate(self.trials):
             try:
-                measured[i] = profile_to_array(trial.plant.step(self._impedance[i]))
+                measured[i] = profile_to_array(trial.plant.step(self.impedance[i]))
             except PlantInstabilityError as exc:
                 walked[i] = False
                 trial._finish(self.k, "failure", f"plant-instability: {exc}")
         return measured, walked
 
-    def _log(self, logged, errors, pct, impedance, reset, in_tol, converged, learned, clamped):
-        """Queue cycle ``k``'s log rows of every trial as one block in ``_LOG_FIELDS`` order."""
-        block = np.zeros((len(self.trials), NUM_PHASES, len(_LOG_FIELDS)))
+    def _log(self, block, logged, errors, pct, impedance, reset, in_tol, converged):
+        """Fill in the fields every row of cycle ``k``'s log ``block`` has, and queue it."""
         block[..., 0] = errors[..., 0]
         block[..., 1] = pct
         block[..., 2] = errors[..., 1]
@@ -852,18 +811,6 @@ class _Lockstep:
         block[..., 6] = reset[:, None]
         block[..., 7] = in_tol
         block[..., 8] = converged
-        if learned is not None:
-            kept = _index(learned.rows, len(self.trials))
-            rows = slice(None) if kept is None else kept
-            at = len(_ROW_FIELDS)
-            block[rows, :, at:at + 3] = learned.action
-            block[rows, :, at + 3:at + 6] = learned.delta
-            for j, values in enumerate((learned.cost, learned.q_value, learned.td,
-                                        learned.critic_bound, learned.actor_bound,
-                                        learned.monitor_ok), start=at + 6):
-                block[rows, :, j] = values
-            block[rows, :, -2] = learned.lagged[:, None]
-            block[rows, :, -1] = clamped
         self._blocks.append((block, logged))
 
     def _flush_log(self):
@@ -877,22 +824,21 @@ class _Lockstep:
         self._blocks = []
 
     def leave(self, positions: list[int]):
-        """Hand the trials at ``positions`` (ascending) their state back and drop them."""
+        """Hand the trials at ``positions`` (ascending) a copy of their rows and drop them."""
         self._flush_log()
-        n = len(self.trials)
         for i in positions:
-            trial, row = self.trials[i], _index(np.array([i]), n)
+            trial = self.trials[i]
             for name in _STACKED:
-                setattr(trial, name, _take(getattr(self, name), row))
+                setattr(trial, name, _row(getattr(self, name), i))
             if self._features is not None:
-                trial.plant.state = self._features[i].copy()
+                trial.plant.state = _row(self._features, i)
             trial.k = self.k
             _append_rows(trial.record, self._chunks[i])
             if trial.finished:
                 trial._close_record()
             else:
                 trial.record.cycles_run = self.k
-        keep = [i for i in range(n) if i not in positions]
+        keep = [i for i in range(len(self.trials)) if i not in positions]
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]
         if keep:
@@ -901,17 +847,20 @@ class _Lockstep:
                 if value is not None:
                     setattr(self, name, _take(value, keep))
 
-    def _learn(self, rows: np.ndarray, state: np.ndarray) -> _Learned | None:
+    def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray):
         """One learning step of the trials at positions ``rows``, all four phases each.
 
-        ``state`` is their (m, 4, 2) network input.  Returns the results of
-        the trials that kept their update.  A numeric fault fails only the
-        trials whose own update overflows: the step is then redone one
-        trial at a time, and each trial keeps exactly what it keeps alone.
+        ``state`` is their (m, 4, 2) network input.  The trials that keep
+        their update write their learning fields into cycle ``k``'s log
+        ``block``; returns their positions, (m, 4, 3) impedance deltas,
+        weight norms and (m, 4) monitor flags, or None when none kept it.
+        A numeric fault fails only the trials whose own update overflows:
+        the step is then redone one trial at a time, and each trial keeps
+        exactly what it keeps alone.
         """
         dhdp = self.cfg.dhdp
         learners = _index(rows, len(self.trials))
-        critic, actor = _take(self._critic, learners), _take(self._actor, learners)
+        critic, actor = _take(self.critic, learners), _take(self.actor, learners)
         a_tape = actor_eval(actor, state)
         cost = stage_cost(state, a_tape.output, dhdp.cost)
         c_tape = critic_eval(critic, state, a_tape.output)
@@ -938,30 +887,29 @@ class _Lockstep:
                 td = _put(td, sub, step_td)
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
         except NumericFaultError as exc:
-            if len(rows) == 1:
-                self._fault(rows[0], monitor_ok[0], exc)
+            if len(rows) == 1:  # the trial's cycle ends; only its monitor reports count
+                trial = self.trials[rows[0]]
+                trial.record.monitor_violations += int((~monitor_ok[0]).sum())
+                trial._finish(self.k + 1, "failure", f"numeric-fault: {exc}")
                 return None
-            parts = [self._learn(rows[j:j + 1], state[j:j + 1]) for j in range(len(rows))]
+            parts = [self._learn(rows[j:j + 1], state[j:j + 1], block) for j in range(len(rows))]
             parts = [part for part in parts if part is not None]
-            return _concat(parts) if parts else None
+            return tuple(map(np.concatenate, zip(*parts))) if parts else None
 
-        self._critic = _put(self._critic, learners, critic)
-        self._actor = _put(self._actor, learners, actor)
+        self.critic = _put(self.critic, learners, critic)
+        self.actor = _put(self.actor, learners, actor)
         self._lag_value = _put(self._lag_value, learners, c_tape.value)
         self._lag_cost = _put(self._lag_cost, learners, cost)
 
-        return _Learned(
-            rows=rows, action=a_tape.output,
-            delta=scale_action(a_tape.output, dhdp.action_scale.half_ranges),
-            cost=cost, q_value=c_tape.value, td=td, critic_bound=report.critic_bound,
-            actor_bound=report.actor_bound, monitor_ok=monitor_ok, lagged=lagged,
-            weight_norm=_max_abs_weights(critic, actor))
-
-    def _fault(self, i: int, monitor_ok: np.ndarray, exc: NumericFaultError):
-        """End trial ``i``'s cycle on a non-finite update: the monitor counts, nothing else is kept."""
-        trial = self.trials[i]
-        trial.record.monitor_violations += int((~monitor_ok).sum())
-        trial._finish(self.k + 1, "failure", f"numeric-fault: {exc}")
+        delta = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+        at, out = len(_ROW_FIELDS), slice(None) if learners is None else rows
+        block[out, :, at:at + 3] = a_tape.output
+        block[out, :, at + 3:at + 6] = delta
+        for j, values in enumerate((cost, c_tape.value, td, report.critic_bound,
+                                    report.actor_bound, monitor_ok, lagged[:, None]),
+                                   start=at + 6):
+            block[out, :, j] = values
+        return rows, delta, _max_abs_weights(critic, actor), monitor_ok
 
 
 def _step_to_end(trials):

@@ -142,26 +142,33 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
     # discount outside (0, 1), are refused before any trial runs
     ranges = default_config()["ranges"]
     ranges[1][0] = [-50.0, 100.0]
+    # each message opens with the dotted key, also where the trial
+    # config's own checks refuse the value under its field name
     cases = [
         ({"ranges": ranges}, "ranges:"),
         ({"init_spread": 1.5}, "init_spread:"),
-        ({"terrain": {"pool_spread": 1.5}}, "pool_spread:"),
-        ({"dhdp": {"discount": 1.0}}, "dhdp:"),
-        ({"scenario": 2, "terrain": {"pool_size": 0}}, "pool_size:"),
-        ({"scenario": 2, "terrain": {"switch_period": 0}}, "switch_period:"),
+        ({"terrain": {"pool_spread": 1.5}}, "terrain.pool_spread:"),
+        ({"dhdp": {"discount": 1.0}}, "dhdp.discount:"),
+        ({"scenario": 2, "terrain": {"pool_size": 0}}, "terrain.pool_size:"),
+        ({"scenario": 2, "terrain": {"switch_period": 0}}, "terrain.switch_period:"),
+        ({"quota": 11}, "quota:"),
+        ({"max_cycles": 10}, "max_cycles:"),
+        ({"scenario": 4}, "scenario:"),
+        ({"stage": "tuning"}, "stage:"),
+        ({"plant": "spring"}, "plant:"),
         # policy_dir is a path or null in every stage; a testing run needs one
         ({"policy_dir": 5}, "policy_dir:"),
         ({"stage": "testing", "policy_dir": 5}, "policy_dir:"),
         ({"stage": "testing", "policy_dir": True}, "policy_dir:"),
-        ({"stage": "testing"}, "policy_dir"),
+        ({"stage": "testing"}, "policy_dir:"),
         # a drift low-pass outside (0, 1] ran with exit 0; at 5 it multiplied
         # the drift by -4 every cycle
-        ({"drift": {"smoothing": -1}}, "drift_smoothing:"),
-        ({"drift": {"smoothing": 0}}, "drift_smoothing:"),
-        ({"drift": {"smoothing": 1.5}}, "drift_smoothing:"),
-        ({"drift": {"gain": 0.1, "smoothing": 5}}, "drift_smoothing:"),
-        ({"scenario": 2, "terrain": {"consecutive_tracks": 0}}, "consecutive_tracks:"),
-        ({"terrain": {"consecutive_tracks": -1}}, "consecutive_tracks:"),
+        ({"drift": {"smoothing": -1}}, "drift.smoothing:"),
+        ({"drift": {"smoothing": 0}}, "drift.smoothing:"),
+        ({"drift": {"smoothing": 1.5}}, "drift.smoothing:"),
+        ({"drift": {"gain": 0.1, "smoothing": 5}}, "drift.smoothing:"),
+        ({"scenario": 2, "terrain": {"consecutive_tracks": 0}}, "terrain.consecutive_tracks:"),
+        ({"terrain": {"consecutive_tracks": -1}}, "terrain.consecutive_tracks:"),
         # these overflowed in a RuntimeWarning, or ran with exit 0
         ({"feature_map": {"noise_std": [1e308, 0.005]}}, "feature_map.noise_std[0]:"),
         ({"feature_map": {"noise_std": [0.005, 2.5]}}, "feature_map.noise_std[1]:"),
@@ -176,7 +183,7 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        assert err.startswith(f"error: {key} "), err
         assert not out.exists()
 
 
@@ -298,9 +305,10 @@ def leaf_paths(node, path=()):
 @example(path=("dhdp", "state_cost"), bad=[[1, 2]])
 @example(path=("ranges", 2, 1), bad={})
 @example(path=("dhdp", "init_weight_scale"), bad=1e308)
+@example(path=("init_spread",), bad=0)  # no initial draw is feasible: exit 1
 def test_a_bad_leaf_exits_cleanly(path, bad):
-    # no traceback and no warning: a run ends in 0, 1 or a one-line refusal
-    # that leaves no output directory
+    # no traceback and no warning: a run ends in 0, or in 1 or a one-line
+    # refusal (2), either of which leaves no output directory
     tree = default_config()
     tree.update(trials=1, max_cycles=20)
     node = tree
@@ -314,7 +322,7 @@ def test_a_bad_leaf_exits_cleanly(path, bad):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code in (0, 1, 2)
-        if code == 2:
+        if code:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert not out.exists()
@@ -358,6 +366,15 @@ def test_overrides_pass_the_file_checks(tmp_path):
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(None, overrides)
+    # an override is checked against the defaults, not against the file: a
+    # float the file writes as an integer still takes a fraction, and an
+    # empty pace list in the file still takes a pace override
+    path.write_text(json.dumps({"dhdp": {"critic_lr": 1}}))
+    assert load_config(path, {"dhdp": {"critic_lr": 0.5}})["dhdp"]["critic_lr"] == 0.5
+    path.write_text(json.dumps({"pace": {"training": []}}))
+    assert load_config(path, {"pace": {"training": [1.0, 1.2]}})["pace"]["training"] == [1.0, 1.2]
+    with pytest.raises(ConfigError, match=re.escape("pace.training: needs at least one")):
+        load_config(path)
 
 
 def test_default_config_round_trips_through_json():

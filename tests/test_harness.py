@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import itertools
 import json
 import os
 import pickle
@@ -407,6 +408,29 @@ def test_testing_batch_refuses_more_than_one_job():
         run_testing_batch(TrialConfig(stage="testing"), seed=0, policies=[policy], jobs=2)
 
 
+def test_batch_records_share_no_memory():
+    # a trial leaves its lockstep with a copy of its rows: a view would keep
+    # the whole stack it was cut from alive for as long as its record lives
+    records = run_training_batch(TrialConfig(max_cycles=40), seed=3, trials=4).records
+    assert len({rec.cycles_run for rec in records}) < len(records)  # trials that left together
+
+    def held(rec):
+        """The buffers a record's weights and log keep alive."""
+        arrays = [m for net in rec.actors + rec.critics for m in (net.w_hidden, net.w_out)]
+        return [a if a.base is None else a.base for a in arrays + list(rec.log.values())]
+
+    for a, b in itertools.combinations(records, 2):
+        assert not any(np.shares_memory(x, y) for x in held(a) for y in held(b))
+
+
+def test_lockstep_refuses_trials_whose_programs_differ():
+    cfg = TrialConfig(max_cycles=40)
+    base = Trial(cfg, 4).program.base_profile
+    drifting = TargetProgram(base_profile=base, drift_gain=0.5)
+    with pytest.raises(ValueError, match="programs"):
+        harness._Lockstep([Trial(cfg, 4), Trial(cfg, 5, target_program=drifting)])
+
+
 def test_lockstep_retargets_the_trial_whose_leg_advanced_while_another_leaves():
     # The same trial under a one-leg and a two-leg pace program converges
     # its first leg in the same cycle: the first trial finishes and leaves
@@ -513,12 +537,26 @@ def test_scenario2_switch_cycles_every_period():
 
 
 def test_scenario2_success_needs_consecutive_tracks():
-    cfg = TrialConfig(scenario=2)
-    rec = run_trial(cfg, 1)
-    if rec.success:
-        converged = [s["converged"] for s in rec.segments]
-        assert len(converged) >= cfg.consecutive_tracks
-        assert all(converged[-cfg.consecutive_tracks:])
+    # segments are numbered in switch order from the schedule's start, and a
+    # trial succeeds at the first tracked segment that completes a run of
+    # consecutive_tracks tracked ones
+    for tracks in (1, 2, 3):
+        cfg = TrialConfig(scenario=2, consecutive_tracks=tracks, max_cycles=200)
+        records = run_training_batch(cfg, seed=2, trials=5).records
+        assert {rec.success for rec in records} == {True, False}
+        for rec in records:
+            segments = rec.segments
+            assert [s["segment"] for s in segments] == list(range(len(segments)))
+            assert [s["start_cycle"] for s in segments] == [
+                cfg.switch_period * s["segment"] for s in segments]
+            tracked = [s["converged"] for s in segments]
+            ends = [j for j in range(tracks - 1, len(tracked))
+                    if all(tracked[j - tracks + 1:j + 1])]
+            if rec.success:
+                assert ends[0] == len(segments) - 1
+                assert rec.tuning_steps == segments[-1]["converged_cycle"] + 1
+            else:
+                assert ends == []
 
 
 def test_scenario3_legs_follow_training_order():
@@ -528,6 +566,21 @@ def test_scenario3_legs_follow_training_order():
     assert paces == list(cfg.pace_training[:len(paces)])
     if rec.success:
         assert paces == [1.0, 1.12, 1.0, 0.88]
+
+
+def test_scenario3_legs_start_where_the_last_converged():
+    cfg = TrialConfig(scenario=3, max_cycles=300)
+    records = run_training_batch(cfg, seed=2, trials=5).records
+    assert {rec.success for rec in records} == {True, False}
+    for rec in records:
+        starts = [0] + [leg["converged_cycle"] + 1 for leg in rec.legs[:-1]]
+        assert [leg["start_cycle"] for leg in rec.legs] == starts
+        assert [leg["leg"] for leg in rec.legs] == list(range(len(rec.legs)))
+        for leg in rec.legs:
+            assert leg["steps"] == leg["converged_cycle"] - leg["start_cycle"] + 1
+        assert rec.success == (len(rec.legs) == len(cfg.pace_training))
+        if rec.success:
+            assert rec.tuning_steps == rec.legs[-1]["converged_cycle"] + 1
 
 
 def test_scenario3_testing_sequence_order():
