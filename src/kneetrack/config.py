@@ -60,6 +60,9 @@ _KEYS = {name: key for key, name in _FIELDS.items()}
 # dhdp keys named as their DhdpConfig field
 _DHDP_FIELDS = ("critic_hidden", "actor_hidden", "discount", "critic_lr", "actor_lr",
                 "init_weight_scale", "action_scale")
+# the fields of the dhdp section's parts that a refusal names, and their keys
+_DHDP_RENAMED = {"state_weight": "state_cost", "action_weight": "action_cost",
+                 "half_ranges": "action_scale"}
 _ALPHAS = ("alpha1", "alpha2", "alpha3")
 # the numeric lists whose length is up to the user
 _ANY_LENGTH = ("pace.training", "pace.testing")
@@ -264,14 +267,18 @@ def _check_alphas(dhdp: dict) -> None:
 
 
 @contextlib.contextmanager
-def _refused(name: str, keys=()):
+def _refused(name: str, keys=(), renamed=None):
     """Refuse the block's errors under ``name``; a message that opens with one
-    of ``keys`` and a colon names that key by its dotted path, ``name.key:``."""
+    of ``keys`` and a colon names that key by its dotted path, ``name.key:``.
+    ``renamed`` maps a field a message opens with to the key that sets it."""
+    renamed = renamed or {}
     try:
         yield
     except (ValueError, TypeError) as exc:
-        key = str(exc).partition(":")[0]
-        raise ConfigError(f"{name}.{exc}" if key in keys else f"{name}: {exc}") from exc
+        field, colon, rest = str(exc).partition(":")
+        if colon and (field in keys or field in renamed):
+            raise ConfigError(f"{name}.{renamed.get(field, field)}:{rest}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _dhdp(raw: dict, default: DhdpConfig) -> DhdpConfig:
@@ -294,7 +301,7 @@ def trial_config_from(resolved: dict) -> TrialConfig:
         value = getattr(default, name)
         with _refused(key, getattr(value, "__dataclass_fields__", ())):
             fields[name] = _built(value, _get(resolved, key))
-    with _refused("dhdp", default.dhdp.__dataclass_fields__):
+    with _refused("dhdp", default.dhdp.__dataclass_fields__, _DHDP_RENAMED):
         fields["dhdp"] = _dhdp(resolved["dhdp"], default.dhdp)
     try:
         return TrialConfig(**fields)

@@ -123,7 +123,7 @@ class BoundsTable:
             raise ValueError("bounds tables need one entry per phase")
         for safe, tol in zip(self.safety, self.tolerance):
             if not (tol.angle < safe.angle and tol.duration_pct < safe.duration_pct):
-                raise ValueError("tolerance bound must be tighter than safety bound")
+                raise ValueError("tolerance: must be tighter than safety in both components")
 
     def safety_for(self, phase: Phase) -> PhaseBound:
         return self.safety[phase - 1]
@@ -159,13 +159,23 @@ def within_bound(error, bound: PhaseBound, cycle_duration: float) -> bool:
     return bool(abs(d_peak) <= bound.angle and duration_pct <= bound.duration_pct)
 
 
+def duration_error_pct(errors: np.ndarray, cycle_duration) -> np.ndarray:
+    """Signed duration errors of (..., 4, 2) error rows in percent of their cycle.
+
+    ``cycle_duration`` holds one positive duration per leading entry.
+    """
+    return 100.0 * errors[..., 0] / np.asarray(cycle_duration)[..., None]
+
+
 def inside_bounds(errors: np.ndarray, angle: np.ndarray, duration_pct: np.ndarray,
-                  cycle_duration) -> np.ndarray:
+                  cycle_duration=None, pct: np.ndarray | None = None) -> np.ndarray:
     """:func:`within_bound` of every phase of (..., 4, 2) error rows, as (..., 4) flags.
 
-    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`)
-    and ``cycle_duration`` one positive duration per leading entry.  The
-    comparisons are within_bound's, so each flag is the one it returns.
+    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`).
+    ``pct`` is the rows' :func:`duration_error_pct`; a caller that has it
+    passes it in place of ``cycle_duration``.  Since |100 e / c| equals
+    100 |e| / c exactly, each flag is the one within_bound returns.
     """
-    pct = 100.0 * np.abs(errors[..., 0]) / np.asarray(cycle_duration)[..., None]
-    return (np.abs(errors[..., 1]) <= angle) & (pct <= duration_pct)
+    if pct is None:
+        pct = duration_error_pct(errors, cycle_duration)
+    return (np.abs(errors[..., 1]) <= angle) & (np.abs(pct) <= duration_pct)

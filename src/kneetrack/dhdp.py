@@ -193,11 +193,11 @@ class StageCostParams:
             ("action_weight", self.action_weight, N_ACTION),
         ):
             if mat.shape != (dim, dim):
-                raise ValueError(f"{name} must be {dim}x{dim}")
+                raise ValueError(f"{name}: must be {dim}x{dim}")
             if not np.allclose(mat, mat.T):
-                raise ValueError(f"{name} must be symmetric")
+                raise ValueError(f"{name}: must be symmetric")
             if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
-                raise ValueError(f"{name} must be positive definite")
+                raise ValueError(f"{name}: must be positive definite")
 
     @classmethod
     def default(cls) -> "StageCostParams":
@@ -372,9 +372,9 @@ class ActionScale:
 
     def __post_init__(self):
         if self.half_ranges.shape != (4, N_ACTION):
-            raise ValueError("action scale must be a 4x3 table")
+            raise ValueError("half_ranges: must be a 4x3 table")
         if not np.all(self.half_ranges > 0.0):
-            raise ValueError("action half-ranges must be strictly positive")
+            raise ValueError("half_ranges: must be strictly positive")
 
     @classmethod
     def default(cls) -> "ActionScale":

@@ -12,6 +12,8 @@ Two plants sit behind the same step interface:
   torque law in closed loop and is used for realism checks.  Each phase is
   one Euler loop on Python floats, with the phase machine's rules
   (:func:`~kneetrack.fsm.joint_torque`, :func:`~kneetrack.fsm.flexion_peaked`).
+  :meth:`OdeKneePlant.walk_stack` walks a stack of impedances with the
+  same substeps as arrays, which is what probing many candidates needs.
 
 The intact-knee side is a :class:`TargetProgram`: a base feature profile
 with optional terrain switching (a pool of profiles swapped on a fixed
@@ -34,7 +36,7 @@ from .core import (
     check_features,
     check_impedance,
 )
-from .fsm import flexion_peaked, joint_torque
+from .fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
 
 MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
 
@@ -93,14 +95,15 @@ class FeatureMapConfig:
     def __post_init__(self):
         object.__setattr__(self, "reference_impedance",
                            check_impedance(self.reference_impedance))
+        # each refusal opens with the field it names
         if self.sensitivity.shape != (NUM_PHASES, 2, 3):
-            raise ValueError("sensitivity must be a (4, 2, 3) array")
+            raise ValueError("sensitivity: must be a (4, 2, 3) array")
         if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing factor must lie in (0, 1]")
+            raise ValueError(f"smoothing: must lie in (0, 1], got {self.smoothing}")
         if any(s < 0.0 for s in self.noise_std):
-            raise ValueError("noise std must be non-negative")
+            raise ValueError(f"noise_std: must be non-negative, got {list(self.noise_std)}")
         if not 0.0 <= self.pace_passthrough <= 1.0:
-            raise ValueError("pace passthrough must lie in [0, 1]")
+            raise ValueError(f"pace_passthrough: must lie in [0, 1], got {self.pace_passthrough}")
 
     @classmethod
     def default(cls) -> "FeatureMapConfig":
@@ -251,10 +254,7 @@ class OdeKneePlant:
                     prev_velocity = velocity
                     velocity += dt * accel
                     if abs(velocity) > limit:
-                        raise PlantInstabilityError(
-                            f"knee velocity {velocity:.1f} rad/s exceeds "
-                            f"{limit} rad/s in phase {phase.short_name}"
-                        )
+                        raise _diverged(velocity, limit, phase)
                     angle += dt * velocity
                     if angle <= 0.0:
                         angle, velocity = 0.0, 0.0
@@ -286,6 +286,93 @@ class OdeKneePlant:
         # argument on ties and NaN, as np.maximum and np.clip do
         return tuple(GaitFeatures(max(d, MIN_DURATION), min(max(p, 0.0), KNEE_ANGLE_MAX))
                      for d, p in features)
+
+    # Python floats reach inf and nan without a warning, and so do these
+    # arrays: a candidate's numbers are step's, overflow included
+    @np.errstate(over="ignore", invalid="ignore")
+    def walk_stack(self, imps: np.ndarray, cycles: int):
+        """The last of ``cycles`` cycles under each of (C, 4, 3) impedances, from this state.
+
+        Each candidate walks as ``cycles`` calls of :meth:`step` would walk
+        it from the plant's angle and velocity: the same substeps on the
+        same floats in the same order, so its (4, 2) features of the last
+        cycle are the ones step returns, bit for bit.  A phase starts for
+        every candidate at once and ends for each at its own event or
+        divergence, after which the candidate's numbers are no longer read.
+        The plant itself is not touched.
+
+        Returns the (C, 4, 2) features, NaN for a candidate that diverged,
+        and the :class:`PlantInstabilityError` step raises for each of those,
+        keyed by candidate index.
+        """
+        cfg = self.config
+        dt, inertia, limit, max_time = (cfg.timestep, cfg.inertia, cfg.velocity_limit,
+                                        cfg.max_phase_time)
+        count = len(imps)
+        columns = np.ascontiguousarray(np.moveaxis(imps, 0, -1))  # (4, 3, C)
+        angle = np.full(count, self._angle)
+        velocity = np.full(count, self._velocity)
+        features = np.full((count, NUM_PHASES, 2), np.nan)
+        faults: dict[int, PlantInstabilityError] = {}
+        live = np.ones(count, bool)
+        for cycle in range(cycles):
+            last = cycle == cycles - 1
+            for phase, load in zip(PHASES, cfg.load_torque):
+                flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)
+                threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
+                             else cfg.heel_strike_angle)
+                rows = np.flatnonzero(live)
+                row = tuple(columns[phase - 1][:, rows])
+                a, v = angle[rows], velocity[rows]
+                peak = a
+                walking = np.ones(len(rows), bool)
+                elapsed = 0.0
+                while np.count_nonzero(walking):
+                    prev = v
+                    # -torque + load is load - torque exactly
+                    v = prev + dt * ((load - joint_torque(row, a, prev)) / inertia)
+                    diverged = (np.abs(v) > limit) & walking
+                    reached = v  # the velocity a fault reports
+                    a = a + dt * v
+                    low, high = a <= 0.0, a >= KNEE_ANGLE_MAX
+                    stopped = low | high
+                    if np.count_nonzero(stopped):
+                        a = np.where(low, 0.0, np.where(high, KNEE_ANGLE_MAX, a))
+                        v = np.where(stopped, 0.0, v)
+                    elapsed += dt
+                    if last:
+                        peak = np.where(a > peak, a, peak)
+                    # step's phase ends; every candidate has spent the same time in it
+                    if elapsed >= max_time:
+                        ended = walking
+                    elif flexion:
+                        ended = ((v <= PEAK_VELOCITY_EPS) & (prev > PEAK_VELOCITY_EPS)
+                                 if elapsed >= MIN_DWELL else None)
+                    else:
+                        ended = (a < threshold) & (v <= 0.0) if elapsed > 2 * dt else None
+                    leaving = diverged if ended is None else (ended & walking) | diverged
+                    if not np.count_nonzero(leaving):
+                        continue
+                    if np.count_nonzero(diverged):
+                        for j in np.flatnonzero(diverged).tolist():
+                            faults[int(rows[j])] = _diverged(float(reached[j]), limit, phase)
+                        live[rows[diverged]] = False
+                        features[rows[diverged]] = np.nan
+                    done = leaving & ~diverged
+                    finished = rows[done]
+                    angle[finished], velocity[finished] = a[done], v[done]
+                    if last:
+                        features[finished, phase - 1, 0] = elapsed
+                        features[finished, phase - 1, 1] = peak[done]
+                    # a candidate out of the phase walks on unread until the
+                    # phase ends for all, so no array changes size
+                    walking &= ~leaving
+        return clip_features(features), faults
+
+
+def _diverged(velocity: float, limit: float, phase: Phase) -> PlantInstabilityError:
+    return PlantInstabilityError(f"knee velocity {velocity:.1f} rad/s exceeds "
+                                 f"{limit} rad/s in phase {phase.short_name}")
 
 
 @dataclass

@@ -66,3 +66,25 @@ def test_testing_batch_takes_the_benchmarks_call():
                                  expect_critic_hidden=cfg.dhdp.critic_hidden)]
     batch = harness.run_testing_batch(cfg, 3, policies, trials_per_policy=1, jobs=1)
     assert len(batch.records) == 1 and batch.policy_index == [0]
+
+
+def test_traced_ode_trial_runs_through_the_plant_hooks():
+    # the torque-law knee's cycles pass the ODE hook, which reads the
+    # durations of the GaitProfile a step returns; the initial draw probes
+    # its candidates a chunk per steady_profile call, past OdeKneePlant.step
+    recorder = load_tracer().Recorder(MODS)
+    recorder.install()
+    try:
+        record = harness.run_trial(harness.TrialConfig(plant_kind="ode", max_cycles=15), 3)
+    finally:
+        recorder.uninstall()
+    assert record.cycles_run > 0 and recorder.records == [record]
+    summary = recorder.summary()
+    stats, linked = summary["stats"], summary["linked"]
+    # three steps probe the reference impedance for the target, one walks each cycle
+    assert linked["ode_probe_steps"] == harness.STEADY_CYCLES
+    assert stats["plant.ode_step"]["calls"] == harness.STEADY_CYCLES + record.cycles_run
+    assert recorder.counts["step_fsm"] > 0
+    assert stats["harness.draw_initial_impedance"]["calls"] == 1
+    assert linked["initial_draw_profiles"] >= 1
+    assert stats["harness.steady_profile"]["calls"] == 1 + linked["initial_draw_profiles"]

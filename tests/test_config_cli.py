@@ -187,6 +187,31 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_nested_refusals_name_the_dotted_key(tmp_path, capsys):
+    # the nested sections' own checks name the key that was set, not the
+    # section alone, a field of the dataclass behind it, or another key
+    tolerance = default_config()["bounds"]["tolerance"]
+    tolerance[0] = [0.5, 2.0]
+    action_scale = default_config()["dhdp"]["action_scale"]
+    action_scale[1][0] = -10.0
+    cases = [
+        ({"feature_map": {"smoothing": 2}}, "feature_map.smoothing: must lie in (0, 1], got 2.0"),
+        ({"dhdp": {"state_cost": [[1, 0], [0, -1]]}},
+         "dhdp.state_cost: must be positive definite"),
+        ({"dhdp": {"action_cost": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]}},
+         "dhdp.action_cost: must be symmetric"),
+        ({"dhdp": {"action_scale": action_scale}}, "dhdp.action_scale: must be strictly positive"),
+        ({"bounds": {"tolerance": tolerance}},
+         "bounds.tolerance: must be tighter than safety in both components"),
+        ({"window": 0}, "window: must be at least 1, got 0"),
+    ]
+    for cfg, message in cases:
+        code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_integer_keys_refuse_fractions_and_booleans(tmp_path, capsys):
     # 2.5 trials used to run 2 while config.json recorded 2.5
     cases = [

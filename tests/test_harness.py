@@ -39,7 +39,13 @@ from kneetrack.harness import (
     trial_summary,
     write_trial_csv,
 )
-from kneetrack.plant import FeatureMapConfig, TargetProgram, alignment_errors, profile_to_array
+from kneetrack.plant import (
+    FeatureMapConfig,
+    OdeKneeConfig,
+    TargetProgram,
+    alignment_errors,
+    profile_to_array,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("KNEETRACK_REGEN_GOLDEN") == "1"
@@ -279,18 +285,31 @@ def test_scaled_impedance_stack_equals_row_by_row():
     assert (stacked[..., 2] == KNEE_ANGLE_MAX).any()
 
 
-def draw_outcomes(plant_kind, seeds, monkeypatch):
+def probed_by_chunks(n: int, fault: bool) -> int:
+    """Candidates the chunked draw probes where the one-at-a-time draw probed ``n``.
+
+    That is every earlier round's candidates, this round's up to the end of
+    the chunk holding the ``n``-th, and the faulted candidate once more alone.
+    """
+    rounds, at = divmod(n - 1, harness.MAX_INITIAL_DRAWS)
+    chunks = -(-(at + 1) // harness.PROBE_CHUNK) * harness.PROBE_CHUNK
+    return rounds * harness.MAX_INITIAL_DRAWS + min(chunks, harness.MAX_INITIAL_DRAWS) + fault
+
+
+def draw_outcomes(cfg, seeds, monkeypatch, target=None):
     """Per seed, the drawn impedance's bytes or the error, and the candidates probed.
 
-    Asserts that the block draw and the one-at-a-time oracle agree.
+    Asserts that the chunked draw and the one-at-a-time oracle agree on
+    every outcome, and that the chunked draw probed exactly the oracle's
+    count rounded up to whole chunks.  Returns the oracle's outcomes.
     """
-    cfg = TrialConfig(plant_kind=plant_kind)
     plant = make_plant(cfg, np.random.default_rng(0))
-    target = make_target_program(cfg, plant, np.random.default_rng(1)).target_for(0)
+    if target is None:
+        target = make_target_program(cfg, plant, np.random.default_rng(1)).target_for(0)
     probed = []
     steady = harness.steady_profile
-    monkeypatch.setattr(harness, "steady_profile",
-                        lambda p, imp: probed.append(1) or steady(p, imp))
+    monkeypatch.setattr(harness, "steady_profile", lambda p, imp: probed.append(
+        len(imp) if imp.ndim == 3 else 1) or steady(p, imp))
     runs = []
     for draw in (draw_initial_impedance, oracles.loop_draw_initial_impedance):
         outcomes = []
@@ -300,15 +319,29 @@ def draw_outcomes(plant_kind, seeds, monkeypatch):
                 got = draw(cfg, plant, target, np.random.default_rng(seed)).tobytes()
             except RuntimeError as exc:
                 got = str(exc)
-            outcomes.append((got, len(probed)))
+            outcomes.append((got, sum(probed)))
         runs.append(outcomes)
-    assert runs[0] == runs[1]
-    return runs[0]
+    chunked, oracle = runs
+    assert [got for got, _ in chunked] == [got for got, _ in oracle]
+    assert [n for _, n in chunked] == [
+        probed_by_chunks(n, isinstance(got, str) and got.startswith("knee velocity"))
+        for got, n in oracle]
+    return oracle
 
 
 @pytest.mark.parametrize("plant_kind, seeds", [("feature-map", range(10)), ("ode", range(4))])
 def test_initial_draw_equals_the_one_at_a_time_oracle(plant_kind, seeds, monkeypatch):
-    assert all(isinstance(got, bytes) for got, _ in draw_outcomes(plant_kind, seeds, monkeypatch))
+    outcomes = draw_outcomes(TrialConfig(plant_kind=plant_kind), seeds, monkeypatch)
+    assert all(isinstance(got, bytes) for got, _ in outcomes)
+
+
+@pytest.mark.parametrize("plant_kind", ["feature-map", "ode"])
+def test_initial_draw_in_small_chunks_equals_the_oracle(plant_kind, monkeypatch):
+    # seven candidates a call: most draws take several chunks
+    monkeypatch.setattr(harness, "PROBE_CHUNK", 7)
+    outcomes = draw_outcomes(TrialConfig(plant_kind=plant_kind), range(6), monkeypatch)
+    assert all(isinstance(got, bytes) for got, _ in outcomes)
+    assert any(probed > 7 for _, probed in outcomes)
 
 
 @pytest.mark.parametrize("plant_kind", ["feature-map", "ode"])
@@ -316,9 +349,24 @@ def test_initial_draw_narrows_and_gives_up_as_the_oracle(plant_kind, monkeypatch
     # ten candidates a round: some seeds succeed only at a narrowed spread,
     # others miss all six rounds
     monkeypatch.setattr(harness, "MAX_INITIAL_DRAWS", 10)
-    outcomes = draw_outcomes(plant_kind, range(8), monkeypatch)
+    outcomes = draw_outcomes(TrialConfig(plant_kind=plant_kind), range(8), monkeypatch)
     assert any(isinstance(got, bytes) and probed > 10 for got, probed in outcomes)
     assert ("could not draw a feasible initial impedance", 60) in outcomes
+
+
+@pytest.mark.parametrize("chunk", [7, harness.PROBE_CHUNK])
+def test_initial_draw_raises_the_first_fault_as_the_oracle(chunk, monkeypatch):
+    # at 16 rad/s some candidates' walks diverge: a draw that meets one
+    # before a feasible candidate raises its PlantInstabilityError, one
+    # that does not returns the feasible candidate
+    monkeypatch.setattr(harness, "PROBE_CHUNK", chunk)
+    default = TrialConfig(plant_kind="ode")
+    target = make_target_program(default, make_plant(default, None),
+                                 np.random.default_rng(1)).target_for(0)
+    cfg = replace(default, ode=OdeKneeConfig(velocity_limit=16.0))
+    outcomes = draw_outcomes(cfg, range(8), monkeypatch, target)
+    assert {isinstance(got, bytes) for got, _ in outcomes} == {True, False}
+    assert all(got.startswith("knee velocity") for got, _ in outcomes if isinstance(got, str))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Surrogate plants and the intact-knee target program."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kneetrack.core import KNEE_ANGLE_MAX, Phase
+from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS
 from kneetrack.plant import (
     MIN_DURATION,
     FeatureMapConfig,
@@ -265,6 +267,104 @@ def test_ode_step_equals_the_loop_from_negative_zero():
     imp[0] = (0.0, 1.0, 0.0)
     outcomes, _ = assert_step_matches_loop(OdeKneeConfig(initial_angle=-0.0), imp)
     assert "peak_angle=-0.0)" in outcomes[0]
+
+
+def walk_alone(plant, imp, cycles):
+    """Bytes of the last of ``cycles`` steps from a copy of ``plant``, or the fault's text."""
+    probe = copy.copy(plant)
+    try:
+        for _ in range(cycles):
+            profile = probe.step(imp)
+    except PlantInstabilityError as exc:
+        return f"PlantInstabilityError: {exc}"
+    return profile_to_array(profile).tobytes()
+
+
+def assert_walk_matches_steps(cfg, imps, cycles=3, warm=0):
+    """Walk a stack of impedances at once, and each alone through ``cycles`` steps.
+
+    Both start from the state ``warm`` reference cycles leave.  A
+    candidate's features agree bit for bit, or its fault is the one step
+    raises, message included, and its features are NaN.  The walked plant
+    keeps its state.  Returns each candidate's outcome.
+    """
+    plant = OdeKneePlant(cfg)
+    for _ in range(warm):
+        plant.step(ode_impedance())
+    state = repr((plant._angle, plant._velocity))
+    imps = np.array(imps, dtype=float)
+    features, faults = plant.walk_stack(imps, cycles)
+    assert repr((plant._angle, plant._velocity)) == state
+    outcomes = []
+    for i, imp in enumerate(imps):
+        want = walk_alone(plant, imp, cycles)
+        if i in faults:
+            assert f"PlantInstabilityError: {faults[i]}" == want
+            assert np.isnan(features[i]).all()
+        else:
+            assert features[i].tobytes() == want
+        outcomes.append(want)
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(imps=st.lists(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                                        st.floats(0.0, 5.0), angles), min_size=4, max_size=4),
+                     min_size=1, max_size=6),
+       cycles=st.integers(1, 3), warm=st.integers(0, 1),
+       inertia=st.floats(0.002, 0.1), timestep=st.floats(0.005, 0.03),
+       initial_angle=angles, initial_velocity=st.floats(-8.0, 8.0),
+       load_torque=st.tuples(*[st.floats(-6.0, 2.0)] * 4),
+       toe_off_angle=angles, heel_strike_angle=angles,
+       max_phase_time=st.floats(0.01, 1.0), velocity_limit=st.floats(0.5, 60.0))
+def test_stacked_walk_equals_steps_alone(imps, cycles, warm, **fields):
+    cfg = OdeKneeConfig(**fields)
+    # a warm start needs a reference cycle that does not diverge
+    if isinstance(walk_alone(OdeKneePlant(cfg), ode_impedance(), 1), str):
+        warm = 0
+    assert_walk_matches_steps(cfg, imps, cycles, warm)
+
+
+def test_stacked_walk_equals_steps_at_timeouts_stops_and_faults():
+    # one stack: the reference, no stiffness (the flexion peaks never come,
+    # so those phases end at max_phase_time), swing flexion driven against
+    # the upper stop, a stance-flexion pull that diverges, and one so strong
+    # that the velocity overflows to inf, which floats do without a warning
+    zero = ode_impedance()
+    zero[:, 0] = 0.0
+    stop = ode_impedance()
+    stop[2] = (40.0, 0.5, KNEE_ANGLE_MAX)
+    hot = ode_impedance()
+    hot[0] = (100.0, 0.0, KNEE_ANGLE_MAX)
+    huge = ode_impedance()
+    huge[0] = (1e308, 0.0, KNEE_ANGLE_MAX)
+    cfg = OdeKneeConfig(max_phase_time=0.3)
+    reference, slack, stopped, diverged, overflowed = assert_walk_matches_steps(
+        cfg, [ode_impedance(), zero, stop, hot, huge], warm=1)
+    assert np.frombuffer(slack)[[0, 4]].min() >= 0.3  # both flexion durations
+    assert np.frombuffer(stopped)[5] == KNEE_ANGLE_MAX
+    assert diverged.startswith("PlantInstabilityError: knee velocity")
+    assert diverged.endswith("in phase STF")
+    assert overflowed.startswith("PlantInstabilityError: knee velocity inf rad/s")
+
+
+def test_stacked_walk_equals_steps_from_negative_zero():
+    # the -0.0 start sits on the lower stop: the clip keeps that peak's sign
+    imp = ode_impedance()
+    imp[0] = (0.0, 1.0, 0.0)
+    [outcome] = assert_walk_matches_steps(OdeKneeConfig(initial_angle=-0.0), [imp], cycles=1)
+    assert repr(np.frombuffer(outcome)[1]) == "np.float64(-0.0)"
+
+
+def test_stacked_walk_equals_steps_on_the_peak_threshold():
+    # the first substep is past MIN_DWELL and starts at exactly the peak
+    # threshold: the velocity falls from it, not through it, so stance
+    # flexion goes on
+    imp = ode_impedance()
+    imp[0] = (0.0, 0.0, 0.6)
+    cfg = OdeKneeConfig(timestep=MIN_DWELL, initial_velocity=PEAK_VELOCITY_EPS)
+    [outcome] = assert_walk_matches_steps(cfg, [imp], cycles=1)
+    assert np.frombuffer(outcome)[0] > MIN_DWELL
 
 
 @pytest.mark.parametrize("fields, row", [
