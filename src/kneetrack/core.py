@@ -96,14 +96,14 @@ def check_features(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseBound:
-    """Error bound for one phase: angle in radians, duration in percent of cycle."""
+    """Error bound for one phase: angle in radians, duration in percent of cycle.
+
+    Both must be positive; the :class:`BoundsTable` that holds the bound
+    refuses it otherwise, naming its table and phase.
+    """
 
     angle: float
     duration_pct: float
-
-    def __post_init__(self):
-        if not (self.angle > 0.0 and self.duration_pct > 0.0):
-            raise ValueError("bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,12 @@ class BoundsTable:
     def __post_init__(self):
         if len(self.safety) != NUM_PHASES or len(self.tolerance) != NUM_PHASES:
             raise ValueError("bounds tables need one entry per phase")
+        # each refusal opens with the table entry it names
+        for kind in ("safety", "tolerance"):
+            for i, bound in enumerate(getattr(self, kind)):
+                if not (bound.angle > 0.0 and bound.duration_pct > 0.0):
+                    raise ValueError(f"{kind}[{i}]: must be positive, "
+                                     f"got {[bound.angle, bound.duration_pct]}")
         for safe, tol in zip(self.safety, self.tolerance):
             if not (tol.angle < safe.angle and tol.duration_pct < safe.duration_pct):
                 raise ValueError("tolerance: must be tighter than safety in both components")

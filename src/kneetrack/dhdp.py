@@ -463,8 +463,9 @@ def save_policy(path, actors, critics=None) -> None:
 def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
     """Read a snapshot back into (actors, critics-or-None).
 
-    When expected hidden sizes are given, a mismatching snapshot raises
-    :class:`PolicyFormatError` naming the expected and found dimensions.
+    A snapshot of another ``POLICY_VERSION``, or whose entry i is not phase
+    i + 1, raises :class:`PolicyFormatError`, and so does one that does not
+    match the expected hidden sizes given, naming both dimensions.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -472,12 +473,21 @@ def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
         raise PolicyFormatError(f"cannot read policy snapshot {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != POLICY_FORMAT:
         raise PolicyFormatError(f"{path}: not a policy snapshot")
+    # a boolean true equals 1 but is no version number
+    version = doc.get("version")
+    if type(version) is not int or version != POLICY_VERSION:
+        raise PolicyFormatError(f"{path}: version: expected {POLICY_VERSION}, got {version!r}")
     phases = doc.get("phases")
     if not isinstance(phases, list) or len(phases) != 4:
         raise PolicyFormatError(f"{path}: snapshot must hold four phases")
 
     actors, critics = [], []
-    for entry in phases:
+    for i, entry in enumerate(phases):
+        # entry i drives phase i + 1: a reordered snapshot would run the wrong actor
+        phase = entry.get("phase") if isinstance(entry, dict) else None
+        if type(phase) is not int or phase != i + 1:
+            raise PolicyFormatError(f"{path}: phases[{i}].phase: expected {i + 1}, "
+                                    f"got {phase!r}")
         actors.append(_net_from_json(ActorNet, entry, "actor", path, expect_actor_hidden))
         if "critic_hidden" in entry:
             critics.append(

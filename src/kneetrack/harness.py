@@ -94,6 +94,13 @@ MAX_INITIAL_DRAWS = 1000
 PROBE_CHUNK = 256
 # Gait cycles a steady-state probe walks; the last one's features count.
 STEADY_CYCLES = 3
+# The networks see states inside [-1, 1] while a trial is safe, so initial
+# weights far above 1 start every unit saturated; the ceiling only keeps the
+# draw's width, twice the scale, finite with room to spare.
+MAX_INIT_WEIGHT_SCALE = 1e6
+# Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
+# the intact side would adapt past the prosthesis, and the target runs away.
+MAX_DRIFT_GAIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,16 @@ class DhdpConfig:
     monitor: MonitorParams | None = None
 
     def __post_init__(self):
+        # each refusal opens with the field it names
+        for name in ("critic_hidden", "actor_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        for name in ("critic_lr", "actor_lr", "init_weight_scale"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.init_weight_scale > MAX_INIT_WEIGHT_SCALE:
+            raise ValueError(f"init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
+                             f"got {self.init_weight_scale}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount: must lie in (0, 1), got {self.discount}")
 
@@ -169,9 +186,18 @@ class TrialConfig:
             raise ValueError(f"quota: must lie in (0, window], got {self.quota}")
         if self.max_cycles <= self.window:
             raise ValueError(f"max_cycles: must exceed window, got {self.max_cycles}")
-        for name in ("pool_size", "switch_period", "consecutive_tracks"):
+        for name in ("rms_window", "pool_size", "switch_period", "consecutive_tracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        for name in ("pace_training", "pace_testing"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: needs at least one pace multiplier")
+            for i, pace in enumerate(getattr(self, name)):
+                if not pace > 0.0:
+                    raise ValueError(f"{name}[{i}]: must be a positive number, got {pace!r}")
+        if not 0.0 <= self.drift_gain <= MAX_DRIFT_GAIN:
+            raise ValueError(f"drift_gain: must lie in [0, {MAX_DRIFT_GAIN:g}], "
+                             f"got {self.drift_gain}")
         # the drift low-pass, like the feature map's, takes a fraction per cycle
         if not 0.0 < self.drift_smoothing <= 1.0:
             raise ValueError(f"drift_smoothing: must lie in (0, 1], got {self.drift_smoothing}")
@@ -305,7 +331,7 @@ def steady_profile(plant, imp: np.ndarray) -> np.ndarray:
     if isinstance(plant, FeatureMapPlant):
         return clip_features(plant.steady_state(imp))
     if imp.ndim == 3:
-        return plant.walk_stack(imp, STEADY_CYCLES)[0]
+        return plant.walk_stack(imp, STEADY_CYCLES)
     # an OdeKneePlant holds two floats and a frozen config: a shallow copy
     # probes without touching the trial's plant
     probe = copy.copy(plant)
@@ -719,42 +745,28 @@ class _Lockstep:
         learns = walked & np.logical_and.reduce(in_safety, axis=1)
         reset = walked & ~learns
 
-        # the trials inside their safety bounds learn, into cycle k's log block;
-        # the nets see the error as a fraction of each phase's safety bound
+        # a safety reset restores the trial's initial impedance; the trials inside
+        # their safety bounds learn, into cycle k's log block, and the nets see
+        # the error as a fraction of each phase's safety bound
+        walked_impedance = self.impedance
+        if np.count_nonzero(reset):
+            self.impedance = np.where(reset[:, None, None], self._initial, self.impedance)
         block = np.zeros((n, NUM_PHASES, len(_LOG_FIELDS)))
         state = np.empty((n, NUM_PHASES, 2))
         state[..., 0] = pct / self._safety[1]
         state[..., 1] = errors[..., 1] / self._safety[0]
         learners = learns.nonzero()[0]
-        learned = (self._learn(learners, _take(state, _index(learners, n)), block)
-                   if len(learners) else None)
-
-        walked_impedance = impedance = self.impedance
-        if np.count_nonzero(reset):
-            impedance = np.where(reset[:, None, None], self._initial, impedance)
-        logged = closing = walked  # the trials whose cycle leaves rows, and keeps them running
-        if learned is not None:
-            rows, delta, weight_norm, monitor_ok = learned
-            kept = _index(rows, n)
-            updated, clamped = _apply_deltas(_take(impedance, kept), delta, cfg.ranges)
-            block[slice(None) if kept is None else kept, :, -1] = clamped
-            impedance = _put(impedance, kept, updated)
-            self._max_weight_norm = _put(self._max_weight_norm, kept, np.maximum(
-                _take(self._max_weight_norm, kept), weight_norm))
-            if cfg.strict_monitor:
-                halted = rows[np.logical_or.reduce(~monitor_ok, axis=1)]
-                for i in halted:
-                    self.trials[i]._finish(k + 1, "failure", "monitor-violation")
-                closing = walked.copy()
-                closing[halted] = False
-        if learned is None or len(rows) < len(learners):  # numeric faults
-            logged = reset.copy()
-            if learned is not None:
-                logged[rows] = True
-            closing = closing & logged
-        self.impedance = impedance
+        kept = self._learn(learners, state, block) if len(learners) else learners
         # a trial keeps its lag only when it learned: a safety reset drops it
         self._lagged = learns
+        # the trials that walked leave rows, less the numeric faults; those
+        # that leave rows keep running, less the strict monitor's halts
+        logged = walked
+        if len(kept) < len(learners):
+            logged = reset.copy()
+            logged[kept] = True
+        closing = logged.copy()
+        closing[[i for i in kept.tolist() if self.trials[i].finished]] = False
 
         # each window is a ring of its last flags, cycle k's in slot k % window;
         # a phase latches unless the cycle ended its trial
@@ -882,23 +894,25 @@ class _Lockstep:
                 if value is not None:
                     setattr(self, name, _take(value, keep))
 
-    def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray):
+    def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
         """One learning step of the trials at positions ``rows``, all four phases each.
 
-        ``state`` is their (m, 4, 2) network input.  The trials that keep
-        their update write their learning fields into cycle ``k``'s log
-        ``block``; returns their positions, (m, 4, 3) impedance deltas,
-        weight norms and (m, 4) monitor flags, or None when none kept it.
-        A numeric fault fails only the trials whose own update overflows:
-        the step is then redone one trial at a time, and each trial keeps
-        exactly what it keeps alone.
+        ``state`` is every trial's (n, 4, 2) network input.  The step commits
+        all it changes: the nets and the critics' lag, the impedance (the
+        scaled action added and clamped to the ranges), the weight-norm high
+        marks, and the strict monitor's halts; the learning fields and the
+        clamp flags go into cycle ``k``'s log ``block``.  Returns the
+        positions that kept their update.  A numeric fault fails only the
+        trials whose own update overflows: the step is then redone one trial
+        at a time, and each trial keeps exactly what it keeps alone.
         """
-        dhdp = self.cfg.dhdp
+        cfg, dhdp = self.cfg, self.cfg.dhdp
         learners = _index(rows, len(self.trials))
+        inputs = _take(state, learners)
         critic, actor = _take(self.critic, learners), _take(self.actor, learners)
-        a_tape = actor_eval(actor, state)
-        cost = stage_cost(state, a_tape.output, dhdp.cost)
-        c_tape = critic_eval(critic, state, a_tape.output)
+        a_tape = actor_eval(actor, inputs)
+        cost = stage_cost(inputs, a_tape.output, dhdp.cost)
+        c_tape = critic_eval(critic, inputs, a_tape.output)
         report = stability_monitor(critic, actor, c_tape, a_tape,
                                    self._monitor, dhdp.critic_lr, dhdp.actor_lr)
         monitor_ok = report.critic_ok & report.actor_ok
@@ -918,7 +932,7 @@ class _Lockstep:
                                         dhdp.critic_lr, dhdp.discount)
                 critic = _put(critic, sub, updated)
                 c_tape = _put(c_tape, sub, critic_eval(
-                    updated, _take(state, sub), _take(a_tape.output, sub)))
+                    updated, _take(inputs, sub), _take(a_tape.output, sub)))
                 td = _put(td, sub, step_td)
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
         except NumericFaultError as exc:
@@ -926,25 +940,31 @@ class _Lockstep:
                 trial = self.trials[rows[0]]
                 trial.record.monitor_violations += int((~monitor_ok[0]).sum())
                 trial._finish(self.k + 1, "failure", f"numeric-fault: {exc}")
-                return None
-            parts = [self._learn(rows[j:j + 1], state[j:j + 1], block) for j in range(len(rows))]
-            parts = [part for part in parts if part is not None]
-            return tuple(map(np.concatenate, zip(*parts))) if parts else None
+                return rows[:0]
+            return np.concatenate([self._learn(rows[j:j + 1], state, block)
+                                   for j in range(len(rows))])
 
         self.critic = _put(self.critic, learners, critic)
         self.actor = _put(self.actor, learners, actor)
         self._lag_value = _put(self._lag_value, learners, c_tape.value)
         self._lag_cost = _put(self._lag_cost, learners, cost)
-
         delta = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+        updated, clamped = _apply_deltas(_take(self.impedance, learners), delta, cfg.ranges)
+        self.impedance = _put(self.impedance, learners, updated)
+        self._max_weight_norm = _put(self._max_weight_norm, learners, np.maximum(
+            _take(self._max_weight_norm, learners), _max_abs_weights(critic, actor)))
+        if cfg.strict_monitor:
+            for i in rows[np.logical_or.reduce(~monitor_ok, axis=1)]:
+                self.trials[i]._finish(self.k + 1, "failure", "monitor-violation")
+
         at, out = len(_ROW_FIELDS), slice(None) if learners is None else rows
         block[out, :, at:at + 3] = a_tape.output
         block[out, :, at + 3:at + 6] = delta
         for j, values in enumerate((cost, c_tape.value, td, report.critic_bound,
-                                    report.actor_bound, monitor_ok, lagged[:, None]),
+                                    report.actor_bound, monitor_ok, lagged[:, None], clamped),
                                    start=at + 6):
             block[out, :, j] = values
-        return rows, delta, _max_abs_weights(critic, actor), monitor_ok
+        return rows
 
 
 def _step_to_end(trials):

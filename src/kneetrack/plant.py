@@ -39,6 +39,12 @@ from .core import (
 from .fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
 
 MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
+# Measurement noise (s, rad) wider than a whole default gait cycle (1.2 s)
+# or the knee's whole range (1.6 rad) leaves no feature to track.
+MAX_NOISE_STD = 2.0
+# Feature change (s or rad) per unit of impedance: the defaults stay below
+# 1, and 10 s per N*m/rad of stiffness would move a phase by eight cycles.
+MAX_SENSITIVITY = 10.0
 
 
 class PlantInstabilityError(RuntimeError):
@@ -98,6 +104,13 @@ class FeatureMapConfig:
         # each refusal opens with the field it names
         if self.sensitivity.shape != (NUM_PHASES, 2, 3):
             raise ValueError("sensitivity: must be a (4, 2, 3) array")
+        for name, ceiling in (("noise_std", MAX_NOISE_STD), ("sensitivity", MAX_SENSITIVITY)):
+            values = np.asarray(getattr(self, name))
+            over = np.argwhere(~(np.abs(values) <= ceiling))
+            if len(over):
+                index = "".join(f"[{i}]" for i in over[0])
+                raise ValueError(f"{name}{index}: must be at most {ceiling:g} in magnitude, "
+                                 f"got {values[tuple(over[0])]}")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError(f"smoothing: must lie in (0, 1], got {self.smoothing}")
         if any(s < 0.0 for s in self.noise_std):
@@ -254,7 +267,9 @@ class OdeKneePlant:
                     prev_velocity = velocity
                     velocity += dt * accel
                     if abs(velocity) > limit:
-                        raise _diverged(velocity, limit, phase)
+                        raise PlantInstabilityError(
+                            f"knee velocity {velocity:.1f} rad/s exceeds {limit} rad/s "
+                            f"in phase {phase.short_name}")
                     angle += dt * velocity
                     if angle <= 0.0:
                         angle, velocity = 0.0, 0.0
@@ -301,9 +316,8 @@ class OdeKneePlant:
         divergence, after which the candidate's numbers are no longer read.
         The plant itself is not touched.
 
-        Returns the (C, 4, 2) features, NaN for a candidate that diverged,
-        and the :class:`PlantInstabilityError` step raises for each of those,
-        keyed by candidate index.
+        Returns the (C, 4, 2) features, NaN for each candidate whose steps
+        would raise :class:`PlantInstabilityError`.
         """
         cfg = self.config
         dt, inertia, limit, max_time = (cfg.timestep, cfg.inertia, cfg.velocity_limit,
@@ -313,7 +327,6 @@ class OdeKneePlant:
         angle = np.full(count, self._angle)
         velocity = np.full(count, self._velocity)
         features = np.full((count, NUM_PHASES, 2), np.nan)
-        faults: dict[int, PlantInstabilityError] = {}
         live = np.ones(count, bool)
         for cycle in range(cycles):
             last = cycle == cycles - 1
@@ -332,7 +345,6 @@ class OdeKneePlant:
                     # -torque + load is load - torque exactly
                     v = prev + dt * ((load - joint_torque(row, a, prev)) / inertia)
                     diverged = (np.abs(v) > limit) & walking
-                    reached = v  # the velocity a fault reports
                     a = a + dt * v
                     low, high = a <= 0.0, a >= KNEE_ANGLE_MAX
                     stopped = low | high
@@ -354,8 +366,6 @@ class OdeKneePlant:
                     if not np.count_nonzero(leaving):
                         continue
                     if np.count_nonzero(diverged):
-                        for j in np.flatnonzero(diverged).tolist():
-                            faults[int(rows[j])] = _diverged(float(reached[j]), limit, phase)
                         live[rows[diverged]] = False
                         features[rows[diverged]] = np.nan
                     done = leaving & ~diverged
@@ -367,12 +377,7 @@ class OdeKneePlant:
                     # a candidate out of the phase walks on unread until the
                     # phase ends for all, so no array changes size
                     walking &= ~leaving
-        return clip_features(features), faults
-
-
-def _diverged(velocity: float, limit: float, phase: Phase) -> PlantInstabilityError:
-    return PlantInstabilityError(f"knee velocity {velocity:.1f} rad/s exceeds "
-                                 f"{limit} rad/s in phase {phase.short_name}")
+        return clip_features(features)
 
 
 @dataclass

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from kneetrack.cli import main
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
 from kneetrack.dhdp import init_actor, init_critic, save_policy
+from kneetrack.harness import DhdpConfig, TrialConfig
+from kneetrack.plant import FeatureMapConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,6 +139,42 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
     assert not (tmp_path / "jobs").exists()
 
 
+def feature_map_with(**fields):
+    return dataclasses.replace(FeatureMapConfig.default(), **fields)
+
+
+# values only the config file refused; at the API they gave a NaN RMS with
+# two RuntimeWarnings, nets of nothing or a negative rate run to max-cycles,
+# a runaway target, and an IndexError
+LIBRARY_REFUSALS = [
+    (lambda: TrialConfig(rms_window=0), "rms_window: must be at least 1, got 0"),
+    (lambda: DhdpConfig(critic_hidden=0), "critic_hidden: must be at least 1, got 0"),
+    (lambda: DhdpConfig(actor_hidden=-1), "actor_hidden: must be at least 1, got -1"),
+    (lambda: DhdpConfig(critic_lr=-1.0), "critic_lr: must be positive, got -1.0"),
+    (lambda: DhdpConfig(actor_lr=float("nan")), "actor_lr: must be positive, got nan"),
+    (lambda: DhdpConfig(init_weight_scale=2e6),
+     "init_weight_scale: must be at most 1e+06, got 2000000.0"),
+    (lambda: TrialConfig(drift_gain=5.0), "drift_gain: must lie in [0, 1], got 5.0"),
+    (lambda: TrialConfig(drift_gain=-0.1), "drift_gain: must lie in [0, 1], got -0.1"),
+    (lambda: TrialConfig(scenario=3, pace_training=()),
+     "pace_training: needs at least one pace multiplier"),
+    (lambda: TrialConfig(pace_testing=(1.0, 0.0)),
+     "pace_testing[1]: must be a positive number, got 0.0"),
+    (lambda: feature_map_with(noise_std=(0.005, 3.0)),
+     "noise_std[1]: must be at most 2 in magnitude, got 3.0"),
+    (lambda: feature_map_with(sensitivity=np.full((4, 2, 3), -12.0)),
+     "sensitivity[0][0][0]: must be at most 10 in magnitude, got -12.0"),
+]
+
+
+@pytest.mark.parametrize("build, message", LIBRARY_REFUSALS,
+                         ids=[message for _, message in LIBRARY_REFUSALS])
+def test_the_library_refuses_what_the_config_file_refuses(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
     # values that would let an impedance leave its legal domain, and a
     # discount outside (0, 1), are refused before any trial runs
@@ -209,6 +247,21 @@ def test_nested_refusals_name_the_dotted_key(tmp_path, capsys):
         code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_bound_refusals_name_the_table_and_phase(tmp_path, capsys):
+    # both were refused as "bounds: bounds must be positive"
+    safety = default_config()["bounds"]["safety"]
+    safety[0][0] = -0.1
+    tolerance = default_config()["bounds"]["tolerance"]
+    tolerance[2][1] = 0.0
+    for bounds, message in (({"safety": safety}, "safety[0]: must be positive, got [-0.1, 12.0]"),
+                            ({"tolerance": tolerance},
+                             "tolerance[2]: must be positive, got [0.0263, 0.0]")):
+        code, out = run_cli(tmp_path, small_run_config(trials=1, bounds=bounds))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bounds.{message}\n"
         assert not out.exists()
 
 
@@ -664,6 +717,23 @@ def test_load_policy_refuses_non_numbers(tmp_path, capsys):
         assert main(["load-policy", str(snap)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and matrix in err
+
+
+def test_load_policy_refuses_other_versions_and_reordered_phases(tmp_path, capsys):
+    # both loaded as "valid"; a swapped snapshot ran phase 2's actor in phase 1
+    rng = np.random.default_rng(6)
+    snap = tmp_path / "p.json"
+    save_policy(snap, [init_actor(rng) for _ in range(4)],
+                [init_critic(rng) for _ in range(4)])
+    valid = json.loads(snap.read_text())
+    swapped = copy.deepcopy(valid)
+    swapped["phases"][:2] = swapped["phases"][1::-1]
+    for doc, message in (({**valid, "version": "banana"}, "version: expected 1, got 'banana'"),
+                         ({**valid, "version": True}, "version: expected 1, got True"),
+                         (swapped, "phases[0].phase: expected 1, got 2")):
+        snap.write_text(json.dumps(doc))
+        assert main(["load-policy", str(snap)]) == 1
+        assert capsys.readouterr().err == f"error: {snap}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

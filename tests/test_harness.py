@@ -162,6 +162,22 @@ def test_already_converged_succeeds_within_window():
     assert rec.tuning_steps <= cfg.window
 
 
+def test_strict_monitor_halt_is_not_overridden_by_convergence():
+    # the first cycle is in tolerance, so a window of one latches every phase
+    # in it, but the actor's rate breaks the monitor ceiling in the same
+    # cycle: the halt ends the trial there, and no phase latches
+    fm = quiet_feature_map()
+    cfg = TrialConfig(strict_monitor=True, window=1, quota=1, max_cycles=20, feature_map=fm,
+                      dhdp=DhdpConfig(actor_lr=1e6))
+    program = TargetProgram(base_profile=shifted_profile(fm.reference_features, d_peak=0.01))
+    rec = run_trial(cfg, 0, target_program=program, initial_impedance=fm.reference_impedance)
+    assert (rec.outcome, rec.failure_reason, rec.cycles_run) == (
+        "failure", "monitor-violation", 1)
+    assert rec.log["in_tolerance"].all()
+    assert not rec.log["converged"].any()
+    assert rec.converged_at == {}
+
+
 # ---------------------------------------------------------------------------
 # safety reset semantics
 
@@ -434,6 +450,18 @@ def test_lockstep_training_batch_equals_lone_trials(case):
         halted = {r.cycles_run for r in batch.records
                   if (r.failure_reason or "").startswith(reason)}
         assert len(halted) > 1
+
+
+def test_lockstep_fault_redo_keeps_the_weight_norms_of_its_cycle():
+    # trial 3 faults in cycle 22, the last cycle of the others: the cycle's
+    # learning is redone one trial at a time, and the trials that keep their
+    # update keep its weight norms, which no later cycle could raise again
+    cfg = TrialConfig(dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6), max_cycles=23)
+    batch = run_training_batch(cfg, seed=21, trials=5)
+    assert [r.failure_reason.split(":")[0] for r in batch.records] == [
+        "max-cycles"] * 3 + ["numeric-fault", "max-cycles"]
+    for rec, seq in zip(batch.records, np.random.SeedSequence(21).spawn(5)):
+        assert record_state(rec) == record_state(run_trial(cfg, seq))
 
 
 def test_lockstep_testing_batch_equals_lone_trials():

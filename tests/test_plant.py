@@ -284,22 +284,22 @@ def assert_walk_matches_steps(cfg, imps, cycles=3, warm=0):
     """Walk a stack of impedances at once, and each alone through ``cycles`` steps.
 
     Both start from the state ``warm`` reference cycles leave.  A
-    candidate's features agree bit for bit, or its fault is the one step
-    raises, message included, and its features are NaN.  The walked plant
-    keeps its state.  Returns each candidate's outcome.
+    candidate's features agree bit for bit, or they are NaN exactly where
+    the steps alone raise.  The walked plant keeps its state.  Returns each
+    candidate's outcome.
     """
     plant = OdeKneePlant(cfg)
     for _ in range(warm):
         plant.step(ode_impedance())
     state = repr((plant._angle, plant._velocity))
     imps = np.array(imps, dtype=float)
-    features, faults = plant.walk_stack(imps, cycles)
+    features = plant.walk_stack(imps, cycles)
     assert repr((plant._angle, plant._velocity)) == state
     outcomes = []
     for i, imp in enumerate(imps):
         want = walk_alone(plant, imp, cycles)
-        if i in faults:
-            assert f"PlantInstabilityError: {faults[i]}" == want
+        if isinstance(want, str):
+            assert want.startswith("PlantInstabilityError: ")
             assert np.isnan(features[i]).all()
         else:
             assert features[i].tobytes() == want
