@@ -127,6 +127,9 @@ class BoundsTable:
                 if not (bound.angle > 0.0 and bound.duration_pct > 0.0):
                     raise ValueError(f"{kind}[{i}]: must be positive, "
                                      f"got {[bound.angle, bound.duration_pct]}")
+                if not (math.isfinite(bound.angle) and math.isfinite(bound.duration_pct)):
+                    raise ValueError(f"{kind}[{i}]: must be finite, "
+                                     f"got {[bound.angle, bound.duration_pct]}")
         for safe, tol in zip(self.safety, self.tolerance):
             if not (tol.angle < safe.angle and tol.duration_pct < safe.duration_pct):
                 raise ValueError("tolerance: must be tighter than safety in both components")

@@ -49,9 +49,9 @@ _OPEN_ONE = float(np.nextafter(1.0, 0.0))
 
 def activation(x):
     """Bipolar sigmoid (1 - e^-x) / (1 + e^-x), elementwise; range (-1, 1)."""
-    # np.clip's Python wrapper costs more than these two ufuncs on small arrays
-    return np.minimum(np.maximum(np.tanh(0.5 * np.asarray(x, dtype=float)), -_OPEN_ONE),
-                      _OPEN_ONE)
+    # ndarray.clip is the clip ufunc without np.clip's dispatch; the bounds
+    # are nonzero, so NaN and signed zeros come out as min(max(...)) gives them
+    return np.tanh(0.5 * np.asarray(x, dtype=float)).clip(-_OPEN_ONE, _OPEN_ONE)
 
 
 def activation_deriv(value):
@@ -194,6 +194,8 @@ class StageCostParams:
         ):
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name}: must be {dim}x{dim}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name}: must be finite")
             if not np.allclose(mat, mat.T):
                 raise ValueError(f"{name}: must be symmetric")
             if np.min(np.linalg.eigvalsh(mat)) <= 0.0:
@@ -287,6 +289,9 @@ class MonitorParams:
             raise ValueError("alpha2 must exceed 4 / discount^2")
         if not self.alpha3 > self.alpha2:
             raise ValueError("alpha3 must exceed alpha2")
+        for name in ("alpha1", "alpha2", "alpha3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
 
     @classmethod
     def for_discount(cls, discount: float) -> "MonitorParams":
@@ -375,6 +380,8 @@ class ActionScale:
             raise ValueError("half_ranges: must be a 4x3 table")
         if not np.all(self.half_ranges > 0.0):
             raise ValueError("half_ranges: must be strictly positive")
+        if not np.all(np.isfinite(self.half_ranges)):
+            raise ValueError("half_ranges: must be finite")
 
     @classmethod
     def default(cls) -> "ActionScale":

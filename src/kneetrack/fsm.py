@@ -48,6 +48,8 @@ class PhaseRanges:
             if not 0.0 <= lo <= hi <= top:
                 raise ValueError(f"{name} range ({lo}, {hi}) must satisfy "
                                  f"0 <= lower <= upper <= {top}")
+            if not math.isfinite(hi):
+                raise ValueError(f"{name} range ({lo}, {hi}) must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,11 @@ class ParameterRanges:
         rows = [(p.stiffness, p.damping, p.equilibrium) for p in self.phases]
         bounds = np.array(rows, dtype=float)  # (4, 3, 2)
         return bounds[..., 0], bounds[..., 1]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each phase's (lower, upper) rows of :attr:`limits`, in phase order."""
+        return tuple(zip(*self.limits))
 
     @classmethod
     def default(cls) -> "ParameterRanges":
@@ -105,15 +112,15 @@ def apply_delta(
         raise ValueError(f"control delta rows need 3 components, got shape {step.shape}")
     if np.count_nonzero(np.isfinite(step)) < step.size:
         raise ValueError(f"control delta components must be finite, got {step.tolist()}")
-    idx = phase - 1
-    lower, upper = ranges.limits
-    lo, hi = lower[idx], upper[idx]
-    raw = imp[..., idx, :] + step
+    lo, hi = ranges.rows[phase - 1]
+    updated = imp.copy()
+    row = updated[..., phase - 1, :]
+    row += step
     # Python's min(max(v, lo), hi): lo where lo > v, else hi where hi < v,
     # else v itself, so a -0.0 within range stays -0.0 (np.maximum would
     # not keep it); the row differs from the sum exactly where it clamped
-    below, above = lo > raw, hi < raw
+    below, above = lo > row, hi < row
     clamped = bool(np.count_nonzero(below | above))
-    updated = imp.copy()
-    updated[..., idx, :] = np.where(below, lo, np.where(above, hi, raw)) if clamped else raw
+    if clamped:
+        row[...] = np.where(below, lo, np.where(above, hi, row))
     return updated, clamped

@@ -134,6 +134,9 @@ class DhdpConfig:
         for name in ("critic_lr", "actor_lr", "init_weight_scale"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("critic_lr", "actor_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.init_weight_scale > MAX_INIT_WEIGHT_SCALE:
             raise ValueError(f"init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
                              f"got {self.init_weight_scale}")
@@ -195,6 +198,8 @@ class TrialConfig:
             for i, pace in enumerate(getattr(self, name)):
                 if not pace > 0.0:
                     raise ValueError(f"{name}[{i}]: must be a positive number, got {pace!r}")
+                if not math.isfinite(pace):
+                    raise ValueError(f"{name}[{i}]: must be finite, got {pace!r}")
         if not 0.0 <= self.drift_gain <= MAX_DRIFT_GAIN:
             raise ValueError(f"drift_gain: must lie in [0, {MAX_DRIFT_GAIN:g}], "
                              f"got {self.drift_gain}")
@@ -612,7 +617,7 @@ def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> np.ndarray:
     """Largest absolute weight of each entry along the nets' leading axis."""
     mats = (critic.w_hidden, critic.w_out, actor.w_hidden, actor.w_out)
     flat = np.concatenate([m.reshape(len(m), -1) for m in mats], axis=1)
-    return np.abs(flat).max(axis=1)
+    return np.maximum.reduce(np.abs(flat, out=flat), axis=1)
 
 
 # A lockstep keeps per-trial arrays, nets and tapes stacked along a leading
@@ -753,34 +758,41 @@ class _Lockstep:
             self.impedance = np.where(reset[:, None, None], self._initial, self.impedance)
         block = np.zeros((n, NUM_PHASES, len(_LOG_FIELDS)))
         state = np.empty((n, NUM_PHASES, 2))
-        state[..., 0] = pct / self._safety[1]
-        state[..., 1] = errors[..., 1] / self._safety[0]
+        np.divide(pct, self._safety[1], out=state[..., 0])
+        np.divide(errors[..., 1], self._safety[0], out=state[..., 1])
         learners = learns.nonzero()[0]
         kept = self._learn(learners, state, block) if len(learners) else learners
         # a trial keeps its lag only when it learned: a safety reset drops it
         self._lagged = learns
         # the trials that walked leave rows, less the numeric faults; those
-        # that leave rows keep running, less the strict monitor's halts
+        # that leave rows keep running, less the strict monitor's halts, the
+        # only rule of the learning step that finishes a trial it keeps
         logged = walked
         if len(kept) < len(learners):
             logged = reset.copy()
             logged[kept] = True
-        closing = logged.copy()
-        closing[[i for i in kept.tolist() if self.trials[i].finished]] = False
+        closing = logged
+        if cfg.strict_monitor:
+            halted = [i for i in kept.tolist() if self.trials[i].finished]
+            if halted:
+                closing = logged.copy()
+                closing[halted] = False
 
         # each window is a ring of its last flags, cycle k's in slot k % window;
         # a phase latches unless the cycle ended its trial
         self._window[..., k % cfg.window] = in_tol
         latch = ((np.add.reduce(self._window, axis=-1) >= cfg.quota) & (self._converged < 0)
                  & closing[:, None])
-        self._converged[latch] = k
+        latched = np.count_nonzero(latch)
+        if latched:
+            self._converged[latch] = k
         converged = self._converged >= 0
         self._log(block, logged, errors, pct, walked_impedance, reset, in_tol, converged)
 
         # a trial's phases first stand all converged in the cycle its last one
         # latches; later calls of _all_converged before its windows start over
         # change nothing, so only a cycle with a latch makes them
-        if np.count_nonzero(latch):
+        if latched:
             for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
                 if self.trials[i]._all_converged(k, self._converged[i].tolist()):
                     self._restart(i)
@@ -851,9 +863,8 @@ class _Lockstep:
 
     def _log(self, block, logged, errors, pct, impedance, reset, in_tol, converged):
         """Fill in the fields every row of cycle ``k``'s log ``block`` has, and queue it."""
-        block[..., 0] = errors[..., 0]
+        block[..., 0:3:2] = errors  # d_duration_s and d_peak_rad
         block[..., 1] = pct
-        block[..., 2] = errors[..., 1]
         block[..., 3:6] = impedance
         block[..., 6] = reset[:, None]
         block[..., 7] = in_tol

@@ -23,6 +23,7 @@ slow adaptation drift coupled to the prosthetic tracking error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,10 @@ MAX_NOISE_STD = 2.0
 # Feature change (s or rad) per unit of impedance: the defaults stay below
 # 1, and 10 s per N*m/rad of stiffness would move a phase by eight cycles.
 MAX_SENSITIVITY = 10.0
+# Euler substeps a torque-law phase may take before it times out
+# (max_phase_time / timestep): 10^6 keeps a 10 µs step for a 2 s phase
+# within reach, and a cycle of four such phases to seconds of Python floats.
+MAX_PHASE_STEPS = 1e6
 
 
 class PlantInstabilityError(RuntimeError):
@@ -66,8 +71,10 @@ def clip_features(values) -> np.ndarray:
     [0, KNEE_ANGLE_MAX].
     """
     clipped = np.array(values, dtype=float)
-    clipped[..., 0] = np.maximum(clipped[..., 0], MIN_DURATION)
-    clipped[..., 1] = np.clip(clipped[..., 1], 0.0, KNEE_ANGLE_MAX)
+    durations, peaks = clipped[..., 0], clipped[..., 1]
+    # in place on the copy; ndarray.clip is np.clip's ufunc without its dispatch
+    np.maximum(durations, MIN_DURATION, out=durations)
+    peaks.clip(0.0, KNEE_ANGLE_MAX, out=peaks)
     return clipped
 
 
@@ -229,6 +236,18 @@ class OdeKneeConfig:
         for name in ("inertia", "timestep", "max_phase_time", "velocity_limit"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("inertia", "timestep", "max_phase_time", "velocity_limit",
+                     "initial_velocity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
+        for i, load in enumerate(self.load_torque):
+            if not math.isfinite(load):
+                raise ValueError(f"load_torque[{i}]: must be finite, got {load}")
+        # a phase that never ends would walk max_phase_time / timestep substeps
+        if self.max_phase_time / self.timestep > MAX_PHASE_STEPS:
+            raise ValueError(f"timestep: must be at least max_phase_time / {MAX_PHASE_STEPS:g} "
+                             f"= {self.max_phase_time / MAX_PHASE_STEPS:g} s, "
+                             f"got {self.timestep}")
         for name in ("initial_angle", "toe_off_angle", "heel_strike_angle"):
             if not 0.0 <= getattr(self, name) <= KNEE_ANGLE_MAX:
                 raise ValueError(f"{name}: must lie in [0, {KNEE_ANGLE_MAX}] rad, "

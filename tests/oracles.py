@@ -7,8 +7,10 @@ per-substep phase-machine loop its step replaced, and an event-exact
 ``solve_ivp`` integration of the same phase machine.  The initial
 impedance draw has one: the one-candidate-at-a-time loop its block draw
 replaced.  The dHDP contractions have one: the matmul forms that numpy's
-vecdot/matvec/vecmat gufuncs replaced.  The lockstep's convergence windows
-have one: a sliding window over one phase's in-tolerance history.
+vecdot/matvec/vecmat gufuncs replaced.  The saturations have one each: the
+activation's np.minimum(np.maximum(...)) and clip_features' np.clip, which
+ndarray.clip replaced.  The lockstep's convergence windows have one: a
+sliding window over one phase's in-tolerance history.
 """
 
 import math
@@ -21,7 +23,13 @@ from kneetrack import harness
 from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, GaitFeatures, Phase
 from kneetrack.dhdp import ActorNet, CriticNet, actor_forward, critic_forward, td_error
 from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
-from kneetrack.plant import PlantInstabilityError, alignment_errors, clip_features, cycle_duration
+from kneetrack.plant import (
+    MIN_DURATION,
+    PlantInstabilityError,
+    alignment_errors,
+    clip_features,
+    cycle_duration,
+)
 
 
 def sigmoid(x: float) -> float:
@@ -144,6 +152,24 @@ def matmul_matvec(m, v):
 
 def matmul_vecmat(v, m):
     return (v[..., None, :] @ m)[..., 0, :]
+
+
+# the open-interval bound of dhdp.activation, the largest double below 1
+_OPEN_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def minmax_activation(x):
+    """dhdp.activation as two ufuncs, np.maximum then np.minimum, before ndarray.clip."""
+    return np.minimum(np.maximum(np.tanh(0.5 * np.asarray(x, dtype=float)), -_OPEN_ONE),
+                      _OPEN_ONE)
+
+
+def np_clip_features(values):
+    """plant.clip_features as written with np.clip and a write-back, before ndarray.clip."""
+    clipped = np.array(values, dtype=float)
+    clipped[..., 0] = np.maximum(clipped[..., 0], MIN_DURATION)
+    clipped[..., 1] = np.clip(clipped[..., 1], 0.0, KNEE_ANGLE_MAX)
+    return clipped
 
 
 def array_to_profile(values):

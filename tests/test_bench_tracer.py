@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from kneetrack import cli, config, dhdp, fsm, harness, plant
+from kneetrack.fsm import ParameterRanges, PhaseRanges
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -43,6 +44,35 @@ def test_traced_trial_runs_through_the_result_hooks():
     assert stats["dhdp.stability_monitor"]["calls"] == len(learning_cycles)
     assert stats["fsm.apply_delta"]["calls"] == 4 * len(learning_cycles)
     assert recorder.counts["clamps"] == record.clamp_events
+    assert_traced_rule_calls(record, stats)
+
+    # a trial whose damping is held at or below 1 clamps, and the tracer's
+    # count of clamping apply_delta calls is the record's clamp count
+    narrow = ParameterRanges(tuple(PhaseRanges(damping=(0.0, 1.0)) for _ in range(4)))
+    recorder = load_tracer().Recorder(MODS)
+    recorder.install()
+    try:
+        record = harness.run_trial(harness.TrialConfig(max_cycles=15, ranges=narrow), 3)
+    finally:
+        recorder.uninstall()
+    assert record.clamp_events > 0
+    assert recorder.counts["clamps"] == record.clamp_events
+    assert_traced_rule_calls(record, recorder.summary()["stats"])
+
+
+def assert_traced_rule_calls(record, stats):
+    """Each learning cycle calls every traced rule once, the critic's twice
+    where it had a lag, and apply_delta once per phase."""
+    learning = ~record.log["reset"]
+    cycles = record.column("cycle")
+    learned = len(set(cycles[learning].tolist()))
+    lagged = len(set(cycles[learning & record.log["lagged"]].tolist()))
+    assert 0 < lagged < learned
+    for name in ("actor_eval", "stage_cost", "stability_monitor", "actor_update"):
+        assert stats[f"dhdp.{name}"]["calls"] == learned, name
+    assert stats["dhdp.critic_eval"]["calls"] == learned + lagged
+    assert stats["dhdp.critic_update"]["calls"] == lagged
+    assert stats["fsm.apply_delta"]["calls"] == 4 * learned
 
 
 def test_traced_batch_hands_every_record_to_the_tracer():

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -13,14 +14,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kneetrack.cli import main
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
-from kneetrack.dhdp import init_actor, init_critic, save_policy
+from kneetrack.core import BoundsTable, PhaseBound
+from kneetrack.dhdp import (
+    ActionScale,
+    MonitorParams,
+    StageCostParams,
+    init_actor,
+    init_critic,
+    save_policy,
+)
+from kneetrack.fsm import ParameterRanges, PhaseRanges
 from kneetrack.harness import DhdpConfig, TrialConfig
-from kneetrack.plant import FeatureMapConfig
+from kneetrack.plant import FeatureMapConfig, OdeKneeConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -117,6 +127,8 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         ({"ode": {"toe_off_angle": -1}}, "ode.toe_off_angle"),
         ({"ode": {"heel_strike_angle": 5.0}}, "ode.heel_strike_angle"),
         ({"ode": {"timestep": 0.0}}, "ode.timestep"),
+        # more than MAX_PHASE_STEPS substeps per phase: the run had not ended after 15 s
+        ({"plant": "ode", "trials": 1, "ode": {"timestep": 1e-9}}, "ode.timestep"),
         ({"ranges": default_config()["ranges"][:3]}, "ranges"),
     ]
     for cfg, key in cases:
@@ -164,6 +176,35 @@ LIBRARY_REFUSALS = [
      "noise_std[1]: must be at most 2 in magnitude, got 3.0"),
     (lambda: feature_map_with(sensitivity=np.full((4, 2, 3), -12.0)),
      "sensitivity[0][0][0]: must be at most 10 in magnitude, got -12.0"),
+    # non-finite values: an infinite critic rate ran into a numeric fault at
+    # cycle 2, an infinite pace leg and the rest were taken, and an infinite
+    # max_phase_time walked a phase that never timed out
+    (lambda: DhdpConfig(critic_lr=math.inf), "critic_lr: must be finite, got inf"),
+    (lambda: DhdpConfig(actor_lr=math.inf), "actor_lr: must be finite, got inf"),
+    (lambda: TrialConfig(scenario=3, pace_training=(1.0, math.inf)),
+     "pace_training[1]: must be finite, got inf"),
+    (lambda: OdeKneeConfig(inertia=math.inf), "inertia: must be finite, got inf"),
+    (lambda: OdeKneeConfig(timestep=math.inf), "timestep: must be finite, got inf"),
+    (lambda: OdeKneeConfig(max_phase_time=math.inf), "max_phase_time: must be finite, got inf"),
+    (lambda: OdeKneeConfig(velocity_limit=math.inf), "velocity_limit: must be finite, got inf"),
+    (lambda: OdeKneeConfig(initial_velocity=-math.inf),
+     "initial_velocity: must be finite, got -inf"),
+    (lambda: OdeKneeConfig(load_torque=(-2.5, math.nan, -4.0, -2.5)),
+     "load_torque[1]: must be finite, got nan"),
+    (lambda: StageCostParams(state_weight=np.diag([math.inf, 1.0]), action_weight=np.eye(3)),
+     "state_weight: must be finite"),
+    (lambda: ActionScale(np.full((4, 3), math.inf)), "half_ranges: must be finite"),
+    (lambda: MonitorParams(alpha1=math.inf, alpha2=6.0, alpha3=12.0, discount=0.95),
+     "alpha1: must be finite, got inf"),
+    (lambda: BoundsTable(safety=(PhaseBound(math.inf, 12.0),) + BoundsTable.default().safety[1:],
+                         tolerance=BoundsTable.default().tolerance),
+     "safety[0]: must be finite, got [inf, 12.0]"),
+    (lambda: ParameterRanges((PhaseRanges(damping=(0.0, math.inf)),) * 4),
+     "damping range (0.0, inf) must be finite"),
+    # a phase that never ends walks max_phase_time / timestep substeps: at
+    # 1e-9 s a torque-law run had not finished after 15 s
+    (lambda: OdeKneeConfig(timestep=1e-9),
+     "timestep: must be at least max_phase_time / 1e+06 = 2e-06 s, got 1e-09"),
 ]
 
 
@@ -734,6 +775,62 @@ def test_load_policy_refuses_other_versions_and_reordered_phases(tmp_path, capsy
         snap.write_text(json.dumps(doc))
         assert main(["load-policy", str(snap)]) == 1
         assert capsys.readouterr().err == f"error: {snap}: {message}\n"
+
+
+def policy_snapshot() -> dict:
+    """A stored actor+critic policy with the default network sizes."""
+    rng = np.random.default_rng(8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "policy_01.json"
+        save_policy(path, [init_actor(rng) for _ in range(4)],
+                    [init_critic(rng) for _ in range(4)])
+        return json.loads(path.read_text())
+
+
+# values no snapshot leaf may take, from the shape entries and version to
+# the weights; json writes the non-finite ones as NaN and Infinity
+BAD_POLICY_VALUES = [None, True, False, "fast", [], {}, [1], [[1, 2]], 2.5, -1,
+                     float("nan"), float("inf"), -float("inf")]
+# finite numbers, which are valid weights: only the leaves that are no weight take them
+NUMBERS = (2.5, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(list(leaf_paths(policy_snapshot()))),
+       bad=st.sampled_from(BAD_POLICY_VALUES))
+@example(path=("phases", 1, "phase"), bad=2.5)
+@example(path=("phases", 0, "critic_output", "shape", 0), bad=-1)
+@example(path=("phases", 3, "actor_hidden", "data", 5), bad=float("nan"))
+@example(path=("version",), bad=True)
+def test_a_bad_snapshot_leaf_exits_cleanly(path, bad):
+    # load-policy and a testing run on the snapshot each refuse it: exit 1
+    # or 2 with one error line, no traceback, no warning, no output directory
+    assume(not (bad in NUMBERS and path[-2:-1] == ("data",)))
+    doc = policy_snapshot()
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = copy.deepcopy(bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        policies, out = Path(tmp) / "policies", Path(tmp) / "out"
+        policies.mkdir()
+        snap = policies / "policy_01.json"
+        snap.write_text(json.dumps(doc))
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps({"stage": "testing", "policy_dir": str(policies),
+                                        "trials_per_policy": 1, "max_cycles": 20}))
+        for argv in (["load-policy", str(snap), "--config", str(cfg_path)],
+                     ["run", "--config", str(cfg_path), "--out", str(out)]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (1, 2), (argv[0], code)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert caught == []
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,28 @@ def test_activation_is_odd():
     assert np.allclose(activation(xs), -activation(-xs), atol=1e-15)
 
 
+# values where a saturation can differ: signed zeros, NaN, infinities,
+# inputs that saturate tanh (|x| > 40) and the edges of the clip bounds
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0,
+                     float(np.nextafter(1.0, 0.0)), 1.6, 1e-3, 5e-324, -5e-324]),
+    st.floats(min_value=40.0, max_value=1e308), st.floats(min_value=-1e308, max_value=-40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(EDGE_FLOATS, min_size=1, max_size=40))
+def test_activation_clip_equals_the_min_max_form(values):
+    # ndarray.clip replaced np.minimum(np.maximum(...)): the same bits for
+    # arrays and for a scalar, NaN and signed zeros included
+    x = np.array(values)
+    assert activation(x).tobytes() == oracles.minmax_activation(x).tobytes()
+    for v in values[:3]:
+        want = oracles.minmax_activation(v)
+        assert np.array(activation(v)).tobytes() == np.array(want).tobytes()
+
+
 def test_activation_derivative_identity():
     # d/dx activation = (1 - activation^2) / 2, checked by finite differences
     xs = np.linspace(-3.0, 3.0, 25)

@@ -21,6 +21,7 @@ from kneetrack.plant import (
     PlantInstabilityError,
     TargetProgram,
     alignment_errors,
+    clip_features,
     cycle_duration,
     profile_to_array,
     switch_schedule,
@@ -468,3 +469,26 @@ def test_alignment_same_index_pairing():
         assert err[0] == y[0] - z[0]
         assert err[1] == y[1] - z[1]
         assert err[1] == pytest.approx(-0.01 * i)
+
+
+# values where a clip can differ: signed zeros, NaN, infinities, huge values
+# and the bounds themselves and their neighbours
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+                     MIN_DURATION, float(np.nextafter(MIN_DURATION, 0.0)), KNEE_ANGLE_MAX,
+                     float(np.nextafter(KNEE_ANGLE_MAX, 2.0)), 5e-324, -5e-324]),
+    st.floats(min_value=40.0, max_value=1e308), st.floats(min_value=-1e308, max_value=-40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(EDGE_FLOATS, min_size=8, max_size=64),
+       lead=st.sampled_from([(), (1,), (3,)]))
+def test_clip_features_equals_the_np_clip_form(values, lead):
+    # clip_features clips in place with ndarray.clip where it wrote back
+    # np.clip's copy: the same bits, NaN and signed zeros included
+    size = 8 * int(np.prod(lead, dtype=int))
+    features = np.resize(np.array(values), size).reshape(lead + (4, 2))
+    got, want = clip_features(features), oracles.np_clip_features(features)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
