@@ -22,7 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, trial_config_from
+from .config import ConfigError, load_trial_config
+from .config import load_config, trial_config_from  # noqa: F401 (bench/tracer.py wraps them)
 from .dhdp import PolicyFormatError, load_policy, save_policy
 from .harness import (
     BatchResult,
@@ -96,8 +97,7 @@ def cmd_run(args) -> int:
         "strict_monitor": True if args.strict_monitor else None,
     }
     try:
-        resolved = load_config(args.config, overrides)
-        cfg = trial_config_from(resolved)
+        resolved, cfg = load_trial_config(args.config, overrides)
         if cfg.stage == "testing" and not resolved["policy_dir"]:
             raise ConfigError("policy_dir: the testing stage needs one in the config")
     except ConfigError as exc:
@@ -159,7 +159,7 @@ def cmd_load_policy(args) -> int:
     expect_actor = expect_critic = None
     if args.config is not None:
         try:
-            cfg = trial_config_from(load_config(args.config))
+            _, cfg = load_trial_config(args.config)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -1,26 +1,27 @@
 """Run configuration: JSON files with defaults, validation and overrides.
 
 A config file is a plain JSON object mirroring :func:`default_config`.  The
-one schema is a default :class:`TrialConfig`: the tree, the shape of every
-numeric list and the types of the built config all come from it.  An
+one schema is a default :class:`TrialConfig`, and one table maps each key to
+the field it sets: the tree, the shape of every numeric list, the types of
+the built config and the key each refusal names all come from the two.  An
 unknown key is rejected, naming its full dotted path.  Command-line flags
 override file values, which override defaults.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .dhdp import MonitorParams, StageCostParams
-from .harness import DhdpConfig, TrialConfig
+from .dhdp import MonitorParams
+from .harness import TrialConfig
 
 
 class ConfigError(ValueError):
@@ -30,26 +31,22 @@ class ConfigError(ValueError):
 # keys of a run that are no part of a trial, with their defaults
 _RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/out", "trials": 30, "keep_policies": 10,
                  "trials_per_policy": 30, "policy_dir": None}
-# dotted config keys that differ from the TrialConfig field they set
-_RENAMED = {"plant": "plant_kind", "terrain.pool_size": "pool_size",
-            "terrain.pool_spread": "pool_spread", "terrain.switch_period": "switch_period",
-            "terrain.consecutive_tracks": "consecutive_tracks",
-            "pace.training": "pace_training", "pace.testing": "pace_testing",
-            "drift.gain": "drift_gain", "drift.smoothing": "drift_smoothing"}
-# config key -> TrialConfig field, for every field but dhdp
-_FIELDS = {**{key: key for key in ("scenario", "stage", "strict_monitor", "load_critic",
-                                   "max_cycles", "window", "quota", "rms_window",
-                                   "init_spread", "bounds", "ranges", "feature_map", "ode")},
-           **_RENAMED}
-# TrialConfig field -> the config key that sets it
-_KEYS = {name: key for key, name in _FIELDS.items()}
-# dhdp keys named as their DhdpConfig field
-_DHDP_FIELDS = ("critic_hidden", "actor_hidden", "discount", "critic_lr", "actor_lr",
-                "init_weight_scale", "action_scale")
-# the fields of the dhdp section's parts that a refusal names, and their keys
-_DHDP_RENAMED = {"state_weight": "state_cost", "action_weight": "action_cost",
-                 "half_ranges": "action_scale"}
 _ALPHAS = ("alpha1", "alpha2", "alpha3")
+# The one table from each dotted config key to the dotted path of the TrialConfig
+# field it sets, in the tree's order; the alphas are null while the monitor is None.
+_FIELDS = {
+    **{name: name for name in ("scenario", "stage", "strict_monitor", "load_critic", "max_cycles",
+                               "window", "quota", "rms_window", "init_spread", "bounds", "ranges",
+                               "feature_map", "ode")},
+    "plant": "plant_kind", "terrain.pool_size": "pool_size", "terrain.pool_spread": "pool_spread",
+    "terrain.switch_period": "switch_period", "terrain.consecutive_tracks": "consecutive_tracks",
+    "pace.training": "pace_training", "pace.testing": "pace_testing", "drift.gain": "drift_gain",
+    "drift.smoothing": "drift_smoothing",
+    **{f"dhdp.{name}": f"dhdp.{name}" for name in ("critic_hidden", "actor_hidden", "discount",
+                                                   "critic_lr", "actor_lr", "init_weight_scale",
+                                                   "action_scale")},
+    "dhdp.state_cost": "dhdp.cost.state_weight", "dhdp.action_cost": "dhdp.cost.action_weight",
+    **{f"dhdp.{name}": f"dhdp.monitor.{name}" for name in _ALPHAS}}
 # the numeric lists whose length is up to the user
 _ANY_LENGTH = ("pace.training", "pace.testing")
 
@@ -74,36 +71,27 @@ def _plain(value):
     return value
 
 
-def _built(default, raw):
-    """``raw`` built with the types of ``default``, the inverse of :func:`_plain`.
+def _at(value, path: str):
+    """The value at the dotted ``path`` of nested dicts or dataclasses; past a None, None."""
+    for name in filter(None, path.split(".")):
+        value = (value[name] if isinstance(value, dict)
+                 else None if value is None else getattr(value, name))
+    return value
 
-    A float default makes ``float(raw)``, so a JSON ``1`` builds ``1.0``; the
-    entries of a tuple all take the type of the default's first entry.
-    """
-    if isinstance(default, (int, float, str)):
-        return type(default)(raw)
-    if isinstance(default, np.ndarray):
-        return np.array(raw, dtype=default.dtype)
-    if dataclasses.is_dataclass(default):
-        names = list(default.__dataclass_fields__)
-        values = ([raw] if len(names) == 1 else raw if isinstance(raw, list)
-                  else [raw[name] for name in names])
-        return type(default)(*map(_built, [getattr(default, name) for name in names], values))
-    return tuple(_built(default[0], item) for item in raw)
+
+def _put(tree: dict, path: str, value) -> None:
+    """Set ``value`` at the dotted ``path`` of nested dicts, making its sections."""
+    *sections, name = path.split(".")
+    for section in sections:
+        tree = tree.setdefault(section, {})
+    tree[name] = value
 
 
 def default_config() -> dict:
     """Full config tree with library defaults filled in."""
-    trial = _defaults()
     tree = dict(_RUN_DEFAULTS)
-    for key, name in _FIELDS.items():
-        section, _, leaf = key.rpartition(".")
-        (tree.setdefault(section, {}) if section else tree)[leaf] = _plain(getattr(trial, name))
-    dhdp = trial.dhdp
-    tree["dhdp"] = {**{key: _plain(getattr(dhdp, key)) for key in _DHDP_FIELDS},
-                    "state_cost": dhdp.cost.state_weight.tolist(),
-                    "action_cost": dhdp.cost.action_weight.tolist(),
-                    **dict.fromkeys(_ALPHAS)}
+    for key, path in _FIELDS.items():
+        _put(tree, key, _plain(_at(_defaults(), path)))
     return tree
 
 
@@ -145,13 +133,13 @@ def _require_numbers(value, template, path: str) -> None:
         raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
-def _entries(value, path: str):
-    """(entry, its path) for every non-list value nested in lists in ``value``."""
+def _require_finite(value, path: str) -> None:
+    """Refuse a float that is not finite, in ``value`` or nested in its lists."""
     if isinstance(value, list):
         for i, item in enumerate(value):
-            yield from _entries(item, f"{path}[{i}]")
-    else:
-        yield value, path
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
 
 
 # The JSON values a leaf takes, by the type of its default, and their name.
@@ -162,9 +150,7 @@ _KINDS = {bool: (bool, "a boolean"), int: (int, "an integer"),
 
 
 def _check_leaf(value, default, path: str):
-    for entry, here in _entries(value, path):
-        if isinstance(entry, float) and not math.isfinite(entry):
-            raise ConfigError(f"{here}: expected a finite number, got {entry}")
+    _require_finite(value, path)
     if isinstance(default, list):
         _require_numbers(value, default, path)
         return copy.deepcopy(value)
@@ -175,12 +161,10 @@ def _check_leaf(value, default, path: str):
     return value
 
 
-def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Resolve defaults <- file <- overrides into a validated config tree.
-
-    ``overrides`` nest like the file and pass the same checks, against
-    the defaults: a section override merges into its section.
-    """
+def load_trial_config(path=None, overrides: dict | None = None) -> tuple[dict, TrialConfig]:
+    """Resolve defaults <- file <- overrides into a validated config tree, and build
+    the trial configuration out of it.  ``overrides`` nest like the file and pass
+    the same checks, against the defaults: a section override merges into its own."""
     user: dict = {}
     if path is not None:
         file = Path(path)
@@ -197,15 +181,12 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     resolved = _merge(defaults, {key: value for key, value in (overrides or {}).items()
                                  if value is not None}, base=_merge(defaults, user))
     _check_values(resolved)
-    trial_config_from(resolved)
-    return resolved
+    return resolved, trial_config_from(resolved)
 
 
-def _get(resolved: dict, key: str):
-    """The value at a dotted config path."""
-    for part in key.split("."):
-        resolved = resolved[part]
-    return resolved
+def load_config(path=None, overrides: dict | None = None) -> dict:
+    """The validated config tree of :func:`load_trial_config`."""
+    return load_trial_config(path, overrides)[0]
 
 
 def _check_values(resolved: dict) -> None:
@@ -215,13 +196,8 @@ def _check_values(resolved: dict) -> None:
                        ("keep_policies", 0)):
         if resolved[key] < least:
             raise ConfigError(f"{key}: must be at least {least}, got {resolved[key]}")
-    _check_alphas(resolved["dhdp"])
-    if resolved["policy_dir"] is not None and not isinstance(resolved["policy_dir"], str):
-        raise ConfigError(f"policy_dir: expected a string or null, got {resolved['policy_dir']!r}")
-
-
-def _check_alphas(dhdp: dict) -> None:
-    """The monitor's weighting factors: all three numbers, or all three null (the defaults)."""
+    # the monitor's weighting factors: all three numbers, or all three null (the defaults)
+    dhdp = resolved["dhdp"]
     for key in _ALPHAS:
         if dhdp[key] is not None:
             _require_numbers(dhdp[key], 0.0, f"dhdp.{key}")
@@ -229,50 +205,68 @@ def _check_alphas(dhdp: dict) -> None:
     if unset and len(unset) < len(_ALPHAS):
         raise ConfigError(f"dhdp.{unset[0]}: alpha1, alpha2 and alpha3 are set together "
                           f"or all left null")
+    if resolved["policy_dir"] is not None and not isinstance(resolved["policy_dir"], str):
+        raise ConfigError(f"policy_dir: expected a string or null, got {resolved['policy_dir']!r}")
 
 
-@contextlib.contextmanager
-def _refused(name: str, keys=(), renamed=None):
-    """Refuse the block's errors under ``name``; a message that opens with one
-    of ``keys`` and a colon names that key by its dotted path, ``name.key:``.
-    ``renamed`` maps a field a message opens with to the key that sets it."""
-    renamed = renamed or {}
+def _key(path: str) -> str:
+    """The config key of the entry at ``path``, a field path with indices: the table's
+    key of the field path that starts it, the rest laid out as :func:`_plain` does."""
+    key, field = next(((k, p) for k, p in _FIELDS.items() if re.match(rf"{re.escape(p)}\b", path)),
+                      (path, path))  # a section above the fields keeps its name
+    value = _at(_defaults(), field)
+    for name, index in re.findall(r"\.(\w+)|\[(\d+)\]", path[len(field):]):
+        if index:  # the entries of a list share the type of its first
+            key, value = f"{key}[{index}]", value[0]
+        else:  # a one-field dataclass is its field; one inside a list, its values
+            names = list(value.__dataclass_fields__)
+            key += ("" if len(names) == 1 else f"[{names.index(name)}]" if key.endswith("]")
+                    else f".{name}")
+            value = getattr(value, name)
+    return key
+
+
+def _refusal(exc: Exception, path: str) -> ConfigError:
+    """``exc``, raised at field path ``path``, as a refusal under the key of the
+    field or entry its message opens with (``field[i]:``), else of ``path``."""
+    head, colon, rest = str(exc).partition(":")
+    if colon and re.fullmatch(r"\w+(\[\d+\])*", head):
+        return ConfigError(f"{_key(f'{path}.{head}'.lstrip('.'))}:{rest}")
+    return ConfigError(f"{_key(path)}: {exc}")
+
+
+def _built(default, raw, path: str = ""):
+    """``raw`` built with the types of ``default``, the field at ``path``: the inverse
+    of :func:`_plain`.  A float default makes ``float(raw)``, so a JSON ``1`` builds
+    ``1.0``; a tuple's entries all take the type of its first.  The one special case
+    is the monitor, None by default: all its alphas null leave it None, all set build it."""
     try:
-        yield
+        if isinstance(default, (int, float, str)):
+            return type(default)(raw)
+        if isinstance(default, np.ndarray):
+            return np.array(raw, dtype=default.dtype)
+        if default is None:
+            return None if raw["alpha1"] is None else MonitorParams(
+                **{name: float(value) for name, value in raw.items()})
+        if dataclasses.is_dataclass(default):
+            if not isinstance(raw, dict):
+                names = list(default.__dataclass_fields__)
+                raw = dict(zip(names, [raw] if len(names) == 1 else raw))
+            return type(default)(**{name: _built(getattr(default, name), value,
+                                                 f"{path}.{name}".lstrip("."))
+                                    for name, value in raw.items()})
+        return tuple(_built(default[0], item, f"{path}[{i}]") for i, item in enumerate(raw))
+    except ConfigError:  # an entry's, named where it was raised
+        raise
     except (ValueError, TypeError) as exc:
-        head, colon, rest = str(exc).partition(":")
-        field = head.partition("[")[0]  # an entry's index stays on its key
-        if colon and (field in keys or field in renamed):
-            key = renamed.get(field, field) + head[len(field):]
-            raise ConfigError(f"{name}.{key}:{rest}") from exc
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _dhdp(raw: dict, default: DhdpConfig) -> DhdpConfig:
-    discount = float(raw["discount"])
-    monitor = (None if raw["alpha1"] is None else
-               MonitorParams(*(float(raw[key]) for key in _ALPHAS), discount=discount))
-    return DhdpConfig(
-        **{key: _built(getattr(default, key), raw[key]) for key in _DHDP_FIELDS},
-        cost=StageCostParams(state_weight=np.array(raw["state_cost"], dtype=float),
-                             action_weight=np.array(raw["action_cost"], dtype=float)),
-        monitor=monitor,
-    )
+        raise _refusal(exc, path) from exc
 
 
 def trial_config_from(resolved: dict) -> TrialConfig:
-    """Build the typed trial configuration out of a resolved config tree."""
-    default = _defaults()
-    fields = {}
-    for key, name in _FIELDS.items():
-        value = getattr(default, name)
-        with _refused(key, getattr(value, "__dataclass_fields__", ())):
-            fields[name] = _built(value, _get(resolved, key))
-    with _refused("dhdp", default.dhdp.__dataclass_fields__, _DHDP_RENAMED):
-        fields["dhdp"] = _dhdp(resolved["dhdp"], default.dhdp)
-    try:
-        return TrialConfig(**fields)
-    except ValueError as exc:  # it names a field, which _KEYS maps back to its key
-        head, _, rest = str(exc).partition(":")
-        field = head.partition("[")[0]
-        raise ConfigError(f"{_KEYS.get(field, field)}{head[len(field):]}:{rest}") from exc
+    """Build the typed trial configuration out of a resolved config tree: each key's
+    value is put at its field path, and the tree of fields builds as a section does."""
+    fields: dict = {}
+    for key, path in _FIELDS.items():
+        _put(fields, path, _at(resolved, key))
+    _put(fields, "dhdp.monitor.discount", fields["dhdp"]["discount"])  # the monitor's too
+    return _built(_defaults(), fields)

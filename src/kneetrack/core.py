@@ -51,11 +51,10 @@ class GaitFeatures:
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+            raise ValueError(f"duration: must be positive and finite, got {self.duration}")
         if not (0.0 <= self.peak_angle <= KNEE_ANGLE_MAX):
-            raise ValueError(
-                f"peak angle {self.peak_angle} outside [0, {KNEE_ANGLE_MAX}] rad"
-            )
+            raise ValueError(f"peak_angle: must lie in [0, {KNEE_ANGLE_MAX}] rad, "
+                             f"got {self.peak_angle}")
 
 
 def check_impedance(values) -> np.ndarray:
@@ -64,17 +63,18 @@ def check_impedance(values) -> np.ndarray:
     Rows are the gait phases in order; columns are stiffness (N*m/rad),
     damping (N*m*s/rad) and equilibrium angle (rad).  Stiffness and damping
     must be finite and non-negative, the equilibrium must lie in
-    [0, KNEE_ANGLE_MAX].
+    [0, KNEE_ANGLE_MAX].  A refusal opens with ``impedance``, then the first
+    illegal entry, column by column (``impedance[1][0]:``).
     """
     imp = np.array(values, dtype=float)
     if imp.shape != (NUM_PHASES, 3):
-        raise ValueError(f"impedance must be a ({NUM_PHASES}, 3) array, got shape {imp.shape}")
-    for name, column in (("stiffness", imp[:, 0]), ("damping", imp[:, 1])):
-        if not (np.all(np.isfinite(column)) and np.all(column >= 0.0)):
-            raise ValueError(f"{name} must be >= 0, got {column.tolist()}")
-    if not np.all((imp[:, 2] >= 0.0) & (imp[:, 2] <= KNEE_ANGLE_MAX)):
-        raise ValueError(f"equilibrium angles {imp[:, 2].tolist()} "
-                         f"outside [0, {KNEE_ANGLE_MAX}] rad")
+        raise ValueError(f"impedance: must be a ({NUM_PHASES}, 3) array, got shape {imp.shape}")
+    legal = np.isfinite(imp) & (imp >= 0.0) & (imp <= [math.inf, math.inf, KNEE_ANGLE_MAX])
+    if not legal.all():
+        j, i = np.argwhere(~legal.T)[0]
+        rule = f"must lie in [0, {KNEE_ANGLE_MAX}] rad" if j == 2 else "must be >= 0"
+        name = ("stiffness", "damping", "equilibrium")[j]
+        raise ValueError(f"impedance[{i}][{j}]: {name} {rule}, got {imp[i, j]}")
     return imp
 
 
@@ -130,9 +130,9 @@ class BoundsTable:
                 if not (math.isfinite(bound.angle) and math.isfinite(bound.duration_pct)):
                     raise ValueError(f"{kind}[{i}]: must be finite, "
                                      f"got {[bound.angle, bound.duration_pct]}")
-        for safe, tol in zip(self.safety, self.tolerance):
+        for i, (safe, tol) in enumerate(zip(self.safety, self.tolerance)):
             if not (tol.angle < safe.angle and tol.duration_pct < safe.duration_pct):
-                raise ValueError("tolerance: must be tighter than safety in both components")
+                raise ValueError(f"tolerance[{i}]: must be tighter than safety in both components")
 
     def safety_for(self, phase: Phase) -> PhaseBound:
         return self.safety[phase - 1]

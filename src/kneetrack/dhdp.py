@@ -284,11 +284,11 @@ class MonitorParams:
 
     def __post_init__(self):
         if not self.alpha1 > self.discount > 0.0:
-            raise ValueError("alpha1 must exceed the discount factor")
+            raise ValueError("alpha1: must exceed the discount factor")
         if not self.alpha2 > 4.0 / self.discount**2:
-            raise ValueError("alpha2 must exceed 4 / discount^2")
+            raise ValueError("alpha2: must exceed 4 / discount^2")
         if not self.alpha3 > self.alpha2:
-            raise ValueError("alpha3 must exceed alpha2")
+            raise ValueError("alpha3: must exceed alpha2")
         for name in ("alpha1", "alpha2", "alpha3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
@@ -378,10 +378,11 @@ class ActionScale:
     def __post_init__(self):
         if self.half_ranges.shape != (4, N_ACTION):
             raise ValueError("half_ranges: must be a 4x3 table")
-        if not np.all(self.half_ranges > 0.0):
-            raise ValueError("half_ranges: must be strictly positive")
-        if not np.all(np.isfinite(self.half_ranges)):
-            raise ValueError("half_ranges: must be finite")
+        for rule, legal in (("must be strictly positive", self.half_ranges > 0.0),
+                            ("must be finite", np.isfinite(self.half_ranges))):
+            if not legal.all():
+                i, j = np.argwhere(~legal)[0]
+                raise ValueError(f"half_ranges[{i}][{j}]: {rule}")
 
     @classmethod
     def default(cls) -> "ActionScale":

@@ -46,10 +46,10 @@ class PhaseRanges:
                                     ("damping", self.damping, math.inf),
                                     ("equilibrium", self.equilibrium, KNEE_ANGLE_MAX)):
             if not 0.0 <= lo <= hi <= top:
-                raise ValueError(f"{name} range ({lo}, {hi}) must satisfy "
+                raise ValueError(f"{name}: range ({lo}, {hi}) must satisfy "
                                  f"0 <= lower <= upper <= {top}")
             if not math.isfinite(hi):
-                raise ValueError(f"{name} range ({lo}, {hi}) must be finite")
+                raise ValueError(f"{name}: range ({lo}, {hi}) must be finite")
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,12 @@ class FeatureMapConfig:
     pace_passthrough: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "reference_impedance",
-                           check_impedance(self.reference_impedance))
         # each refusal opens with the field it names
+        try:
+            object.__setattr__(self, "reference_impedance",
+                               check_impedance(self.reference_impedance))
+        except ValueError as exc:  # it opens with "impedance", and names the entry
+            raise ValueError(f"reference_{exc}") from exc
         if self.sensitivity.shape != (NUM_PHASES, 2, 3):
             raise ValueError("sensitivity: must be a (4, 2, 3) array")
         for name, ceiling in (("noise_std", MAX_NOISE_STD), ("sensitivity", MAX_SENSITIVITY)):
@@ -120,8 +123,9 @@ class FeatureMapConfig:
                                  f"got {values[tuple(over[0])]}")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError(f"smoothing: must lie in (0, 1], got {self.smoothing}")
-        if any(s < 0.0 for s in self.noise_std):
-            raise ValueError(f"noise_std: must be non-negative, got {list(self.noise_std)}")
+        for i, std in enumerate(self.noise_std):
+            if std < 0.0:
+                raise ValueError(f"noise_std[{i}]: must be non-negative, got {std}")
         if not 0.0 <= self.pace_passthrough <= 1.0:
             raise ValueError(f"pace_passthrough: must lie in [0, 1], got {self.pace_passthrough}")
 
@@ -285,7 +289,7 @@ class OdeKneePlant:
                     accel = (-joint_torque(row, angle, velocity) + load) / inertia
                     prev_velocity = velocity
                     velocity += dt * accel
-                    if abs(velocity) > limit:
+                    if not abs(velocity) <= limit:  # a NaN velocity diverged too
                         raise PlantInstabilityError(
                             f"knee velocity {velocity:.1f} rad/s exceeds {limit} rad/s "
                             f"in phase {phase.short_name}")
@@ -363,7 +367,7 @@ class OdeKneePlant:
                     prev = v
                     # -torque + load is load - torque exactly
                     v = prev + dt * ((load - joint_torque(row, a, prev)) / inertia)
-                    diverged = (np.abs(v) > limit) & walking
+                    diverged = ~(np.abs(v) <= limit) & walking  # NaN included
                     a = a + dt * v
                     low, high = a <= 0.0, a >= KNEE_ANGLE_MAX
                     stopped = low | high

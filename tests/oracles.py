@@ -281,7 +281,7 @@ def loop_ode_step(plant, imp):
         accel = (-joint_torque(triple, plant._angle, plant._velocity) + load) / cfg.inertia
         prev_velocity = plant._velocity
         plant._velocity += dt * accel
-        if abs(plant._velocity) > cfg.velocity_limit:
+        if not abs(plant._velocity) <= cfg.velocity_limit:  # a NaN velocity diverged too
             raise PlantInstabilityError(
                 f"knee velocity {plant._velocity:.1f} rad/s exceeds "
                 f"{cfg.velocity_limit} rad/s in phase {phase.short_name}"

@@ -79,6 +79,28 @@ def test_missing_config_file_diagnostic(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+def assert_one_error(capsys, code, want, message):
+    """``code`` is ``want``, and stderr holds no traceback and one error line,
+    which opens with ``message``."""
+    err = capsys.readouterr().err
+    assert code == want, err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {message}"), err
+    assert "Traceback" not in err
+
+
+def test_unreadable_config_files_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for text, message in (("{not json", f"config is not valid JSON: {path}: "),
+                          ("[1, 2]", f"config root must be an object: {path}")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_one_error(capsys, code, 2, message)
+        assert not (tmp_path / "out").exists()
+
+
 def test_type_errors_name_the_key(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": "seven"}))
@@ -193,14 +215,14 @@ LIBRARY_REFUSALS = [
      "load_torque[1]: must be finite, got nan"),
     (lambda: StageCostParams(state_weight=np.diag([math.inf, 1.0]), action_weight=np.eye(3)),
      "state_weight: must be finite"),
-    (lambda: ActionScale(np.full((4, 3), math.inf)), "half_ranges: must be finite"),
+    (lambda: ActionScale(np.full((4, 3), math.inf)), "half_ranges[0][0]: must be finite"),
     (lambda: MonitorParams(alpha1=math.inf, alpha2=6.0, alpha3=12.0, discount=0.95),
      "alpha1: must be finite, got inf"),
     (lambda: BoundsTable(safety=(PhaseBound(math.inf, 12.0),) + BoundsTable.default().safety[1:],
                          tolerance=BoundsTable.default().tolerance),
      "safety[0]: must be finite, got [inf, 12.0]"),
     (lambda: ParameterRanges((PhaseRanges(damping=(0.0, math.inf)),) * 4),
-     "damping range (0.0, inf) must be finite"),
+     "damping: range (0.0, inf) must be finite"),
     # a phase that never ends walks max_phase_time / timestep substeps: at
     # 1e-9 s a torque-law run had not finished after 15 s
     (lambda: OdeKneeConfig(timestep=1e-9),
@@ -224,7 +246,7 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
     # each message opens with the dotted key, also where the trial
     # config's own checks refuse the value under its field name
     cases = [
-        ({"ranges": ranges}, "ranges:"),
+        ({"ranges": ranges}, "ranges[1][0]:"),
         ({"init_spread": 1.5}, "init_spread:"),
         ({"terrain": {"pool_spread": 1.5}}, "terrain.pool_spread:"),
         ({"dhdp": {"discount": 1.0}}, "dhdp.discount:"),
@@ -273,15 +295,29 @@ def test_nested_refusals_name_the_dotted_key(tmp_path, capsys):
     tolerance[0] = [0.5, 2.0]
     action_scale = default_config()["dhdp"]["action_scale"]
     action_scale[1][0] = -10.0
+    impedance = default_config()["feature_map"]["reference_impedance"]
+    impedance[2][1] = -1.0
+    features = default_config()["feature_map"]["reference_features"]
+    features[0][1] = 2.0
     cases = [
         ({"feature_map": {"smoothing": 2}}, "feature_map.smoothing: must lie in (0, 1], got 2.0"),
         ({"dhdp": {"state_cost": [[1, 0], [0, -1]]}},
          "dhdp.state_cost: must be positive definite"),
         ({"dhdp": {"action_cost": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]}},
          "dhdp.action_cost: must be symmetric"),
-        ({"dhdp": {"action_scale": action_scale}}, "dhdp.action_scale: must be strictly positive"),
+        ({"dhdp": {"action_scale": action_scale}},
+         "dhdp.action_scale[1][0]: must be strictly positive"),
         ({"bounds": {"tolerance": tolerance}},
-         "bounds.tolerance: must be tighter than safety in both components"),
+         "bounds.tolerance[0]: must be tighter than safety in both components"),
+        # each of these named the section alone, or the whole list
+        ({"feature_map": {"reference_impedance": impedance}},
+         "feature_map.reference_impedance[2][1]: damping must be >= 0, got -1.0"),
+        ({"feature_map": {"reference_features": features}},
+         "feature_map.reference_features[0][1]: must lie in [0, 1.6] rad, got 2.0"),
+        ({"feature_map": {"noise_std": [0.005, -0.1]}},
+         "feature_map.noise_std[1]: must be non-negative, got -0.1"),
+        ({"dhdp": {"alpha1": 2.0, "alpha2": 6.0, "alpha3": 5.0}},
+         "dhdp.alpha3: must exceed alpha2"),
         ({"window": 0}, "window: must be at least 1, got 0"),
     ]
     for cfg, message in cases:
@@ -412,6 +448,22 @@ def leaf_paths(node, path=()):
             yield from leaf_paths(value, path + (i,))
 
 
+def names_a_key(head: str) -> bool:
+    """Whether ``head`` is the dotted key of a leaf of the default tree, or of
+    an entry of a list there: anything but a section."""
+    if not re.fullmatch(r"\w+(\.\w+)*(\[\d+\])*", head):
+        return False
+    node = default_config()
+    for name, index in re.findall(r"(\w+)|\[(\d+)\]", head):
+        if isinstance(node, dict) and name in node:
+            node = node[name]
+        elif isinstance(node, list) and index and int(index) < len(node):
+            node = node[int(index)]
+        else:
+            return False
+    return not isinstance(node, dict)
+
+
 @settings(max_examples=100, deadline=None)
 @given(path=st.sampled_from(list(leaf_paths(default_config()))),
        bad=st.sampled_from(BAD_VALUES))
@@ -425,9 +477,18 @@ def leaf_paths(node, path=()):
 @example(path=("ranges", 2, 1), bad={})
 @example(path=("dhdp", "init_weight_scale"), bad=1e308)
 @example(path=("init_spread",), bad=0)  # no initial draw is feasible: exit 1
+# a refusal at each of these entries named only its section or whole list
+@example(path=("feature_map", "reference_impedance", 0, 0), bad=1.5)
+@example(path=("ranges", 0, 1, 0), bad=1.5)
+@example(path=("dhdp", "action_scale", 0, 0), bad=1.5)
+@example(path=("bounds", "safety", 0, 1), bad=1.5)
+@example(path=("feature_map", "reference_impedance", 0, 0), bad=-1)
+@example(path=("ranges", 0, 1, 0), bad=-1)
+@example(path=("dhdp", "action_scale", 0, 0), bad=-1)
 def test_a_bad_leaf_exits_cleanly(path, bad):
     # no traceback and no warning: a run ends in 0, or in 1 or a one-line
-    # refusal (2), either of which leaves no output directory
+    # refusal (2), either of which leaves no output directory; a refusal
+    # names a key of the tree, a leaf or an entry, never a section
     tree = default_config()
     tree.update(trials=1, max_cycles=20)
     node = tree
@@ -445,6 +506,8 @@ def test_a_bad_leaf_exits_cleanly(path, bad):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert not out.exists()
+        if code == 2:
+            assert names_a_key(lines[0].removeprefix("error: ").partition(":")[0]), lines
 
 
 def test_monitor_alphas_are_numbers_set_together(tmp_path, capsys):
@@ -453,6 +516,9 @@ def test_monitor_alphas_are_numbers_set_together(tmp_path, capsys):
     assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": 2.0}}, "dhdp.alpha2")
     assert_refused(tmp_path, capsys, {"dhdp": {"alpha3": 20.0}}, "dhdp.alpha1")
     assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": True, "alpha2": 6.0, "alpha3": 12.0}},
+                   "dhdp.alpha1")
+    # all three set, and the monitor's own rule refuses them
+    assert_refused(tmp_path, capsys, {"dhdp": {"alpha1": 0.5, "alpha2": 6.0, "alpha3": 12.0}},
                    "dhdp.alpha1")
     code, _ = run_cli(tmp_path, small_run_config(
         trials=1, max_cycles=20, dhdp={"alpha1": 2.0, "alpha2": 6.0, "alpha3": 12.0}))
@@ -606,6 +672,28 @@ def test_run_testing_needs_policy_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_testing_on_a_directory_without_policies_exits_1(tmp_path, capsys):
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    (policies / "notes.json").write_text("{}")
+    code, out = run_cli(tmp_path, small_run_config(stage="testing", policy_dir=str(policies)))
+    assert_one_error(capsys, code, 1, f"no policy snapshots found in {policies}")
+    assert not out.exists()
+
+
+def test_a_nan_knee_velocity_exits_1(tmp_path, capsys):
+    # the spring and damper of phase 1 pull against each other into a NaN
+    # torque; the NaN velocity passed the velocity limit and ended in a
+    # ValueError traceback from GaitFeatures
+    impedance = default_config()["feature_map"]["reference_impedance"]
+    impedance[0] = [1.7e308, 1.7e308, 1.6]
+    cfg = {"ode": {"initial_velocity": 10.0}, "init_spread": 0.0,
+           "feature_map": {"reference_impedance": impedance}, "trials": 2}
+    code, out = run_cli(tmp_path, cfg, "--plant", "ode")
+    assert_one_error(capsys, code, 1, "knee velocity nan rad/s exceeds")
+    assert not out.exists()
+
+
 def test_run_testing_loads_policies(tmp_path):
     code, out = run_cli(tmp_path, small_run_config())
     assert code == 0
@@ -697,6 +785,23 @@ def test_save_policy_round_trip(tmp_path, capsys):
     dest = tmp_path / "q.json"
     assert main(["save-policy", str(src), str(dest)]) == 0
     assert src.read_bytes() == dest.read_bytes()
+
+
+def test_save_policy_refuses_a_bad_source(tmp_path, capsys):
+    src, dest = tmp_path / "p.json", tmp_path / "q.json"
+    src.write_text("{not json")
+    code = main(["save-policy", str(src), str(dest)])
+    assert_one_error(capsys, code, 1, f"cannot read policy snapshot {src}")
+    assert not dest.exists()
+
+
+def test_load_policy_refuses_a_refused_config(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    snap, cfg_path = tmp_path / "p.json", tmp_path / "cfg.json"
+    save_policy(snap, [init_actor(rng) for _ in range(4)])
+    cfg_path.write_text(json.dumps({"dhdp": {"critic_hidden": 0}}))
+    code = main(["load-policy", str(snap), "--config", str(cfg_path)])
+    assert_one_error(capsys, code, 2, "dhdp.critic_hidden: must be at least 1, got 0")
 
 
 def test_load_policy_validates(tmp_path, capsys):
@@ -852,6 +957,14 @@ def test_report_aggregates_directory(tmp_path, capsys):
 def test_report_empty_directory_fails(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     assert "no trial summaries" in capsys.readouterr().err
+    # each summary is skipped with a warning, and then the report fails
+    trials = tmp_path / "trials"
+    trials.mkdir()
+    (trials / "trial_000.json").write_text("{broken")
+    (trials / "trial_001.json").write_text("[1]")
+    code = main(["report", str(tmp_path)])
+    assert_one_error(capsys, code, 1, f"no readable trial summaries under {tmp_path}")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_report_skips_malformed_json(tmp_path, capsys):

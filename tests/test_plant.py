@@ -187,6 +187,21 @@ def test_ode_knee_instability_detected():
     assert abs(plant._velocity) > cfg.velocity_limit
 
 
+def test_a_nan_knee_velocity_is_a_fault():
+    # a stiffness and a damping of 1.7e308 pull against each other into a NaN
+    # torque; a NaN velocity passed the limit's `>` test, walked on and failed
+    # later in GaitFeatures with a ValueError
+    cfg = OdeKneeConfig(initial_velocity=10.0)
+    imp = ode_impedance()
+    imp[0] = (1.7e308, 1.7e308, KNEE_ANGLE_MAX)
+    outcomes, plant = assert_step_matches_loop(cfg, imp, cycles=1)
+    assert outcomes == ["PlantInstabilityError: knee velocity nan rad/s exceeds 50.0 rad/s "
+                        "in phase STF"]
+    assert np.isnan(plant._velocity)
+    [outcome] = assert_walk_matches_steps(cfg, [imp], cycles=1)
+    assert outcome == outcomes[0]
+
+
 def step_outcome(step, imp) -> str:
     """repr of a cycle's features, or the type and message of its fault."""
     try:
