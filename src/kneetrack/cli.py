@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .harness import (
     BatchResult,
     Metrics,
     TrialRecord,
-    _fmt,
     aggregate_metrics,
     batch_summary,
     run_testing_batch,
@@ -50,9 +50,7 @@ def _write_rms_csv(path: Path, groups: list[tuple[int, str, Metrics]]) -> None:
             final = m.rms_final or {}
             for metric, key in (("peak_angle_rad", "peak_rad"),
                                 ("duration_pct", "duration_pct")):
-                writer.writerow([_fmt(v) for v in (
-                    scenario, stage, metric, initial.get(key), final.get(key),
-                )])
+                writer.writerow([scenario, stage, metric, initial.get(key), final.get(key)])
 
 
 def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
@@ -70,7 +68,7 @@ def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
                              "tol_angle_rad", "tol_duration_pct"])
             for values in zip(*(record.column(name)[rows].tolist()
                                 for name in ("cycle", "d_peak_rad", "d_duration_pct"))):
-                writer.writerow([_fmt(v) for v in (*values, tol.angle, tol.duration_pct)])
+                writer.writerow([*values, tol.angle, tol.duration_pct])
 
     _write_rms_csv(plots / "rms_summary.csv",
                    [(batch.cfg.scenario, batch.cfg.stage, batch.metrics)])
@@ -177,12 +175,23 @@ def cmd_load_policy(args) -> int:
     return 0
 
 
-# The trial-summary fields ``report`` reads and the JSON types each may hold;
+def _rms_ok(value) -> bool:
+    """Whether ``value`` is None or an RMS object of finite, non-negative numbers."""
+    return value is None or type(value) is dict and all(
+        type(value.get(key)) in (int, float) and 0.0 <= value[key] < math.inf
+        for key in ("peak_rad", "duration_pct"))
+
+
+# The trial-summary fields ``report`` reads and the values each may hold;
 # types match exactly, so a boolean is not taken for a number.
-_SUMMARY_TYPES = {"scenario": (int,), "stage": (str,), "outcome": (str,),
-                  "tuning_steps": (int, type(None)), "rms_initial": (dict, type(None)),
-                  "rms_final": (dict, type(None))}
-_RMS_KEYS = ("peak_rad", "duration_pct")  # each a number in an RMS object
+_SUMMARY_FIELDS = {
+    "scenario": lambda value: type(value) is int and value in (1, 2, 3),
+    "stage": lambda value: value in ("training", "testing"),
+    "outcome": lambda value: value in ("success", "failure"),
+    "tuning_steps": lambda value: value is None or type(value) is int and value >= 0,
+    "rms_initial": _rms_ok,
+    "rms_final": _rms_ok,
+}
 
 
 def cmd_report(args) -> int:
@@ -202,10 +211,9 @@ def cmd_report(args) -> int:
             if doc.get("schema") != "kneetrack-trial":
                 continue
             fields = {key: doc.get(key) if key.startswith("rms_") else doc[key]
-                      for key in _SUMMARY_TYPES}
+                      for key in _SUMMARY_FIELDS}
             for key, value in fields.items():
-                if type(value) not in _SUMMARY_TYPES[key] or isinstance(value, dict) and any(
-                        type(value.get(rms)) not in (int, float) for rms in _RMS_KEYS):
+                if not _SUMMARY_FIELDS[key](value):
                     raise ValueError(f"{key}: unexpected value {value!r}")
             record = TrialRecord(**fields)
         except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError

@@ -447,7 +447,6 @@ def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
 
 
 def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> TargetProgram:
-    base = steady_profile(plant, cfg.feature_map.reference_impedance)
     if cfg.scenario == SCENARIO_TERRAIN:
         profiles = build_profile_pool(cfg, plant, rng)
         segments = cfg.max_cycles // cfg.switch_period + 1
@@ -461,7 +460,7 @@ def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> Ta
             drift_smoothing=cfg.drift_smoothing,
         )
     return TargetProgram(
-        base_profile=base,
+        base_profile=steady_profile(plant, cfg.feature_map.reference_impedance),
         pace_sequence=cfg.pace_sequence(),
         drift_gain=cfg.drift_gain,
         drift_smoothing=cfg.drift_smoothing,
@@ -522,7 +521,6 @@ class Trial:
         self._window = np.zeros((NUM_PHASES, cfg.window), bool)
         self._converged = np.full(NUM_PHASES, -1)
 
-        self._segment_converged: int | None = None  # cycle the segment was tracked at
         self.k = 0
         self.finished = False
 
@@ -554,20 +552,18 @@ class Trial:
     def _all_converged(self, k: int, converged_at: list[int]) -> bool:
         """Apply the scenario's rule once every phase has converged in cycle ``k``.
 
-        Returns True when the convergence windows start over: a new pace leg.
+        Scenario 2 marks the open segment tracked.  Returns True when the
+        convergence windows start over: a new pace leg.
         """
         cfg, rec = self.cfg, self.record
         if cfg.scenario == SCENARIO_LEVEL_GROUND:
             rec.converged_at = dict(zip(map(int, PHASES), converged_at))
             self._finish(k + 1, "success")
         elif cfg.scenario == SCENARIO_TERRAIN:
-            if self._segment_converged is None:
-                self._segment_converged = max(converged_at)
-                run = cfg.consecutive_tracks - 1  # tracked segments to close before this one
-                recent = rec.segments[len(rec.segments) - run:] if run else []
-                if len(recent) == run and all(s["converged"] for s in recent):
-                    self._close_segment()
-                    self._finish(k + 1, "success")
+            rec.segments[-1].update(converged=True, converged_cycle=max(converged_at))
+            recent = rec.segments[-cfg.consecutive_tracks:]
+            if len(recent) == cfg.consecutive_tracks and all(s["converged"] for s in recent):
+                self._finish(k + 1, "success")
         elif cfg.scenario == SCENARIO_PACE:
             legs = rec.legs
             start = legs[-1]["converged_cycle"] + 1 if legs else 0
@@ -583,18 +579,21 @@ class Trial:
             self._finish(k + 1, "success")
         return False
 
-    def _close_segment(self):
-        """Record the terrain segment that ends here; the next one opens untracked."""
-        index = len(self.record.segments)
-        start = index * self.program.switch_period
-        self.record.segments.append({
-            "segment": index,
-            "pool_index": self.program.profile_index(start),
-            "start_cycle": start,
-            "converged": self._segment_converged is not None,
-            "converged_cycle": self._segment_converged,
-        })
-        self._segment_converged = None
+    def _new_terrain(self, k: int) -> bool:
+        """Enter the terrain walked from cycle ``k``: cycle 0, or a switch period's start.
+
+        A switch to another pool profile is kept in the record.  In scenario 2
+        each terrain opens an untracked segment, and after cycle 0 the
+        convergence windows start over: then this returns True.
+        """
+        program, rec = self.program, self.record
+        if k and program.profile_index(k) != program.profile_index(k - 1):
+            rec.switch_cycles.append(k)
+        if self.cfg.scenario != SCENARIO_TERRAIN:
+            return False
+        rec.segments.append({"segment": len(rec.segments), "pool_index": program.profile_index(k),
+                             "start_cycle": k, "converged": False, "converged_cycle": None})
+        return k > 0
 
     # -- stepping ----------------------------------------------------------
 
@@ -692,10 +691,11 @@ class _Lockstep:
     update, convergence windows and the log rows come out for all trials
     at once.  Each trial still draws its plant noise from its own
     generator, and torque-law knees integrate one by one.  Per-trial Python
-    runs only for events: terrain switches, finished segments and legs,
-    faults, halts and endings.  Every array rule is bit-identical to the
-    one-trial rule, so each trial gets the numbers it gets alone.  A
-    trial leaves with a copy of its state and its log rows.
+    runs only for events: new terrains, converged trials, faults, halts
+    and endings, and the trial's own methods apply its rules to them.
+    Every array rule is bit-identical to the one-trial rule, so each trial
+    gets the numbers it gets alone.  A trial leaves with a copy of its
+    state and its log rows.
     """
 
     def __init__(self, trials):
@@ -800,8 +800,6 @@ class _Lockstep:
             for i in closing.nonzero()[0]:
                 trial = self.trials[i]
                 if not trial.finished:
-                    if cfg.scenario == SCENARIO_TERRAIN:
-                        trial._close_segment()
                     trial._finish(k + 1, "failure", "max-cycles")
         self.k = k + 1
         finished = [i for i, trial in enumerate(self.trials) if trial.finished]
@@ -818,17 +816,15 @@ class _Lockstep:
         self._stale[i] = True
 
     def _start_cycle(self):
-        """Events before cycle ``k`` is walked: switches of pool programs and new targets.
+        """Events before cycle ``k`` is walked: new terrains and new targets.
 
-        In scenario 2 a switch closes each trial's segment and restarts its windows.
+        Each trial enters its terrain (see :meth:`Trial._new_terrain`), and
+        its windows start over when the trial's rule says so.
         """
         k = self.k
-        if self._period and k > 0 and k % self._period == 0:
+        if k == 0 or self._period and k % self._period == 0:
             for i, trial in enumerate(self.trials):
-                if trial.program.profile_index(k) != trial.program.profile_index(k - 1):
-                    trial.record.switch_cycles.append(k)
-                if self.cfg.scenario == SCENARIO_TERRAIN:
-                    trial._close_segment()
+                if trial._new_terrain(k):
                     self._restart(i)
             self._stale[:] = True
         stale = np.arange(len(self.trials)) if self._drifting else self._stale.nonzero()[0]
@@ -1143,16 +1139,6 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
 # Structured logs
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # a comma goes into the free byte 0 of every cell but a line's first
 _COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
 
@@ -1160,8 +1146,9 @@ _COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
 def write_trial_csv(record: TrialRecord, path) -> None:
     """The record's log as CSV, a header of ``CSV_COLUMNS`` then one line per row.
 
-    The bytes are those of a ``csv.writer`` writing :func:`_fmt` of every
-    cell.
+    The bytes are those of a ``csv.writer`` given every row's values, a
+    flag as the int 1 or 0 and a missing cell (see :meth:`TrialRecord.missing`)
+    as None; it writes a float as its ``repr``.
     """
     lines = _padded_lines(record)
     with open(path, "wb") as fh:

@@ -10,7 +10,9 @@ replaced.  The dHDP contractions have one: the matmul forms that numpy's
 vecdot/matvec/vecmat gufuncs replaced.  The saturations have one each: the
 activation's np.minimum(np.maximum(...)) and clip_features' np.clip, which
 ndarray.clip replaced.  The lockstep's convergence windows have one: a
-sliding window over one phase's in-tolerance history.
+sliding window over one phase's in-tolerance history.  The trial CSV
+writer has one: ``_fmt``, the cell text of the per-row ``csv.writer``
+loop the columnar writer replaced.
 """
 
 import math
@@ -414,3 +416,14 @@ def event_ode_cycle(cfg, imp, angle, velocity, rtol=1e-10, atol=1e-12):
         features.append((t, peak))
         angle, velocity = float(y[0]), float(y[1])
     return np.array(features), angle, velocity
+
+
+def _fmt(value) -> str:
+    """One CSV cell: None empty, a flag 1 or 0, a float its ``repr``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)

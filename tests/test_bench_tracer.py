@@ -118,3 +118,25 @@ def test_traced_ode_trial_runs_through_the_plant_hooks():
     assert stats["harness.draw_initial_impedance"]["calls"] == 1
     assert linked["initial_draw_profiles"] >= 1
     assert stats["harness.steady_profile"]["calls"] == 1 + linked["initial_draw_profiles"]
+
+
+def test_traced_scenario2_trial_probes_and_targets_only_what_it_uses():
+    # the s23-events path: a terrain trial's targets are recomputed only when
+    # its terrain opens, and its program probes the plant for its pool alone
+    cfg = harness.TrialConfig(scenario=2, max_cycles=60)
+    recorder = load_tracer().Recorder(MODS)
+    recorder.install()
+    try:
+        record = harness.run_trial(cfg, 3)
+    finally:
+        recorder.uninstall()
+    assert record.cycles_run > 0 and recorder.records == [record]
+    summary = recorder.summary()
+    stats, linked = summary["stats"], summary["linked"]
+    assert_traced_rule_calls(record, stats)
+    # one target for the initial draw, then one for each segment
+    assert stats["plant.target_for"]["calls"] == 1 + len(record.segments)
+    # one probe per pool member and per initial draw, none of the unused reference
+    assert stats["harness.build_profile_pool"]["calls"] == 1
+    assert stats["harness.steady_profile"]["calls"] == (
+        cfg.pool_size + linked["initial_draw_profiles"])

@@ -29,7 +29,7 @@ from kneetrack.dhdp import (
     save_policy,
 )
 from kneetrack.fsm import ParameterRanges, PhaseRanges
-from kneetrack.harness import DhdpConfig, TrialConfig
+from kneetrack.harness import DhdpConfig, TrialConfig, TrialRecord, trial_summary
 from kneetrack.plant import FeatureMapConfig, OdeKneeConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -984,3 +984,61 @@ def test_report_skips_malformed_json(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["skipped_files"] == 6
     assert report["results"][0]["trials"] == 2
+
+
+# a valid trial summary, and the leaves of it that report reads
+GOOD_SUMMARY = trial_summary(TrialRecord(
+    scenario=2, stage="training", outcome="success", tuning_steps=40,
+    rms_initial={"peak_rad": 0.05, "duration_pct": 3.0},
+    rms_final={"peak_rad": 0.01, "duration_pct": 0.5}), 0)
+REPORT_LEAVES = [path for path in leaf_paths(GOOD_SUMMARY) if path[0] in
+                 ("scenario", "stage", "outcome", "tuning_steps", "rms_initial", "rms_final")]
+# values no read leaf may take, then those that only some leaves may take;
+# json writes the non-finite ones as NaN and Infinity
+BAD_SUMMARY_VALUES = [True, False, "", "fast", [], {}, [1], -7, -0.5,
+                      float("nan"), float("inf"), -float("inf")]
+BAD_FOR = {"scenario": [None, 0, 4, 42, 1.0], "stage": [None, "train", 1],
+           "outcome": [None, "halted", 1], "tuning_steps": [2.5, 40.0, "10"],
+           "rms_initial": [None, "0.1"], "rms_final": [None, "0.1"]}
+BAD_SUMMARY_LEAVES = [(path, bad) for path in REPORT_LEAVES
+                      for bad in BAD_SUMMARY_VALUES + BAD_FOR[path[0]]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(BAD_SUMMARY_LEAVES))
+@example(case=(("rms_initial", "peak_rad"), float("nan")))
+@example(case=(("rms_final", "peak_rad"), float("inf")))
+@example(case=(("tuning_steps",), -7))
+@example(case=(("scenario",), 42))
+@example(case=(("stage",), ""))
+def test_a_bad_summary_leaf_is_skipped(case):
+    # report skips the summary with one warning: beside a valid one it exits
+    # 0 and writes no non-finite number, alone it exits 1; never a traceback
+    path, bad = case
+    doc = copy.deepcopy(GOOD_SUMMARY)
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        trials = Path(tmp) / "trials"
+        trials.mkdir()
+        bad_file = trials / "trial_001.json"
+        bad_file.write_text(json.dumps(doc))
+        for valid, want in ((True, 0), (False, 1)):
+            good_file = trials / "trial_000.json"
+            if valid:
+                good_file.write_text(json.dumps(GOOD_SUMMARY))
+            else:
+                good_file.unlink()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["report", str(trials), "--out", str(Path(tmp) / "out")])
+            lines = err.getvalue().splitlines()
+            assert code == want, lines
+            assert lines[0].startswith(f"warning: skipping malformed {bad_file}: "), lines
+            assert lines[1:] == ([] if valid else
+                                 [f"error: no readable trial summaries under {trials}"])
+        for name in ("report.json", "report_rms.csv"):
+            text = (Path(tmp) / "out" / name).read_text().lower()
+            assert "nan" not in text and "inf" not in text, text

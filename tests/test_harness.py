@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import _fmt
 from kneetrack import harness
 from kneetrack.core import KNEE_ANGLE_MAX, BoundsTable
 from kneetrack.dhdp import init_actor
@@ -34,7 +35,6 @@ from kneetrack.harness import (
     run_trial,
     safety_check,
     scaled_impedance,
-    _fmt,
     _step_to_end,
     trial_summary,
     write_trial_csv,
@@ -633,6 +633,44 @@ def test_scenario2_success_needs_consecutive_tracks():
                 assert rec.tuning_steps == segments[-1]["converged_cycle"] + 1
             else:
                 assert ends == []
+
+
+def test_scenario2_segments_open_with_their_terrain():
+    # a segment opens at cycle 0 and at every switch, whatever ends the trial,
+    # on the pool profile its program schedules for its start
+    cases = [
+        (TrialConfig(scenario=2, max_cycles=200, consecutive_tracks=1), 1, "success"),
+        (TrialConfig(scenario=2, max_cycles=200), 1, "max-cycles"),
+        (TrialConfig(scenario=2, max_cycles=120, dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6)),
+         0, "numeric-fault"),
+        (TrialConfig(scenario=2, strict_monitor=True, dhdp=DhdpConfig(actor_lr=100.0),
+                     max_cycles=120), 2, "monitor-violation"),
+    ]
+    records = []
+    for cfg, seed, ending in cases:
+        trial = Trial(cfg, seed)
+        rec = trial.run()
+        assert (rec.failure_reason or rec.outcome).startswith(ending)
+        starts = [s["start_cycle"] for s in rec.segments]
+        assert starts == list(range(0, rec.cycles_run, cfg.switch_period))
+        assert [s["pool_index"] for s in rec.segments] == [
+            trial.program.profile_index(k) for k in starts]
+        records.append(rec)
+    success, max_cycles, fault, halt = records
+    assert success.segments[-1]["converged_cycle"] == success.cycles_run - 1
+    assert any(s["converged"] for s in max_cycles.segments)
+    # a trial that ends inside its terrain lists that terrain's segment
+    assert (fault.cycles_run, [s["start_cycle"] for s in fault.segments]) == (25, [0, 20])
+    assert halt.cycles_run == 16 and halt.segments == [{
+        "segment": 0, "pool_index": halt.segments[0]["pool_index"], "start_cycle": 0,
+        "converged": False, "converged_cycle": None}]
+    # a program without a pool walks one terrain, one segment long
+    cfg = TrialConfig(scenario=2, consecutive_tracks=1, max_cycles=500)
+    program = TargetProgram(base_profile=Trial(TrialConfig(), 0).program.base_profile)
+    rec = Trial(cfg, 0, target_program=program).run()
+    assert rec.success and rec.segments == [{
+        "segment": 0, "pool_index": None, "start_cycle": 0,
+        "converged": True, "converged_cycle": rec.cycles_run - 1}]
 
 
 def test_scenario3_legs_follow_training_order():
