@@ -215,6 +215,9 @@ def cmd_report(args) -> int:
             for key, value in fields.items():
                 if not _SUMMARY_FIELDS[key](value):
                     raise ValueError(f"{key}: unexpected value {value!r}")
+            if (fields["outcome"] == "success") != (fields["tuning_steps"] is not None):
+                raise ValueError(f"tuning_steps: {fields['tuning_steps']!r} "
+                                 f"with outcome {fields['outcome']!r}")
             record = TrialRecord(**fields)
         except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
             print(f"warning: skipping malformed {path}: {exc}", file=sys.stderr)

@@ -87,12 +87,18 @@ def _put(tree: dict, path: str, value) -> None:
     tree[name] = value
 
 
-def default_config() -> dict:
-    """Full config tree with library defaults filled in."""
+@functools.cache
+def _default_tree() -> dict:
+    """The defaults tree, built once; read, never handed out (:func:`_merge` copies)."""
     tree = dict(_RUN_DEFAULTS)
     for key, path in _FIELDS.items():
         _put(tree, key, _plain(_at(_defaults(), path)))
     return tree
+
+
+def default_config() -> dict:
+    """Full config tree with library defaults filled in."""
+    return copy.deepcopy(_default_tree())
 
 
 def _merge(template: dict, user: dict, path: str = "", base: dict | None = None) -> dict:
@@ -177,7 +183,7 @@ def load_trial_config(path=None, overrides: dict | None = None) -> tuple[dict, T
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {file}")
     # a None override is a flag left unset
-    defaults = default_config()
+    defaults = _default_tree()
     resolved = _merge(defaults, {key: value for key, value in (overrides or {}).items()
                                  if value is not None}, base=_merge(defaults, user))
     _check_values(resolved)

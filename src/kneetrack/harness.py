@@ -507,7 +507,10 @@ class Trial:
 
         # the per-cycle state a lockstep stacks (see _STACKED)
         self.impedance = self.initial_impedance  # (4, 3), for the next cycle
-        self.critic = stack_nets(critics)  # weights (4, h, 5) and (4, h)
+        # weights (4, h, 5) and (4, h), + 0.0: a given -0.0 becomes the 0.0 a
+        # zero-TD step may leave of it; no draw or update makes one
+        critic = stack_nets(critics)
+        self.critic = CriticNet(w_hidden=critic.w_hidden + 0.0, w_out=critic.w_out + 0.0)
         self.actor = stack_nets(actors)  # weights (4, h, 2) and (4, 3, h)
         self._max_weight_norm = self._initial_weight_norm = float(
             _max_abs_weights(self.critic, self.actor).max())
@@ -521,7 +524,6 @@ class Trial:
         self._window = np.zeros((NUM_PHASES, cfg.window), bool)
         self._converged = np.full(NUM_PHASES, -1)
 
-        self.k = 0
         self.finished = False
 
         self.record = TrialRecord(scenario=cfg.scenario, stage=cfg.stage)
@@ -619,10 +621,10 @@ def _max_abs_weights(critic: CriticNet, actor: ActorNet) -> np.ndarray:
     return np.maximum.reduce(np.abs(flat, out=flat), axis=1)
 
 
-# A lockstep keeps per-trial arrays, nets and tapes stacked along a leading
-# trial axis.  These helpers act on an array, or field by field on a net,
-# tape or other dataclass of arrays.  An index of None stands for every
-# entry, which costs nothing.
+# A lockstep keeps per-trial arrays and nets stacked along a leading trial
+# axis.  These helpers act on an array, or field by field on a net or other
+# dataclass of arrays.  An index of None stands for every entry, which costs
+# nothing.
 
 def _take(obj, idx):
     """Entries ``idx`` along the leading axis."""
@@ -650,11 +652,6 @@ def _row(obj, i: int):
     if isinstance(obj, np.ndarray):
         return obj[i].copy()
     return type(obj)(**{name: value[i].copy() for name, value in vars(obj).items()})
-
-
-def _index(positions: np.ndarray, count: int):
-    """Ascending ``positions`` as an index into ``count`` entries: None when all."""
-    return None if len(positions) == count else positions
 
 
 def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRanges):
@@ -704,7 +701,7 @@ class _Lockstep:
         self.cfg = cfg = first.cfg
         # the cycle, the switch period of a program with a pool (0 without
         # one), and whether the program drifts: one of each per lockstep
-        shared = {(t.k, t.program.switch_period if t.program.profile_pool else 0,
+        shared = {(t.record.cycles_run, t.program.switch_period if t.program.profile_pool else 0,
                    t.program.drift_gain > 0.0) for t in self.trials}
         if len(shared) > 1:
             raise ValueError("a lockstep steps trials at one cycle, with programs that "
@@ -886,7 +883,6 @@ class _Lockstep:
                 setattr(trial, name, _row(getattr(self, name), i))
             if self._features is not None:
                 trial.plant.state = _row(self._features, i)
-            trial.k = self.k
             _append_rows(trial.record, self._chunks[i])
             if trial.finished:
                 trial._close_record()
@@ -914,7 +910,7 @@ class _Lockstep:
         at a time, and each trial keeps exactly what it keeps alone.
         """
         cfg, dhdp = self.cfg, self.cfg.dhdp
-        learners = _index(rows, len(self.trials))
+        learners = None if len(rows) == len(self.trials) else rows
         inputs = _take(state, learners)
         critic, actor = _take(self.critic, learners), _take(self.actor, learners)
         a_tape = actor_eval(actor, inputs)
@@ -924,23 +920,17 @@ class _Lockstep:
                                    self._monitor, dhdp.critic_lr, dhdp.actor_lr)
         monitor_ok = report.critic_ok & report.actor_ok
 
-        # the critic steps only where the previous cycle left a lag
+        # a learner without a lag (cycle 0, or after a safety reset) has the TD
+        # error 0.0, whatever its stale lag; its critic step w - (+-0.0) * x keeps
+        # every weight but -0.0, which no critic holds (see Trial)
         lagged = _take(self._lagged, learners)
-        lag = lagged.nonzero()[0]
-        # a learner without a lag logs no TD error; its entry stays 0
-        td = None if len(lag) == len(rows) else np.zeros_like(cost)
+        td = td_error(c_tape.value, _take(self._lag_value, learners),
+                      _take(self._lag_cost, learners), dhdp.discount)
+        td = np.where(lagged[:, None], td, 0.0)
         try:
-            if len(lag):
-                sub = _index(lag, len(rows))
-                lag_rows = _take(learners, sub) if learners is not None else sub
-                step_td = td_error(_take(c_tape.value, sub), _take(self._lag_value, lag_rows),
-                                   _take(self._lag_cost, lag_rows), dhdp.discount)
-                updated = critic_update(_take(critic, sub), step_td, _take(c_tape, sub),
-                                        dhdp.critic_lr, dhdp.discount)
-                critic = _put(critic, sub, updated)
-                c_tape = _put(c_tape, sub, critic_eval(
-                    updated, _take(inputs, sub), _take(a_tape.output, sub)))
-                td = _put(td, sub, step_td)
+            if np.count_nonzero(lagged):
+                critic = critic_update(critic, td, c_tape, dhdp.critic_lr, dhdp.discount)
+                c_tape = critic_eval(critic, inputs, a_tape.output)
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
         except NumericFaultError as exc:
             if len(rows) == 1:  # the trial's cycle ends; only its monitor reports count

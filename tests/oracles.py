@@ -10,9 +10,11 @@ replaced.  The dHDP contractions have one: the matmul forms that numpy's
 vecdot/matvec/vecmat gufuncs replaced.  The saturations have one each: the
 activation's np.minimum(np.maximum(...)) and clip_features' np.clip, which
 ndarray.clip replaced.  The lockstep's convergence windows have one: a
-sliding window over one phase's in-tolerance history.  The trial CSV
-writer has one: ``_fmt``, the cell text of the per-row ``csv.writer``
-loop the columnar writer replaced.
+sliding window over one phase's in-tolerance history.  Its learning step
+has one: each trial's dHDP rules on its own nets, the critic stepping
+only where it has a lag, and the impedance moved one phase at a time.
+The trial CSV writer has one: ``_fmt``, the cell text of the per-row
+``csv.writer`` loop the columnar writer replaced.
 """
 
 import math
@@ -23,8 +25,22 @@ import numpy as np
 
 from kneetrack import harness
 from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, GaitFeatures, Phase
-from kneetrack.dhdp import ActorNet, CriticNet, actor_forward, critic_forward, td_error
-from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
+from kneetrack.dhdp import (
+    ActorNet,
+    CriticNet,
+    NumericFaultError,
+    actor_eval,
+    actor_forward,
+    actor_update,
+    critic_eval,
+    critic_forward,
+    critic_update,
+    scale_action,
+    stability_monitor,
+    stage_cost,
+    td_error,
+)
+from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS, apply_delta, flexion_peaked, joint_torque
 from kneetrack.plant import (
     MIN_DURATION,
     PlantInstabilityError,
@@ -192,6 +208,71 @@ def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:
         if sum(flags) >= quota:
             return k
     return None
+
+
+@dataclass
+class LearnStep:
+    """What one trial's learning step leaves.
+
+    ``ending`` is the failure reason the step ends the trial with, or None.
+    A numeric fault keeps nothing: then only ``monitor_ok`` is set, and the
+    trial's record counts its failed reports.  Otherwise the step keeps its nets,
+    its lag (the critic's value and cost), its impedance, the largest
+    absolute weight of its new nets, and its learning log ``fields``: the
+    (4,) column of each name in ``harness._LEARNING_FIELDS`` and ``clamped``.
+    """
+
+    monitor_ok: np.ndarray
+    ending: str | None = None
+    critic: CriticNet | None = None
+    actor: ActorNet | None = None
+    lag: tuple[np.ndarray, np.ndarray] | None = None
+    impedance: np.ndarray | None = None
+    weight_norm: float | None = None
+    fields: dict | None = None
+
+
+def reference_learn(cfg, critic, actor, state, impedance, lag=None) -> LearnStep:
+    """One trial's learning step, alone on its own (4, .) nets.
+
+    ``state`` is the (4, 2) network input, ``impedance`` the (4, 3) impedance
+    the deltas add to, and ``lag`` the previous cycle's (value, cost), or
+    None when the trial has none.  The critic steps on the TD error only
+    where there is a lag; the actor always steps.  Each phase's delta goes
+    through ``apply_delta`` on its own.  A numeric fault ends the trial, as
+    does, under ``cfg.strict_monitor``, a monitor report that fails.
+    """
+    dhdp = cfg.dhdp
+    a_tape = actor_eval(actor, state)
+    cost = stage_cost(state, a_tape.output, dhdp.cost)
+    c_tape = critic_eval(critic, state, a_tape.output)
+    report = stability_monitor(critic, actor, c_tape, a_tape, dhdp.monitor_params(),
+                               dhdp.critic_lr, dhdp.actor_lr)
+    monitor_ok = report.critic_ok & report.actor_ok
+    td = np.zeros(NUM_PHASES)
+    try:
+        if lag is not None:
+            td = td_error(c_tape.value, lag[0], lag[1], dhdp.discount)
+            critic = critic_update(critic, td, c_tape, dhdp.critic_lr, dhdp.discount)
+            c_tape = critic_eval(critic, state, a_tape.output)
+        actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
+    except NumericFaultError as exc:
+        return LearnStep(monitor_ok, ending=f"numeric-fault: {exc}")
+
+    delta = scale_action(a_tape.output, dhdp.action_scale.half_ranges)
+    clamped = []
+    for phase in Phase:
+        impedance, flag = apply_delta(impedance, phase, delta[phase - 1], cfg.ranges)
+        clamped.append(flag)
+    weights = [w for net in (critic, actor) for w in (net.w_hidden, net.w_out)]
+    columns = [*a_tape.output.T, *delta.T, cost, c_tape.value, td, report.critic_bound,
+               report.actor_bound, monitor_ok, np.full(NUM_PHASES, lag is not None), clamped]
+    return LearnStep(
+        monitor_ok,
+        ending="monitor-violation" if cfg.strict_monitor and not monitor_ok.all() else None,
+        critic=critic, actor=actor, lag=(c_tape.value, cost), impedance=impedance,
+        weight_norm=max(float(np.abs(w).max()) for w in weights),
+        fields=dict(zip(harness._LEARNING_FIELDS + ("clamped",), map(np.asarray, columns))))
 
 
 @dataclass(frozen=True)

@@ -998,7 +998,7 @@ REPORT_LEAVES = [path for path in leaf_paths(GOOD_SUMMARY) if path[0] in
 BAD_SUMMARY_VALUES = [True, False, "", "fast", [], {}, [1], -7, -0.5,
                       float("nan"), float("inf"), -float("inf")]
 BAD_FOR = {"scenario": [None, 0, 4, 42, 1.0], "stage": [None, "train", 1],
-           "outcome": [None, "halted", 1], "tuning_steps": [2.5, 40.0, "10"],
+           "outcome": [None, "halted", 1, "failure"], "tuning_steps": [2.5, 40.0, "10", None],
            "rms_initial": [None, "0.1"], "rms_final": [None, "0.1"]}
 BAD_SUMMARY_LEAVES = [(path, bad) for path in REPORT_LEAVES
                       for bad in BAD_SUMMARY_VALUES + BAD_FOR[path[0]]]
@@ -1011,6 +1011,8 @@ BAD_SUMMARY_LEAVES = [(path, bad) for path in REPORT_LEAVES
 @example(case=(("tuning_steps",), -7))
 @example(case=(("scenario",), 42))
 @example(case=(("stage",), ""))
+@example(case=(("tuning_steps",), None))
+@example(case=(("outcome",), "failure"))
 def test_a_bad_summary_leaf_is_skipped(case):
     # report skips the summary with one warning: beside a valid one it exits
     # 0 and writes no non-finite number, alone it exits 1; never a traceback

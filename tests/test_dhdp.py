@@ -15,6 +15,7 @@ from kneetrack.dhdp import (
     ActionScale,
     ActorNet,
     CriticNet,
+    CriticTape,
     MonitorParams,
     NumericFaultError,
     StageCostParams,
@@ -204,6 +205,30 @@ def test_critic_update_zero_error_is_identity():
     updated = critic_update(net, 0.0, tape, lr=0.5, discount=0.95)
     assert np.array_equal(updated.w_hidden, net.w_hidden)
     assert np.array_equal(updated.w_out, net.w_out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+       lead=st.sampled_from([(), (4,), (3, 4)]), td=st.sampled_from([0.0, -0.0]),
+       lr=st.floats(1e-6, 1e300), discount=st.floats(0.01, 0.99))
+def test_critic_update_zero_td_keeps_every_weight_bit(seed, hidden, lead, td, lr, discount):
+    # a learner without a lag steps on a zero TD error: w - (+-0.0) * x gives
+    # back every finite weight's bytes but -0.0's, which no critic holds
+    rng = np.random.default_rng(seed)
+
+    def weights(shape):
+        # every sign and finite magnitude, subnormals, the largest double and +0.0
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-330.0, 308.0, shape)
+        edges = rng.choice([0.0, 5e-324, -5e-324, 1.7976931348623157e308], shape)
+        return np.where(rng.random(shape) < 0.2, edges, values) + 0.0  # no -0.0
+
+    net = CriticNet(w_hidden=weights(lead + (hidden, 5)), w_out=weights(lead + (hidden,)))
+    phi = rng.uniform(-1.0, 1.0, lead + (hidden,))
+    tape = CriticTape(z=weights(lead + (5,)), phi=phi, gate=activation_deriv(phi),
+                      value=rng.normal(size=lead))
+    updated = critic_update(net, np.full(lead, td), tape, lr, discount)
+    assert updated.w_hidden.tobytes() == net.w_hidden.tobytes()
+    assert updated.w_out.tobytes() == net.w_out.tobytes()
 
 
 def test_critic_update_hand_computed_single_unit():

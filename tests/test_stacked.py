@@ -7,6 +7,8 @@ stacking: element by element, with ``np.array_equal`` on the bits (so a
 -0.0 that came out as +0.0 counts as a difference).
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,18 @@ from kneetrack.core import (
     inside_bounds,
     within_bound,
 )
+from kneetrack.dhdp import ActorNet, CriticNet, init_actor, stack_nets
 from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta
-from kneetrack.harness import _apply_deltas
+from kneetrack.harness import (
+    _LOG_FIELDS,
+    DhdpConfig,
+    Trial,
+    TrialConfig,
+    _apply_deltas,
+    _Lockstep,
+    make_plant,
+    make_target_program,
+)
 from kneetrack.plant import (
     MIN_DURATION,
     FeatureMapConfig,
@@ -209,3 +221,109 @@ def test_contraction_gufuncs_equal_the_matmul_forms(seed, lead, inner, outer):
     assert same_bits(np.vecdot(x, y), oracles.matmul_dot(x, y))
     assert same_bits(np.matvec(m, x), oracles.matmul_matvec(m, x))
     assert same_bits(np.vecmat(v, m), oracles.matmul_vecmat(v, m))
+
+
+def drawn_values(rng, scales, shape):
+    """Values of every sign, each trial's (along the first axis) at its own scale."""
+    return scales.reshape((-1,) + (1,) * (len(shape) - 1)) * rng.uniform(-1.0, 1.0, shape)
+
+
+def row(value, i):
+    """Entry ``i`` of a stacked array, or of each weight of a stacked net."""
+    if hasattr(value, "w_out"):
+        return type(value)(w_hidden=value.w_hidden[i], w_out=value.w_out[i])
+    return value[i]
+
+
+def same_row_bits(a, b) -> bool:
+    if hasattr(a, "w_out"):
+        return same_bits(a.w_hidden, b.w_hidden) and same_bits(a.w_out, b.w_out)
+    return same_bits(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 6), strict=st.booleans(),
+       rates=st.sampled_from([(0.1, 30.0), (1e3, 1e6)]))
+def test_learning_step_equals_reference_learn(seed, trials, strict, rates):
+    # _Lockstep._learn on any learners of any lockstep, some with a lag and
+    # some without, some faulting or halted, equals each learner's lone step
+    rng = np.random.default_rng(seed)
+    cfg = TrialConfig(max_cycles=40, strict_monitor=strict,
+                      dhdp=DhdpConfig(critic_lr=rates[0], actor_lr=rates[1]))
+    program = make_target_program(cfg, make_plant(cfg, rng), rng)
+    lockstep = _Lockstep([Trial(cfg, i, target_program=program,
+                                initial_impedance=cfg.feature_map.reference_impedance)
+                          for i in range(trials)])
+    n, h_c, h_a = trials, cfg.dhdp.critic_hidden, cfg.dhdp.actor_hidden
+    lockstep.k = int(rng.integers(0, 40))
+    # weights at scales up to those whose updates overflow, with no -0.0 (a
+    # uniform draw gives none), and lags up to ones whose TD error overflows them
+    scale = rng.choice([0.5, 4.0, 1e200], n, p=[0.45, 0.45, 0.1])
+    lockstep.critic = CriticNet(w_hidden=drawn_values(rng, scale, (n, 4, h_c, 5)),
+                                w_out=drawn_values(rng, scale, (n, 4, h_c)))
+    lockstep.actor = ActorNet(w_hidden=drawn_values(rng, scale, (n, 4, h_a, 2)),
+                              w_out=drawn_values(rng, scale, (n, 4, 3, h_a)))
+    lockstep._lag_value = drawn_values(rng, rng.choice([1.0, 1e200], n, p=[0.8, 0.2]), (n, 4))
+    lockstep._lag_cost = rng.uniform(0.0, 3.0, (n, 4))
+    lockstep._lagged = rng.random(n) < 0.5
+    lockstep._max_weight_norm = rng.choice([0.0, 3.0, 1e150], n)
+    lo, hi = cfg.ranges.limits
+    lockstep.impedance = np.choose(rng.integers(0, 3, (n, 4, 3)),
+                                   [np.broadcast_to(lo, (n, 4, 3)), np.broadcast_to(hi, (n, 4, 3)),
+                                    lo + (hi - lo) * rng.random((n, 4, 3))])
+    state = rng.uniform(-1.0, 1.0, (n, 4, 2))
+    rows = np.flatnonzero(rng.random(n) < 0.7)
+    rows = rows if len(rows) else np.array([int(rng.integers(0, n))])
+    before = copy.deepcopy({name: getattr(lockstep, name) for name in (
+        "critic", "actor", "_lag_value", "_lag_cost", "impedance", "_max_weight_norm")})
+    block = np.zeros((n, 4, len(_LOG_FIELDS)))
+
+    kept = lockstep._learn(rows, state, block)
+
+    want_kept = []
+    for i in range(n):
+        trial = lockstep.trials[i]
+        lag = (before["_lag_value"][i], before["_lag_cost"][i]) if lockstep._lagged[i] else None
+        step = (oracles.reference_learn(cfg, row(before["critic"], i), row(before["actor"], i),
+                                        state[i], before["impedance"][i], lag)
+                if i in rows else None)
+        keeps = step is not None and step.critic is not None
+        want = {"critic": step.critic, "actor": step.actor, "_lag_value": step.lag[0],
+                "_lag_cost": step.lag[1], "impedance": step.impedance,
+                "_max_weight_norm": max(before["_max_weight_norm"][i], step.weight_norm),
+                } if keeps else {name: row(value, i) for name, value in before.items()}
+        for name, value in want.items():
+            assert same_row_bits(row(getattr(lockstep, name), i), value), (i, name)
+        if keeps:
+            want_kept.append(i)
+            for name, column in step.fields.items():
+                assert same_bits(block[i, :, _LOG_FIELDS.index(name)], column), (i, name)
+        else:
+            assert not block[i].any()
+        ending = step.ending if step is not None else None
+        assert trial.finished == (ending is not None)
+        if ending is not None:
+            assert (trial.record.outcome, trial.record.failure_reason,
+                    trial.record.cycles_run) == ("failure", ending, lockstep.k + 1)
+        faulted = step is not None and not keeps
+        assert trial.record.monitor_violations == (
+            int(np.count_nonzero(~step.monitor_ok)) if faulted else 0)
+    assert kept.tolist() == want_kept
+
+
+def test_a_given_critic_enters_without_negative_zero():
+    # a zero-TD step may turn a -0.0 weight into 0.0, so a given critic enters
+    # a trial as w + 0.0: the same values, no -0.0, and the policy left as it was
+    rng = np.random.default_rng(5)
+    critics = [CriticNet(w_hidden=np.where(rng.random((8, 5)) < 0.5, -0.0,
+                                           rng.uniform(-1.0, 1.0, (8, 5))),
+                         w_out=np.full(8, -0.0)) for _ in range(4)]
+    actors = [init_actor(rng) for _ in range(4)]
+    trial = Trial(TrialConfig(max_cycles=40, load_critic=True), 3, policy=(actors, critics))
+    given = stack_nets(critics)
+    for name in ("w_hidden", "w_out"):
+        got = getattr(trial.critic, name)
+        assert np.array_equal(got, getattr(given, name))
+        assert not np.signbit(got[got == 0.0]).any()
+    assert np.signbit(critics[0].w_out).all()
+
