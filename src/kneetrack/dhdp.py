@@ -471,9 +471,10 @@ def save_policy(path, actors, critics=None) -> None:
 def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
     """Read a snapshot back into (actors, critics-or-None).
 
-    A snapshot of another ``POLICY_VERSION``, or whose entry i is not phase
-    i + 1, raises :class:`PolicyFormatError`, and so does one that does not
-    match the expected hidden sizes given, naming both dimensions.
+    A snapshot of another ``POLICY_VERSION``, whose entry i is not phase
+    i + 1, or with critic weights in some phases only raises
+    :class:`PolicyFormatError`, and so does one that does not match the
+    expected hidden sizes given, naming both dimensions.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -497,7 +498,12 @@ def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
             raise PolicyFormatError(f"{path}: phases[{i}].phase: expected {i + 1}, "
                                     f"got {phase!r}")
         actors.append(_net_from_json(ActorNet, entry, "actor", path, expect_actor_hidden))
-        if "critic_hidden" in entry:
+        # critics for every phase or for none, as phases[0] says: never some
+        has_critic = "critic_hidden" in entry or "critic_output" in entry
+        if i and has_critic != bool(critics):
+            raise PolicyFormatError(f"{path}: phases[{i}]: {'has' if has_critic else 'lacks'} "
+                                    f"critic weights, unlike phases[0]")
+        if has_critic:
             critics.append(
                 _net_from_json(CriticNet, entry, "critic", path, expect_critic_hidden))
-    return actors, (critics if len(critics) == 4 else None)
+    return actors, critics or None

@@ -470,14 +470,14 @@ def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> Ta
 class Trial:
     """One tuning trial, advanced cycle by cycle.
 
-    Tests drive :meth:`step` directly to observe mid-trial state; normal
-    callers use :meth:`run`, or :func:`run_trial` for a one-shot.  Both
-    step the trial as a :class:`_Lockstep` of one, the routine that steps
-    whole batches.  The trial keeps its per-cycle state (impedance, nets,
-    lag, convergence windows) in its own shapes; while a lockstep steps
-    it, that state lives in the lockstep's stacks, and the trial gets a
-    copy of its row back when it leaves.  The trial itself handles its
-    events: segment and leg bookkeeping, kept in its record, and its ending.
+    The trial holds what it starts from (plant, target program, initial
+    impedance and nets) and its record.  It enters one :class:`_Lockstep`,
+    the routine that steps whole batches, which owns its per-cycle state
+    from cycle 0 and fills in its record when it finishes.  :meth:`step`
+    advances a lockstep of one that the trial keeps (tests read the state
+    from its row 0), and :meth:`run` steps that one, or a new one, to the
+    end.  The trial itself handles its events: segment and leg
+    bookkeeping, kept in its record, and its ending.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -505,27 +505,14 @@ class Trial:
             actors = policy[0]
             critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
 
-        # the per-cycle state a lockstep stacks (see _STACKED)
-        self.impedance = self.initial_impedance  # (4, 3), for the next cycle
         # weights (4, h, 5) and (4, h), + 0.0: a given -0.0 becomes the 0.0 a
         # zero-TD step may leave of it; no draw or update makes one
         critic = stack_nets(critics)
-        self.critic = CriticNet(w_hidden=critic.w_hidden + 0.0, w_out=critic.w_out + 0.0)
-        self.actor = stack_nets(actors)  # weights (4, h, 2) and (4, 3, h)
-        self._max_weight_norm = self._initial_weight_norm = float(
-            _max_abs_weights(self.critic, self.actor).max())
-        # previous cycle's q-values and costs, kept only when it learned
-        self._lag_value = np.zeros(NUM_PHASES)
-        self._lag_cost = np.zeros(NUM_PHASES)
-        self._lagged = False
-        # each phase's in-tolerance flags of its last ``window`` cycles since
-        # the windows last started over, and the cycle its convergence
-        # latched at (-1 while it has not)
-        self._window = np.zeros((NUM_PHASES, cfg.window), bool)
-        self._converged = np.full(NUM_PHASES, -1)
+        self.initial_critic = CriticNet(critic.w_hidden + 0.0, critic.w_out + 0.0)
+        self.initial_actor = stack_nets(actors)  # weights (4, h, 2) and (4, 3, h)
 
         self.finished = False
-
+        self._lockstep: _Lockstep | None = None  # the lockstep of one step() advances
         self.record = TrialRecord(scenario=cfg.scenario, stage=cfg.stage)
 
     @property
@@ -542,14 +529,14 @@ class Trial:
         if outcome == "success":
             rec.tuning_steps = cycles_run
 
-    def _close_record(self):
-        """Fill in the finished trial's whole-run fields and its final nets."""
+    def _close_record(self, critic: CriticNet, actor: ActorNet, weight_ratio: float):
+        """Fill in the finished trial's whole-run fields and its final (4, ·) nets."""
         rec = self.record
-        rec.max_weight_ratio = float(self._max_weight_norm) / self._initial_weight_norm
+        rec.max_weight_ratio = weight_ratio
         if len(rec.log["reset"]):
             rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
-        rec.actors = unstack_net(self.actor)
-        rec.critics = unstack_net(self.critic)
+        rec.actors = unstack_net(actor)
+        rec.critics = unstack_net(critic)
 
     def _all_converged(self, k: int, converged_at: list[int]) -> bool:
         """Apply the scenario's rule once every phase has converged in cycle ``k``.
@@ -602,15 +589,14 @@ class Trial:
     def step(self) -> bool:
         """Run one gait cycle; returns True once the trial has finished."""
         if not self.finished:
-            lockstep = _Lockstep([self])
-            lockstep.step()
-            if lockstep.trials:
-                lockstep.leave([0])
+            self._lockstep = self._lockstep or _Lockstep([self])
+            self._lockstep.step()
         return self.finished
 
     def run(self) -> TrialRecord:
-        """Run to the end, as a lockstep of one, and return the finished record."""
-        _step_to_end([self])
+        """Run to the end, on the lockstep :meth:`step` made or a new one; the record."""
+        if not self.finished:
+            (self._lockstep or _Lockstep([self])).run()
         return self.record
 
 
@@ -647,11 +633,9 @@ def _put(obj, idx, part):
                         for name, value in vars(obj).items()})
 
 
-def _row(obj, i: int):
-    """Entry ``i`` along the leading axis as a copy, which keeps no stack alive."""
-    if isinstance(obj, np.ndarray):
-        return obj[i].copy()
-    return type(obj)(**{name: value[i].copy() for name, value in vars(obj).items()})
+def _row(net, i: int):
+    """Net ``i`` along the leading axis as a copy, which keeps no stack alive."""
+    return type(net)(**{name: value[i].copy() for name, value in vars(net).items()})
 
 
 def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRanges):
@@ -670,19 +654,19 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
     return updated, np.logical_or.reduce(updated != impedance + delta, axis=-1)
 
 
-# The per-cycle state a trial holds in its own shapes and a lockstep stacks,
-# and the rows a lockstep keeps of its own for each trial.
-_STACKED = ("impedance", "critic", "actor", "_max_weight_norm",
-            "_lag_value", "_lag_cost", "_lagged", "_window", "_converged")
-_LOCKSTEP_ROWS = ("_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale")
+# The rows a lockstep keeps for each trial, all dropped together when trials leave.
+_ROWS = ("impedance", "critic", "actor", "_max_weight_norm", "_initial_weight_norm",
+         "_lag_value", "_lag_cost", "_lagged", "_window", "_converged",
+         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale")
 
 
 class _Lockstep:
     """Unfinished trials of one config advanced together, one gait cycle per step.
 
-    Row ``i`` of every stack (the ``_STACKED`` state, plant features,
-    targets, paces, tallies) belongs to ``trials[i]``, and every trial
-    walks cycle ``k`` of a program that switches and drifts as the
+    The trials enter new, at cycle 0.  Row ``i`` of every stack (``_ROWS``:
+    impedance, nets, lag, windows, plant features, targets, paces,
+    tallies) belongs to ``trials[i]`` until it has finished, and every
+    trial walks cycle ``k`` of a program that switches and drifts as the
     others' do.  A cycle is array work on the stacks: the feature-map
     plants step together, and errors, bounds, learning, the impedance
     update, convergence windows and the log rows come out for all trials
@@ -691,34 +675,45 @@ class _Lockstep:
     runs only for events: new terrains, converged trials, faults, halts
     and endings, and the trial's own methods apply its rules to them.
     Every array rule is bit-identical to the one-trial rule, so each trial
-    gets the numbers it gets alone.  A trial leaves with a copy of its
-    state and its log rows.
+    gets the numbers it gets alone.  A trial leaves once, when it has
+    finished, with its log rows, final nets and weight ratio.
     """
 
     def __init__(self, trials):
         self.trials = list(trials)
         first = self.trials[0]
         self.cfg = cfg = first.cfg
-        # the cycle, the switch period of a program with a pool (0 without
-        # one), and whether the program drifts: one of each per lockstep
-        shared = {(t.record.cycles_run, t.program.switch_period if t.program.profile_pool else 0,
+        # the switch period of a program with a pool (0 without one), and
+        # whether the program drifts: one of each per lockstep
+        shared = {(t.program.switch_period if t.program.profile_pool else 0,
                    t.program.drift_gain > 0.0) for t in self.trials}
         if len(shared) > 1:
-            raise ValueError("a lockstep steps trials at one cycle, with programs that "
-                             "switch and drift alike")
-        [(self.k, self._period, self._drifting)] = shared
+            raise ValueError("a lockstep steps trials with programs that switch and drift alike")
+        [(self._period, self._drifting)] = shared
+        self.k = 0
         n = len(self.trials)
-        for name in _STACKED:
-            stack = stack_nets if name in ("critic", "actor") else np.stack
-            setattr(self, name, stack([getattr(t, name) for t in self.trials]))
         self._initial = np.stack([t.initial_impedance for t in self.trials])
+        self.impedance = self._initial  # (n, 4, 3), for the next cycle; never written in place
+        self.critic = stack_nets([t.initial_critic for t in self.trials])
+        self.actor = stack_nets([t.initial_actor for t in self.trials])
+        self._max_weight_norm = self._initial_weight_norm = _max_abs_weights(
+            self.critic, self.actor)
+        # previous cycle's q-values and costs, kept only when it learned
+        self._lag_value = np.zeros((n, NUM_PHASES))
+        self._lag_cost = np.zeros((n, NUM_PHASES))
+        self._lagged = np.zeros(n, bool)
+        # each phase's in-tolerance flags of its last ``window`` cycles since
+        # the windows last started over, and the cycle its convergence
+        # latched at (-1 while it has not)
+        self._window = np.zeros((n, NUM_PHASES, cfg.window), bool)
+        self._converged = np.full((n, NUM_PHASES), -1)
         # feature-map plants share a config, so one of them steps the stack
         self._plant = first.plant if isinstance(first.plant, FeatureMapPlant) else None
         self._features = (np.stack([t.plant.state for t in self.trials])
                           if self._plant is not None else None)
         # the plants' reference features at their trials' paces, kept while a pace holds
         self._reference = (self._plant.paced_reference(
-            np.array([t.program.pace(t.pace_index) for t in self.trials]))
+            np.array([t.program.pace(0) for t in self.trials]))
             if self._plant is not None else None)
         self._targets = np.zeros((n, NUM_PHASES, 2))
         self._cycle_dur = np.zeros(n)
@@ -875,27 +870,25 @@ class _Lockstep:
         self._blocks = []
 
     def leave(self, positions: list[int]):
-        """Hand the trials at ``positions`` (ascending) a copy of their rows and drop them."""
+        """Close the records of the finished trials at ``positions`` (ascending); drop them."""
         self._flush_log()
         for i in positions:
             trial = self.trials[i]
-            for name in _STACKED:
-                setattr(trial, name, _row(getattr(self, name), i))
-            if self._features is not None:
-                trial.plant.state = _row(self._features, i)
             _append_rows(trial.record, self._chunks[i])
-            if trial.finished:
-                trial._close_record()
-            else:
-                trial.record.cycles_run = self.k
+            trial._close_record(_row(self.critic, i), _row(self.actor, i),
+                                float(self._max_weight_norm[i] / self._initial_weight_norm[i]))
         keep = [i for i in range(len(self.trials)) if i not in positions]
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]
-        if keep:
-            for name in _STACKED + _LOCKSTEP_ROWS:
-                value = getattr(self, name)
-                if value is not None:
-                    setattr(self, name, _take(value, keep))
+        for name in _ROWS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _take(value, keep))
+
+    def run(self):
+        """Step until every trial has finished and left."""
+        while self.trials:
+            self.step()
 
     def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
         """One learning step of the trials at positions ``rows``, all four phases each.
@@ -965,19 +958,17 @@ class _Lockstep:
 
 
 def _step_to_end(trials):
-    """Step the unfinished ``trials`` together, one lockstep, until all have finished."""
-    live = [trial for trial in trials if not trial.finished]
-    if live:
-        lockstep = _Lockstep(live)
-        while lockstep.trials:
-            lockstep.step()
+    """Step the new ``trials`` together, one lockstep, until all have finished."""
+    if trials:
+        _Lockstep(trials).run()
 
 
 def run_trial(cfg: TrialConfig, seed, policy=None, **kwargs) -> TrialRecord:
     """Run one trial to its end and return its record.
 
-    ``seed`` may also be a :class:`Trial` already built, for instance one
-    a lockstep batch has stepped to its end; it runs on from where it stands.
+    ``seed`` may also be a :class:`Trial` already built: a finished one,
+    such as a lockstep batch's, returns its record as it stands, and an
+    unfinished one runs on from where it stands.
     """
     trial = seed if isinstance(seed, Trial) else Trial(cfg, seed, policy=policy, **kwargs)
     return trial.run()

@@ -261,17 +261,21 @@ def test_criterion_8_safety_reset_preserves_weights():
                   initial_impedance=fm.reference_impedance)
     trial.step()
     trial.step()
-    before = [m.copy() for net in (trial.actor, trial.critic)
+    # the trial's per-cycle state is row 0 of the lockstep of one it steps
+    lockstep = trial._lockstep
+    before = [m[0].copy() for net in (lockstep.actor, lockstep.critic)
               for m in (net.w_hidden, net.w_out)]
-    assert not np.array_equal(trial.impedance, trial.initial_impedance)
+    assert not np.array_equal(lockstep.impedance[0], trial.initial_impedance)
     trial.step()  # out-of-safety target -> reset
-    assert trial.record.resets == 1
-    assert trial.record.log["reset"][trial.record.column("cycle") == 2].all()
-    assert np.array_equal(trial.impedance, trial.initial_impedance)
-    after = [m for net in (trial.actor, trial.critic)
+    assert np.array_equal(lockstep.impedance[0], trial.initial_impedance)
+    after = [m[0] for net in (lockstep.actor, lockstep.critic)
              for m in (net.w_hidden, net.w_out)]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
+    record = trial.run()  # the log comes with the finished record
+    cycle = record.column("cycle")
+    assert np.count_nonzero(record.log["reset"][cycle <= 2]) // 4 == 1
+    assert record.log["reset"][cycle == 2].all()
     report("8 safety semantics", "reset restored impedance, weights bitwise equal")
 
 

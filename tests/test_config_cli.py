@@ -865,6 +865,20 @@ def test_load_policy_refuses_non_numbers(tmp_path, capsys):
         assert err.startswith("error: ") and matrix in err
 
 
+def test_load_policy_refuses_critics_in_some_phases_only(tmp_path, capsys):
+    # it was reported a valid actor-only snapshot, exit 0
+    rng = np.random.default_rng(7)
+    snap = tmp_path / "p.json"
+    save_policy(snap, [init_actor(rng) for _ in range(4)],
+                [init_critic(rng) for _ in range(4)])
+    doc = json.loads(snap.read_text())
+    for entry in doc["phases"][2:]:
+        del entry["critic_hidden"], entry["critic_output"]
+    snap.write_text(json.dumps(doc))
+    code = main(["load-policy", str(snap)])
+    assert_one_error(capsys, code, 1, f"{snap}: phases[2]: lacks critic weights, unlike phases[0]")
+
+
 def test_load_policy_refuses_other_versions_and_reordered_phases(tmp_path, capsys):
     # both loaded as "valid"; a swapped snapshot ran phase 2's actor in phase 1
     rng = np.random.default_rng(6)

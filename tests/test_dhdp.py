@@ -553,6 +553,33 @@ def test_policy_actor_only(tmp_path):
     assert len(loaded_actors) == 4
 
 
+def test_policy_with_critics_in_some_phases_only_is_refused(tmp_path):
+    # such a snapshot loaded as actor-only: a load_critic run took fresh
+    # critics, and saving it again dropped the critics it held
+    from kneetrack.dhdp import PolicyFormatError
+
+    rng = np.random.default_rng(18)
+    path = tmp_path / "policy.json"
+    save_policy(path, [init_actor(rng) for _ in range(4)], [init_critic(rng) for _ in range(4)])
+    valid = json.loads(path.read_text())
+    some = copy.deepcopy(valid)
+    for entry in some["phases"][2:]:
+        del entry["critic_hidden"], entry["critic_output"]
+    # a lone critic matrix is a critic too, a malformed one
+    lone = copy.deepcopy(some)
+    lone["phases"][2]["critic_output"] = valid["phases"][2]["critic_output"]
+    extra = copy.deepcopy(some)
+    extra["phases"][:2] = [{k: v for k, v in entry.items() if not k.startswith("critic")}
+                           for entry in extra["phases"][:2]]
+    extra["phases"][3] = valid["phases"][3]
+    for doc, message in ((some, r"phases\[2\]: lacks critic weights, unlike phases\[0\]"),
+                         (lone, "malformed critic weights: 'critic_hidden'"),
+                         (extra, r"phases\[3\]: has critic weights, unlike phases\[0\]")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PolicyFormatError, match=message):
+            load_policy(path)
+
+
 def test_policy_shape_mismatch_diagnostic(tmp_path):
     from kneetrack.dhdp import PolicyFormatError
 

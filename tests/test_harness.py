@@ -202,20 +202,24 @@ def test_reset_restores_initial_impedance_and_keeps_weights():
     trial = rigged_switch_trial()
     trial.step()  # k=0, in tolerance
     trial.step()  # k=1
+    # the trial's per-cycle state is row 0 of the lockstep of one it steps
+    lockstep = trial._lockstep
     weights_before = [
-        (net.w_hidden.copy(), net.w_out.copy()) for net in (trial.actor, trial.critic)
+        (net.w_hidden[0].copy(), net.w_out[0].copy()) for net in (lockstep.actor, lockstep.critic)
     ]
-    impedance_before_reset = trial.impedance
+    impedance_before_reset = lockstep.impedance[0]
     trial.step()  # k=2: target switched beyond safety -> reset
-    assert trial.record.log["reset"][trial.record.column("cycle") == 2].all()
-    assert np.array_equal(trial.impedance, trial.initial_impedance)
+    assert np.array_equal(lockstep.impedance[0], trial.initial_impedance)
     weights_after = [
-        (net.w_hidden, net.w_out) for net in (trial.actor, trial.critic)
+        (net.w_hidden[0], net.w_out[0]) for net in (lockstep.actor, lockstep.critic)
     ]
     for (h0, o0), (h1, o1) in zip(weights_before, weights_after):
         assert np.array_equal(h0, h1)
         assert np.array_equal(o0, o1)
-    assert trial.record.resets == 1
+    record = trial.run()  # the log comes with the finished record
+    cycle = record.column("cycle")
+    assert record.log["reset"][cycle == 2].all()
+    assert np.count_nonzero(record.log["reset"][cycle <= 2]) // 4 == 1
     # sanity: the controller had been adjusting before the reset
     assert not np.array_equal(impedance_before_reset, trial.initial_impedance)
 
@@ -244,11 +248,12 @@ def test_reset_rows_carry_no_learning_fields():
     trial = rigged_switch_trial()
     for _ in range(3):
         trial.step()
-    reset = trial.record.log["reset"]
+    record = trial.run()  # the log comes with the finished record
+    reset = record.log["reset"] & (record.column("cycle") <= 2)
     assert reset.any()
     for name in ("action_stiffness", "action_damping", "action_equilibrium", "stage_cost",
                  "q_value"):
-        assert trial.record.missing(name)[reset].all()
+        assert record.missing(name)[reset].all()
 
 
 def test_plant_instability_recorded_as_failure():
@@ -272,19 +277,24 @@ def test_numeric_fault_keeps_no_update_of_its_cycle():
     # rates far above the monitor ceilings overflow the weights at cycle 30;
     # that cycle is atomic: no phase keeps its update, all four reports count
     trial = Trial(TrialConfig(dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6)), 7)
+    trial.step()
     while True:
-        before = [m.copy() for net in (trial.actor, trial.critic)
+        # the trial's nets are row 0 of the lockstep of one it steps
+        before = [m[0].copy() for net in (trial._lockstep.actor, trial._lockstep.critic)
                   for m in (net.w_hidden, net.w_out)]
-        violations = trial.record.monitor_violations
         if trial.step():
             break
-    assert trial.record.failure_reason.startswith("numeric-fault")
-    assert trial.record.cycles_run == 31
-    after = [m for net in (trial.actor, trial.critic) for m in (net.w_hidden, net.w_out)]
+    record = trial.record
+    assert record.failure_reason.startswith("numeric-fault")
+    assert record.cycles_run == 31
+    after = [np.stack([getattr(net, name) for net in nets])
+             for nets in (record.actors, record.critics) for name in ("w_hidden", "w_out")]
     for a, b in zip(before, after, strict=True):
         assert np.array_equal(a, b)
-    assert trial.record.monitor_violations == violations + 4
-    assert 30 not in trial.record.column("cycle")
+    # the log holds the cycles before the fault, and their violations
+    violations = np.count_nonzero(~(record.log["monitor_ok"] | record.log["reset"]))
+    assert record.monitor_violations == violations + 4
+    assert 30 not in record.column("cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +460,35 @@ def test_lockstep_training_batch_equals_lone_trials(case):
         halted = {r.cycles_run for r in batch.records
                   if (r.failure_reason or "").startswith(reason)}
         assert len(halted) > 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_a_stepped_trial_ends_with_the_record_run_gives(case):
+    # step() advances one lockstep of one for the whole trial, so a trial
+    # stepped to its end, however it ends, has the record run() gives
+    overrides, trials = LOCKSTEP_CASES[case]
+    cfg = TrialConfig(**overrides)
+    seqs = zip(np.random.SeedSequence(21).spawn(trials), np.random.SeedSequence(21).spawn(trials))
+    for stepped_seq, run_seq in seqs:
+        trial = Trial(cfg, stepped_seq)
+        while not trial.step():
+            pass
+        assert record_state(trial.record) == record_state(run_trial(cfg, run_seq))
+
+
+def test_a_stepped_trial_computes_its_target_once(monkeypatch):
+    # the target is computed for the initial draw and for cycle 0, and kept
+    # while it holds, however many steps walk it
+    calls = []
+    target_for = TargetProgram.target_for
+    monkeypatch.setattr(TargetProgram, "target_for",
+                        lambda self, *args: calls.append(args) or target_for(self, *args))
+    trial = Trial(TrialConfig(max_cycles=30), 3)
+    for _ in range(30):
+        trial.step()
+    assert trial.finished and trial.record.cycles_run == 30
+    assert len(calls) == 2
 
 
 def test_lockstep_fault_redo_keeps_the_weight_norms_of_its_cycle():

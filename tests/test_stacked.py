@@ -321,8 +321,9 @@ def test_a_given_critic_enters_without_negative_zero():
     actors = [init_actor(rng) for _ in range(4)]
     trial = Trial(TrialConfig(max_cycles=40, load_critic=True), 3, policy=(actors, critics))
     given = stack_nets(critics)
+    entered = _Lockstep([trial]).critic
     for name in ("w_hidden", "w_out"):
-        got = getattr(trial.critic, name)
+        got = getattr(entered, name)[0]
         assert np.array_equal(got, getattr(given, name))
         assert not np.signbit(got[got == 0.0]).any()
     assert np.signbit(critics[0].w_out).all()
