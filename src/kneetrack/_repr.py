@@ -184,7 +184,11 @@ def int_words(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _chunk_words(x: np.ndarray, positional: np.ndarray, out: np.ndarray) -> None:
-    """Write the (_WORDS, n) cells of the values ``x`` into ``out``."""
+    """Write the (_WORDS, n) cells of the values ``x`` into ``out``.
+
+    The cells of nonzero values that ``positional`` does not mark are left
+    for :func:`float_columns` to write with ``repr``.
+    """
     scale, words = _tables()
     bits = x.view(np.uint64)
     row = ((bits >> 52 & 0x7FF) - _BE_LO).view(np.int64) * positional
@@ -223,12 +227,6 @@ def _chunk_words(x: np.ndarray, positional: np.ndarray, out: np.ndarray) -> None
     fraction_groups[0] += _TRAIL_FIRST - later * (_TRAIL_FIRST - _PLAIN)
     np.take(words, index, out=out, mode="clip")
 
-    fallback = np.flatnonzero(~positional & (x != 0))
-    if len(fallback):
-        # right-aligned, in the point and fraction words
-        text = b"".join(repr(v).encode().rjust(4 * _WORDS, b"\0") for v in x[fallback].tolist())
-        out[:, fallback] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _WORDS).T
-
 
 def float_columns(values: np.ndarray) -> list[np.ndarray]:
     """``repr`` of each row of a (k, n) float64 array as k arrays of cells.
@@ -245,10 +243,18 @@ def float_columns(values: np.ndarray) -> list[np.ndarray]:
     bounds = np.linspace(0, len(flat), -(-len(flat) // _CHUNK) + 1).astype(int).tolist()
     for start, stop in zip(bounds, bounds[1:]):
         _chunk_words(flat[start:stop], positional[start:stop], out[:, start:stop])
+    # once the chunks' temporaries are freed: the other nonzero values,
+    # right-aligned in the point and fraction words
+    fallback = np.flatnonzero(~positional & (flat != 0))
+    if len(fallback):
+        text = b"".join(repr(v).encode().rjust(4 * _WORDS, b"\0") for v in flat[fallback].tolist())
+        out[:, fallback] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _WORDS).T
 
     top = np.where(positional, magnitude, 0.0).reshape(x.shape).max(axis=1, initial=0.0)
+    n = x.shape[1]
     columns = []
-    for cells, largest in zip(np.split(out, len(x), axis=1), top.tolist()):
+    for i, largest in enumerate(top.tolist()):
+        cells = out[:, i * n:(i + 1) * n]
         # the leading integer words no value of the row uses are blank:
         # the sign word moves into the last of them
         blank = 4 - (len(str(int(largest))) + 3) // 4

@@ -292,8 +292,8 @@ class TrialRecord:
         return self.log["reset"] if name in _LEARNING_FIELDS else None
 
 
-def _append_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
-    """Append log rows, (cycles, 4, field) blocks in ``_LOG_FIELDS`` order, to ``record``.
+def _set_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
+    """Set ``record``'s log to its rows, (cycles, 4, field) blocks in ``_LOG_FIELDS`` order.
 
     The record's reset, monitor-violation and clamp counts grow by what
     the rows hold.
@@ -301,13 +301,12 @@ def _append_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
     if not blocks:
         return
     rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
-    new = {name: rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
-           for j, name in enumerate(_LOG_FIELDS)}
-    for name, values in new.items():
-        record.log[name] = np.concatenate([record.log[name], values])
-    record.resets += int(np.count_nonzero(new["reset"])) // NUM_PHASES
-    record.monitor_violations += int(np.count_nonzero(~(new["monitor_ok"] | new["reset"])))
-    record.clamp_events += int(np.count_nonzero(new["clamped"]))
+    log = record.log
+    for j, name in enumerate(_LOG_FIELDS):
+        log[name] = rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
+    record.resets += int(np.count_nonzero(log["reset"])) // NUM_PHASES
+    record.monitor_violations += int(np.count_nonzero(~(log["monitor_ok"] | log["reset"])))
+    record.clamp_events += int(np.count_nonzero(log["clamped"]))
 
 
 def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
@@ -473,7 +472,8 @@ class Trial:
     The trial holds what it starts from (plant, target program, initial
     impedance and nets) and its record.  It enters one :class:`_Lockstep`,
     the routine that steps whole batches, which owns its per-cycle state
-    from cycle 0 and fills in its record when it finishes.  :meth:`step`
+    from cycle 0 and fills in its record when it finishes; the trial drops
+    its starting nets once the lockstep has stacked them.  :meth:`step`
     advances a lockstep of one that the trial keeps (tests read the state
     from its row 0), and :meth:`run` steps that one, or a new one, to the
     end.  The trial itself handles its events: segment and leg
@@ -696,6 +696,8 @@ class _Lockstep:
         self.impedance = self._initial  # (n, 4, 3), for the next cycle; never written in place
         self.critic = stack_nets([t.initial_critic for t in self.trials])
         self.actor = stack_nets([t.initial_actor for t in self.trials])
+        for t in self.trials:  # the stacks hold the starting nets from here on
+            t.initial_critic = t.initial_actor = None
         self._max_weight_norm = self._initial_weight_norm = _max_abs_weights(
             self.critic, self.actor)
         # previous cycle's q-values and costs, kept only when it learned
@@ -874,7 +876,7 @@ class _Lockstep:
         self._flush_log()
         for i in positions:
             trial = self.trials[i]
-            _append_rows(trial.record, self._chunks[i])
+            _set_rows(trial.record, self._chunks[i])
             trial._close_record(_row(self.critic, i), _row(self.actor, i),
                                 float(self._max_weight_norm[i] / self._initial_weight_norm[i]))
         keep = [i for i in range(len(self.trials)) if i not in positions]
@@ -1122,6 +1124,8 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
 
 # a comma goes into the free byte 0 of every cell but a line's first
 _COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
+# rows the CSV writer formats at once, so its working set does not grow with the log
+_CSV_BLOCK = 512
 
 
 def write_trial_csv(record: TrialRecord, path) -> None:
@@ -1129,39 +1133,47 @@ def write_trial_csv(record: TrialRecord, path) -> None:
 
     The bytes are those of a ``csv.writer`` given every row's values, a
     flag as the int 1 or 0 and a missing cell (see :meth:`TrialRecord.missing`)
-    as None; it writes a float as its ``repr``.
+    as None; it writes a float as its ``repr``.  The lines are formatted
+    and written ``_CSV_BLOCK`` rows at a time.
     """
-    lines = _padded_lines(record)
+    columns = [record.column(name) for name in CSV_COLUMNS]
+    missing = [record.missing(name) for name in CSV_COLUMNS]
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
-        fh.write(lines.tobytes().translate(None, b"\0"))
+        for start in range(0, len(record.log["reset"]), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            lines = _padded_lines([values[rows] for values in columns],
+                                  [mask if mask is None else mask[rows] for mask in missing])
+            fh.write(lines.tobytes().translate(None, b"\0"))
+            del lines  # freed before the next block's are built
 
 
-def _padded_lines(record: TrialRecord) -> np.ndarray:
-    """The log's CSV lines as bytes with NUL padding between the characters.
+def _padded_lines(columns: list[np.ndarray], missing: list[np.ndarray | None]) -> np.ndarray:
+    """One block's CSV lines as (rows, words) uint32, NUL padding between the characters.
 
-    All lines are built as one word-major array of cells, one array column
-    per line (see ``_repr``); its cell arrays are freed on return, before
-    the bytes are copied out.
+    ``columns`` are the block's values of ``CSV_COLUMNS`` and ``missing``
+    their masks of missing cells (None for a column that has none).  Each
+    column's cells (see ``_repr``) go straight into its words of every
+    line; an integer column takes as many words as the block's largest
+    value needs.
     """
-    n = len(record.log["reset"])
-    columns = [record.column(name) for name in CSV_COLUMNS]
     floats = iter(_repr.float_columns(np.array([c for c in columns if c.dtype.kind == "f"])))
-    blocks = []
-    for name, values in zip(CSV_COLUMNS, columns):
-        if values.dtype.kind == "f":
-            cells = next(floats)
-        else:
-            # a digit more than the largest value has keeps byte 0 free
-            cells = _repr.int_words(values, len(str(int(values.max(initial=0)))) // 4 + 1)
-        missing = record.missing(name)
-        if missing is not None:
-            cells *= ~missing
-        blocks.append(cells)
-    for cells in blocks[1:]:
-        cells[0] |= _COMMA
-    blocks.append(np.full((1, n), _CRLF))
-    return np.ascontiguousarray(np.concatenate(blocks).T).view(np.uint8).reshape(-1)
+    # a digit more than the largest integer has keeps byte 0 free
+    cells = [next(floats) if values.dtype.kind == "f" else
+             _repr.int_words(values, len(str(int(values.max()))) // 4 + 1)
+             for values in columns]
+    lines = np.empty((len(columns[0]), sum(map(len, cells)) + 1), dtype=np.uint32)
+    at = 0
+    for words, mask in zip(cells, missing):
+        part = lines[:, at:at + len(words)]
+        part[...] = words.T
+        if mask is not None:
+            part[mask] = 0
+        if at:
+            part[:, 0] |= _COMMA
+        at += len(words)
+    lines[:, at] = _CRLF
+    return lines
 
 
 def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pickle
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -538,6 +539,22 @@ def test_batch_records_share_no_memory():
         assert not any(np.shares_memory(x, y) for x in held(a) for y in held(b))
 
 
+def test_a_finished_batch_keeps_no_starting_nets(monkeypatch):
+    # a lockstep stacks its trials' starting nets and the trials drop theirs,
+    # so a batch does not hold both copies until it returns
+    entered = []
+
+    def step_to_end(trials):
+        entered.extend(trials)
+        _step_to_end(trials)
+
+    monkeypatch.setattr(harness, "_step_to_end", step_to_end)
+    run_training_batch(TrialConfig(max_cycles=40), seed=3, trials=4)
+    assert len(entered) == 4
+    for trial in entered:
+        assert trial.initial_critic is None and trial.initial_actor is None
+
+
 def test_lockstep_refuses_trials_whose_programs_differ():
     cfg = TrialConfig(max_cycles=40)
     base = Trial(cfg, 4).program.base_profile
@@ -831,9 +848,11 @@ def random_record(rng, cycles: int) -> TrialRecord:
 def test_trial_csv_equals_the_per_row_writer(tmp_path):
     # the columnar writer's bytes are the per-row writer's, on random logs
     # with reset rows, rows without a lag, infinite bounds and signed zeros,
-    # and on real trials with resets and clamps
+    # and on real trials with resets and clamps; logs of 127, 128 and 129
+    # cycles end a cycle before, at and after the writer's 512-row block
+    # edge, and one of 700 cycles spans six blocks
     rng = np.random.default_rng(2024)
-    records = [random_record(rng, cycles) for cycles in (0, 1, 3, 40, 40, 40)]
+    records = [random_record(rng, cycles) for cycles in (0, 1, 3, 40, 40, 40, 127, 128, 129, 700)]
     rigged = rigged_switch_trial(schedule=(0, 1) * 5, initial_impedance=None).run()
     clamping = run_trial(TrialConfig(max_cycles=60, dhdp=DhdpConfig(actor_lr=300.0)), 3)
     assert rigged.resets > 0 and clamping.clamp_events > 0
@@ -841,6 +860,21 @@ def test_trial_csv_equals_the_per_row_writer(tmp_path):
         write_trial_csv(rec, tmp_path / "columns.csv")
         write_csv_per_row(rec, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_trial_csv_writer_memory_does_not_grow_with_the_log(tmp_path):
+    # the writer formats a block of rows at a time, so its peak does not grow
+    # with the log; formatting these 2000 rows at once takes about 4.4 MB
+    rng = np.random.default_rng(7)
+    write_trial_csv(random_record(rng, 3), tmp_path / "warm.csv")  # builds _repr's tables
+    rec = random_record(rng, 500)
+    tracemalloc.start()
+    try:
+        write_trial_csv(rec, tmp_path / "trial.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_log_marks_missing_cells_with_masks_not_nan():
