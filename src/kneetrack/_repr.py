@@ -4,7 +4,8 @@ A cell is a column of uint32 words whose bytes, read in order with their
 NUL bytes removed, are the value's text.  Cells come word-major, one row
 per word and one column per value, so that every step is a whole-array
 operation on contiguous rows.  Byte 0 of a float cell is NUL, free for a
-separator.
+separator.  A call formats its values in one pass, with no chunks: the
+trial CSV writer's 512-row blocks bound the kernel's working set.
 
 :func:`float_columns` gives ``repr(float(v))``.  A float cell is a sign
 word, up to four words of integer digits, a point word and five words of
@@ -40,7 +41,6 @@ from functools import cache
 import numpy as np
 
 _WORDS = 11                     # sign, 4 integer, point, 5 fraction words
-_CHUNK = 10000                  # most values per pass: keeps the temporaries in cache
 
 # The biased exponents of the vector path's normal values: 2^-14 < 1e-4
 # and 1e16 < 2^54.
@@ -184,10 +184,11 @@ def int_words(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _chunk_words(x: np.ndarray, positional: np.ndarray, out: np.ndarray) -> None:
-    """Write the (_WORDS, n) cells of the values ``x`` into ``out``.
+    """Write the (_WORDS, n) cells of the values ``x`` into ``out``, in one pass.
 
     The cells of nonzero values that ``positional`` does not mark are left
-    for :func:`float_columns` to write with ``repr``.
+    for :func:`float_columns` to write with ``repr``.  The CSV writer's
+    512-row blocks, at most 8,704 values, bound the temporaries.
     """
     scale, words = _tables()
     bits = x.view(np.uint64)
@@ -239,11 +240,8 @@ def float_columns(values: np.ndarray) -> list[np.ndarray]:
     magnitude = np.abs(flat)
     positional = (magnitude >= _MIN_POSITIONAL) & (magnitude < _MAX_POSITIONAL)
     out = np.empty((_WORDS, len(flat)), dtype=np.uint32)
-    # even chunks: a short last one would cost a whole pass's overhead
-    bounds = np.linspace(0, len(flat), -(-len(flat) // _CHUNK) + 1).astype(int).tolist()
-    for start, stop in zip(bounds, bounds[1:]):
-        _chunk_words(flat[start:stop], positional[start:stop], out[:, start:stop])
-    # once the chunks' temporaries are freed: the other nonzero values,
+    _chunk_words(flat, positional, out)
+    # once the kernel's temporaries are freed: the other nonzero values,
     # right-aligned in the point and fraction words
     fallback = np.flatnonzero(~positional & (flat != 0))
     if len(fallback):

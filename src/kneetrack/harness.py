@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -298,8 +298,6 @@ def _set_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
     The record's reset, monitor-violation and clamp counts grow by what
     the rows hold.
     """
-    if not blocks:
-        return
     rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
     log = record.log
     for j, name in enumerate(_LOG_FIELDS):
@@ -863,8 +861,6 @@ class _Lockstep:
 
     def _flush_log(self):
         """Hand the queued log blocks to each trial's chunks, its rows only."""
-        if not self._blocks:
-            return
         blocks = np.stack([block for block, _ in self._blocks], axis=1)  # (n, cycles, 4, F)
         logged = np.stack([flags for _, flags in self._blocks], axis=1)
         for chunks, rows, flags in zip(self._chunks, blocks, logged):
@@ -1177,26 +1173,12 @@ def _padded_lines(columns: list[np.ndarray], missing: list[np.ndarray | None]) -
 
 
 def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:
-    summary = {
-        "schema": "kneetrack-trial",
-        "trial": index,
-        "scenario": record.scenario,
-        "stage": record.stage,
-        "outcome": record.outcome,
-        "failure_reason": record.failure_reason,
-        "tuning_steps": record.tuning_steps,
-        "cycles_run": record.cycles_run,
-        "resets": record.resets,
-        "monitor_violations": record.monitor_violations,
-        "clamp_events": record.clamp_events,
-        "converged_at": {str(p): c for p, c in sorted(record.converged_at.items())},
-        "switch_cycles": record.switch_cycles,
-        "segments": record.segments,
-        "legs": record.legs,
-        "max_weight_ratio": record.max_weight_ratio,
-        "rms_initial": record.rms_initial,
-        "rms_final": record.rms_final,
-    }
+    """A trial's JSON document: its record's fields less the log (the CSV) and the nets."""
+    summary = {f.name: getattr(record, f.name) for f in fields(record)
+               if f.name not in ("log", "actors", "critics")}
+    summary["converged_at"] = {str(p): c for p, c in sorted(record.converged_at.items())}
+    summary["schema"] = "kneetrack-trial"
+    summary["trial"] = index
     if policy_index is not None:
         summary["policy"] = policy_index
     return summary
@@ -1207,22 +1189,14 @@ def write_json(payload: dict, path) -> None:
 
 
 def batch_summary(batch: BatchResult, trials_meta: list[dict]) -> dict:
-    m = batch.metrics
-    return {
+    """A batch's JSON document: its metrics' fields, the success rate and the batch's setting."""
+    return asdict(batch.metrics) | {
+        "success_rate": batch.metrics.success_rate,
         "schema": "kneetrack-batch",
         "scenario": batch.cfg.scenario,
         "stage": batch.cfg.stage,
         "plant": batch.cfg.plant_kind,
         "seed": batch.seed,
-        "trials": m.trials,
-        "successes": m.successes,
-        "success_rate": m.success_rate,
-        "tuning_steps_mean": m.tuning_steps_mean,
-        "tuning_steps_std": m.tuning_steps_std,
-        "rms_initial": m.rms_initial,
-        "rms_final": m.rms_final,
-        "monitor_violations": m.monitor_violations,
-        "resets": m.resets,
         "policy_trials": batch.policy_trials,
         "trial_summaries": trials_meta,
     }

@@ -459,9 +459,7 @@ class TargetProgram:
         return clip_features(values)
 
     def observe_error(self, errors: np.ndarray) -> None:
-        """Feed the (4, 2) prosthetic tracking error into the drift filter."""
-        if self.drift_gain <= 0.0:
-            return
+        """Feed the (4, 2) tracking error into the drift filter, read only at a positive gain."""
         beta = self.drift_smoothing
         self._drift = (1.0 - beta) * self._drift + beta * errors
 

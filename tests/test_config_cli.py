@@ -19,18 +19,34 @@ from hypothesis import strategies as st
 
 from kneetrack.cli import main
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
-from kneetrack.core import BoundsTable, PhaseBound
+from kneetrack.core import BoundsTable, PhaseBound, check_features
 from kneetrack.dhdp import (
     ActionScale,
+    ActorNet,
+    CriticNet,
     MonitorParams,
     StageCostParams,
     init_actor,
     init_critic,
     save_policy,
 )
-from kneetrack.fsm import ParameterRanges, PhaseRanges
-from kneetrack.harness import DhdpConfig, TrialConfig, TrialRecord, trial_summary
-from kneetrack.plant import FeatureMapConfig, OdeKneeConfig
+from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta
+from kneetrack.harness import (
+    DhdpConfig,
+    Trial,
+    TrialConfig,
+    TrialRecord,
+    compute_rms,
+    run_testing_batch,
+    trial_summary,
+)
+from kneetrack.plant import (
+    FeatureMapConfig,
+    OdeKneeConfig,
+    TargetProgram,
+    profile_to_array,
+    switch_schedule,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +168,7 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
         # more than MAX_PHASE_STEPS substeps per phase: the run had not ended after 15 s
         ({"plant": "ode", "trials": 1, "ode": {"timestep": 1e-9}}, "ode.timestep"),
         ({"ranges": default_config()["ranges"][:3]}, "ranges"),
+        ({"feature_map": {"pace_passthrough": 1.5}}, "feature_map.pace_passthrough"),
     ]
     for cfg, key in cases:
         path = tmp_path / "cfg.json"
@@ -175,6 +192,10 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys):
 
 def feature_map_with(**fields):
     return dataclasses.replace(FeatureMapConfig.default(), **fields)
+
+
+def reference_profile() -> np.ndarray:
+    return profile_to_array(FeatureMapConfig.default().reference_features)
 
 
 # values only the config file refused; at the API they gave a NaN RMS with
@@ -227,6 +248,38 @@ LIBRARY_REFUSALS = [
     # 1e-9 s a torque-law run had not finished after 15 s
     (lambda: OdeKneeConfig(timestep=1e-9),
      "timestep: must be at least max_phase_time / 1e+06 = 2e-06 s, got 1e-09"),
+    # shapes and arguments the config file cannot give, refused at the API
+    (lambda: check_features(np.zeros((3, 2))),
+     "features must be a (4, 2) array, got shape (3, 2)"),
+    (lambda: BoundsTable(safety=BoundsTable.default().safety[:3],
+                         tolerance=BoundsTable.default().tolerance),
+     "bounds tables need one entry per phase"),
+    (lambda: CriticNet(np.zeros(5), np.zeros(())),
+     "critic hidden weights must be (h, 5), got (5,)"),
+    (lambda: ActorNet(np.zeros(2), np.zeros(())),
+     "actor hidden weights must be (h, 2), got (2,)"),
+    (lambda: StageCostParams(state_weight=np.eye(3), action_weight=np.eye(3)),
+     "state_weight: must be 2x2"),
+    (lambda: ActionScale(np.ones((3, 3))), "half_ranges: must be a 4x3 table"),
+    (lambda: apply_delta(np.ones((4, 3)), 1, np.zeros(2), ParameterRanges.default()),
+     "control delta rows need 3 components, got shape (2,)"),
+    (lambda: compute_rms(TrialRecord(scenario=1, stage="training")),
+     "cannot compute RMS of an empty record"),
+    (lambda: run_testing_batch(TrialConfig(), 0, []),
+     "testing requires at least one saved policy"),
+    (lambda: feature_map_with(sensitivity=np.zeros((4, 3, 3))),
+     "sensitivity: must be a (4, 2, 3) array"),
+    (lambda: TargetProgram(base_profile=reference_profile(), switch_period=0),
+     "switch period must be positive"),
+    (lambda: TargetProgram(base_profile=reference_profile(), pace_sequence=(1.0, 0.0)),
+     "pace multipliers must be positive"),
+    (lambda: TargetProgram(base_profile=reference_profile(), profile_pool=(reference_profile(),)),
+     "a profile pool needs a switch schedule"),
+    (lambda: TargetProgram(base_profile=reference_profile(), drift_gain=-0.1),
+     "drift gain must be non-negative"),
+    (lambda: TargetProgram(base_profile=reference_profile()).target_for(-1),
+     "cycle index must be non-negative"),
+    (lambda: switch_schedule(0, 3, np.random.default_rng(0)), "pool must not be empty"),
 ]
 
 
@@ -835,9 +888,11 @@ def test_load_policy_garbage_file(tmp_path, capsys):
     wrong_shape["phases"][0]["actor_output"]["shape"].reverse()
     nan_weight = copy.deepcopy(valid)
     nan_weight["phases"][2]["critic_hidden"]["data"][0] = float("nan")
+    number_matrix = copy.deepcopy(valid)
+    number_matrix["phases"][1]["actor_hidden"] = 3
 
     for text in ("{not json", json.dumps([valid]), json.dumps(missing_key),
-                 json.dumps(wrong_shape), json.dumps(nan_weight)):
+                 json.dumps(wrong_shape), json.dumps(nan_weight), json.dumps(number_matrix)):
         snap.write_text(text)
         assert main(["load-policy", str(snap)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -952,6 +1007,20 @@ def test_a_bad_snapshot_leaf_exits_cleanly(path, bad):
             assert not out.exists()
 
 
+def test_a_pool_no_safety_bound_admits_exits_1(tmp_path, capsys):
+    # scenario 2's terrain pool must fit inside the safety bounds; at 1e-4
+    # rad and 0.01 % no pool can, and the run stops before any trial
+    safety, tolerance = [[1e-4, 0.01]] * 4, [[5e-5, 0.005]] * 4
+    cfg = trial_config_from(load_config(None, {"scenario": 2, "bounds": {
+        "safety": safety, "tolerance": tolerance}}))
+    with pytest.raises(RuntimeError, match="could not build a mutually trackable profile pool"):
+        Trial(cfg, 0)
+    code, out = run_cli(tmp_path, small_run_config(
+        scenario=2, bounds={"safety": safety, "tolerance": tolerance}))
+    assert_one_error(capsys, code, 1, "could not build a mutually trackable profile pool")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # report subcommand
 
@@ -992,6 +1061,8 @@ def test_report_skips_malformed_json(tmp_path, capsys):
                    {"scenario": [1]}, {"scenario": "1"}]
     for n, fields in enumerate(wrong_types, start=994):
         (out / "trials" / f"trial_{n}.json").write_text(json.dumps({**good, **fields}))
+    # a document of another schema is passed over: neither read nor counted
+    (out / "trials" / "trial_993.json").write_text(json.dumps({**good, "schema": "other"}))
     assert main(["report", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err.count("skipping malformed") == 6

@@ -27,6 +27,7 @@ from kneetrack.harness import (
     TrialConfig,
     TrialRecord,
     aggregate_metrics,
+    batch_summary,
     compute_rms,
     draw_initial_impedance,
     make_plant,
@@ -913,6 +914,48 @@ def test_trial_summary_schema():
     for key in ("outcome", "tuning_steps", "resets", "monitor_violations",
                 "rms_initial", "max_weight_ratio"):
         assert key in doc
+    # every TrialRecord field but the log and the nets, spelled out: a new
+    # field fails this test until it is added here on purpose
+    record_keys = {
+        "scenario", "stage", "outcome", "failure_reason", "tuning_steps", "cycles_run",
+        "resets", "monitor_violations", "clamp_events", "converged_at", "switch_cycles",
+        "segments", "legs", "max_weight_ratio", "rms_initial", "rms_final",
+    }
+    assert set(doc) == record_keys | {"schema", "trial"}
+    assert set(trial_summary(rec, 0, 3)) == record_keys | {"schema", "trial", "policy"}
+
+
+def test_batch_summary_schema():
+    batch = run_training_batch(TrialConfig(max_cycles=20), seed=2, trials=2)
+    doc = json.loads(json.dumps(batch_summary(batch, [trial_summary(batch.records[0], 0)])))
+    metrics_keys = {
+        "trials", "successes", "tuning_steps_mean", "tuning_steps_std",
+        "rms_initial", "rms_final", "monitor_violations", "resets",
+    }
+    assert set(doc) == metrics_keys | {
+        "success_rate", "schema", "scenario", "stage", "plant", "seed",
+        "policy_trials", "trial_summaries",
+    }
+    assert doc["schema"] == "kneetrack-batch"
+    assert doc["success_rate"] == batch.metrics.success_rate
+
+
+def test_a_trial_whose_first_cycle_diverges_leaves_an_empty_log(tmp_path):
+    # the knee diverges in cycle 0, so the trial leaves with no row
+    cfg = TrialConfig(plant_kind="ode", max_cycles=50)
+    stiff = cfg.feature_map.reference_impedance.copy()
+    stiff[:, 0] = 1e6
+    stiff[:, 2] = 1.6
+    rec = run_trial(cfg, 0, initial_impedance=stiff)
+    assert rec.outcome == "failure"
+    assert rec.failure_reason.startswith("plant-instability: knee velocity ")
+    assert rec.cycles_run == 0
+    assert len(rec.log) == 23 and all(len(values) == 0 for values in rec.log.values())
+    assert rec.rms_initial is None
+    path = tmp_path / "trial.csv"
+    write_trial_csv(rec, path)
+    assert path.read_bytes() == ",".join(CSV_COLUMNS).encode() + b"\r\n"
+    assert json.loads(json.dumps(trial_summary(rec, 0)))["cycles_run"] == 0
 
 
 def test_testing_batch_tags_policy_indices():

@@ -52,7 +52,8 @@ def test_float_cells_are_repr(values, rows):
 
 def test_float_cells_are_repr_across_chunks():
     rng = np.random.default_rng(10)
-    n = 2 * _repr._CHUNK + 321
+    # more values than a 512-row CSV block holds, formatted in one pass
+    n = 20_321
     positional = rng.integers(0x3F1A36E2EB1C432D, 0x4341C37937E08000, n, dtype=np.uint64)
     anything = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
     x = np.stack([positional.view(np.float64), anything.view(np.float64),
