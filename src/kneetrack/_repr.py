@@ -183,7 +183,7 @@ def int_words(values: np.ndarray, count: int) -> np.ndarray:
     return _tables()[1][index]
 
 
-def _chunk_words(x: np.ndarray, positional: np.ndarray, out: np.ndarray) -> None:
+def _cell_words(x: np.ndarray, positional: np.ndarray, out: np.ndarray) -> None:
     """Write the (_WORDS, n) cells of the values ``x`` into ``out``, in one pass.
 
     The cells of nonzero values that ``positional`` does not mark are left
@@ -240,7 +240,7 @@ def float_columns(values: np.ndarray) -> list[np.ndarray]:
     magnitude = np.abs(flat)
     positional = (magnitude >= _MIN_POSITIONAL) & (magnitude < _MAX_POSITIONAL)
     out = np.empty((_WORDS, len(flat)), dtype=np.uint32)
-    _chunk_words(flat, positional, out)
+    _cell_words(flat, positional, out)
     # once the kernel's temporaries are freed: the other nonzero values,
     # right-aligned in the point and fraction words
     fallback = np.flatnonzero(~positional & (flat != 0))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dhdp import MonitorParams
-from .harness import TrialConfig
+from .harness import RUN_MINIMA, TrialConfig, check_run_values
 
 
 class ConfigError(ValueError):
@@ -198,10 +198,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 def _check_values(resolved: dict) -> None:
     """Refuse run values the run cannot use, naming the key; the trial's own
     values are refused where :func:`trial_config_from` builds them."""
-    for key, least in (("trials", 1), ("trials_per_policy", 1), ("seed", 0),
-                       ("keep_policies", 0)):
-        if resolved[key] < least:
-            raise ConfigError(f"{key}: must be at least {least}, got {resolved[key]}")
+    try:
+        check_run_values(**{key: resolved[key] for key in RUN_MINIMA})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # the monitor's weighting factors: all three numbers, or all three null (the defaults)
     dhdp = resolved["dhdp"]
     for key in _ALPHAS:

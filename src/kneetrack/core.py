@@ -177,14 +177,11 @@ def duration_error_pct(errors: np.ndarray, cycle_duration) -> np.ndarray:
 
 
 def inside_bounds(errors: np.ndarray, angle: np.ndarray, duration_pct: np.ndarray,
-                  cycle_duration=None, pct: np.ndarray | None = None) -> np.ndarray:
+                  pct: np.ndarray) -> np.ndarray:
     """:func:`within_bound` of every phase of (..., 4, 2) error rows, as (..., 4) flags.
 
-    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`).
-    ``pct`` is the rows' :func:`duration_error_pct`; a caller that has it
-    passes it in place of ``cycle_duration``.  Since |100 e / c| equals
-    100 |e| / c exactly, each flag is the one within_bound returns.
+    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`),
+    and ``pct`` is the rows' :func:`duration_error_pct`.  Since |100 e / c|
+    equals 100 |e| / c exactly, each flag is the one within_bound returns.
     """
-    if pct is None:
-        pct = duration_error_pct(errors, cycle_duration)
     return (np.abs(errors[..., 1]) <= angle) & (np.abs(pct) <= duration_pct)

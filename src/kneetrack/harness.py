@@ -101,6 +101,16 @@ MAX_INIT_WEIGHT_SCALE = 1e6
 # Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
 # the intact side would adapt past the prosthesis, and the target runs away.
 MAX_DRIFT_GAIN = 1.0
+# The least value of each run setting, by its config key: a batch runs at
+# least one trial, and a seed or a count of kept policies may be 0.
+RUN_MINIMA = {"trials": 1, "trials_per_policy": 1, "seed": 0, "keep_policies": 0}
+
+
+def check_run_values(**values) -> None:
+    """Refuse a run setting below its :data:`RUN_MINIMA` entry, naming its key."""
+    for key, value in values.items():
+        if value < RUN_MINIMA[key]:
+            raise ValueError(f"{key}: must be at least {RUN_MINIMA[key]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -358,11 +368,6 @@ def _margin_limits(bounds: BoundsTable, margin: float) -> tuple[np.ndarray, np.n
     return margin * angle, margin * duration_pct
 
 
-def _within(errors: np.ndarray, limits, cycle_dur) -> bool:
-    """True when every phase's error row is inside ``limits``."""
-    return bool(inside_bounds(errors, *limits, cycle_dur).all())
-
-
 def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Random impedance around the reference whose steady response is safe.
@@ -395,7 +400,8 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
             chunk = candidates[start:start + PROBE_CHUNK]
             errors = alignment_errors(target, steady_profile(plant, chunk))
             faulted = np.isnan(errors).any(axis=(1, 2))
-            inside = inside_bounds(errors, *limits, target_dur).all(axis=1)
+            pct = duration_error_pct(errors, target_dur)
+            inside = inside_bounds(errors, *limits, pct).all(axis=1)
             for i in np.flatnonzero(faulted | inside).tolist():
                 if faulted[i]:
                     steady_profile(plant, chunk[i])  # raises the probe's fault
@@ -427,20 +433,21 @@ def build_profile_pool(cfg: TrialConfig, plant, rng: np.random.Generator):
     """
     reference = cfg.feature_map.reference_impedance
     limits = _margin_limits(cfg.bounds, 0.7)
-    profiles: list[np.ndarray] = []
+    members = np.empty((0, NUM_PHASES, 2))
     for _ in range(cfg.pool_size):
         for _ in range(MAX_INITIAL_DRAWS):
             factors = rng.uniform(1.0 - cfg.pool_spread, 1.0 + cfg.pool_spread,
                                   size=(NUM_PHASES, 3))
             candidate = scaled_impedance(reference, factors)
             profile = steady_profile(plant, candidate)
-            if all(_within(alignment_errors(other, profile), limits, cycle_duration(other))
-                   for other in profiles):
-                profiles.append(profile)
+            errors = alignment_errors(members, profile)
+            pct = duration_error_pct(errors, cycle_duration(members))
+            if inside_bounds(errors, *limits, pct).all():
+                members = np.concatenate([members, profile[None]])
                 break
         else:
             raise RuntimeError("could not build a mutually trackable profile pool")
-    return tuple(profiles)
+    return tuple(members)
 
 
 def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> TargetProgram:
@@ -482,8 +489,10 @@ class Trial:
                  target_program: TargetProgram | None = None,
                  initial_impedance: np.ndarray | None = None):
         self.cfg = cfg
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        plant_seq, program_seq, init_seq, weight_seq = seq.spawn(4)
+        if not isinstance(seed, np.random.SeedSequence):
+            check_run_values(seed=seed)
+            seed = np.random.SeedSequence(seed)
+        plant_seq, program_seq, init_seq, weight_seq = seed.spawn(4)
 
         self.plant = make_plant(cfg, np.random.default_rng(plant_seq))
         self.program = target_program if target_program is not None else make_target_program(
@@ -737,7 +746,7 @@ class _Lockstep:
             for i in walked.nonzero()[0]:
                 self.trials[i].program.observe_error(errors[i])
         pct = duration_error_pct(errors, self._cycle_dur)
-        flags = inside_bounds(errors, *self._bounds, pct=pct)
+        flags = inside_bounds(errors, *self._bounds, pct)
         in_tol, in_safety = flags[0], flags[1]  # indexing beats unpacking an array
         learns = walked & np.logical_and.reduce(in_safety, axis=1)
         reset = walked & ~learns
@@ -1079,6 +1088,7 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
     Policies are drawn, without replacement, from the successful trials;
     when fewer than ``keep_policies`` succeed, all successes are kept.
     """
+    check_run_values(trials=trials, keep_policies=keep_policies, seed=seed)
     seq = np.random.SeedSequence(seed)
     trial_seqs = seq.spawn(trials + 1)
     records = _run_batch(cfg, [(trial_seqs[i], None) for i in range(trials)])
@@ -1105,6 +1115,7 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
         raise ValueError(f"jobs: batches run in one process, got {jobs}")
     if not policies:
         raise ValueError("testing requires at least one saved policy")
+    check_run_values(trials_per_policy=trials_per_policy, seed=seed)
     trial_seqs = np.random.SeedSequence(seed).spawn(len(policies) * trials_per_policy)
     policy_index = [p_idx for p_idx in range(len(policies)) for _ in range(trials_per_policy)]
     records = _run_batch(cfg, [(trial_seq, policies[p_idx]) for trial_seq, p_idx

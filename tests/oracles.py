@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from kneetrack import harness
-from kneetrack.core import KNEE_ANGLE_MAX, NUM_PHASES, GaitFeatures, Phase
+from kneetrack.core import (
+    KNEE_ANGLE_MAX,
+    NUM_PHASES,
+    GaitFeatures,
+    Phase,
+    duration_error_pct,
+    inside_bounds,
+)
 from kneetrack.dhdp import (
     ActorNet,
     CriticNet,
@@ -428,7 +435,7 @@ def loop_draw_initial_impedance(cfg, plant, target, rng):
             angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))
             if angle_rms < harness.MIN_INITIAL_ANGLE_RMS:
                 continue
-            if harness._within(errors, limits, target_dur):
+            if inside_bounds(errors, *limits, duration_error_pct(errors, target_dur)).all():
                 return candidate
         spread *= 0.7
     raise RuntimeError("could not draw a feasible initial impedance")

@@ -38,6 +38,8 @@ from kneetrack.harness import (
     TrialRecord,
     compute_rms,
     run_testing_batch,
+    run_training_batch,
+    run_trial,
     trial_summary,
 )
 from kneetrack.plant import (
@@ -198,6 +200,11 @@ def reference_profile() -> np.ndarray:
     return profile_to_array(FeatureMapConfig.default().reference_features)
 
 
+def fresh_policy():
+    rng = np.random.default_rng(0)
+    return [init_actor(rng) for _ in range(4)], None
+
+
 # values only the config file refused; at the API they gave a NaN RMS with
 # two RuntimeWarnings, nets of nothing or a negative rate run to max-cycles,
 # a runaway target, and an IndexError
@@ -280,6 +287,21 @@ LIBRARY_REFUSALS = [
     (lambda: TargetProgram(base_profile=reference_profile()).target_for(-1),
      "cycle index must be non-negative"),
     (lambda: switch_schedule(0, 3, np.random.default_rng(0)), "pool must not be empty"),
+    # run values: at the API a negative one stopped with an IndexError, a numpy
+    # ValueError or an OverflowError, and no trials gave an empty batch
+    (lambda: run_training_batch(TrialConfig(), 3, trials=-1), "trials: must be at least 1, got -1"),
+    (lambda: run_training_batch(TrialConfig(), 3, trials=0), "trials: must be at least 1, got 0"),
+    (lambda: run_training_batch(TrialConfig(), 3, keep_policies=-1),
+     "keep_policies: must be at least 0, got -1"),
+    (lambda: run_training_batch(TrialConfig(), -2), "seed: must be at least 0, got -2"),
+    (lambda: run_testing_batch(TrialConfig(), 3, [fresh_policy()], trials_per_policy=-1),
+     "trials_per_policy: must be at least 1, got -1"),
+    (lambda: run_testing_batch(TrialConfig(), 3, [fresh_policy()], trials_per_policy=0),
+     "trials_per_policy: must be at least 1, got 0"),
+    (lambda: run_testing_batch(TrialConfig(), -3, [fresh_policy()]),
+     "seed: must be at least 0, got -3"),
+    (lambda: run_trial(TrialConfig(), -1), "seed: must be at least 0, got -1"),
+    (lambda: Trial(TrialConfig(), -4), "seed: must be at least 0, got -4"),
 ]
 
 

@@ -50,7 +50,7 @@ def test_float_cells_are_repr(values, rows):
     assert_repr_cells(np.resize(np.array(values), (rows, len(values))))
 
 
-def test_float_cells_are_repr_across_chunks():
+def test_float_cells_are_repr_in_one_pass():
     rng = np.random.default_rng(10)
     # more values than a 512-row CSV block holds, formatted in one pass
     n = 20_321

@@ -18,6 +18,7 @@ from kneetrack.core import (
     KNEE_ANGLE_MAX,
     BoundsTable,
     PhaseBound,
+    duration_error_pct,
     inside_bounds,
     within_bound,
 )
@@ -25,11 +26,13 @@ from kneetrack.dhdp import ActorNet, CriticNet, init_actor, stack_nets
 from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta
 from kneetrack.harness import (
     _LOG_FIELDS,
+    FEASIBILITY_MARGIN,
     DhdpConfig,
     Trial,
     TrialConfig,
     _apply_deltas,
     _Lockstep,
+    _margin_limits,
     make_plant,
     make_target_program,
 )
@@ -158,10 +161,13 @@ def test_stacked_clamp_equals_python_min_max(seed, trials):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 30))
-def test_stacked_bounds_equal_within_bound(seed, trials):
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 30),
+       margin=st.sampled_from([FEASIBILITY_MARGIN, 0.7, 1.0])
+       | st.floats(0.0, 1.0, exclude_min=True))
+def test_stacked_bounds_equal_within_bound(seed, trials, margin):
     # (d) the tolerance and safety flags, also both tables in one call as
-    # the lockstep makes it, row by row against within_bound
+    # the lockstep makes it, and the safety bound scaled by the initial
+    # draw's or the profile pool's margin, row by row against within_bound
     rng = np.random.default_rng(seed)
     safety = tuple(PhaseBound(float(rng.uniform(0.05, 0.3)), float(rng.uniform(5, 15)))
                    for _ in PHASES)
@@ -177,13 +183,28 @@ def test_stacked_bounds_equal_within_bound(seed, trials):
 
     both = tuple(np.stack(pair)[:, None]
                  for pair in zip(bounds.limits("tolerance"), bounds.limits("safety")))
-    in_both = inside_bounds(errors, *both, cycle_dur)
+    pct = duration_error_pct(errors, cycle_dur)
+    in_both = inside_bounds(errors, *both, pct)
     for k, kind in enumerate(("tolerance", "safety")):
-        got = inside_bounds(errors, *bounds.limits(kind), cycle_dur)
+        got = inside_bounds(errors, *bounds.limits(kind), pct)
         want = [[within_bound(err, getattr(bounds, kind)[p], float(cycle_dur[i]))
                  for p, err in zip(PHASES, errors[i].tolist())] for i in range(trials)]
         assert got.tolist() == want
         assert in_both[k].tolist() == want
+
+    scaled = [PhaseBound(margin * s.angle, margin * s.duration_pct) for s in safety]
+    errors = rng.uniform(-1.5, 1.5, (trials, 4, 2)) * scale * margin
+    # errors that sit on a scaled bound, of either sign
+    edge = np.empty((trials, 4, 2))
+    edge[..., 0] = np.outer(cycle_dur, [b.duration_pct / 100.0 for b in scaled])
+    edge[..., 1] = [b.angle for b in scaled]
+    edge *= rng.choice([-1.0, 1.0], (trials, 4, 2))
+    errors = np.where(rng.random((trials, 4, 2)) < 0.2, edge, errors)
+    pct = duration_error_pct(errors, cycle_dur)
+    got = inside_bounds(errors, *_margin_limits(bounds, margin), pct)
+    want = [[within_bound(err, scaled[p], float(cycle_dur[i]))
+             for p, err in zip(PHASES, errors[i].tolist())] for i in range(trials)]
+    assert got.tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
