@@ -34,16 +34,15 @@ from .dhdp import (
     stage_cost,
     td_error,
 )
+from .config import DhdpConfig, TrialConfig
 from .fsm import (
     ParameterRanges,
     apply_delta,
     joint_torque,
 )
 from .harness import (
-    DhdpConfig,
     Metrics,
     Trial,
-    TrialConfig,
     TrialRecord,
     compute_rms,
     run_testing_batch,

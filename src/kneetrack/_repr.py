@@ -1,4 +1,4 @@
-"""``repr`` and ``str`` of number arrays as ASCII cells, with no Python call per value.
+"""``repr`` and ``str`` of number arrays as ASCII cells and CSV lines, no Python call per value.
 
 A cell is a column of uint32 words whose bytes, read in order with their
 NUL bytes removed, are the value's text.  Cells come word-major, one row
@@ -260,3 +260,33 @@ def float_columns(values: np.ndarray) -> list[np.ndarray]:
         columns.append(cells[blank:])
     return columns
 
+
+
+# a comma goes into the free byte 0 of every cell but a line's first
+_COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
+
+
+def csv_lines(columns: list[np.ndarray], missing: list[np.ndarray | None]) -> bytes:
+    """CSV lines of ``columns``' rows: a float as its ``repr``, an int as its ``str``, a
+    flag as 1 or 0, and an empty cell where ``missing`` (a mask per column, or None) is set.
+
+    Each column's cells go straight into its words of every line, an integer
+    column taking as many words as the block's largest value needs.
+    """
+    floats = iter(float_columns(np.array([c for c in columns if c.dtype.kind == "f"])))
+    # a digit more than the largest integer has keeps byte 0 free
+    cells = [next(floats) if values.dtype.kind == "f" else
+             int_words(values, len(str(int(values.max()))) // 4 + 1)
+             for values in columns]
+    lines = np.empty((len(columns[0]), sum(map(len, cells)) + 1), dtype=np.uint32)
+    at = 0
+    for words, mask in zip(cells, missing):
+        part = lines[:, at:at + len(words)]
+        part[...] = words.T
+        if mask is not None:
+            part[mask] = 0
+        if at:
+            part[:, 0] |= _COMMA
+        at += len(words)
+    lines[:, at] = _CRLF
+    return lines.tobytes().translate(None, b"\0")

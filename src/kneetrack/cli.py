@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import ConfigError, load_trial_config
@@ -31,11 +31,8 @@ from .harness import (
     Metrics,
     TrialRecord,
     aggregate_metrics,
-    batch_summary,
     run_testing_batch,
     run_training_batch,
-    trial_summary,
-    write_json,
     write_trial_csv,
 )
 
@@ -121,19 +118,18 @@ def cmd_run(args) -> int:
         for n, trial_idx in enumerate(batch.policy_trials, start=1):
             rec = batch.records[trial_idx]
             save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
+        trials_meta = []
+        for i, rec in enumerate(batch.records):
+            write_trial_csv(rec, trials_dir / f"trial_{i:03d}.csv")
+            p_idx = batch.policy_index[i] if batch.policy_index else None
+            summary = trial_summary(rec, i, p_idx)
+            write_json(summary, trials_dir / f"trial_{i:03d}.json")
+            trials_meta.append(summary)
+        write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
+        _write_plot_data(batch, outdir)
     except (PolicyFormatError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    trials_meta = []
-    for i, rec in enumerate(batch.records):
-        write_trial_csv(rec, trials_dir / f"trial_{i:03d}.csv")
-        p_idx = batch.policy_index[i] if batch.policy_index else None
-        summary = trial_summary(rec, i, p_idx)
-        write_json(summary, trials_dir / f"trial_{i:03d}.json")
-        trials_meta.append(summary)
-    write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
-    _write_plot_data(batch, outdir)
 
     m = batch.metrics
     steps = "n/a" if m.tuning_steps_mean is None else f"{m.tuning_steps_mean:.1f}"
@@ -146,7 +142,7 @@ def cmd_save_policy(args) -> int:
     try:
         actors, critics = load_policy(args.source)
         save_policy(args.dest, actors, critics)
-    except PolicyFormatError as exc:
+    except (PolicyFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"saved policy snapshot to {args.dest}")
@@ -175,10 +171,40 @@ def cmd_load_policy(args) -> int:
     return 0
 
 
+def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:
+    """A trial's JSON document: its record's fields less the log (the CSV) and the nets."""
+    summary = {f.name: getattr(record, f.name) for f in fields(record)
+               if f.name not in ("log", "actors", "critics")}
+    summary["converged_at"] = {str(p): c for p, c in sorted(record.converged_at.items())}
+    summary["schema"] = "kneetrack-trial"
+    summary["trial"] = index
+    if policy_index is not None:
+        summary["policy"] = policy_index
+    return summary
+
+
+def write_json(payload: dict, path) -> None:
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def batch_summary(batch: BatchResult, trials_meta: list[dict]) -> dict:
+    """A batch's JSON document: its metrics' fields, the success rate and the batch's setting."""
+    return asdict(batch.metrics) | {
+        "success_rate": batch.metrics.success_rate,
+        "schema": "kneetrack-batch",
+        "scenario": batch.cfg.scenario,
+        "stage": batch.cfg.stage,
+        "plant": batch.cfg.plant_kind,
+        "seed": batch.seed,
+        "policy_trials": batch.policy_trials,
+        "trial_summaries": trials_meta,
+    }
+
+
 def _rms_ok(value) -> bool:
-    """Whether ``value`` is None or an RMS object of finite, non-negative numbers."""
+    """Whether ``value`` is None or an RMS object of non-negative numbers a double holds."""
     return value is None or type(value) is dict and all(
-        type(value.get(key)) in (int, float) and 0.0 <= value[key] < math.inf
+        type(value.get(key)) in (int, float) and 0.0 <= value[key] <= sys.float_info.max
         for key in ("peak_rad", "duration_pct"))
 
 
@@ -188,7 +214,8 @@ _SUMMARY_FIELDS = {
     "scenario": lambda value: type(value) is int and value in (1, 2, 3),
     "stage": lambda value: value in ("training", "testing"),
     "outcome": lambda value: value in ("success", "failure"),
-    "tuning_steps": lambda value: value is None or type(value) is int and value >= 0,
+    "tuning_steps": lambda value: value is None or (
+        type(value) is int and 0 <= value <= sys.float_info.max),
     "rms_initial": _rms_ok,
     "rms_final": _rms_ok,
 }
@@ -205,21 +232,21 @@ def cmd_report(args) -> int:
     skipped = 0
     for path in trial_files:
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError("top level is not a JSON object")
             if doc.get("schema") != "kneetrack-trial":
                 continue
-            fields = {key: doc.get(key) if key.startswith("rms_") else doc[key]
-                      for key in _SUMMARY_FIELDS}
-            for key, value in fields.items():
+            read = {key: doc.get(key) if key.startswith("rms_") else doc[key]
+                    for key in _SUMMARY_FIELDS}
+            for key, value in read.items():
                 if not _SUMMARY_FIELDS[key](value):
                     raise ValueError(f"{key}: unexpected value {value!r}")
-            if (fields["outcome"] == "success") != (fields["tuning_steps"] is not None):
-                raise ValueError(f"tuning_steps: {fields['tuning_steps']!r} "
-                                 f"with outcome {fields['outcome']!r}")
-            record = TrialRecord(**fields)
-        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+            if (read["outcome"] == "success") != (read["tuning_steps"] is not None):
+                raise ValueError(f"tuning_steps: {read['tuning_steps']!r} "
+                                 f"with outcome {read['outcome']!r}")
+            record = TrialRecord(**read)
+        except (OSError, ValueError, KeyError) as exc:  # a decode error is a ValueError
             print(f"warning: skipping malformed {path}: {exc}", file=sys.stderr)
             skipped += 1
             continue
@@ -242,9 +269,13 @@ def cmd_report(args) -> int:
 
     report = {"schema": "kneetrack-report", "skipped_files": skipped, "results": table}
     out_dir = Path(args.out) if args.out else directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(report, out_dir / "report.json")
-    _write_rms_csv(out_dir / "report_rms.csv", groups)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(report, out_dir / "report.json")
+        _write_rms_csv(out_dir / "report_rms.csv", groups)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     for entry in table:
         steps = ("n/a" if entry["tuning_steps_mean"] is None

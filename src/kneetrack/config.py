@@ -1,31 +1,173 @@
-"""Run configuration: JSON files with defaults, validation and overrides.
+"""Run configuration: the trial's schema, and JSON files checked against it.
 
-A config file is a plain JSON object mirroring :func:`default_config`.  The
-one schema is a default :class:`TrialConfig`, and one table maps each key to
-the field it sets: the tree, the shape of every numeric list, the types of
-the built config and the key each refusal names all come from the two.  An
-unknown key is rejected, naming its full dotted path.  Command-line flags
-override file values, which override defaults.
+The schema is a default :class:`TrialConfig`, its learning blocks' part a
+:class:`DhdpConfig`, and :data:`RUN_MINIMA` bounds a batch's settings.  A
+config file is a plain JSON object mirroring :func:`default_config`, and
+one table maps each key to the field it sets: the tree, the shape of every
+numeric list, the types of the built config and the key each refusal names
+all come from the two.  An unknown key is rejected, naming its full dotted
+path.  Command-line flags override file values, which override defaults.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import json
 import math
 import re
+import sys
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dhdp import MonitorParams
-from .harness import RUN_MINIMA, TrialConfig, check_run_values
+from .core import BoundsTable
+from .dhdp import ActionScale, MonitorParams, StageCostParams
+from .fsm import ParameterRanges
+from .plant import FeatureMapConfig, OdeKneeConfig
 
 
 class ConfigError(ValueError):
-    """A config file could not be read, parsed, or validated."""
+    """A config file or run setting could not be read, parsed, or validated."""
+
+
+SCENARIO_LEVEL_GROUND = 1
+SCENARIO_TERRAIN = 2
+SCENARIO_PACE = 3
+
+# The networks see states inside [-1, 1] while a trial is safe, so initial
+# weights far above 1 start every unit saturated; the ceiling only keeps the
+# draw's width, twice the scale, finite with room to spare.
+MAX_INIT_WEIGHT_SCALE = 1e6
+# Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
+# the intact side would adapt past the prosthesis, and the target runs away.
+MAX_DRIFT_GAIN = 1.0
+# The least value of each run setting, by its config key: a batch runs at
+# least one trial, and a seed or a count of kept policies may be 0.
+RUN_MINIMA = {"trials": 1, "trials_per_policy": 1, "seed": 0, "keep_policies": 0}
+
+
+def check_run_values(**values) -> None:
+    """Refuse a run setting below its :data:`RUN_MINIMA` entry, naming its key."""
+    for key, value in values.items():
+        if value < RUN_MINIMA[key]:
+            raise ConfigError(f"{key}: must be at least {RUN_MINIMA[key]}, got {value}")
+
+
+@dataclass(frozen=True)
+class DhdpConfig:
+    """Hyperparameters shared by the four per-phase learning blocks.
+
+    The networks see the tracking error normalized by the per-phase
+    safety bounds (duration error as a fraction of the safety percentage,
+    angle error as a fraction of the safety angle), so both state
+    components live in [-1, 1] whenever the trial is safe.  Gradient
+    magnitudes scale with the squared signal size, which is what makes
+    learning rates of this order effective; the per-cycle stability
+    monitor reports the matching ceilings.
+    """
+
+    critic_hidden: int = 8
+    actor_hidden: int = 6
+    discount: float = 0.95
+    critic_lr: float = 0.1
+    actor_lr: float = 30.0
+    init_weight_scale: float = 0.5
+    cost: StageCostParams = field(default_factory=StageCostParams.default)
+    action_scale: ActionScale = field(default_factory=ActionScale.default)
+    monitor: MonitorParams | None = None
+
+    def __post_init__(self):
+        # each refusal opens with the field it names
+        for name in ("critic_hidden", "actor_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        for name in ("critic_lr", "actor_lr", "init_weight_scale"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        for name in ("critic_lr", "actor_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
+        if self.init_weight_scale > MAX_INIT_WEIGHT_SCALE:
+            raise ValueError(f"init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
+                             f"got {self.init_weight_scale}")
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError(f"discount: must lie in (0, 1), got {self.discount}")
+
+    def monitor_params(self) -> MonitorParams:
+        return self.monitor or MonitorParams.for_discount(self.discount)
+
+
+@dataclass(frozen=True)
+class TrialConfig:
+    """Everything a single trial needs, independent of batch bookkeeping."""
+
+    scenario: int = SCENARIO_LEVEL_GROUND
+    stage: str = "training"
+    plant_kind: str = "feature-map"
+    max_cycles: int = 500
+    window: int = 10
+    quota: int = 8
+    rms_window: int = 10
+    bounds: BoundsTable = field(default_factory=BoundsTable.default)
+    ranges: ParameterRanges = field(default_factory=ParameterRanges.default)
+    dhdp: DhdpConfig = field(default_factory=DhdpConfig)
+    feature_map: FeatureMapConfig = field(default_factory=FeatureMapConfig.default)
+    ode: OdeKneeConfig = field(default_factory=OdeKneeConfig)
+    init_spread: float = 0.3
+    pool_size: int = 5
+    pool_spread: float = 0.06
+    switch_period: int = 20
+    consecutive_tracks: int = 3
+    pace_training: tuple[float, ...] = (1.0, 1.12, 1.0, 0.88)
+    pace_testing: tuple[float, ...] = (1.0, 0.8, 1.0, 1.2)
+    drift_gain: float = 0.0
+    drift_smoothing: float = 0.2
+    strict_monitor: bool = False
+    load_critic: bool = False
+
+    def __post_init__(self):
+        # each refusal opens with the field it names
+        if self.scenario not in (SCENARIO_LEVEL_GROUND, SCENARIO_TERRAIN, SCENARIO_PACE):
+            raise ValueError(f"scenario: must be 1, 2 or 3, got {self.scenario}")
+        if self.stage not in ("training", "testing"):
+            raise ValueError(f"stage: must be 'training' or 'testing', got {self.stage!r}")
+        if self.plant_kind not in ("feature-map", "ode"):
+            raise ValueError(f"plant_kind: must be feature-map or ode, got {self.plant_kind!r}")
+        if self.window < 1:
+            raise ValueError(f"window: must be at least 1, got {self.window}")
+        if not 0 < self.quota <= self.window:
+            raise ValueError(f"quota: must lie in (0, window], got {self.quota}")
+        if self.max_cycles <= self.window:
+            raise ValueError(f"max_cycles: must exceed window, got {self.max_cycles}")
+        for name in ("rms_window", "pool_size", "switch_period", "consecutive_tracks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        for name in ("pace_training", "pace_testing"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: needs at least one pace multiplier")
+            for i, pace in enumerate(getattr(self, name)):
+                if not pace > 0.0:
+                    raise ValueError(f"{name}[{i}]: must be a positive number, got {pace!r}")
+                if not math.isfinite(pace):
+                    raise ValueError(f"{name}[{i}]: must be finite, got {pace!r}")
+        if not 0.0 <= self.drift_gain <= MAX_DRIFT_GAIN:
+            raise ValueError(f"drift_gain: must lie in [0, {MAX_DRIFT_GAIN:g}], "
+                             f"got {self.drift_gain}")
+        # the drift low-pass, like the feature map's, takes a fraction per cycle
+        if not 0.0 < self.drift_smoothing <= 1.0:
+            raise ValueError(f"drift_smoothing: must lie in (0, 1], got {self.drift_smoothing}")
+        # impedance draws scale the reference by factors in 1 +- spread,
+        # which stay positive, and so keep every drawn impedance legal
+        for name in ("init_spread", "pool_spread"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must lie in [0, 1), got {getattr(self, name)}")
+
+    def pace_sequence(self) -> tuple[float, ...]:
+        if self.scenario != SCENARIO_PACE:
+            return (1.0,)
+        return self.pace_training if self.stage == "training" else self.pace_testing
 
 
 # keys of a run that are no part of a trial, with their defaults
@@ -60,13 +202,13 @@ def _defaults() -> TrialConfig:
 def _plain(value):
     """The JSON form of a default: a dataclass is an object of its fields, or
     its one field's value; one inside a list is the list of its field values."""
-    if dataclasses.is_dataclass(value):
+    if is_dataclass(value):
         fields = {name: _plain(getattr(value, name)) for name in value.__dataclass_fields__}
         return fields.popitem()[1] if len(fields) == 1 else fields
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
-        return [list(_plain(item).values()) if dataclasses.is_dataclass(item) else _plain(item)
+        return [list(_plain(item).values()) if is_dataclass(item) else _plain(item)
                 for item in value]
     return value
 
@@ -140,11 +282,11 @@ def _require_numbers(value, template, path: str) -> None:
 
 
 def _require_finite(value, path: str) -> None:
-    """Refuse a float that is not finite, in ``value`` or nested in its lists."""
+    """Refuse a number no double holds, in ``value`` or nested in its lists."""
     if isinstance(value, list):
         for i, item in enumerate(value):
             _require_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {value}")
 
 
@@ -177,8 +319,10 @@ def load_trial_config(path=None, overrides: dict | None = None) -> tuple[dict, T
         if not file.exists():
             raise ConfigError(f"config not found: {file}")
         try:
-            user = json.loads(file.read_text())
-        except json.JSONDecodeError as exc:
+            user = json.loads(file.read_text(encoding="utf-8"))
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"config cannot be read: {file}: {exc}") from exc
+        except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
             raise ConfigError(f"config is not valid JSON: {file}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {file}")
@@ -198,10 +342,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 def _check_values(resolved: dict) -> None:
     """Refuse run values the run cannot use, naming the key; the trial's own
     values are refused where :func:`trial_config_from` builds them."""
-    try:
-        check_run_values(**{key: resolved[key] for key in RUN_MINIMA})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_run_values(**{key: resolved[key] for key in RUN_MINIMA})
     # the monitor's weighting factors: all three numbers, or all three null (the defaults)
     dhdp = resolved["dhdp"]
     for key in _ALPHAS:
@@ -254,7 +395,7 @@ def _built(default, raw, path: str = ""):
         if default is None:
             return None if raw["alpha1"] is None else MonitorParams(
                 **{name: float(value) for name, value in raw.items()})
-        if dataclasses.is_dataclass(default):
+        if is_dataclass(default):
             if not isinstance(raw, dict):
                 names = list(default.__dataclass_fields__)
                 raw = dict(zip(names, [raw] if len(names) == 1 else raw))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -423,13 +424,12 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
     if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
         raise PolicyFormatError(f"{name}: data must be a list of numbers")
     shape = tuple(shape)
-    data = np.array(data, dtype=float)
-    if data.size != math.prod(shape):
-        raise PolicyFormatError(
-            f"{name}: {data.size} values do not fill shape {list(shape)}"
-        )
-    if not np.all(np.isfinite(data)):
+    if len(data) != math.prod(shape):
+        raise PolicyFormatError(f"{name}: {len(data)} values do not fill shape {list(shape)}")
+    # an integer past the largest double overflows the conversion
+    if not all(abs(v) <= sys.float_info.max for v in data):
         raise PolicyFormatError(f"{name}: weights must be finite")
+    data = np.array(data, dtype=float)
     return data.reshape(shape)
 
 
@@ -477,8 +477,8 @@ def load_policy(path, expect_actor_hidden=None, expect_critic_hidden=None):
     expected hidden sizes given, naming both dimensions.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise PolicyFormatError(f"cannot read policy snapshot {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != POLICY_FORMAT:
         raise PolicyFormatError(f"{path}: not a policy snapshot")

@@ -20,14 +20,14 @@ is tracked, and requires completing the whole sequence.
 from __future__ import annotations
 
 import copy
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _repr
+from .config import SCENARIO_LEVEL_GROUND, SCENARIO_PACE, SCENARIO_TERRAIN, check_run_values
+from .config import DhdpConfig, TrialConfig  # noqa: F401 (bench/run.py: harness.TrialConfig())
 from .core import (
     KNEE_ANGLE_MAX,
     BoundsTable,
@@ -39,12 +39,9 @@ from .core import (
     within_bound,
 )
 from .dhdp import (
-    ActionScale,
     ActorNet,
     CriticNet,
-    MonitorParams,
     NumericFaultError,
-    StageCostParams,
     actor_eval,
     actor_update,
     critic_eval,
@@ -60,9 +57,7 @@ from .dhdp import (
 )
 from .fsm import ParameterRanges, apply_delta
 from .plant import (
-    FeatureMapConfig,
     FeatureMapPlant,
-    OdeKneeConfig,
     OdeKneePlant,
     PlantInstabilityError,
     TargetProgram,
@@ -72,10 +67,6 @@ from .plant import (
     profile_to_array,
     switch_schedule,
 )
-
-SCENARIO_LEVEL_GROUND = 1
-SCENARIO_TERRAIN = 2
-SCENARIO_PACE = 3
 
 # Fraction of the safety bound an initial impedance draw may use up; the
 # margin leaves room for measurement noise around the steady-state check.
@@ -94,138 +85,6 @@ MAX_INITIAL_DRAWS = 1000
 PROBE_CHUNK = 256
 # Gait cycles a steady-state probe walks; the last one's features count.
 STEADY_CYCLES = 3
-# The networks see states inside [-1, 1] while a trial is safe, so initial
-# weights far above 1 start every unit saturated; the ceiling only keeps the
-# draw's width, twice the scale, finite with room to spare.
-MAX_INIT_WEIGHT_SCALE = 1e6
-# Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
-# the intact side would adapt past the prosthesis, and the target runs away.
-MAX_DRIFT_GAIN = 1.0
-# The least value of each run setting, by its config key: a batch runs at
-# least one trial, and a seed or a count of kept policies may be 0.
-RUN_MINIMA = {"trials": 1, "trials_per_policy": 1, "seed": 0, "keep_policies": 0}
-
-
-def check_run_values(**values) -> None:
-    """Refuse a run setting below its :data:`RUN_MINIMA` entry, naming its key."""
-    for key, value in values.items():
-        if value < RUN_MINIMA[key]:
-            raise ValueError(f"{key}: must be at least {RUN_MINIMA[key]}, got {value}")
-
-
-@dataclass(frozen=True)
-class DhdpConfig:
-    """Hyperparameters shared by the four per-phase learning blocks.
-
-    The networks see the tracking error normalized by the per-phase
-    safety bounds (duration error as a fraction of the safety percentage,
-    angle error as a fraction of the safety angle), so both state
-    components live in [-1, 1] whenever the trial is safe.  Gradient
-    magnitudes scale with the squared signal size, which is what makes
-    learning rates of this order effective; the per-cycle stability
-    monitor reports the matching ceilings.
-    """
-
-    critic_hidden: int = 8
-    actor_hidden: int = 6
-    discount: float = 0.95
-    critic_lr: float = 0.1
-    actor_lr: float = 30.0
-    init_weight_scale: float = 0.5
-    cost: StageCostParams = field(default_factory=StageCostParams.default)
-    action_scale: ActionScale = field(default_factory=ActionScale.default)
-    monitor: MonitorParams | None = None
-
-    def __post_init__(self):
-        # each refusal opens with the field it names
-        for name in ("critic_hidden", "actor_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
-        for name in ("critic_lr", "actor_lr", "init_weight_scale"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
-        for name in ("critic_lr", "actor_lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
-        if self.init_weight_scale > MAX_INIT_WEIGHT_SCALE:
-            raise ValueError(f"init_weight_scale: must be at most {MAX_INIT_WEIGHT_SCALE:g}, "
-                             f"got {self.init_weight_scale}")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount: must lie in (0, 1), got {self.discount}")
-
-    def monitor_params(self) -> MonitorParams:
-        return self.monitor or MonitorParams.for_discount(self.discount)
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Everything a single trial needs, independent of batch bookkeeping."""
-
-    scenario: int = SCENARIO_LEVEL_GROUND
-    stage: str = "training"
-    plant_kind: str = "feature-map"
-    max_cycles: int = 500
-    window: int = 10
-    quota: int = 8
-    rms_window: int = 10
-    bounds: BoundsTable = field(default_factory=BoundsTable.default)
-    ranges: ParameterRanges = field(default_factory=ParameterRanges.default)
-    dhdp: DhdpConfig = field(default_factory=DhdpConfig)
-    feature_map: FeatureMapConfig = field(default_factory=FeatureMapConfig.default)
-    ode: OdeKneeConfig = field(default_factory=OdeKneeConfig)
-    init_spread: float = 0.3
-    pool_size: int = 5
-    pool_spread: float = 0.06
-    switch_period: int = 20
-    consecutive_tracks: int = 3
-    pace_training: tuple[float, ...] = (1.0, 1.12, 1.0, 0.88)
-    pace_testing: tuple[float, ...] = (1.0, 0.8, 1.0, 1.2)
-    drift_gain: float = 0.0
-    drift_smoothing: float = 0.2
-    strict_monitor: bool = False
-    load_critic: bool = False
-
-    def __post_init__(self):
-        # each refusal opens with the field it names
-        if self.scenario not in (SCENARIO_LEVEL_GROUND, SCENARIO_TERRAIN, SCENARIO_PACE):
-            raise ValueError(f"scenario: must be 1, 2 or 3, got {self.scenario}")
-        if self.stage not in ("training", "testing"):
-            raise ValueError(f"stage: must be 'training' or 'testing', got {self.stage!r}")
-        if self.plant_kind not in ("feature-map", "ode"):
-            raise ValueError(f"plant_kind: must be feature-map or ode, got {self.plant_kind!r}")
-        if self.window < 1:
-            raise ValueError(f"window: must be at least 1, got {self.window}")
-        if not 0 < self.quota <= self.window:
-            raise ValueError(f"quota: must lie in (0, window], got {self.quota}")
-        if self.max_cycles <= self.window:
-            raise ValueError(f"max_cycles: must exceed window, got {self.max_cycles}")
-        for name in ("rms_window", "pool_size", "switch_period", "consecutive_tracks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
-        for name in ("pace_training", "pace_testing"):
-            if not getattr(self, name):
-                raise ValueError(f"{name}: needs at least one pace multiplier")
-            for i, pace in enumerate(getattr(self, name)):
-                if not pace > 0.0:
-                    raise ValueError(f"{name}[{i}]: must be a positive number, got {pace!r}")
-                if not math.isfinite(pace):
-                    raise ValueError(f"{name}[{i}]: must be finite, got {pace!r}")
-        if not 0.0 <= self.drift_gain <= MAX_DRIFT_GAIN:
-            raise ValueError(f"drift_gain: must lie in [0, {MAX_DRIFT_GAIN:g}], "
-                             f"got {self.drift_gain}")
-        # the drift low-pass, like the feature map's, takes a fraction per cycle
-        if not 0.0 < self.drift_smoothing <= 1.0:
-            raise ValueError(f"drift_smoothing: must lie in (0, 1], got {self.drift_smoothing}")
-        # impedance draws scale the reference by factors in 1 +- spread,
-        # which stay positive, and so keep every drawn impedance legal
-        for name in ("init_spread", "pool_spread"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name}: must lie in [0, 1), got {getattr(self, name)}")
-
-    def pace_sequence(self) -> tuple[float, ...]:
-        if self.scenario != SCENARIO_PACE:
-            return (1.0,)
-        return self.pace_training if self.stage == "training" else self.pace_testing
 
 
 # The CSV column order below is a stable interface; downstream plot and
@@ -1129,8 +988,6 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
 # Structured logs
 
 
-# a comma goes into the free byte 0 of every cell but a line's first
-_COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", dtype=np.uint32)
 # rows the CSV writer formats at once, so its working set does not grow with the log
 _CSV_BLOCK = 512
 
@@ -1149,65 +1006,5 @@ def write_trial_csv(record: TrialRecord, path) -> None:
         fh.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
         for start in range(0, len(record.log["reset"]), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
-            lines = _padded_lines([values[rows] for values in columns],
-                                  [mask if mask is None else mask[rows] for mask in missing])
-            fh.write(lines.tobytes().translate(None, b"\0"))
-            del lines  # freed before the next block's are built
-
-
-def _padded_lines(columns: list[np.ndarray], missing: list[np.ndarray | None]) -> np.ndarray:
-    """One block's CSV lines as (rows, words) uint32, NUL padding between the characters.
-
-    ``columns`` are the block's values of ``CSV_COLUMNS`` and ``missing``
-    their masks of missing cells (None for a column that has none).  Each
-    column's cells (see ``_repr``) go straight into its words of every
-    line; an integer column takes as many words as the block's largest
-    value needs.
-    """
-    floats = iter(_repr.float_columns(np.array([c for c in columns if c.dtype.kind == "f"])))
-    # a digit more than the largest integer has keeps byte 0 free
-    cells = [next(floats) if values.dtype.kind == "f" else
-             _repr.int_words(values, len(str(int(values.max()))) // 4 + 1)
-             for values in columns]
-    lines = np.empty((len(columns[0]), sum(map(len, cells)) + 1), dtype=np.uint32)
-    at = 0
-    for words, mask in zip(cells, missing):
-        part = lines[:, at:at + len(words)]
-        part[...] = words.T
-        if mask is not None:
-            part[mask] = 0
-        if at:
-            part[:, 0] |= _COMMA
-        at += len(words)
-    lines[:, at] = _CRLF
-    return lines
-
-
-def trial_summary(record: TrialRecord, index: int, policy_index: int | None = None) -> dict:
-    """A trial's JSON document: its record's fields less the log (the CSV) and the nets."""
-    summary = {f.name: getattr(record, f.name) for f in fields(record)
-               if f.name not in ("log", "actors", "critics")}
-    summary["converged_at"] = {str(p): c for p, c in sorted(record.converged_at.items())}
-    summary["schema"] = "kneetrack-trial"
-    summary["trial"] = index
-    if policy_index is not None:
-        summary["policy"] = policy_index
-    return summary
-
-
-def write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
-def batch_summary(batch: BatchResult, trials_meta: list[dict]) -> dict:
-    """A batch's JSON document: its metrics' fields, the success rate and the batch's setting."""
-    return asdict(batch.metrics) | {
-        "success_rate": batch.metrics.success_rate,
-        "schema": "kneetrack-batch",
-        "scenario": batch.cfg.scenario,
-        "stage": batch.cfg.stage,
-        "plant": batch.cfg.plant_kind,
-        "seed": batch.seed,
-        "policy_trials": batch.policy_trials,
-        "trial_summaries": trials_meta,
-    }
+            fh.write(_repr.csv_lines([values[rows] for values in columns],
+                                     [mask if mask is None else mask[rows] for mask in missing]))

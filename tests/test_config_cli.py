@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kneetrack.cli import main
+from kneetrack.cli import main, trial_summary
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
 from kneetrack.core import BoundsTable, PhaseBound, check_features
 from kneetrack.dhdp import (
@@ -40,7 +40,6 @@ from kneetrack.harness import (
     run_testing_batch,
     run_training_batch,
     run_trial,
-    trial_summary,
 )
 from kneetrack.plant import (
     FeatureMapConfig,
@@ -108,13 +107,19 @@ def assert_one_error(capsys, code, want, message):
 
 
 def test_unreadable_config_files_exit_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    for text, message in (("{not json", f"config is not valid JSON: {path}: "),
-                          ("[1, 2]", f"config root must be an object: {path}")):
-        path.write_text(text)
+    # a directory and a file that is not UTF-8 each ended in a traceback
+    path, latin1, folder = tmp_path / "cfg.json", tmp_path / "latin1.json", tmp_path / "cfg.d"
+    latin1.write_bytes(b'{"stage": "caf\xe9"}')
+    folder.mkdir()
+    for file, text, message in ((path, "{not json", f"config is not valid JSON: {path}: "),
+                                (path, "[1, 2]", f"config root must be an object: {path}"),
+                                (latin1, None, f"config is not valid JSON: {latin1}: "),
+                                (folder, None, f"config cannot be read: {folder}: ")):
+        if text is not None:
+            file.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(path)
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+            load_config(file)
+        code = main(["run", "--config", str(file), "--out", str(tmp_path / "out")])
         assert_one_error(capsys, code, 2, message)
         assert not (tmp_path / "out").exists()
 
@@ -509,7 +514,9 @@ def test_init_weight_scale_has_a_finite_ceiling(tmp_path, capsys):
 
 
 # the input scan's bad values, each set in turn at every leaf of the tree
-BAD_VALUES = [None, True, "fast", [], {}, -1, 0, 0.0, 1e308, -1e308, [1], [[1, 2]], 1.5]
+# (an integer past the largest double overflowed where it was converted)
+BAD_VALUES = [None, True, "fast", [], {}, -1, 0, 0.0, 1e308, -1e308, [1], [[1, 2]], 1.5,
+              10**400, -10**400]
 
 
 def leaf_paths(node, path=()):
@@ -552,6 +559,8 @@ def names_a_key(head: str) -> bool:
 @example(path=("ranges", 2, 1), bad={})
 @example(path=("dhdp", "init_weight_scale"), bad=1e308)
 @example(path=("init_spread",), bad=0)  # no initial draw is feasible: exit 1
+@example(path=("init_spread",), bad=10**400)
+@example(path=("pace", "training", 0), bad=-10**400)
 # a refusal at each of these entries named only its section or whole list
 @example(path=("feature_map", "reference_impedance", 0, 0), bad=1.5)
 @example(path=("ranges", 0, 1, 0), bad=1.5)
@@ -732,6 +741,12 @@ def test_run_training_writes_all_outputs(tmp_path, capsys):
     assert "success_rate" in summary and "tuning_steps_mean" in summary
     assert (out / "policies" / "policy_01.json").exists()
     assert "succeeded" in capsys.readouterr().out
+    # a log that cannot be written ended in a traceback
+    blocked = tmp_path / "blocked"
+    log = blocked / "trials" / "trial_001.csv"
+    log.mkdir(parents=True)
+    code = main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(blocked)])
+    assert_one_error(capsys, code, 1, f"[Errno 21] Is a directory: '{log}'")
 
 
 def test_run_missing_config_nonzero_exit(tmp_path, capsys):
@@ -860,6 +875,10 @@ def test_save_policy_round_trip(tmp_path, capsys):
     dest = tmp_path / "q.json"
     assert main(["save-policy", str(src), str(dest)]) == 0
     assert src.read_bytes() == dest.read_bytes()
+    # into a directory that does not exist: a traceback once
+    missing = tmp_path / "missing" / "q.json"
+    code = main(["save-policy", str(src), str(missing)])
+    assert_one_error(capsys, code, 1, f"[Errno 2] No such file or directory: '{missing}'")
 
 
 def test_save_policy_refuses_a_bad_source(tmp_path, capsys):
@@ -912,10 +931,15 @@ def test_load_policy_garbage_file(tmp_path, capsys):
     nan_weight["phases"][2]["critic_hidden"]["data"][0] = float("nan")
     number_matrix = copy.deepcopy(valid)
     number_matrix["phases"][1]["actor_hidden"] = 3
+    short_data = copy.deepcopy(valid)
+    short_data["phases"][3]["critic_hidden"]["data"].pop()
+    three_phases = {**valid, "phases": valid["phases"][:3]}
 
-    for text in ("{not json", json.dumps([valid]), json.dumps(missing_key),
-                 json.dumps(wrong_shape), json.dumps(nan_weight), json.dumps(number_matrix)):
-        snap.write_text(text)
+    # text that is not UTF-8 ended in a traceback
+    for data in (b"{not json", b'{"format": "caf\xe9"}', *(json.dumps(doc).encode() for doc in (
+            [valid], missing_key, wrong_shape, nan_weight, number_matrix, short_data,
+            three_phases))):
+        snap.write_bytes(data)
         assert main(["load-policy", str(snap)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -986,7 +1010,7 @@ def policy_snapshot() -> dict:
 # values no snapshot leaf may take, from the shape entries and version to
 # the weights; json writes the non-finite ones as NaN and Infinity
 BAD_POLICY_VALUES = [None, True, False, "fast", [], {}, [1], [[1, 2]], 2.5, -1,
-                     float("nan"), float("inf"), -float("inf")]
+                     float("nan"), float("inf"), -float("inf"), 10**400, -10**400]
 # finite numbers, which are valid weights: only the leaves that are no weight take them
 NUMBERS = (2.5, -1)
 
@@ -998,6 +1022,7 @@ NUMBERS = (2.5, -1)
 @example(path=("phases", 0, "critic_output", "shape", 0), bad=-1)
 @example(path=("phases", 3, "actor_hidden", "data", 5), bad=float("nan"))
 @example(path=("version",), bad=True)
+@example(path=("phases", 2, "critic_hidden", "data", 7), bad=10**400)
 def test_a_bad_snapshot_leaf_exits_cleanly(path, bad):
     # load-policy and a testing run on the snapshot each refuse it: exit 1
     # or 2 with one error line, no traceback, no warning, no output directory
@@ -1085,12 +1110,17 @@ def test_report_skips_malformed_json(tmp_path, capsys):
         (out / "trials" / f"trial_{n}.json").write_text(json.dumps({**good, **fields}))
     # a document of another schema is passed over: neither read nor counted
     (out / "trials" / "trial_993.json").write_text(json.dumps({**good, "schema": "other"}))
+    # a directory by a summary's name ended in a traceback
+    (out / "trials" / "trial_992.json").mkdir()
     assert main(["report", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.count("skipping malformed") == 6
+    assert captured.err.count("skipping malformed") == 7
     report = json.loads((out / "report.json").read_text())
-    assert report["skipped_files"] == 6
+    assert report["skipped_files"] == 7
     assert report["results"][0]["trials"] == 2
+    # and so did an --out that names a file
+    code = main(["report", str(out), "--out", str(out / "config.json")])
+    assert_one_error(capsys, code, 1, f"[Errno 17] File exists: '{out / 'config.json'}'")
 
 
 # a valid trial summary, and the leaves of it that report reads
@@ -1103,7 +1133,7 @@ REPORT_LEAVES = [path for path in leaf_paths(GOOD_SUMMARY) if path[0] in
 # values no read leaf may take, then those that only some leaves may take;
 # json writes the non-finite ones as NaN and Infinity
 BAD_SUMMARY_VALUES = [True, False, "", "fast", [], {}, [1], -7, -0.5,
-                      float("nan"), float("inf"), -float("inf")]
+                      float("nan"), float("inf"), -float("inf"), 10**400, -10**400]
 BAD_FOR = {"scenario": [None, 0, 4, 42, 1.0], "stage": [None, "train", 1],
            "outcome": [None, "halted", 1, "failure"], "tuning_steps": [2.5, 40.0, "10", None],
            "rms_initial": [None, "0.1"], "rms_final": [None, "0.1"]}
@@ -1120,6 +1150,8 @@ BAD_SUMMARY_LEAVES = [(path, bad) for path in REPORT_LEAVES
 @example(case=(("stage",), ""))
 @example(case=(("tuning_steps",), None))
 @example(case=(("outcome",), "failure"))
+@example(case=(("tuning_steps",), 10**400))
+@example(case=(("rms_final", "duration_pct"), 10**400))
 def test_a_bad_summary_leaf_is_skipped(case):
     # report skips the summary with one warning: beside a valid one it exits
     # 0 and writes no non-finite number, alone it exits 1; never a traceback

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import _fmt
 from kneetrack import harness
+from kneetrack.cli import batch_summary, trial_summary
 from kneetrack.core import KNEE_ANGLE_MAX, BoundsTable
 from kneetrack.dhdp import init_actor
 from kneetrack.harness import (
@@ -27,7 +28,6 @@ from kneetrack.harness import (
     TrialConfig,
     TrialRecord,
     aggregate_metrics,
-    batch_summary,
     compute_rms,
     draw_initial_impedance,
     make_plant,
@@ -38,7 +38,6 @@ from kneetrack.harness import (
     safety_check,
     scaled_impedance,
     _step_to_end,
-    trial_summary,
     write_trial_csv,
 )
 from kneetrack.plant import (
