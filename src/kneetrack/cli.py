@@ -12,6 +12,9 @@ Subcommands:
   table and RMS bar data.
 
 Every flag has a config-file equivalent; flags win over file values.
+A refusal is one ``error:`` line on stderr and exits 2 for a config, or 1
+for a policy snapshot, a failed batch or a file that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -91,45 +94,37 @@ def cmd_run(args) -> int:
         "out_dir": None if args.out is None else str(args.out),
         "strict_monitor": True if args.strict_monitor else None,
     }
-    try:
-        resolved, cfg = load_trial_config(args.config, overrides)
-        if cfg.stage == "testing" and not resolved["policy_dir"]:
-            raise ConfigError("policy_dir: the testing stage needs one in the config")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    resolved, cfg = load_trial_config(args.config, overrides)
+    if cfg.stage == "testing" and not resolved["policy_dir"]:
+        raise ConfigError("policy_dir: the testing stage needs one in the config")
 
     seed = int(resolved["seed"])
     outdir = Path(resolved["out_dir"])
     trials_dir = outdir / "trials"
-    try:
-        if cfg.stage == "training":
-            batch = run_training_batch(cfg, seed, trials=int(resolved["trials"]),
-                                       keep_policies=int(resolved["keep_policies"]))
-        else:
-            policies = _load_policies(Path(resolved["policy_dir"]), cfg)
-            batch = run_testing_batch(cfg, seed, policies,
-                                      trials_per_policy=int(resolved["trials_per_policy"]))
-        # the output directory is made only for a batch that ran
-        trials_dir.mkdir(parents=True, exist_ok=True)
-        write_json(resolved, outdir / "config.json")
-        if cfg.stage == "training":
-            (outdir / "policies").mkdir(exist_ok=True)
-        for n, trial_idx in enumerate(batch.policy_trials, start=1):
-            rec = batch.records[trial_idx]
-            save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
-        trials_meta = []
-        for i, rec in enumerate(batch.records):
-            write_trial_csv(rec, trials_dir / f"trial_{i:03d}.csv")
-            p_idx = batch.policy_index[i] if batch.policy_index else None
-            summary = trial_summary(rec, i, p_idx)
-            write_json(summary, trials_dir / f"trial_{i:03d}.json")
-            trials_meta.append(summary)
-        write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
-        _write_plot_data(batch, outdir)
-    except (PolicyFormatError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if cfg.stage == "training":
+        batch = run_training_batch(cfg, seed, trials=int(resolved["trials"]),
+                                   keep_policies=int(resolved["keep_policies"]))
+    else:
+        policies = _load_policies(Path(resolved["policy_dir"]), cfg)
+        batch = run_testing_batch(cfg, seed, policies,
+                                  trials_per_policy=int(resolved["trials_per_policy"]))
+    # the output directory is made only for a batch that ran
+    trials_dir.mkdir(parents=True, exist_ok=True)
+    write_json(resolved, outdir / "config.json")
+    if cfg.stage == "training":
+        (outdir / "policies").mkdir(exist_ok=True)
+    for n, trial_idx in enumerate(batch.policy_trials, start=1):
+        rec = batch.records[trial_idx]
+        save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
+    trials_meta = []
+    for i, rec in enumerate(batch.records):
+        write_trial_csv(rec, trials_dir / f"trial_{i:03d}.csv")
+        p_idx = batch.policy_index[i] if batch.policy_index else None
+        summary = trial_summary(rec, i, p_idx)
+        write_json(summary, trials_dir / f"trial_{i:03d}.json")
+        trials_meta.append(summary)
+    write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
+    _write_plot_data(batch, outdir)
 
     m = batch.metrics
     steps = "n/a" if m.tuning_steps_mean is None else f"{m.tuning_steps_mean:.1f}"
@@ -139,12 +134,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_save_policy(args) -> int:
-    try:
-        actors, critics = load_policy(args.source)
-        save_policy(args.dest, actors, critics)
-    except (PolicyFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    actors, critics = load_policy(args.source)
+    save_policy(args.dest, actors, critics)
     print(f"saved policy snapshot to {args.dest}")
     return 0
 
@@ -152,19 +143,11 @@ def cmd_save_policy(args) -> int:
 def cmd_load_policy(args) -> int:
     expect_actor = expect_critic = None
     if args.config is not None:
-        try:
-            _, cfg = load_trial_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        _, cfg = load_trial_config(args.config)
         expect_actor = cfg.dhdp.actor_hidden
         expect_critic = cfg.dhdp.critic_hidden
-    try:
-        actors, critics = load_policy(args.snapshot, expect_actor_hidden=expect_actor,
-                                      expect_critic_hidden=expect_critic)
-    except PolicyFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    actors, critics = load_policy(args.snapshot, expect_actor_hidden=expect_actor,
+                                  expect_critic_hidden=expect_critic)
     kinds = "actor+critic" if critics is not None else "actor-only"
     print(f"{args.snapshot}: valid {kinds} snapshot, "
           f"actor hidden {actors[0].hidden_size}")
@@ -269,13 +252,9 @@ def cmd_report(args) -> int:
 
     report = {"schema": "kneetrack-report", "skipped_files": skipped, "results": table}
     out_dir = Path(args.out) if args.out else directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(report, out_dir / "report.json")
-        _write_rms_csv(out_dir / "report_rms.csv", groups)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(report, out_dir / "report.json")
+    _write_rms_csv(out_dir / "report_rms.csv", groups)
 
     for entry in table:
         steps = ("n/a" if entry["tuning_steps_mean"] is None
@@ -322,8 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand; the one place its refusals become an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, PolicyFormatError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

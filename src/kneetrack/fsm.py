@@ -6,8 +6,8 @@ holds the controller's rules: the joint torque of the active row
 (:func:`joint_torque`), the kinematic peak that ends a flexion phase
 (:func:`flexion_peaked`), and per-cycle parameter adjustments clamped to
 configured physical ranges (:func:`apply_delta`).  The torque-law knee
-(``OdeKneePlant``) walks the phase machine in its own float loop with the
-first two.
+(``OdeKneePlant``) uses the first two in both its walks: one cycle on
+floats, and a stack of candidates on arrays.
 """
 
 from __future__ import annotations
@@ -75,16 +75,16 @@ class ParameterRanges:
         return cls(tuple(PhaseRanges() for _ in range(NUM_PHASES)))
 
 
-def flexion_peaked(phase_elapsed: float, velocity: float,
-                   prev_velocity: float | None = None) -> bool:
+def flexion_peaked(phase_elapsed: float, velocity, prev_velocity=None):
     """Whether a flexion phase has reached its kinematic peak.
 
     The peak needs ``MIN_DWELL`` seconds in the phase and a velocity at or
     below ``PEAK_VELOCITY_EPS``.  Given the previous timestep's velocity, it
     must also have been above the threshold, so the velocity fell through it.
+    Arrays of velocities give one flag each, or a single False before the dwell.
     """
-    return (phase_elapsed >= MIN_DWELL and velocity <= PEAK_VELOCITY_EPS
-            and (prev_velocity is None or prev_velocity > PEAK_VELOCITY_EPS))
+    return phase_elapsed >= MIN_DWELL and (velocity <= PEAK_VELOCITY_EPS) & (
+        prev_velocity is None or prev_velocity > PEAK_VELOCITY_EPS)
 
 
 def joint_torque(imp, angle: float, velocity: float) -> float:

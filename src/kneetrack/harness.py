@@ -894,12 +894,19 @@ class Metrics:
         return self.successes / self.trials if self.trials else 0.0
 
 
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of finite values; where their sum overflows, the sum of their shares."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    # rounding may lift the shares' sum past the largest value, not further
+    return mean if math.isfinite(mean) else min(sum(v / len(values) for v in values), max(values))
+
+
 def _mean_rms(samples: list[dict | None]) -> dict | None:
     present = [s for s in samples if s is not None]
     if not present:
         return None
-    return {key: float(np.mean([s[key] for s in present]))
-            for key in ("peak_rad", "duration_pct")}
+    return {key: _mean([s[key] for s in present]) for key in ("peak_rad", "duration_pct")}
 
 
 def aggregate_metrics(records: list[TrialRecord]) -> Metrics:

@@ -13,7 +13,8 @@ Two plants sit behind the same step interface:
   one Euler loop on Python floats, with the phase machine's rules
   (:func:`~kneetrack.fsm.joint_torque`, :func:`~kneetrack.fsm.flexion_peaked`).
   :meth:`OdeKneePlant.walk_stack` walks a stack of impedances with the
-  same substeps as arrays, which is what probing many candidates needs.
+  same substeps and rules on arrays, which is what probing many candidates
+  needs.  Both walks read how each phase ends from one per-phase table.
 
 The intact-knee side is a :class:`TargetProgram`: a base feature profile
 with optional terrain switching (a pool of profiles swapped on a fixed
@@ -37,7 +38,7 @@ from .core import (
     check_features,
     check_impedance,
 )
-from .fsm import MIN_DWELL, PEAK_VELOCITY_EPS, flexion_peaked, joint_torque
+from .fsm import flexion_peaked, joint_torque
 
 MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
 # Measurement noise (s, rad) wider than a whole default gait cycle (1.2 s)
@@ -269,6 +270,13 @@ class OdeKneePlant:
         self.config = config
         self._angle = config.initial_angle
         self._velocity = config.initial_velocity
+        # per phase: whether a flexion peak ends it, else the angle it
+        # extends down through, and its load
+        self._phases = tuple(
+            (phase, phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION),
+             config.toe_off_angle if phase is Phase.STANCE_EXTENSION
+             else config.heel_strike_angle, load)
+            for phase, load in zip(PHASES, config.load_torque))
 
     def step(self, imp: np.ndarray) -> GaitProfile:
         cfg = self.config
@@ -280,10 +288,7 @@ class OdeKneePlant:
         # one Euler loop per phase on Python floats: ~50 substeps per cycle,
         # where numpy scalars or a state object per substep cost more than the arithmetic
         try:
-            for phase, row, load in zip(PHASES, imp.tolist(), cfg.load_torque):
-                flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)
-                threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
-                             else cfg.heel_strike_angle)
+            for (phase, flexion, threshold, load), row in zip(self._phases, imp.tolist()):
                 elapsed = 0.0
                 while True:
                     accel = (-joint_torque(row, angle, velocity) + load) / inertia
@@ -301,17 +306,12 @@ class OdeKneePlant:
                     elapsed += dt
                     if angle > peak:
                         peak = angle
-                    if flexion:
-                        ended = flexion_peaked(elapsed, velocity, prev_velocity)
-                    else:
-                        # toe-off or heel strike: extended down through the
-                        # threshold after two substeps, or timed out
-                        ended = ((angle < threshold and velocity <= 0.0 and elapsed > 2 * dt)
-                                 or elapsed >= max_time)
-                    if ended:
-                        break
-                    if elapsed >= max_time:
-                        # flexion peak never materialized (e.g. zero stiffness); force on
+                    # timed out (a flexion peak may never come, as without
+                    # stiffness), peaked, or toe-off or heel strike: extended
+                    # down through the threshold after two substeps
+                    if elapsed >= max_time or (
+                            flexion_peaked(elapsed, velocity, prev_velocity) if flexion
+                            else angle < threshold and velocity <= 0.0 and elapsed > 2 * dt):
                         break
                 features.append((elapsed, peak))
                 peak = angle
@@ -350,24 +350,20 @@ class OdeKneePlant:
         angle = np.full(count, self._angle)
         velocity = np.full(count, self._velocity)
         features = np.full((count, NUM_PHASES, 2), np.nan)
-        live = np.ones(count, bool)
+        live = np.ones(count, bool)  # not diverged
         for cycle in range(cycles):
             last = cycle == cycles - 1
-            for phase, load in zip(PHASES, cfg.load_torque):
-                flexion = phase in (Phase.STANCE_FLEXION, Phase.SWING_FLEXION)
-                threshold = (cfg.toe_off_angle if phase is Phase.STANCE_EXTENSION
-                             else cfg.heel_strike_angle)
-                rows = np.flatnonzero(live)
-                row = tuple(columns[phase - 1][:, rows])
-                a, v = angle[rows], velocity[rows]
-                peak = a
-                walking = np.ones(len(rows), bool)
+            for (phase, flexion, threshold, load), row in zip(self._phases, columns):
+                row = tuple(row)
+                a = peak = angle
+                v = velocity
+                walking = live.copy()
                 elapsed = 0.0
                 while np.count_nonzero(walking):
                     prev = v
                     # -torque + load is load - torque exactly
                     v = prev + dt * ((load - joint_torque(row, a, prev)) / inertia)
-                    diverged = ~(np.abs(v) <= limit) & walking  # NaN included
+                    diverged = ~(np.abs(v) <= limit)  # NaN included; read where walking
                     a = a + dt * v
                     low, high = a <= 0.0, a >= KNEE_ANGLE_MAX
                     stopped = low | high
@@ -379,27 +375,24 @@ class OdeKneePlant:
                         peak = np.where(a > peak, a, peak)
                     # step's phase ends; every candidate has spent the same time in it
                     if elapsed >= max_time:
-                        ended = walking
+                        ended = True
                     elif flexion:
-                        ended = ((v <= PEAK_VELOCITY_EPS) & (prev > PEAK_VELOCITY_EPS)
-                                 if elapsed >= MIN_DWELL else None)
+                        ended = flexion_peaked(elapsed, v, prev)
                     else:
-                        ended = (a < threshold) & (v <= 0.0) if elapsed > 2 * dt else None
-                    leaving = diverged if ended is None else (ended & walking) | diverged
+                        ended = elapsed > 2 * dt and (a < threshold) & (v <= 0.0)
+                    leaving = (ended | diverged) & walking
                     if not np.count_nonzero(leaving):
                         continue
-                    if np.count_nonzero(diverged):
-                        live[rows[diverged]] = False
-                        features[rows[diverged]] = np.nan
+                    live &= ~(diverged & walking)
                     done = leaving & ~diverged
-                    finished = rows[done]
-                    angle[finished], velocity[finished] = a[done], v[done]
+                    angle[done], velocity[done] = a[done], v[done]
                     if last:
-                        features[finished, phase - 1, 0] = elapsed
-                        features[finished, phase - 1, 1] = peak[done]
-                    # a candidate out of the phase walks on unread until the
-                    # phase ends for all, so no array changes size
+                        features[done, phase - 1, 0] = elapsed
+                        features[done, phase - 1, 1] = peak[done]
+                    # a candidate out of the phase, or diverged before it,
+                    # walks on unread, so no array changes size
                     walking &= ~leaving
+        features[~live] = np.nan
         return clip_features(features)
 
 

@@ -1183,3 +1183,17 @@ def test_a_bad_summary_leaf_is_skipped(case):
         for name in ("report.json", "report_rms.csv"):
             text = (Path(tmp) / "out" / name).read_text().lower()
             assert "nan" not in text and "inf" not in text, text
+
+
+def test_report_averages_rms_values_past_half_the_largest_double(tmp_path, capsys):
+    # two summaries report reads, whose initial peak RMS values sum past the
+    # largest double: np.mean overflowed with a warning and wrote inf
+    doc = copy.deepcopy(GOOD_SUMMARY)
+    doc["rms_initial"]["peak_rad"] = 1e308
+    for n in range(2):
+        (tmp_path / f"trial_{n:03d}.json").write_text(json.dumps(doc))
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "report_rms.csv").read_text().splitlines()
+    assert rows[1:] == ["2,training,peak_angle_rad,1e+308,0.01",
+                        "2,training,duration_pct,3.0,0.5"]

@@ -1,10 +1,21 @@
 """Phase machine, torque law and parameter application."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from kneetrack.core import Phase
-from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta, joint_torque
+from kneetrack.fsm import (
+    MIN_DWELL,
+    PEAK_VELOCITY_EPS,
+    ParameterRanges,
+    PhaseRanges,
+    apply_delta,
+    flexion_peaked,
+    joint_torque,
+)
 from oracles import FsmState, step_fsm
 
 
@@ -135,6 +146,43 @@ def test_phase_ranges_stay_inside_the_physical_domain():
                 dict(stiffness=(10.0, 5.0)), dict(damping=(float("nan"), 1.0))):
         with pytest.raises(ValueError, match=next(iter(bad))):
             PhaseRanges(**bad)
+
+
+# ---------------------------------------------------------------------------
+# flexion peak
+
+
+def around(value):
+    """``value`` and one ulp either side of it."""
+    return (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf))
+
+
+ELAPSED = around(MIN_DWELL)
+VELOCITIES = around(PEAK_VELOCITY_EPS) + (-0.0, math.nan)
+PREVIOUS = (None, -0.0, math.nan) + around(PEAK_VELOCITY_EPS)
+
+
+def peaked_by_and(phase_elapsed, velocity, prev_velocity):
+    """The rule as a chain of ``and``, which takes floats only."""
+    return (phase_elapsed >= MIN_DWELL and velocity <= PEAK_VELOCITY_EPS
+            and (prev_velocity is None or prev_velocity > PEAK_VELOCITY_EPS))
+
+
+def test_flexion_peak_on_floats_at_its_thresholds():
+    # a bool, and the one the chain of ``and`` gives
+    for case in itertools.product(ELAPSED, VELOCITIES, PREVIOUS):
+        got = flexion_peaked(*case)
+        assert type(got) is bool and got == peaked_by_and(*case), case
+
+
+@pytest.mark.parametrize("elapsed", ELAPSED)
+def test_flexion_peak_on_arrays_flags_each_velocity_as_alone(elapsed):
+    pairs = list(itertools.product(VELOCITIES, PREVIOUS[1:]))  # None is its own case below
+    velocity, prev = np.array(pairs).T
+    for previous, wanted in ((prev, [flexion_peaked(elapsed, *pair) for pair in pairs]),
+                             (None, [flexion_peaked(elapsed, v) for v, _ in pairs])):
+        got = np.broadcast_to(flexion_peaked(elapsed, velocity, previous), velocity.shape)
+        assert got.tolist() == wanted
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,23 @@ def test_stacked_walk_equals_steps_at_timeouts_stops_and_faults():
     assert overflowed.startswith("PlantInstabilityError: knee velocity inf rad/s")
 
 
+def test_stacked_walk_equals_steps_with_faults_after_stance_flexion():
+    # swing flexion driven hard against the upper stop diverges in the first
+    # cycle, after its stance features were taken; the relapse walks one
+    # cycle and diverges in the second one's stance flexion; the reference
+    # walks on around both
+    swing = ode_impedance()
+    swing[2] = (100.0, 0.0, KNEE_ANGLE_MAX)
+    relapse = [(77.0, 0.1, 0.0), (11.0, 0.8, 0.8), (95.0, 1.0, 0.9), (67.0, 0.8, 1.4)]
+    cfg = OdeKneeConfig(max_phase_time=0.3)
+    stack = [ode_impedance(), swing, relapse, ode_impedance()]
+    for cycles, faults in ((1, (1,)), (3, (1, 2))):
+        outcomes = assert_walk_matches_steps(cfg, stack, cycles=cycles, warm=1)
+        assert [i for i, out in enumerate(outcomes) if isinstance(out, str)] == list(faults)
+    assert outcomes[1].endswith("in phase SWF")
+    assert outcomes[2].endswith("in phase STF")
+
+
 def test_stacked_walk_equals_steps_from_negative_zero():
     # the -0.0 start sits on the lower stop: the clip keeps that peak's sign
     imp = ode_impedance()

@@ -1,0 +1,117 @@
+"""Paired A/B runs of the benchmark: a git revision against the working tree.
+
+Usage, from the repository root:
+
+    python3 tools/ab.py REV [--pairs N] [--workload W] [--seconds S] [--seed N]
+
+REV is extracted with ``git archive`` into a temporary directory.  Each
+pair runs REV's ``bench/run.py`` and the working tree's once each, with
+the same arguments, the two taking turns to go first.  For every
+end-to-end metric that ``BENCHMARK.json`` names, on every workload, the
+script prints both medians, the interquartile range of REV's runs, the
+working tree's wins out of N pairs by the metric's ``better`` (a tie is
+no one's win) and every run.  It exits 1 if any run was not ``correct``,
+failed an operation or did not finish.  It reads the benchmark's results
+only from the last line ``bench/run.py`` prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_bench(tree: Path, args) -> dict:
+    """The last line of one ``bench/run.py`` run in ``tree``, its metrics keyed workload/metric."""
+    cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return {"correct": False, "failed": None, "attempted": None, "metrics": {}}
+    result = json.loads(lines[-1])
+    if args.workload != "all":
+        result["metrics"] = {f"{args.workload}/{name}": entry
+                             for name, entry in result["metrics"].items()}
+    return result
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(end_to_end: list[dict], base: list[dict],
+              change: list[dict]) -> tuple[list[str], bool]:
+    """Report lines for paired runs, and whether every run was correct with none failed.
+
+    ``base`` and ``change`` hold one ``bench/run.py`` result per pair, in
+    pair order, with metrics keyed workload/metric.
+    """
+    ok = all(r["correct"] is True and r["failed"] == 0 for r in base + change)
+    lines = [f"{len(base)} pairs; every run correct with 0 failed: {ok}"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    keys = sorted({key for r in base + change for key in r["metrics"]
+                   if key.rsplit("/", 1)[-1] in better})
+    for key in keys:
+        pairs = [(b["metrics"][key], c["metrics"][key]) for b, c in zip(base, change)
+                 if key in b["metrics"] and key in c["metrics"]]
+        if not pairs:
+            continue
+        way = better[key.rsplit("/", 1)[-1]]
+        was, now = ([entry["value"] for entry in side] for side in zip(*pairs))
+        sign = 1.0 if way == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0.0 for b, c in zip(was, now))
+        q1, q3 = _quartiles(was)
+        lines += [f"{key} ({pairs[0][0]['unit']}, {way} is better): "
+                  f"median {statistics.median(was):.6g} -> {statistics.median(now):.6g}, "
+                  f"base IQR {q3 - q1:.3g}, change wins {wins}/{len(pairs)}",
+                  "  base:   " + " ".join(f"{v:.6g}" for v in was),
+                  "  change: " + " ".join(f"{v:.6g}" for v in now)]
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", default="all")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    archive = subprocess.run(["git", "archive", "--format=tar", args.rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    base, change = [], []
+    with tempfile.TemporaryDirectory(prefix="kneetrack-ab-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        for pair in range(args.pairs):
+            order = ((Path(tmp), base), (ROOT, change))
+            for tree, runs in order if pair % 2 == 0 else order[::-1]:
+                runs.append(run_bench(tree, args))
+            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+    lines, ok = summarize(spec["end_to_end"], base, change)
+    print(f"base {args.rev} vs the working tree; --workload {args.workload} "
+          f"--seed {args.seed} --seconds {args.seconds:g}")
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
