@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BoundsTable
+from .dhdp import DEFAULT_ACTOR_HIDDEN, DEFAULT_CRITIC_HIDDEN, DEFAULT_INIT_SCALE
 from .dhdp import ActionScale, MonitorParams, StageCostParams
 from .fsm import ParameterRanges
 from .plant import FeatureMapConfig, OdeKneeConfig
@@ -46,6 +47,9 @@ MAX_DRIFT_GAIN = 1.0
 # The least value of each run setting, by its config key: a batch runs at
 # least one trial, and a seed or a count of kept policies may be 0.
 RUN_MINIMA = {"trials": 1, "trials_per_policy": 1, "seed": 0, "keep_policies": 0}
+# the keys of a run that are no part of a trial, with their defaults
+RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/out", "trials": 30, "keep_policies": 10,
+                "trials_per_policy": 30, "policy_dir": None}
 
 
 def check_run_values(**values) -> None:
@@ -68,12 +72,12 @@ class DhdpConfig:
     monitor reports the matching ceilings.
     """
 
-    critic_hidden: int = 8
-    actor_hidden: int = 6
+    critic_hidden: int = DEFAULT_CRITIC_HIDDEN
+    actor_hidden: int = DEFAULT_ACTOR_HIDDEN
     discount: float = 0.95
     critic_lr: float = 0.1
     actor_lr: float = 30.0
-    init_weight_scale: float = 0.5
+    init_weight_scale: float = DEFAULT_INIT_SCALE
     cost: StageCostParams = field(default_factory=StageCostParams.default)
     action_scale: ActionScale = field(default_factory=ActionScale.default)
     monitor: MonitorParams | None = None
@@ -94,6 +98,10 @@ class DhdpConfig:
                              f"got {self.init_weight_scale}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount: must lie in (0, 1), got {self.discount}")
+        # a given monitor shares the discount; the default refuses one it has no alphas for
+        if self.monitor_params().discount != self.discount:
+            raise ValueError(f"monitor: its discount must be the learning discount "
+                             f"{self.discount}, got {self.monitor.discount}")
 
     def monitor_params(self) -> MonitorParams:
         return self.monitor or MonitorParams.for_discount(self.discount)
@@ -170,9 +178,6 @@ class TrialConfig:
         return self.pace_training if self.stage == "training" else self.pace_testing
 
 
-# keys of a run that are no part of a trial, with their defaults
-_RUN_DEFAULTS = {"seed": 0, "out_dir": "runs/out", "trials": 30, "keep_policies": 10,
-                 "trials_per_policy": 30, "policy_dir": None}
 _ALPHAS = ("alpha1", "alpha2", "alpha3")
 # The one table from each dotted config key to the dotted path of the TrialConfig
 # field it sets, in the tree's order; the alphas are null while the monitor is None.
@@ -232,7 +237,7 @@ def _put(tree: dict, path: str, value) -> None:
 @functools.cache
 def _default_tree() -> dict:
     """The defaults tree, built once; read, never handed out (:func:`_merge` copies)."""
-    tree = dict(_RUN_DEFAULTS)
+    tree = dict(RUN_DEFAULTS)
     for key, path in _FIELDS.items():
         _put(tree, key, _plain(_at(_defaults(), path)))
     return tree

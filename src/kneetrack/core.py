@@ -2,8 +2,9 @@
 
 Unit conventions: angles are radians and durations are seconds everywhere
 inside the library.  Duration error bounds are specified as percentages of
-a full gait cycle, so the comparison in :func:`within_bound` converts a
-seconds-valued duration error to percent before checking it.
+a full gait cycle, so a seconds-valued duration error is converted to
+percent (:func:`duration_error_pct`) before it is checked.  The bounds rule
+is :func:`inside_bounds`; :func:`within_bound` is its form for one row.
 """
 
 from __future__ import annotations
@@ -134,9 +135,6 @@ class BoundsTable:
             if not (tol.angle < safe.angle and tol.duration_pct < safe.duration_pct):
                 raise ValueError(f"tolerance[{i}]: must be tighter than safety in both components")
 
-    def safety_for(self, phase: Phase) -> PhaseBound:
-        return self.safety[phase - 1]
-
     def limits(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """The ``kind`` ("safety" or "tolerance") bounds as (4,) angle and duration-% arrays."""
         bounds = getattr(self, kind)
@@ -158,14 +156,14 @@ class BoundsTable:
 def within_bound(error, bound: PhaseBound, cycle_duration: float) -> bool:
     """True iff one phase's (d_duration, d_peak) error row is inside the bound.
 
-    The duration component of ``bound`` is a percentage of the gait cycle,
-    so the seconds-valued duration error is converted before comparison.
+    The :func:`inside_bounds` flag of the row, as a Python bool; the cycle
+    duration must be positive and finite.
     """
     if not (math.isfinite(cycle_duration) and cycle_duration > 0.0):
         raise ValueError(f"cycle duration must be positive, got {cycle_duration}")
-    d_duration, d_peak = error
-    duration_pct = 100.0 * abs(d_duration) / cycle_duration
-    return bool(abs(d_peak) <= bound.angle and duration_pct <= bound.duration_pct)
+    row = np.array(error, dtype=float).reshape(1, 2)
+    return bool(inside_bounds(row, bound.angle, bound.duration_pct,
+                              duration_error_pct(row, cycle_duration))[0])
 
 
 def duration_error_pct(errors: np.ndarray, cycle_duration) -> np.ndarray:
@@ -178,10 +176,9 @@ def duration_error_pct(errors: np.ndarray, cycle_duration) -> np.ndarray:
 
 def inside_bounds(errors: np.ndarray, angle: np.ndarray, duration_pct: np.ndarray,
                   pct: np.ndarray) -> np.ndarray:
-    """:func:`within_bound` of every phase of (..., 4, 2) error rows, as (..., 4) flags.
+    """The bounds rule: whether each phase of (..., 4, 2) error rows is inside, as (..., 4) flags.
 
-    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`),
-    and ``pct`` is the rows' :func:`duration_error_pct`.  Since |100 e / c|
-    equals 100 |e| / c exactly, each flag is the one within_bound returns.
+    ``angle`` and ``duration_pct`` hold one bound per phase (:meth:`BoundsTable.limits`), and
+    ``pct`` is the rows' :func:`duration_error_pct`; |100 e / c| equals 100 |e| / c exactly.
     """
     return (np.abs(errors[..., 1]) <= angle) & (np.abs(pct) <= duration_pct)

@@ -286,7 +286,7 @@ class MonitorParams:
     def __post_init__(self):
         if not self.alpha1 > self.discount > 0.0:
             raise ValueError("alpha1: must exceed the discount factor")
-        if not self.alpha2 > 4.0 / self.discount**2:
+        if not (self.discount**2 > 0.0 and self.alpha2 > 4.0 / self.discount**2):
             raise ValueError("alpha2: must exceed 4 / discount^2")
         if not self.alpha3 > self.alpha2:
             raise ValueError("alpha3: must exceed alpha2")
@@ -296,7 +296,11 @@ class MonitorParams:
 
     @classmethod
     def for_discount(cls, discount: float) -> "MonitorParams":
-        # Smallest simple choices satisfying all three inequalities.
+        # Smallest simple choices satisfying all three inequalities; there are
+        # none once the + 1 is lost rounding alpha2 (a discount below about 2e-8).
+        if not (discount**2 > 0.0 and 4.0 / discount**2 + 1.0 > 4.0 / discount**2):
+            raise ValueError(f"discount: too small for the default monitor, whose alpha2, "
+                             f"4 / discount^2 + 1, must exceed 4 / discount^2, got {discount}")
         alpha2 = 4.0 / discount**2 + 1.0
         return cls(alpha1=2.0 * discount, alpha2=alpha2, alpha3=2.0 * alpha2,
                    discount=discount)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _repr
-from .config import SCENARIO_LEVEL_GROUND, SCENARIO_PACE, SCENARIO_TERRAIN, check_run_values
+from .config import RUN_DEFAULTS, SCENARIO_LEVEL_GROUND, SCENARIO_PACE, SCENARIO_TERRAIN
+from .config import check_run_values
 from .config import DhdpConfig, TrialConfig  # noqa: F401 (bench/run.py: harness.TrialConfig())
 from .core import (
     KNEE_ANGLE_MAX,
@@ -161,27 +162,9 @@ class TrialRecord:
         return self.log["reset"] if name in _LEARNING_FIELDS else None
 
 
-def _set_rows(record: TrialRecord, blocks: list[np.ndarray]) -> None:
-    """Set ``record``'s log to its rows, (cycles, 4, field) blocks in ``_LOG_FIELDS`` order.
-
-    The record's reset, monitor-violation and clamp counts grow by what
-    the rows hold.
-    """
-    rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
-    log = record.log
-    for j, name in enumerate(_LOG_FIELDS):
-        log[name] = rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
-    record.resets += int(np.count_nonzero(log["reset"])) // NUM_PHASES
-    record.monitor_violations += int(np.count_nonzero(~(log["monitor_ok"] | log["reset"])))
-    record.clamp_events += int(np.count_nonzero(log["clamped"]))
-
-
 def safety_check(errors, bounds: BoundsTable, cycle_dur: float) -> bool:
     """True when every phase's (d_duration, d_peak) error row is inside its safety bound."""
-    return all(
-        within_bound(err, bounds.safety_for(phase), cycle_dur)
-        for phase, err in zip(PHASES, errors)
-    )
+    return all(within_bound(err, bound, cycle_dur) for err, bound in zip(errors, bounds.safety))
 
 
 def make_plant(cfg: TrialConfig, rng: np.random.Generator):
@@ -395,11 +378,20 @@ class Trial:
         if outcome == "success":
             rec.tuning_steps = cycles_run
 
-    def _close_record(self, critic: CriticNet, actor: ActorNet, weight_ratio: float):
-        """Fill in the finished trial's whole-run fields and its final (4, ·) nets."""
+    def _close_record(self, blocks: list[np.ndarray], critic: CriticNet, actor: ActorNet,
+                      weight_ratio: float):
+        """Fill in the finished trial's record: its log rows, (cycles, 4, field) ``blocks``
+        in ``_LOG_FIELDS`` order, the counts they hold, its whole-run fields and final nets."""
         rec = self.record
+        rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
+        log = rec.log
+        for j, name in enumerate(_LOG_FIELDS):
+            log[name] = rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
+        rec.resets += int(np.count_nonzero(log["reset"])) // NUM_PHASES
+        rec.monitor_violations += int(np.count_nonzero(~(log["monitor_ok"] | log["reset"])))
+        rec.clamp_events += int(np.count_nonzero(log["clamped"]))
         rec.max_weight_ratio = weight_ratio
-        if len(rec.log["reset"]):
+        if len(log["reset"]):
             rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
         rec.actors = unstack_net(actor)
         rec.critics = unstack_net(critic)
@@ -740,8 +732,7 @@ class _Lockstep:
         self._flush_log()
         for i in positions:
             trial = self.trials[i]
-            _set_rows(trial.record, self._chunks[i])
-            trial._close_record(_row(self.critic, i), _row(self.actor, i),
+            trial._close_record(self._chunks[i], _row(self.critic, i), _row(self.actor, i),
                                 float(self._max_weight_norm[i] / self._initial_weight_norm[i]))
         keep = [i for i in range(len(self.trials)) if i not in positions]
         self.trials = [self.trials[i] for i in keep]
@@ -947,8 +938,8 @@ class BatchResult:
     policy_index: list[int] = field(default_factory=list)
 
 
-def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
-                       keep_policies: int = 10) -> BatchResult:
+def run_training_batch(cfg: TrialConfig, seed: int, trials: int = RUN_DEFAULTS["trials"],
+                       keep_policies: int = RUN_DEFAULTS["keep_policies"]) -> BatchResult:
     """Run ``trials`` independent training trials and pick saved policies.
 
     Policies are drawn, without replacement, from the successful trials;
@@ -972,7 +963,8 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = 30,
 
 
 def run_testing_batch(cfg: TrialConfig, seed: int, policies,
-                      trials_per_policy: int = 30, jobs: int = 1) -> BatchResult:
+                      trials_per_policy: int = RUN_DEFAULTS["trials_per_policy"],
+                      jobs: int = 1) -> BatchResult:
     """Evaluate saved policies on fresh trials with new initial impedance.
 
     The batch runs in this process: ``jobs`` other than 1 is refused.

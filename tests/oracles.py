@@ -9,12 +9,14 @@ impedance draw has one: the one-candidate-at-a-time loop its block draw
 replaced.  The dHDP contractions have one: the matmul forms that numpy's
 vecdot/matvec/vecmat gufuncs replaced.  The saturations have one each: the
 activation's np.minimum(np.maximum(...)) and clip_features' np.clip, which
-ndarray.clip replaced.  The lockstep's convergence windows have one: a
-sliding window over one phase's in-tolerance history.  Its learning step
-has one: each trial's dHDP rules on its own nets, the critic stepping
-only where it has a lag, and the impedance moved one phase at a time.
-The trial CSV writer has one: ``_fmt``, the cell text of the per-row
-``csv.writer`` loop the columnar writer replaced.
+ndarray.clip replaced.  The bounds rule has one: ``within_bound``, the
+scalar check of one error row that the stacked ``inside_bounds`` replaced.
+The lockstep's convergence windows have one: a sliding window over one
+phase's in-tolerance history.  Its learning step has one: each trial's
+dHDP rules on its own nets, the critic stepping only where it has a
+lag, and the impedance moved one phase at a time.  The trial CSV writer
+has one: ``_fmt``, the cell text of the per-row ``csv.writer`` loop the
+columnar writer replaced.
 """
 
 import math
@@ -200,6 +202,19 @@ def np_clip_features(values):
 def array_to_profile(values):
     """Four ``GaitFeatures`` of (4, 2) features, made legal by ``clip_features``."""
     return tuple(GaitFeatures(float(d), float(p)) for d, p in clip_features(values))
+
+
+def within_bound(error, bound, cycle_duration: float) -> bool:
+    """True iff one phase's (d_duration, d_peak) error row is inside the bound.
+
+    The duration component of ``bound`` is a percentage of the gait cycle,
+    so the seconds-valued duration error is converted before comparison.
+    """
+    if not (math.isfinite(cycle_duration) and cycle_duration > 0.0):
+        raise ValueError(f"cycle duration must be positive, got {cycle_duration}")
+    d_duration, d_peak = error
+    duration_pct = 100.0 * abs(d_duration) / cycle_duration
+    return bool(abs(d_peak) <= bound.angle and duration_pct <= bound.duration_pct)
 
 
 def convergence_check(history, window: int = 10, quota: int = 8) -> int | None:

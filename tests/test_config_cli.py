@@ -273,6 +273,13 @@ LIBRARY_REFUSALS = [
     (lambda: StageCostParams(state_weight=np.eye(3), action_weight=np.eye(3)),
      "state_weight: must be 2x2"),
     (lambda: ActionScale(np.ones((3, 3))), "half_ranges: must be a 4x3 table"),
+    # a monitor that checks its ceilings for another discount than the TD rule's
+    (lambda: DhdpConfig(discount=0.95, monitor=MonitorParams(alpha1=1.0, alpha2=20.0,
+                                                             alpha3=40.0, discount=0.5)),
+     "monitor: its discount must be the learning discount 0.95, got 0.5"),
+    # a discount whose square underflows raised ZeroDivisionError
+    (lambda: MonitorParams(alpha1=1.0, alpha2=6.0, alpha3=12.0, discount=1e-300),
+     "alpha2: must exceed 4 / discount^2"),
     (lambda: apply_delta(np.ones((4, 3)), 1, np.zeros(2), ParameterRanges.default()),
      "control delta rows need 3 components, got shape (2,)"),
     (lambda: compute_rms(TrialRecord(scenario=1, stage="training")),
@@ -330,6 +337,12 @@ def test_values_outside_the_physical_domain_exit_2(tmp_path, capsys):
         ({"init_spread": 1.5}, "init_spread:"),
         ({"terrain": {"pool_spread": 1.5}}, "terrain.pool_spread:"),
         ({"dhdp": {"discount": 1.0}}, "dhdp.discount:"),
+        # too small for the default monitor, or squaring to 0 beside set alphas:
+        # each ended in a ValueError or ZeroDivisionError traceback, exit 1
+        ({"dhdp": {"discount": 1e-8}}, "dhdp.discount:"),
+        ({"dhdp": {"discount": 1e-300}}, "dhdp.discount:"),
+        ({"dhdp": {"discount": 1e-300, "alpha1": 1.0, "alpha2": 2.0, "alpha3": 3.0}},
+         "dhdp.alpha2:"),
         ({"scenario": 2, "terrain": {"pool_size": 0}}, "terrain.pool_size:"),
         ({"scenario": 2, "terrain": {"switch_period": 0}}, "terrain.switch_period:"),
         ({"quota": 11}, "quota:"),

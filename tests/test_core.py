@@ -104,7 +104,7 @@ def test_bounds_table_default_matches_published_limits():
     assert [b.angle for b in table.safety] == [0.184, 0.131, 0.157, 0.105]
     assert all(b.duration_pct == 12.0 for b in table.safety)
     assert all(b.angle == 0.0263 and b.duration_pct == 2.0 for b in table.tolerance)
-    assert table.safety_for(Phase.STANCE_FLEXION).angle == 0.184
+    assert table.safety[0].angle == 0.184
     assert table.tolerance[Phase.SWING_EXTENSION - 1].duration_pct == 2.0
 
 

@@ -520,6 +520,15 @@ def test_monitor_params_reject_bad_alphas():
         MonitorParams(alpha1=2.0, alpha2=6.0, alpha3=5.0, discount=0.95)
 
 
+@pytest.mark.parametrize("discount", [0.95, 0.5, 1e-3, 2e-8])
+def test_default_monitor_keeps_its_alphas_down_to_tiny_discounts(discount):
+    # refusing the discounts too small for a default monitor (tests/test_config_cli.py)
+    # leaves the alphas of every discount that has one as they were
+    params = DhdpConfig(discount=discount).monitor_params()
+    alpha2 = 4.0 / discount**2 + 1.0
+    assert (params.alpha1, params.alpha2, params.alpha3) == (2.0 * discount, alpha2, 2.0 * alpha2)
+
+
 # ---------------------------------------------------------------------------
 # policy snapshots
 

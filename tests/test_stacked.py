@@ -10,6 +10,7 @@ stacking: element by element, with ``np.array_equal`` on the bits (so a
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from kneetrack.core import (
     PhaseBound,
     duration_error_pct,
     inside_bounds,
-    within_bound,
 )
 from kneetrack.dhdp import ActorNet, CriticNet, init_actor, stack_nets
 from kneetrack.fsm import ParameterRanges, PhaseRanges, apply_delta
@@ -35,6 +35,7 @@ from kneetrack.harness import (
     _margin_limits,
     make_plant,
     make_target_program,
+    safety_check,
 )
 from kneetrack.plant import (
     MIN_DURATION,
@@ -187,7 +188,7 @@ def test_stacked_bounds_equal_within_bound(seed, trials, margin):
     in_both = inside_bounds(errors, *both, pct)
     for k, kind in enumerate(("tolerance", "safety")):
         got = inside_bounds(errors, *bounds.limits(kind), pct)
-        want = [[within_bound(err, getattr(bounds, kind)[p], float(cycle_dur[i]))
+        want = [[oracles.within_bound(err, getattr(bounds, kind)[p], float(cycle_dur[i]))
                  for p, err in zip(PHASES, errors[i].tolist())] for i in range(trials)]
         assert got.tolist() == want
         assert in_both[k].tolist() == want
@@ -202,9 +203,34 @@ def test_stacked_bounds_equal_within_bound(seed, trials, margin):
     errors = np.where(rng.random((trials, 4, 2)) < 0.2, edge, errors)
     pct = duration_error_pct(errors, cycle_dur)
     got = inside_bounds(errors, *_margin_limits(bounds, margin), pct)
-    want = [[within_bound(err, scaled[p], float(cycle_dur[i]))
+    want = [[oracles.within_bound(err, scaled[p], float(cycle_dur[i]))
              for p, err in zip(PHASES, errors[i].tolist())] for i in range(trials)]
     assert got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 30))
+def test_safety_check_equals_the_scalar_rule(seed, trials):
+    # each drawn (4, 2) error array, with entries on a safety bound of
+    # either sign and NaN entries, against the scalar rule phase by phase
+    rng = np.random.default_rng(seed)
+    bounds = BoundsTable.default()
+    cycle_dur = rng.uniform(0.5, 2.0, trials)
+    angle, pct = bounds.limits("safety")
+    edge = np.stack([np.outer(cycle_dur, pct / 100.0),
+                     np.broadcast_to(angle, (trials, 4))], axis=-1)
+    errors = rng.uniform(-1.1, 1.1, (trials, 4, 2)) * edge
+    draw = rng.random((trials, 4, 2))
+    errors = np.where(draw < 0.2, edge * rng.choice([-1.0, 1.0], (trials, 4, 2)), errors)
+    errors[draw > 0.95] = np.nan
+    for rows, c in zip(errors, cycle_dur.tolist()):
+        want = all(oracles.within_bound(err, bound, c)
+                   for err, bound in zip(rows.tolist(), bounds.safety))
+        assert safety_check(rows, bounds, c) is want
+    with pytest.raises(ValueError, match="cycle duration must be positive"):
+        safety_check(np.zeros((4, 2)), bounds, 0.0)
+    with pytest.raises(ValueError, match="cycle duration must be positive"):
+        oracles.within_bound((0.0, 0.0), bounds.safety[0], 0.0)
 
 
 @settings(max_examples=40, deadline=None)
