@@ -13,8 +13,8 @@ Subcommands:
 
 Every flag has a config-file equivalent; flags win over file values.
 A refusal is one ``error:`` line on stderr and exits 2 for a config, or 1
-for a policy snapshot, a failed batch or a file that cannot be read or
-written.
+for a policy snapshot, a failed batch, a file that cannot be read or
+written, or a size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PolicyFormatError, RuntimeError, OSError) as exc:
+    except (ConfigError, PolicyFormatError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

@@ -58,6 +58,10 @@ class ParameterRanges:
 
     phases: tuple[PhaseRanges, PhaseRanges, PhaseRanges, PhaseRanges]
 
+    def __post_init__(self):
+        if len(self.phases) != NUM_PHASES:
+            raise ValueError(f"phases: needs {NUM_PHASES} entries, got {len(self.phases)}")
+
     @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds as (4, 3) arrays, laid out like an impedance array."""

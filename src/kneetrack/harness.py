@@ -533,8 +533,9 @@ class _Lockstep:
     runs only for events: new terrains, converged trials, faults, halts
     and endings, and the trial's own methods apply its rules to them.
     Every array rule is bit-identical to the one-trial rule, so each trial
-    gets the numbers it gets alone.  A trial leaves once, when it has
-    finished, with its log rows, final nets and weight ratio.
+    gets the numbers it gets alone.  Each cycle's log block is queued; when
+    trials finish, every trial takes its rows of the queue, and the finished
+    ones leave with theirs, their final nets and weight ratios.
     """
 
     def __init__(self, trials):
@@ -582,9 +583,8 @@ class _Lockstep:
         tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
         self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
         self._monitor = cfg.dhdp.monitor_params()
-        # log blocks (rows, logged flags) not yet handed over, and each
-        # trial's handed-over blocks
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        # log blocks not yet handed over, and each trial's handed-over blocks
+        self._blocks: list[np.ndarray] = []
         self._chunks: list[list[np.ndarray]] = [[] for _ in self.trials]
 
     def step(self):
@@ -639,7 +639,7 @@ class _Lockstep:
         if latched:
             self._converged[latch] = k
         converged = self._converged >= 0
-        self._log(block, logged, errors, pct, walked_impedance, reset, in_tol, converged)
+        self._log(block, errors, pct, walked_impedance, reset, in_tol, converged)
 
         # a trial's phases first stand all converged in the cycle its last one
         # latches; later calls of _all_converged before its windows start over
@@ -649,14 +649,13 @@ class _Lockstep:
                 if self.trials[i]._all_converged(k, self._converged[i].tolist()):
                     self._restart(i)
         if k + 1 >= cfg.max_cycles:
-            for i in closing.nonzero()[0]:
-                trial = self.trials[i]
+            for trial in self.trials:
                 if not trial.finished:
                     trial._finish(k + 1, "failure", "max-cycles")
         self.k = k + 1
         finished = [i for i, trial in enumerate(self.trials) if trial.finished]
         if finished:
-            self.leave(finished)
+            self.leave(finished, logged)
 
     def _restart(self, i: int):
         """Start trial ``i``'s convergence windows over, on its current target and pace."""
@@ -709,7 +708,7 @@ class _Lockstep:
                 trial._finish(self.k, "failure", f"plant-instability: {exc}")
         return measured, walked
 
-    def _log(self, block, logged, errors, pct, impedance, reset, in_tol, converged):
+    def _log(self, block, errors, pct, impedance, reset, in_tol, converged):
         """Fill in the fields every row of cycle ``k``'s log ``block`` has, and queue it."""
         block[..., 0:3:2] = errors  # d_duration_s and d_peak_rad
         block[..., 1] = pct
@@ -717,19 +716,16 @@ class _Lockstep:
         block[..., 6] = reset[:, None]
         block[..., 7] = in_tol
         block[..., 8] = converged
-        self._blocks.append((block, logged))
+        self._blocks.append(block)
 
-    def _flush_log(self):
-        """Hand the queued log blocks to each trial's chunks, its rows only."""
-        blocks = np.stack([block for block, _ in self._blocks], axis=1)  # (n, cycles, 4, F)
-        logged = np.stack([flags for _, flags in self._blocks], axis=1)
-        for chunks, rows, flags in zip(self._chunks, blocks, logged):
-            chunks.append(rows[flags])
+    def leave(self, positions: list[int], logged: np.ndarray):
+        """Hand every trial its queued log rows, less the last where ``logged`` is False;
+        close the records of the finished trials at ``positions`` (ascending), drop them."""
+        blocks = np.stack(self._blocks, axis=1)  # (n, cycles, 4, F)
         self._blocks = []
-
-    def leave(self, positions: list[int]):
-        """Close the records of the finished trials at ``positions`` (ascending); drop them."""
-        self._flush_log()
+        for chunks, rows, kept in zip(self._chunks, blocks, logged.tolist()):
+            chunks.append((rows if kept else rows[:-1]).copy())
+        del blocks, rows  # the copies let the stack go before any record is built
         for i in positions:
             trial = self.trials[i]
             trial._close_record(self._chunks[i], _row(self.critic, i), _row(self.actor, i),

@@ -108,6 +108,9 @@ class FeatureMapConfig:
 
     def __post_init__(self):
         # each refusal opens with the field it names
+        for name, size in (("reference_features", NUM_PHASES), ("noise_std", 2)):
+            if len(getattr(self, name)) != size:
+                raise ValueError(f"{name}: needs {size} entries, got {len(getattr(self, name))}")
         try:
             object.__setattr__(self, "reference_impedance",
                                check_impedance(self.reference_impedance))
@@ -245,6 +248,9 @@ class OdeKneeConfig:
                      "initial_velocity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
+        if len(self.load_torque) != NUM_PHASES:
+            raise ValueError(f"load_torque: needs {NUM_PHASES} entries, "
+                             f"got {len(self.load_torque)}")
         for i, load in enumerate(self.load_torque):
             if not math.isfinite(load):
                 raise ValueError(f"load_torque[{i}]: must be finite, got {load}")

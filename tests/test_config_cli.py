@@ -261,6 +261,13 @@ LIBRARY_REFUSALS = [
     (lambda: OdeKneeConfig(timestep=1e-9),
      "timestep: must be at least max_phase_time / 1e+06 = 2e-06 s, got 1e-09"),
     # shapes and arguments the config file cannot give, refused at the API
+    (lambda: ParameterRanges((PhaseRanges(),) * 3), "phases: needs 4 entries, got 3"),
+    (lambda: OdeKneeConfig(load_torque=(-2.5, -1.5, -4.0)),
+     "load_torque: needs 4 entries, got 3"),
+    (lambda: OdeKneeConfig(load_torque=(-2.5,) * 5), "load_torque: needs 4 entries, got 5"),
+    (lambda: feature_map_with(noise_std=(0.005,) * 3), "noise_std: needs 2 entries, got 3"),
+    (lambda: feature_map_with(reference_features=FeatureMapConfig.default().reference_features[:3]),
+     "reference_features: needs 4 entries, got 3"),
     (lambda: check_features(np.zeros((3, 2))),
      "features must be a (4, 2) array, got shape (3, 2)"),
     (lambda: BoundsTable(safety=BoundsTable.default().safety[:3],
@@ -721,6 +728,35 @@ def test_config_schema_matches_the_golden_digests():
     assert got == want
 
 
+# A tree handed to trial_config_from skips the file's length checks.  These
+# tables ran into an IndexError (3 ranges) or a ValueError mid-run (3 loads,
+# 3 noise levels, 3 reference features), or ignored a fifth load.  A bounds
+# table's refusal opens with no field name, so the key of its section names it.
+WRONG_LENGTHS = [
+    (("ranges",), 3, "ranges: needs 4 entries, got 3"),
+    (("ode", "load_torque"), 3, "ode.load_torque: needs 4 entries, got 3"),
+    (("ode", "load_torque"), 5, "ode.load_torque: needs 4 entries, got 5"),
+    (("feature_map", "noise_std"), 3, "feature_map.noise_std: needs 2 entries, got 3"),
+    (("feature_map", "reference_features"), 3,
+     "feature_map.reference_features: needs 4 entries, got 3"),
+    (("bounds", "safety"), 3, "bounds: bounds tables need one entry per phase"),
+]
+
+
+@pytest.mark.parametrize("path, size, message", WRONG_LENGTHS,
+                         ids=[f"{size}-{'.'.join(path)}" for path, size, _ in WRONG_LENGTHS])
+def test_trial_config_from_names_the_key_of_a_table_of_the_wrong_length(path, size, message):
+    tree = default_config()
+    *sections, name = path
+    node = tree
+    for section in sections:
+        node = node[section]
+    node[name] = (node[name] * 2)[:size]
+    with pytest.raises(ConfigError) as exc:
+        trial_config_from(tree)
+    assert str(exc.value) == message
+
+
 def test_bad_section_value_reports_section(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dhdp": {"discount": 1.5}}))
@@ -1065,6 +1101,19 @@ def test_a_bad_snapshot_leaf_exits_cleanly(path, bad):
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert caught == []
             assert not out.exists()
+
+
+# 4 PB of convergence windows for the lockstep, and 4 PB of critic weights:
+# more than a 64-bit process can map, so each allocation fails at once.  Each
+# ended in a numpy MemoryError traceback.
+@pytest.mark.parametrize("cfg", [
+    {"window": 10**15, "quota": 1, "max_cycles": 10**15 + 1},
+    {"max_cycles": 20, "dhdp": {"critic_hidden": 10**14}},
+], ids=["window", "critic_hidden"])
+def test_a_size_that_cannot_be_allocated_exits_1(tmp_path, capsys, cfg):
+    code, out = run_cli(tmp_path, {"trials": 1, **cfg})
+    assert_one_error(capsys, code, 1, "Unable to allocate")
+    assert not out.exists()
 
 
 def test_a_pool_no_safety_bound_admits_exits_1(tmp_path, capsys):

@@ -563,6 +563,28 @@ def test_lockstep_refuses_trials_whose_programs_differ():
         harness._Lockstep([Trial(cfg, 4), Trial(cfg, 5, target_program=drifting)])
 
 
+def test_lockstep_a_knee_that_diverges_in_cycle_0_leaves_no_row_and_the_others_run_on():
+    # the middle trial's knee diverges in cycle 0 and leaves in that step
+    # without a row of it; the trials on either side take their rows of the
+    # same queue and run on to their own ends
+    cfg = TrialConfig(plant_kind="ode", max_cycles=15)
+    stiff = cfg.feature_map.reference_impedance.copy()
+    stiff[:, 0] = 1e6
+    stiff[:, 2] = 1.6
+    starts = [(0, None), (1, stiff), (2, None)]
+    together = [Trial(cfg, seed, initial_impedance=imp) for seed, imp in starts]
+    _step_to_end(together)
+    for trial, (seed, imp) in zip(together, starts):
+        assert record_state(trial.record) == record_state(
+            run_trial(cfg, seed, initial_impedance=imp))
+    diverged = together[1].record
+    assert diverged.failure_reason.startswith("plant-instability: knee velocity ")
+    assert diverged.cycles_run == 0
+    assert all(len(values) == 0 for values in diverged.log.values())
+    for rec in (together[0].record, together[2].record):
+        assert rec.cycles_run > 0 and len(rec.log["reset"]) == 4 * rec.cycles_run
+
+
 def test_lockstep_retargets_the_trial_whose_leg_advanced_while_another_leaves():
     # The same trial under a one-leg and a two-leg pace program converges
     # its first leg in the same cycle: the first trial finishes and leaves
