@@ -1,8 +1,8 @@
 """A target that moves with the wearer: intact-knee adaptation drift.
 
 People adapt their intact-side gait while the prosthesis is being tuned.
-With a positive drift gain, the target program low-pass filters the
-prosthetic tracking error into a slow shift of the intact-knee profile,
+With a positive drift gain, the trial loop low-pass filters the
+prosthetic tracking error into a slow shift of the intact-knee targets,
 so the controller chases a target that responds to its own progress.
 """
 

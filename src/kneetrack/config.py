@@ -26,7 +26,7 @@ from .core import BoundsTable
 from .dhdp import DEFAULT_ACTOR_HIDDEN, DEFAULT_CRITIC_HIDDEN, DEFAULT_INIT_SCALE
 from .dhdp import ActionScale, MonitorParams, StageCostParams
 from .fsm import ParameterRanges
-from .plant import FeatureMapConfig, OdeKneeConfig
+from .plant import MIN_PACE, FeatureMapConfig, OdeKneeConfig
 
 
 class ConfigError(ValueError):
@@ -44,6 +44,9 @@ MAX_INIT_WEIGHT_SCALE = 1e6
 # Each cycle scales the drift by 1 - smoothing * (1 - gain): above gain 1
 # the intact side would adapt past the prosthesis, and the target runs away.
 MAX_DRIFT_GAIN = 1.0
+# A pool member is checked against every member before it, so building a pool
+# takes the square of its size: 1000 members took 0.05 s, 3000 took 0.29 s.
+MAX_POOL_SIZE = 1000
 # The least value of each run setting, by its config key: a batch runs at
 # least one trial, and a seed or a count of kept policies may be 0.
 RUN_MINIMA = {"trials": 1, "trials_per_policy": 1, "seed": 0, "keep_policies": 0}
@@ -152,12 +155,16 @@ class TrialConfig:
         for name in ("rms_window", "pool_size", "switch_period", "consecutive_tracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        if self.pool_size > MAX_POOL_SIZE:
+            raise ValueError(f"pool_size: must be at most {MAX_POOL_SIZE}, got {self.pool_size}")
         for name in ("pace_training", "pace_testing"):
             if not getattr(self, name):
                 raise ValueError(f"{name}: needs at least one pace multiplier")
             for i, pace in enumerate(getattr(self, name)):
                 if not pace > 0.0:
                     raise ValueError(f"{name}[{i}]: must be a positive number, got {pace!r}")
+                if pace < MIN_PACE:
+                    raise ValueError(f"{name}[{i}]: must be at least {MIN_PACE:g}, got {pace!r}")
                 if not math.isfinite(pace):
                     raise ValueError(f"{name}[{i}]: must be finite, got {pace!r}")
         if not 0.0 <= self.drift_gain <= MAX_DRIFT_GAIN:

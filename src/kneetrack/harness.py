@@ -302,14 +302,10 @@ def make_target_program(cfg: TrialConfig, plant, rng: np.random.Generator) -> Ta
             profile_pool=profiles,
             switch_period=cfg.switch_period,
             schedule=schedule,
-            drift_gain=cfg.drift_gain,
-            drift_smoothing=cfg.drift_smoothing,
         )
     return TargetProgram(
         base_profile=steady_profile(plant, cfg.feature_map.reference_impedance),
         pace_sequence=cfg.pace_sequence(),
-        drift_gain=cfg.drift_gain,
-        drift_smoothing=cfg.drift_smoothing,
     )
 
 
@@ -515,16 +511,16 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
 # The rows a lockstep keeps for each trial, all dropped together when trials leave.
 _ROWS = ("impedance", "critic", "actor", "_max_weight_norm", "_initial_weight_norm",
          "_lag_value", "_lag_cost", "_lagged", "_window", "_converged",
-         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale")
+         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale", "_drift")
 
 
 class _Lockstep:
     """Unfinished trials of one config advanced together, one gait cycle per step.
 
     The trials enter new, at cycle 0.  Row ``i`` of every stack (``_ROWS``:
-    impedance, nets, lag, windows, plant features, targets, paces,
-    tallies) belongs to ``trials[i]`` until it has finished, and every
-    trial walks cycle ``k`` of a program that switches and drifts as the
+    impedance, nets, lag, windows, plant features, targets, paces, target
+    drift, tallies) belongs to ``trials[i]`` until it has finished, and
+    every trial walks cycle ``k`` of a program that switches as the
     others' do.  A cycle is array work on the stacks: the feature-map
     plants step together, and errors, bounds, learning, the impedance
     update, convergence windows and the log rows come out for all trials
@@ -542,13 +538,11 @@ class _Lockstep:
         self.trials = list(trials)
         first = self.trials[0]
         self.cfg = cfg = first.cfg
-        # the switch period of a program with a pool (0 without one), and
-        # whether the program drifts: one of each per lockstep
-        shared = {(t.program.switch_period if t.program.profile_pool else 0,
-                   t.program.drift_gain > 0.0) for t in self.trials}
+        # the switch period of a program with a pool (0 without one): one per lockstep
+        shared = {t.program.switch_period if t.program.profile_pool else 0 for t in self.trials}
         if len(shared) > 1:
-            raise ValueError("a lockstep steps trials with programs that switch and drift alike")
-        [(self._period, self._drifting)] = shared
+            raise ValueError("a lockstep steps trials with programs that switch alike")
+        [self._period] = shared
         self.k = 0
         n = len(self.trials)
         self._initial = np.stack([t.initial_impedance for t in self.trials])
@@ -579,6 +573,8 @@ class _Lockstep:
         self._targets = np.zeros((n, NUM_PHASES, 2))
         self._cycle_dur = np.zeros(n)
         self._stale = np.ones(n, bool)  # targets to (re)compute before the next walk
+        # each target's drift, a low-pass of its trial's tracking error; none at gain 0
+        self._drift = np.zeros((n, NUM_PHASES, 2)) if cfg.drift_gain > 0.0 else None
         # tolerance and safety limits stacked, so one inside_bounds call checks both
         tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
         self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
@@ -593,9 +589,9 @@ class _Lockstep:
         self._start_cycle()
         measured, walked = self._measure()
         errors = alignment_errors(self._targets, measured)
-        if self._drifting:
-            for i in walked.nonzero()[0]:
-                self.trials[i].program.observe_error(errors[i])
+        if self._drift is not None:
+            beta = cfg.drift_smoothing
+            self._drift = (1.0 - beta) * self._drift + beta * errors
         pct = duration_error_pct(errors, self._cycle_dur)
         flags = inside_bounds(errors, *self._bounds, pct)
         in_tol, in_safety = flags[0], flags[1]  # indexing beats unpacking an array
@@ -667,7 +663,7 @@ class _Lockstep:
         self._stale[i] = True
 
     def _start_cycle(self):
-        """Events before cycle ``k`` is walked: new terrains and new targets.
+        """Events before cycle ``k`` is walked: new terrains, new targets, drifting ones each cycle.
 
         Each trial enters its terrain (see :meth:`Trial._new_terrain`), and
         its windows start over when the trial's rule says so.
@@ -678,11 +674,13 @@ class _Lockstep:
                 if trial._new_terrain(k):
                     self._restart(i)
             self._stale[:] = True
-        stale = np.arange(len(self.trials)) if self._drifting else self._stale.nonzero()[0]
+        drift = self._drift
+        stale = np.arange(len(self.trials)) if drift is not None else self._stale.nonzero()[0]
         if len(stale):
             for i in stale:
                 trial = self.trials[i]
-                self._targets[i] = trial.program.target_for(k, trial.pace_index)
+                self._targets[i] = trial.program.target_for(
+                    k, trial.pace_index, None if drift is None else self.cfg.drift_gain * drift[i])
             self._cycle_dur[stale] = cycle_duration(self._targets[stale])
             self._stale[:] = False
 

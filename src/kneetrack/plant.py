@@ -18,14 +18,14 @@ Two plants sit behind the same step interface:
 
 The intact-knee side is a :class:`TargetProgram`: a base feature profile
 with optional terrain switching (a pool of profiles swapped on a fixed
-schedule), pace scaling (durations divided by a pace multiplier), and a
-slow adaptation drift coupled to the prosthetic tracking error.
+schedule) and pace scaling (durations divided by a pace multiplier); a
+slow adaptation drift coupled to the tracking error is the caller's to add.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ MIN_DURATION = 1e-3  # emitted phase durations are floored here to stay valid
 # Measurement noise (s, rad) wider than a whole default gait cycle (1.2 s)
 # or the knee's whole range (1.6 rad) leaves no feature to track.
 MAX_NOISE_STD = 2.0
+MIN_PACE = 1e-3  # pace multipliers divide durations, which overflow near the least double
 # Feature change (s or rad) per unit of impedance: the defaults stay below
 # 1, and 10 s per N*m/rad of stiffness would move a phase by eight cycles.
 MAX_SENSITIVITY = 10.0
@@ -409,20 +410,15 @@ class TargetProgram:
     Terrain variation swaps the active profile from a pool on a fixed
     cycle schedule; the schedule is drawn up-front from a seeded generator
     so runs are reproducible.  Pace variation rescales durations by the
-    active pace multiplier, chosen by the harness as legs complete.  When
-    ``drift_gain`` is positive the profile also drifts with a first-order
-    low-pass of the prosthetic tracking error, mimicking the way the
-    intact side adapts to the prosthesis.
+    active pace multiplier, chosen by the harness as legs complete.  A run
+    writes nothing to a program, so trials and runs may share one.
     """
 
     base_profile: np.ndarray                  # (4, 2): per phase (duration, peak angle)
     profile_pool: tuple[np.ndarray, ...] = ()
     pace_sequence: tuple[float, ...] = (1.0,)
     switch_period: int = 20
-    drift_gain: float = 0.0
-    drift_smoothing: float = 0.2
     schedule: tuple[int, ...] = ()
-    _drift: np.ndarray = field(default_factory=lambda: np.zeros((NUM_PHASES, 2)))
 
     def __post_init__(self):
         self.base_profile = check_features(self.base_profile)
@@ -431,10 +427,10 @@ class TargetProgram:
             raise ValueError("switch period must be positive")
         if any(m <= 0.0 for m in self.pace_sequence):
             raise ValueError("pace multipliers must be positive")
+        if any(m < MIN_PACE for m in self.pace_sequence):
+            raise ValueError(f"pace multipliers must be at least {MIN_PACE:g}")
         if self.profile_pool and not self.schedule:
             raise ValueError("a profile pool needs a switch schedule")
-        if self.drift_gain < 0.0:
-            raise ValueError("drift gain must be non-negative")
 
     def profile_index(self, k: int) -> int | None:
         """Pool index active at cycle ``k``, or None without a pool."""
@@ -446,21 +442,17 @@ class TargetProgram:
         """Pace multiplier of the given leg; the last leg's holds after the sequence ends."""
         return self.pace_sequence[min(pace_index, len(self.pace_sequence) - 1)]
 
-    def target_for(self, k: int, pace_index: int = 0) -> np.ndarray:
-        """Target features, a (4, 2) array, for cycle ``k`` under the given pace leg."""
+    def target_for(self, k: int, pace_index: int = 0, drift=None) -> np.ndarray:
+        """Target features, a (4, 2) array, for cycle ``k`` under the given pace leg;
+        a (4, 2) ``drift`` is added to the paced profile before it is made legal."""
         if k < 0:
             raise ValueError("cycle index must be non-negative")
         idx = self.profile_index(k)
         values = (self.base_profile if idx is None else self.profile_pool[idx]).copy()
         values[:, 0] = values[:, 0] / self.pace(pace_index)
-        if self.drift_gain > 0.0:
-            values = values + self.drift_gain * self._drift
+        if drift is not None:
+            values = values + drift
         return clip_features(values)
-
-    def observe_error(self, errors: np.ndarray) -> None:
-        """Feed the (4, 2) tracking error into the drift filter, read only at a positive gain."""
-        beta = self.drift_smoothing
-        self._drift = (1.0 - beta) * self._drift + beta * errors
 
 
 def switch_schedule(pool_size: int, segments: int, rng: np.random.Generator) -> tuple[int, ...]:

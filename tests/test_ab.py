@@ -46,3 +46,29 @@ def test_summary_fails_on_an_incorrect_failed_or_unfinished_run():
         lines, ok = ab.summarize(END_TO_END, good, [good[0], bad])
         assert not ok
         assert lines[0] == "2 pairs; every run correct with 0 failed: False"
+
+
+def test_verdicts_follow_the_first_rule_that_holds():
+    end_to_end = [{"name": "cycles_per_s", "unit": "cycles/s", "better": "higher", "bound": 0.25},
+                  {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    steady = [100.0 + i % 2 for i in range(10)]  # IQR 1, far inside the bound
+    wide = [50.0 + 10.0 * i for i in range(10)]  # IQR 45, wider than 25% of its median 95
+    cases = [
+        # the median 26% worse is worse, however the pairs go
+        (steady, [74.0] * 10, "worse"),
+        # a wide base spread leaves a 20% gain in every pair unresolved ...
+        (wide, [v * 1.2 for v in wide], "unresolved"),
+        # ... unless every change run reads better than every base run
+        (wide, [200.0] * 10, "gain"),
+        # 9 of 10 pairs won, the median moved by more than the base IQR
+        (steady, [110.0] * 9 + [90.0], "gain"),
+        # 8 of 10 wins, or a move inside the base IQR, or a loss inside the bound
+        (steady, [110.0] * 8 + [90.0] * 2, "no change"),
+        (steady, [v + 0.5 for v in steady], "no change"),
+        (steady, [80.0] * 10, "no change"),
+    ]
+    for was, now, verdict in cases:
+        # setup_s is lower-better, so a value mirrored about 200 reads as its cycles_per_s does
+        base, change = ([run(v, (200.0 - v) / 100.0) for v in side] for side in (was, now))
+        assert ab.verdicts(end_to_end, base, change) == [
+            f"w/cycles_per_s: {verdict}", f"w/setup_s: {verdict}"], (was, now)

@@ -227,6 +227,13 @@ LIBRARY_REFUSALS = [
      "pace_training: needs at least one pace multiplier"),
     (lambda: TrialConfig(pace_testing=(1.0, 0.0)),
      "pace_testing[1]: must be a positive number, got 0.0"),
+    # a pool is built in the square of its size: 10^12 members ran past 20 s
+    # with no output, and a pace of 1e-320 overflowed the targets into NaN rows
+    (lambda: TrialConfig(pool_size=1001), "pool_size: must be at most 1000, got 1001"),
+    (lambda: TrialConfig(scenario=3, pace_training=(1.0, 1e-320)),
+     "pace_training[1]: must be at least 0.001, got 1e-320"),
+    (lambda: TrialConfig(pace_testing=(0.0009,)),
+     "pace_testing[0]: must be at least 0.001, got 0.0009"),
     (lambda: feature_map_with(noise_std=(0.005, 3.0)),
      "noise_std[1]: must be at most 2 in magnitude, got 3.0"),
     (lambda: feature_map_with(sensitivity=np.full((4, 2, 3), -12.0)),
@@ -301,8 +308,8 @@ LIBRARY_REFUSALS = [
      "pace multipliers must be positive"),
     (lambda: TargetProgram(base_profile=reference_profile(), profile_pool=(reference_profile(),)),
      "a profile pool needs a switch schedule"),
-    (lambda: TargetProgram(base_profile=reference_profile(), drift_gain=-0.1),
-     "drift gain must be non-negative"),
+    (lambda: TargetProgram(base_profile=reference_profile(), pace_sequence=(1.0, 1e-4)),
+     "pace multipliers must be at least 0.001"),
     (lambda: TargetProgram(base_profile=reference_profile()).target_for(-1),
      "cycle index must be non-negative"),
     (lambda: switch_schedule(0, 3, np.random.default_rng(0)), "pool must not be empty"),
@@ -425,6 +432,29 @@ def test_nested_refusals_name_the_dotted_key(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_a_pool_too_large_to_build_and_a_pace_too_small_to_divide_by_exit_2(tmp_path, capsys):
+    # a pool is built in the square of its size: 10^12 members kept the run
+    # in build_profile_pool past 20 s with no output; a pace of 1e-320 ran
+    # with exit 0, three RuntimeWarnings and NaN duration errors in the CSVs
+    cases = [
+        ({"scenario": 2, "terrain": {"pool_size": 1000000000000}},
+         "terrain.pool_size: must be at most 1000, got 1000000000000"),
+        ({"scenario": 3, "pace": {"training": [1.0, 1e-320]}},
+         "pace.training[1]: must be at least 0.001, got 1e-320"),
+        ({"pace": {"testing": [1.0, -0.5]}},
+         "pace.testing[1]: must be a positive number, got -0.5"),
+    ]
+    for cfg, message in cases:
+        code, out = run_cli(tmp_path, small_run_config(trials=1, **cfg))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # the largest pool and the least pace are taken
+    for cfg in ({"scenario": 2, "terrain": {"pool_size": 1000}},
+                {"scenario": 3, "pace": {"training": [1.0, 1e-3]}}):
+        assert load_config(overrides=cfg)
 
 
 def test_bound_refusals_name_the_table_and_phase(tmp_path, capsys):

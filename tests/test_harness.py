@@ -442,6 +442,7 @@ LOCKSTEP_CASES = {
     "strict-monitor": (dict(strict_monitor=True, dhdp=DhdpConfig(actor_lr=100.0),
                             max_cycles=120), 5),
     "numeric-fault": (dict(dhdp=DhdpConfig(critic_lr=1e3, actor_lr=1e6), max_cycles=120), 5),
+    "drift": (dict(drift_gain=0.2, drift_smoothing=0.5, max_cycles=120), 4),
 }
 
 
@@ -558,9 +559,24 @@ def test_a_finished_batch_keeps_no_starting_nets(monkeypatch):
 def test_lockstep_refuses_trials_whose_programs_differ():
     cfg = TrialConfig(max_cycles=40)
     base = Trial(cfg, 4).program.base_profile
-    drifting = TargetProgram(base_profile=base, drift_gain=0.5)
+    switching = TargetProgram(base_profile=base, profile_pool=(base, base + [0.0, 0.02]),
+                              schedule=(0, 1))
     with pytest.raises(ValueError, match="programs"):
-        harness._Lockstep([Trial(cfg, 4), Trial(cfg, 5, target_program=drifting)])
+        harness._Lockstep([Trial(cfg, 4), Trial(cfg, 5, target_program=switching)])
+
+
+def test_trials_sharing_a_drifting_program_get_the_records_of_their_own():
+    # a run writes nothing to its target program: two trials stepped together
+    # on one program, and a lone run on it after them, each get the record
+    # the program a trial builds for itself gives
+    cfg = TrialConfig(drift_gain=0.2, drift_smoothing=0.5, max_cycles=60)
+    shared = Trial(cfg, 0).program
+    together = [Trial(cfg, seed, target_program=shared) for seed in (4, 5)]
+    _step_to_end(together)
+    records = [trial.record for trial in together] + [
+        run_trial(cfg, 6, target_program=shared)]
+    for rec, seed in zip(records, (4, 5, 6)):
+        assert record_state(rec) == record_state(run_trial(cfg, seed))
 
 
 def test_lockstep_a_knee_that_diverges_in_cycle_0_leaves_no_row_and_the_others_run_on():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from kneetrack.core import KNEE_ANGLE_MAX, Phase
 from kneetrack.fsm import MIN_DWELL, PEAK_VELOCITY_EPS
+from kneetrack.harness import Trial, TrialConfig
 from kneetrack.plant import (
     MIN_DURATION,
     FeatureMapConfig,
@@ -463,16 +464,38 @@ def test_pace_scaling_divides_durations_only():
         assert b[1] == a[1]  # bit-identical
 
 
+def test_drift_is_added_to_the_paced_profile_before_it_is_made_legal():
+    # at pace 400 every duration is floored at MIN_DURATION, and a drift
+    # still moves it from the paced value, not from the floor
+    program = TargetProgram(base_profile=base_profile(), pace_sequence=(1.0, 400.0))
+    drift = np.array([[0.002, 0.05], [-0.01, -0.2], [0.0005, 0.6], [0.003, 0.0]])
+    for pace_index, pace in enumerate(program.pace_sequence):
+        paced = base_profile()
+        paced[:, 0] = paced[:, 0] / pace
+        for k in (0, 7):
+            assert np.array_equal(program.target_for(k, pace_index, drift),
+                                  clip_features(paced + drift))
+        assert np.array_equal(program.target_for(0, pace_index), clip_features(paced))
+    floored = program.target_for(0, 1)
+    assert (floored[:, 0] == MIN_DURATION).all()
+    assert program.target_for(0, 1, drift)[0, 0] == base_profile()[0, 0] / 400.0 + 0.002
+
+
 def test_drift_follows_lowpassed_error():
-    program = TargetProgram(base_profile=base_profile(), drift_gain=0.1,
-                            drift_smoothing=0.5)
-    before = program.target_for(0)
-    errs = alignment_errors(base_profile() + [0.02, 0.05], base_profile())
-    for _ in range(50):
-        program.observe_error(errs)
-    after = program.target_for(0)
-    assert after[0, 1] == pytest.approx(before[0, 1] + 0.1 * 0.05, abs=1e-6)
-    assert after[0, 0] == pytest.approx(before[0, 0] + 0.1 * 0.02, abs=1e-6)
+    # a drifting trial's drift is the low-pass of the errors its log holds,
+    # bit for bit, after every cycle it has walked
+    cfg = TrialConfig(drift_gain=0.2, drift_smoothing=0.5, max_cycles=40)
+    trial = Trial(cfg, 3)
+    drifts = []
+    while not trial.step():
+        drifts.append(trial._lockstep._drift[0].copy())
+    log = trial.record.log
+    errors = np.stack([log["d_duration_s"], log["d_peak_rad"]], axis=-1).reshape(-1, 4, 2)
+    drift = np.zeros((4, 2))
+    for cycle_errors, stepped in zip(errors, drifts):
+        drift = (1.0 - 0.5) * drift + 0.5 * cycle_errors
+        assert np.array_equal(stepped, drift)
+    assert len(drifts) == trial.record.cycles_run - 1 and np.abs(drift).max() > 0.0
 
 
 def test_switch_schedule_never_repeats_adjacent():

@@ -10,7 +10,8 @@ the same arguments, the two taking turns to go first.  For every
 end-to-end metric that ``BENCHMARK.json`` names, on every workload, the
 script prints both medians, the interquartile range of REV's runs, the
 working tree's wins out of N pairs by the metric's ``better`` (a tie is
-no one's win) and every run.  It exits 1 if any run was not ``correct``,
+no one's win) and every run, then one verdict per workload/metric (see
+:func:`verdicts`).  It exits 1 if any run was not ``correct``,
 failed an operation or did not finish.  It reads the benchmark's results
 only from the last line ``bench/run.py`` prints.
 """
@@ -53,6 +54,25 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def _series(end_to_end: list[dict], base: list[dict], change: list[dict]):
+    """Each end-to-end metric's runs on both sides, in workload/metric order: its
+    ``BENCHMARK.json`` entry, key, unit, base values, change values and the change's
+    wins by the metric's ``better`` (a tie is no one's win), over the pairs that have it."""
+    spec = {m["name"]: m for m in end_to_end}
+    keys = sorted({key for r in base + change for key in r["metrics"]
+                   if key.rsplit("/", 1)[-1] in spec})
+    for key in keys:
+        pairs = [(b["metrics"][key], c["metrics"][key]) for b, c in zip(base, change)
+                 if key in b["metrics"] and key in c["metrics"]]
+        if not pairs:
+            continue
+        metric = spec[key.rsplit("/", 1)[-1]]
+        was, now = ([entry["value"] for entry in side] for side in zip(*pairs))
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0.0 for b, c in zip(was, now))
+        yield metric, key, pairs[0][0]["unit"], was, now, wins
+
+
 def summarize(end_to_end: list[dict], base: list[dict],
               change: list[dict]) -> tuple[list[str], bool]:
     """Report lines for paired runs, and whether every run was correct with none failed.
@@ -62,25 +82,44 @@ def summarize(end_to_end: list[dict], base: list[dict],
     """
     ok = all(r["correct"] is True and r["failed"] == 0 for r in base + change)
     lines = [f"{len(base)} pairs; every run correct with 0 failed: {ok}"]
-    better = {m["name"]: m["better"] for m in end_to_end}
-    keys = sorted({key for r in base + change for key in r["metrics"]
-                   if key.rsplit("/", 1)[-1] in better})
-    for key in keys:
-        pairs = [(b["metrics"][key], c["metrics"][key]) for b, c in zip(base, change)
-                 if key in b["metrics"] and key in c["metrics"]]
-        if not pairs:
-            continue
-        way = better[key.rsplit("/", 1)[-1]]
-        was, now = ([entry["value"] for entry in side] for side in zip(*pairs))
-        sign = 1.0 if way == "higher" else -1.0
-        wins = sum(sign * (c - b) > 0.0 for b, c in zip(was, now))
+    for metric, key, unit, was, now, wins in _series(end_to_end, base, change):
         q1, q3 = _quartiles(was)
-        lines += [f"{key} ({pairs[0][0]['unit']}, {way} is better): "
+        lines += [f"{key} ({unit}, {metric['better']} is better): "
                   f"median {statistics.median(was):.6g} -> {statistics.median(now):.6g}, "
-                  f"base IQR {q3 - q1:.3g}, change wins {wins}/{len(pairs)}",
+                  f"base IQR {q3 - q1:.3g}, change wins {wins}/{len(was)}",
                   "  base:   " + " ".join(f"{v:.6g}" for v in was),
                   "  change: " + " ".join(f"{v:.6g}" for v in now)]
     return lines, ok
+
+
+def verdicts(end_to_end: list[dict], base: list[dict], change: list[dict]) -> list[str]:
+    """One verdict line per workload/metric of paired runs, the first rule that holds:
+
+    * ``worse``: the change's median is worse than the base's by more than the
+      metric's ``bound``, a fraction of the base median;
+    * ``unresolved``: the base runs' interquartile range is wider than ``bound``
+      of their median, and not every change run reads better than every base run;
+    * ``gain``: the change wins at least 9 of every 10 pairs, and its median is
+      better than the base's by more than the base IQR;
+    * ``no change``: anything else.
+    """
+    lines = []
+    for metric, key, _, was, now, wins in _series(end_to_end, base, change):
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        median = statistics.median(was)
+        moved = sign * (statistics.median(now) - median)
+        q1, q3 = _quartiles(was)
+        if moved < -metric["bound"] * abs(median):
+            verdict = "worse"
+        elif (q3 - q1 > metric["bound"] * abs(median)
+              and not min(sign * v for v in now) > max(sign * v for v in was)):
+            verdict = "unresolved"
+        elif 10 * wins >= 9 * len(was) and moved > q3 - q1:
+            verdict = "gain"
+        else:
+            verdict = "no change"
+        lines.append(f"{key}: {verdict}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -110,6 +149,8 @@ def main(argv=None) -> int:
     print(f"base {args.rev} vs the working tree; --workload {args.workload} "
           f"--seed {args.seed} --seconds {args.seconds:g}")
     print("\n".join(lines))
+    print("verdicts, by each metric's better side and bound in BENCHMARK.json:")
+    print("\n".join(verdicts(spec["end_to_end"], base, change)))
     return 0 if ok else 1
 
 
