@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _repr
-from .config import RUN_DEFAULTS, SCENARIO_LEVEL_GROUND, SCENARIO_PACE, SCENARIO_TERRAIN
-from .config import check_run_values
+from .config import RUN_DEFAULTS, SCENARIO_LEVEL_GROUND, SCENARIO_TERRAIN
+from .config import ConfigError, check_run_values
 from .config import DhdpConfig, TrialConfig  # noqa: F401 (bench/run.py: harness.TrialConfig())
 from .core import (
     KNEE_ANGLE_MAX,
@@ -315,12 +316,11 @@ class Trial:
     The trial holds what it starts from (plant, target program, initial
     impedance and nets) and its record.  It enters one :class:`_Lockstep`,
     the routine that steps whole batches, which owns its per-cycle state
-    from cycle 0 and fills in its record when it finishes; the trial drops
-    its starting nets once the lockstep has stacked them.  :meth:`step`
+    from cycle 0, ends it and fills in its record; the trial drops its
+    starting nets once the lockstep has stacked them.  :meth:`step`
     advances a lockstep of one that the trial keeps (tests read the state
     from its row 0), and :meth:`run` steps that one, or a new one, to the
-    end.  The trial itself handles its events: segment and leg
-    bookkeeping, kept in its record, and its ending.
+    end.  The trial applies its scenario's rules to its events.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -330,6 +330,8 @@ class Trial:
         if not isinstance(seed, np.random.SeedSequence):
             check_run_values(seed=seed)
             seed = np.random.SeedSequence(seed)
+        if policy is not None and cfg.load_critic and policy[1] is None:
+            raise ConfigError("load_critic: the policy has no critic weights")
         plant_seq, program_seq, init_seq, weight_seq = seed.spawn(4)
 
         self.plant = make_plant(cfg, np.random.default_rng(plant_seq))
@@ -348,7 +350,7 @@ class Trial:
         actors = [init_actor(wrng, cfg.dhdp.actor_hidden, scale) for _ in PHASES]
         if policy is not None:
             actors = policy[0]
-            critics = policy[1] if cfg.load_critic and policy[1] is not None else critics
+            critics = policy[1] if cfg.load_critic else critics
 
         # weights (4, h, 5) and (4, h), + 0.0: a given -0.0 becomes the 0.0 a
         # zero-TD step may leave of it; no draw or update makes one
@@ -392,35 +394,31 @@ class Trial:
         rec.actors = unstack_net(actor)
         rec.critics = unstack_net(critic)
 
-    def _all_converged(self, k: int, converged_at: list[int]) -> bool:
+    def _all_converged(self, k: int, converged_at: list[int]) -> str | None:
         """Apply the scenario's rule once every phase has converged in cycle ``k``.
 
-        Scenario 2 marks the open segment tracked.  Returns True when the
-        convergence windows start over: a new pace leg.
+        Scenario 2 marks the open segment tracked.  Returns what the rule
+        reports: ``"success"``, ``"new leg"`` (the windows start over) or None.
         """
         cfg, rec = self.cfg, self.record
         if cfg.scenario == SCENARIO_LEVEL_GROUND:
             rec.converged_at = dict(zip(map(int, PHASES), converged_at))
-            self._finish(k + 1, "success")
-        elif cfg.scenario == SCENARIO_TERRAIN:
+            return "success"
+        if cfg.scenario == SCENARIO_TERRAIN:
             rec.segments[-1].update(converged=True, converged_cycle=max(converged_at))
             recent = rec.segments[-cfg.consecutive_tracks:]
-            if len(recent) == cfg.consecutive_tracks and all(s["converged"] for s in recent):
-                self._finish(k + 1, "success")
-        elif cfg.scenario == SCENARIO_PACE:
-            legs = rec.legs
-            start = legs[-1]["converged_cycle"] + 1 if legs else 0
-            legs.append({
-                "leg": len(legs),
-                "pace": self.program.pace_sequence[len(legs)],
-                "start_cycle": start,
-                "converged_cycle": k,
-                "steps": k - start + 1,
-            })
-            if len(legs) < len(self.program.pace_sequence):
-                return True
-            self._finish(k + 1, "success")
-        return False
+            tracked = len(recent) == cfg.consecutive_tracks and all(s["converged"] for s in recent)
+            return "success" if tracked else None
+        legs = rec.legs
+        start = legs[-1]["converged_cycle"] + 1 if legs else 0
+        legs.append({
+            "leg": len(legs),
+            "pace": self.program.pace_sequence[len(legs)],
+            "start_cycle": start,
+            "converged_cycle": k,
+            "steps": k - start + 1,
+        })
+        return "new leg" if len(legs) < len(self.program.pace_sequence) else "success"
 
     def _new_terrain(self, k: int) -> bool:
         """Enter the terrain walked from cycle ``k``: cycle 0, or a switch period's start.
@@ -511,7 +509,8 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
 # The rows a lockstep keeps for each trial, all dropped together when trials leave.
 _ROWS = ("impedance", "critic", "actor", "_max_weight_norm", "_initial_weight_norm",
          "_lag_value", "_lag_cost", "_lagged", "_window", "_converged",
-         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale", "_drift")
+         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale", "_drift",
+         "_ended", "_logged")
 
 
 class _Lockstep:
@@ -529,9 +528,10 @@ class _Lockstep:
     runs only for events: new terrains, converged trials, faults, halts
     and endings, and the trial's own methods apply its rules to them.
     Every array rule is bit-identical to the one-trial rule, so each trial
-    gets the numbers it gets alone.  Each cycle's log block is queued; when
-    trials finish, every trial takes its rows of the queue, and the finished
-    ones leave with theirs, their final nets and weight ratios.
+    gets the numbers it gets alone.  :meth:`_end` ends a trial where it
+    ends.  Each cycle's log block is queued; in a step that ends trials,
+    every trial takes its rows of the queue, and the ended ones leave with
+    theirs, their final nets and weight ratios.
     """
 
     def __init__(self, trials):
@@ -579,15 +579,19 @@ class _Lockstep:
         tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
         self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
         self._monitor = cfg.dhdp.monitor_params()
+        # the trials this step ended, and whether their cycle left each a log row
+        self._ended = np.zeros(n, bool)
+        self._logged = np.ones(n, bool)
         # log blocks not yet handed over, and each trial's handed-over blocks
         self._blocks: list[np.ndarray] = []
         self._chunks: list[list[np.ndarray]] = [[] for _ in self.trials]
 
     def step(self):
-        """One gait cycle of every trial; the trials that finish in it leave."""
+        """One gait cycle of every trial; the trials that end in it leave."""
         cfg, k, n = self.cfg, self.k, len(self.trials)
         self._start_cycle()
-        measured, walked = self._measure()
+        measured = self._measure()
+        walked = ~self._ended  # all but the diverged knees
         errors = alignment_errors(self._targets, measured)
         if self._drift is not None:
             beta = cfg.drift_smoothing
@@ -609,22 +613,11 @@ class _Lockstep:
         np.divide(pct, self._safety[1], out=state[..., 0])
         np.divide(errors[..., 1], self._safety[0], out=state[..., 1])
         learners = learns.nonzero()[0]
-        kept = self._learn(learners, state, block) if len(learners) else learners
+        if len(learners):
+            self._learn(learners, state, block)
         # a trial keeps its lag only when it learned: a safety reset drops it
         self._lagged = learns
-        # the trials that walked leave rows, less the numeric faults; those
-        # that leave rows keep running, less the strict monitor's halts, the
-        # only rule of the learning step that finishes a trial it keeps
-        logged = walked
-        if len(kept) < len(learners):
-            logged = reset.copy()
-            logged[kept] = True
-        closing = logged
-        if cfg.strict_monitor:
-            halted = [i for i in kept.tolist() if self.trials[i].finished]
-            if halted:
-                closing = logged.copy()
-                closing[halted] = False
+        closing = ~self._ended  # all but the diverged knees, numeric faults and halts
 
         # each window is a ring of its last flags, cycle k's in slot k % window;
         # a phase latches unless the cycle ended its trial
@@ -642,16 +635,25 @@ class _Lockstep:
         # change nothing, so only a cycle with a latch makes them
         if latched:
             for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
-                if self.trials[i]._all_converged(k, self._converged[i].tolist()):
+                event = self.trials[i]._all_converged(k, self._converged[i].tolist())
+                if event == "success":
+                    self._end(i, k + 1, event)
+                elif event == "new leg":
                     self._restart(i)
         if k + 1 >= cfg.max_cycles:
-            for trial in self.trials:
-                if not trial.finished:
-                    trial._finish(k + 1, "failure", "max-cycles")
+            for i in (~self._ended).nonzero()[0]:
+                self._end(i, k + 1, "failure", "max-cycles")
         self.k = k + 1
-        finished = [i for i, trial in enumerate(self.trials) if trial.finished]
-        if finished:
-            self.leave(finished, logged)
+        if np.count_nonzero(self._ended):
+            self._leave()
+
+    def _end(self, i: int, cycles_run: int, outcome: str, reason: str | None = None,
+             logged: bool = True):
+        """End trial ``i``, which leaves after this step; ``logged`` is False when
+        cycle ``k`` left it no log row (a diverged knee, a numeric fault)."""
+        self._ended[i] = True
+        self._logged[i] = logged
+        self.trials[i]._finish(cycles_run, outcome, reason)
 
     def _restart(self, i: int):
         """Start trial ``i``'s convergence windows over, on its current target and pace."""
@@ -684,27 +686,25 @@ class _Lockstep:
             self._cycle_dur[stale] = cycle_duration(self._targets[stale])
             self._stale[:] = False
 
-    def _measure(self) -> tuple[np.ndarray, np.ndarray]:
-        """The features each plant walks cycle ``k`` with, and which trials walked it.
+    def _measure(self) -> np.ndarray:
+        """The features each plant walks cycle ``k`` with.
 
-        A torque-law knee that diverges ends its trial; its row of the
-        features is then the target, a stand-in no rule reads.
+        A torque-law knee that diverges ends its trial with no row of cycle
+        ``k``; its row of the features is then the target, a stand-in no rule reads.
         """
         if self._plant is not None:
             draws = np.array([t.plant.rng.standard_normal((NUM_PHASES, 2))
                               for t in self.trials])
             self._features = self._plant.respond(self._features, self.impedance,
                                                  self._reference, draws)
-            return self._features, np.ones(len(self.trials), bool)
+            return self._features
         measured = self._targets.copy()
-        walked = np.ones(len(self.trials), bool)
         for i, trial in enumerate(self.trials):
             try:
                 measured[i] = profile_to_array(trial.plant.step(self.impedance[i]))
             except PlantInstabilityError as exc:
-                walked[i] = False
-                trial._finish(self.k, "failure", f"plant-instability: {exc}")
-        return measured, walked
+                self._end(i, self.k, "failure", f"plant-instability: {exc}", logged=False)
+        return measured
 
     def _log(self, block, errors, pct, impedance, reset, in_tol, converged):
         """Fill in the fields every row of cycle ``k``'s log ``block`` has, and queue it."""
@@ -716,19 +716,21 @@ class _Lockstep:
         block[..., 8] = converged
         self._blocks.append(block)
 
-    def leave(self, positions: list[int], logged: np.ndarray):
-        """Hand every trial its queued log rows, less the last where ``logged`` is False;
-        close the records of the finished trials at ``positions`` (ascending), drop them."""
+    def _leave(self):
+        """Hand every trial its queued log rows, less the last where its cycle left it none
+        (``_logged``); close the records of the trials that ended and drop their rows."""
         blocks = np.stack(self._blocks, axis=1)  # (n, cycles, 4, F)
         self._blocks = []
-        for chunks, rows, kept in zip(self._chunks, blocks, logged.tolist()):
-            chunks.append((rows if kept else rows[:-1]).copy())
+        for chunks, rows, logged in zip(self._chunks, blocks, self._logged.tolist()):
+            chunks.append((rows if logged else rows[:-1]).copy())
         del blocks, rows  # the copies let the stack go before any record is built
-        for i in positions:
-            trial = self.trials[i]
-            trial._close_record(self._chunks[i], _row(self.critic, i), _row(self.actor, i),
-                                float(self._max_weight_norm[i] / self._initial_weight_norm[i]))
-        keep = [i for i in range(len(self.trials)) if i not in positions]
+        highs, starts = self._max_weight_norm.tolist(), self._initial_weight_norm.tolist()
+        for i in self._ended.nonzero()[0].tolist():
+            # on floats, capped for JSON; no update moves nets that start all zero
+            ratio = min(highs[i] / starts[i], sys.float_info.max) if starts[i] else 1.0
+            self.trials[i]._close_record(self._chunks[i], _row(self.critic, i),
+                                         _row(self.actor, i), ratio)
+        keep = (~self._ended).nonzero()[0].tolist()
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]
         for name in _ROWS:
@@ -737,21 +739,21 @@ class _Lockstep:
                 setattr(self, name, _take(value, keep))
 
     def run(self):
-        """Step until every trial has finished and left."""
+        """Step until every trial has ended and left."""
         while self.trials:
             self.step()
 
-    def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray) -> np.ndarray:
+    def _learn(self, rows: np.ndarray, state: np.ndarray, block: np.ndarray):
         """One learning step of the trials at positions ``rows``, all four phases each.
 
         ``state`` is every trial's (n, 4, 2) network input.  The step commits
         all it changes: the nets and the critics' lag, the impedance (the
         scaled action added and clamped to the ranges), the weight-norm high
         marks, and the strict monitor's halts; the learning fields and the
-        clamp flags go into cycle ``k``'s log ``block``.  Returns the
-        positions that kept their update.  A numeric fault fails only the
-        trials whose own update overflows: the step is then redone one trial
-        at a time, and each trial keeps exactly what it keeps alone.
+        clamp flags go into cycle ``k``'s log ``block``.  A numeric fault ends
+        only the trials whose own update overflows, with no row of the cycle:
+        the step is then redone one trial at a time, and each trial keeps
+        exactly what it keeps alone.
         """
         cfg, dhdp = self.cfg, self.cfg.dhdp
         learners = None if len(rows) == len(self.trials) else rows
@@ -778,12 +780,12 @@ class _Lockstep:
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)
         except NumericFaultError as exc:
             if len(rows) == 1:  # the trial's cycle ends; only its monitor reports count
-                trial = self.trials[rows[0]]
-                trial.record.monitor_violations += int((~monitor_ok[0]).sum())
-                trial._finish(self.k + 1, "failure", f"numeric-fault: {exc}")
-                return rows[:0]
-            return np.concatenate([self._learn(rows[j:j + 1], state, block)
-                                   for j in range(len(rows))])
+                self.trials[rows[0]].record.monitor_violations += int((~monitor_ok[0]).sum())
+                self._end(rows[0], self.k + 1, "failure", f"numeric-fault: {exc}", logged=False)
+                return
+            for j in range(len(rows)):
+                self._learn(rows[j:j + 1], state, block)
+            return
 
         self.critic = _put(self.critic, learners, critic)
         self.actor = _put(self.actor, learners, actor)
@@ -796,7 +798,7 @@ class _Lockstep:
             _take(self._max_weight_norm, learners), _max_abs_weights(critic, actor)))
         if cfg.strict_monitor:
             for i in rows[np.logical_or.reduce(~monitor_ok, axis=1)]:
-                self.trials[i]._finish(self.k + 1, "failure", "monitor-violation")
+                self._end(i, self.k + 1, "failure", "monitor-violation")
 
         at, out = len(_ROW_FIELDS), slice(None) if learners is None else rows
         block[out, :, at:at + 3] = a_tape.output
@@ -805,13 +807,6 @@ class _Lockstep:
                                     report.actor_bound, monitor_ok, lagged[:, None], clamped),
                                    start=at + 6):
             block[out, :, j] = values
-        return rows
-
-
-def _step_to_end(trials):
-    """Step the new ``trials`` together, one lockstep, until all have finished."""
-    if trials:
-        _Lockstep(trials).run()
 
 
 def run_trial(cfg: TrialConfig, seed, policy=None, **kwargs) -> TrialRecord:
@@ -916,7 +911,7 @@ def aggregate_metrics(records: list[TrialRecord]) -> Metrics:
 def _run_batch(cfg: TrialConfig, specs: list) -> list[TrialRecord]:
     """Records of the trials ``specs`` ((seed sequence, policy) pairs), stepped in one lockstep."""
     trials = [Trial(cfg, seq, policy=policy) for seq, policy in specs]
-    _step_to_end(trials)
+    _Lockstep(trials).run()
     # every record comes out of run_trial, as a lone trial's does; the
     # benchmark's traced run collects the records there
     return [run_trial(cfg, trial) for trial in trials]

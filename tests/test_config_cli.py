@@ -903,6 +903,64 @@ def test_run_with_diverging_weights_emits_no_warning(tmp_path):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def zero_policy_dir(tmp_path):
+    """A policy directory holding one actor+critic snapshot of all-zero weights."""
+    dhdp = TrialConfig().dhdp
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    save_policy(policies / "policy_01.json",
+                [ActorNet(np.zeros((dhdp.actor_hidden, 2)), np.zeros((3, dhdp.actor_hidden)))] * 4,
+                [CriticNet(np.zeros((dhdp.critic_hidden, 5)), np.zeros(dhdp.critic_hidden))] * 4)
+    return policies
+
+
+@pytest.mark.parametrize("cfg, ratios", [
+    # the weights of trial 2 grow past the largest double times their start:
+    # the ratio overflowed to Infinity
+    ({"trials": 5, "dhdp": {"critic_lr": 1000.0, "actor_lr": 1000000.0},
+      "drift": {"gain": 0.3}}, {2: 1.7976931348623157e308}),
+    # zero weights stay zero, and 0 / 0 was NaN
+    ({"stage": "testing", "load_critic": True, "trials_per_policy": 2, "max_cycles": 40},
+     {0: 1.0, 1: 1.0}),
+], ids=["overflow", "all-zero"])
+def test_max_weight_ratio_is_always_a_json_number(tmp_path, cfg, ratios):
+    if cfg.get("stage") == "testing":
+        cfg = cfg | {"policy_dir": str(zero_policy_dir(tmp_path))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert caught == []
+    docs = {path: json.loads(path.read_text(), parse_constant=refuse_constant)
+            for path in out.rglob("*.json")}
+    summary = docs[out / "summary.json"]
+    for trial, ratio in ratios.items():
+        assert summary["trial_summaries"][trial]["max_weight_ratio"] == ratio
+        assert docs[out / "trials" / f"trial_{trial:03d}.json"]["max_weight_ratio"] == ratio
+
+
+def test_load_critic_refuses_a_policy_without_critics():
+    # an actor-only policy quietly tuned fresh critics under load_critic
+    actors = [init_actor(np.random.default_rng(19)) for _ in range(4)]
+    with pytest.raises(ConfigError, match="^load_critic: the policy has no critic weights$"):
+        Trial(TrialConfig(load_critic=True, max_cycles=40), 3, policy=(actors, None))
+
+
+def test_load_critic_on_actor_only_snapshots_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(19)
+    policies = tmp_path / "policies"
+    policies.mkdir()
+    save_policy(policies / "policy_01.json", [init_actor(rng) for _ in range(4)])
+    code, out = run_cli(tmp_path, small_run_config(stage="testing", load_critic=True,
+                                                   policy_dir=str(policies)))
+    assert_one_error(capsys, code, 2, "load_critic: the policy has no critic weights")
+    assert not out.exists()
+
+
 def test_run_deterministic_outputs(tmp_path):
     cfg = small_run_config(trials=2)
     _, out_a = run_cli(tmp_path, cfg)

@@ -37,7 +37,6 @@ from kneetrack.harness import (
     run_trial,
     safety_check,
     scaled_impedance,
-    _step_to_end,
     write_trial_csv,
 )
 from kneetrack.plant import (
@@ -545,11 +544,12 @@ def test_a_finished_batch_keeps_no_starting_nets(monkeypatch):
     # so a batch does not hold both copies until it returns
     entered = []
 
-    def step_to_end(trials):
-        entered.extend(trials)
-        _step_to_end(trials)
+    class Lockstep(harness._Lockstep):
+        def __init__(self, trials):
+            entered.extend(trials)
+            super().__init__(trials)
 
-    monkeypatch.setattr(harness, "_step_to_end", step_to_end)
+    monkeypatch.setattr(harness, "_Lockstep", Lockstep)
     run_training_batch(TrialConfig(max_cycles=40), seed=3, trials=4)
     assert len(entered) == 4
     for trial in entered:
@@ -572,7 +572,7 @@ def test_trials_sharing_a_drifting_program_get_the_records_of_their_own():
     cfg = TrialConfig(drift_gain=0.2, drift_smoothing=0.5, max_cycles=60)
     shared = Trial(cfg, 0).program
     together = [Trial(cfg, seed, target_program=shared) for seed in (4, 5)]
-    _step_to_end(together)
+    harness._Lockstep(together).run()
     records = [trial.record for trial in together] + [
         run_trial(cfg, 6, target_program=shared)]
     for rec, seed in zip(records, (4, 5, 6)):
@@ -589,7 +589,7 @@ def test_lockstep_a_knee_that_diverges_in_cycle_0_leaves_no_row_and_the_others_r
     stiff[:, 2] = 1.6
     starts = [(0, None), (1, stiff), (2, None)]
     together = [Trial(cfg, seed, initial_impedance=imp) for seed, imp in starts]
-    _step_to_end(together)
+    harness._Lockstep(together).run()
     for trial, (seed, imp) in zip(together, starts):
         assert record_state(trial.record) == record_state(
             run_trial(cfg, seed, initial_impedance=imp))
@@ -616,7 +616,7 @@ def test_lockstep_retargets_the_trial_whose_leg_advanced_while_another_leaves():
     paces = ((1.0,), (1.0, 1.12))
     alone = [trial(p).run() for p in paces]
     together = [trial(p) for p in paces]
-    _step_to_end(together)
+    harness._Lockstep(together).run()
     assert together[0].record.legs == together[1].record.legs[:1]
     assert together[1].record.cycles_run > together[0].record.cycles_run
     for t, rec in zip(together, alone):

@@ -325,7 +325,7 @@ def test_learning_step_equals_reference_learn(seed, trials, strict, rates):
         "critic", "actor", "_lag_value", "_lag_cost", "impedance", "_max_weight_norm")})
     block = np.zeros((n, 4, len(_LOG_FIELDS)))
 
-    kept = lockstep._learn(rows, state, block)
+    lockstep._learn(rows, state, block)
 
     want_kept = []
     for i in range(n):
@@ -349,13 +349,14 @@ def test_learning_step_equals_reference_learn(seed, trials, strict, rates):
             assert not block[i].any()
         ending = step.ending if step is not None else None
         assert trial.finished == (ending is not None)
+        assert lockstep._ended[i] == (ending is not None)
         if ending is not None:
             assert (trial.record.outcome, trial.record.failure_reason,
                     trial.record.cycles_run) == ("failure", ending, lockstep.k + 1)
         faulted = step is not None and not keeps
         assert trial.record.monitor_violations == (
             int(np.count_nonzero(~step.monitor_ok)) if faulted else 0)
-    assert kept.tolist() == want_kept
+    assert [i for i in rows if lockstep._logged[i]] == want_kept
 
 
 def test_a_given_critic_enters_without_negative_zero():
