@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -74,6 +76,59 @@ def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
                    [(batch.cfg.scenario, batch.cfg.stage, batch.metrics)])
 
 
+def _write_trials(records: list[TrialRecord], summaries: list[dict], trials_dir: Path) -> None:
+    """Every trial's files, written by one process per CPU this process may run on.
+
+    Trial i goes to writer ``i % W``.  Writer 0 is this process; writers 1 to
+    W - 1 are forked children that write their share, send a refusal's
+    message through a pipe and leave by ``os._exit``.  Every child is reaped
+    before this returns or raises, and a child's refusal is raised here as
+    an ``OSError`` with its message.  Off Linux there is one writer.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    writers = min(len(records), cpus)
+
+    def write_share(writer: int) -> None:
+        for i in range(writer, len(records), writers):
+            write_trial_csv(records[i], trials_dir / f"trial_{i:03d}.csv")
+            write_json(summaries[i], trials_dir / f"trial_{i:03d}.json")
+
+    children = []
+    try:
+        for writer in range(1, writers):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a multi-threaded process (numpy's
+                # BLAS threads) may deadlock the child; this child calls no BLAS,
+                # takes no lock another thread could hold, and leaves by os._exit
+                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    write_share(writer)
+                    code = 0
+                except BaseException as exc:
+                    os.write(write_fd, (str(exc) or repr(exc)).encode())
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        write_share(0)
+    finally:
+        refusals = []
+        for pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                message = pipe.read().decode(errors="replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                refusals.append(message or f"trial writer {pid} ended with status {status}")
+    if refusals:
+        raise OSError(refusals[0])
+
+
 def _load_policies(policy_dir: Path, cfg):
     paths = sorted(policy_dir.glob("policy_*.json"))
     if not paths:
@@ -116,13 +171,9 @@ def cmd_run(args) -> int:
     for n, trial_idx in enumerate(batch.policy_trials, start=1):
         rec = batch.records[trial_idx]
         save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
-    trials_meta = []
-    for i, rec in enumerate(batch.records):
-        write_trial_csv(rec, trials_dir / f"trial_{i:03d}.csv")
-        p_idx = batch.policy_index[i] if batch.policy_index else None
-        summary = trial_summary(rec, i, p_idx)
-        write_json(summary, trials_dir / f"trial_{i:03d}.json")
-        trials_meta.append(summary)
+    trials_meta = [trial_summary(rec, i, batch.policy_index[i] if batch.policy_index else None)
+                   for i, rec in enumerate(batch.records)]
+    _write_trials(batch.records, trials_meta, trials_dir)
     write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
     _write_plot_data(batch, outdir)
 

@@ -228,8 +228,8 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
     call's own, since the block draws past the candidate returned.  The
     candidates are probed ``PROBE_CHUNK`` at a time with one
     :func:`steady_profile` call, and the first in draw order that passes
-    wins.  A candidate whose probe faults before that raises the fault, as
-    probing it alone does.
+    wins.  A candidate whose walk diverges is infeasible like any other
+    that fails: its NaN error rows are inside no bound.
     """
     reference = cfg.feature_map.reference_impedance
     spread = cfg.init_spread
@@ -242,13 +242,10 @@ def draw_initial_impedance(cfg: TrialConfig, plant, target: np.ndarray,
         for start in range(0, MAX_INITIAL_DRAWS, PROBE_CHUNK):
             chunk = candidates[start:start + PROBE_CHUNK]
             errors = alignment_errors(target, steady_profile(plant, chunk))
-            faulted = np.isnan(errors).any(axis=(1, 2))
             pct = duration_error_pct(errors, target_dur)
             inside = inside_bounds(errors, *limits, pct).all(axis=1)
-            for i in np.flatnonzero(faulted | inside).tolist():
-                if faulted[i]:
-                    steady_profile(plant, chunk[i])  # raises the probe's fault
-                elif _angle_rms(errors[i]) >= MIN_INITIAL_ANGLE_RMS:
+            for i in np.flatnonzero(inside).tolist():
+                if _angle_rms(errors[i]) >= MIN_INITIAL_ANGLE_RMS:
                     return chunk[i].copy()
         spread *= 0.7
     raise RuntimeError("could not draw a feasible initial impedance")

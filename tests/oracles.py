@@ -434,7 +434,8 @@ def loop_draw_initial_impedance(cfg, plant, target, rng):
 
     The body is the former function's, with the harness names it used
     read from the module at call time, so a test may patch them; the
-    block-drawing function must return the same impedance bytes.
+    block-drawing function must return the same impedance bytes.  A
+    candidate whose probe raises a plant fault is infeasible.
     """
     reference = cfg.feature_map.reference_impedance
     spread = cfg.init_spread
@@ -444,7 +445,11 @@ def loop_draw_initial_impedance(cfg, plant, target, rng):
         for _ in range(harness.MAX_INITIAL_DRAWS):
             factors = rng.uniform(1.0 - spread, 1.0 + spread, size=(NUM_PHASES, 3))
             candidate = harness.scaled_impedance(reference, factors)
-            errors = alignment_errors(target, harness.steady_profile(plant, candidate))
+            try:
+                profile = harness.steady_profile(plant, candidate)
+            except PlantInstabilityError:
+                continue
+            errors = alignment_errors(target, profile)
             # Python's float ** (libm pow) and numpy's square can differ in the
             # last bit; recorded runs and goldens were drawn with the former
             angle_rms = float(np.sqrt(np.mean([p ** 2 for p in errors[:, 1].tolist()])))

@@ -1,10 +1,13 @@
 """The paired A/B script's summary of benchmark runs (tools/ab.py)."""
 
+import argparse
 import importlib.util
+import json
+import re
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location(
-    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
 
@@ -72,3 +75,46 @@ def test_verdicts_follow_the_first_rule_that_holds():
         base, change = ([run(v, (200.0 - v) / 100.0) for v in side] for side in (was, now))
         assert ab.verdicts(end_to_end, base, change) == [
             f"w/cycles_per_s: {verdict}", f"w/setup_s: {verdict}"], (was, now)
+
+
+def test_a_bench_point_holds_both_sides_runs_and_host_readings(monkeypatch):
+    monkeypatch.setattr(ab, "_git", lambda *args: {"status": " M src/x.py"}.get(args[0], "c0ffee"))
+    end_to_end = [dict(m, bound=0.25) for m in END_TO_END]
+    base, change = [run(100.0, 0.3), run(102.0, 0.3)], [run(120.0, 0.3), run(121.0, 0.2)]
+    manifest = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "cpus_allowed": 2,
+                "platform": "Linux"}
+    hosts = {side: [{"w": {"manifest": manifest, "batch_wall_s": wall, "host_factor": 1.25}}
+                    for wall in walls]
+             for side, walls in (("base", (0.4, 0.5)), ("change", (0.3, 0.35)))}
+    args = argparse.Namespace(rev="HEAD~1", workload="w", seed=3, seconds=12.0)
+    point = ab.bench_point({"end_to_end": end_to_end}, args, base, change, hosts)
+    assert point["base"] == {"rev": "HEAD~1", "commit": "c0ffee"}
+    assert point["change"] == {"commit": "c0ffee", "uncommitted_changes": True}
+    assert (point["pairs"], point["correct"], point["attempted"], point["failed"]) == (2, True, 40, 0)
+    assert point["metrics"]["w/cycles_per_s"] == {
+        "unit": "cycles/s", "better": "higher", "wins": 2, "verdict": "gain",
+        "base": {"median": 101.0, "runs": [100.0, 102.0]},
+        "change": {"median": 120.5, "runs": [120.0, 121.0]}}
+    assert point["metrics"]["w/setup_s"]["wins"] == 1
+    assert point["manifest"]["runs"] == {
+        "base": {"w": {"batch_wall_s": [0.4, 0.5], "host_factor": [1.25, 1.25]}},
+        "change": {"w": {"batch_wall_s": [0.3, 0.35], "host_factor": [1.25, 1.25]}}}
+    assert point["manifest"]["conditions"] == "untraced, one host, one session"
+
+
+def test_every_bench_point_is_a_correct_run_of_every_end_to_end_metric():
+    # the committed trajectory: each point parses, names its commits and holds
+    # every workload's end-to-end metrics on both sides; no time is read
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {f"{w['name']}/{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]}
+    assert len(want) == 12
+    points = sorted(ROOT.glob("BENCH_*.json"))
+    assert points
+    for path in points:
+        point = json.loads(path.read_text())
+        for side in ("base", "change"):
+            assert re.fullmatch(r"[0-9a-f]{40}", point[side]["commit"]), path
+        assert point["correct"] is True and point["failed"] == 0, path
+        assert set(point["metrics"]) == want, path
+        for entry in point["metrics"].values():
+            assert all(len(entry[side]["runs"]) == point["pairs"] for side in ("base", "change"))

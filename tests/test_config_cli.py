@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -863,6 +864,15 @@ def test_a_nan_knee_velocity_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_diverged_reference_walk_exits_1(tmp_path, capsys):
+    # at 8 rad/s the target's own reference walk diverges, so no trial can
+    # start; a diverged draw candidate alone no longer refuses a batch
+    cfg = {"trials": 6, "max_cycles": 30, "ode": {"velocity_limit": 8.0}}
+    code, out = run_cli(tmp_path, cfg, "--plant", "ode", "--seed", "0")
+    assert_one_error(capsys, code, 1, "knee velocity -8.5 rad/s exceeds 8.0 rad/s in phase SWE")
+    assert not out.exists()
+
+
 def test_run_testing_loads_policies(tmp_path):
     code, out = run_cli(tmp_path, small_run_config())
     assert code == 0
@@ -977,6 +987,45 @@ def test_run_deterministic_outputs(tmp_path):
             assert a == b
         else:
             assert a == b
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_writer_and_several_write_the_same_tree(tmp_path, monkeypatch):
+    # trial i's files are written by writer i % W, W being the CPUs this
+    # process may run on; the same relative --out makes config.json match too
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    trees = {}
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        home = tmp_path / f"cpus{len(cpus)}"
+        home.mkdir()
+        monkeypatch.chdir(home)
+        (home / "cfg.json").write_text(json.dumps({"trials": 5, "max_cycles": 40}))
+        forks.clear()
+        assert main(["run", "--config", "cfg.json", "--out", "out"]) == 0
+        assert_no_child_left()
+        assert len(forks) == len(cpus) - 1
+        trees[len(cpus)] = {path.relative_to(home).as_posix(): path.read_bytes()
+                            for path in sorted((home / "out").rglob("*")) if path.is_file()}
+    assert len([name for name in trees[3] if name.startswith("out/trials/")]) == 10
+    assert trees[1] == trees[3]
+
+
+@pytest.mark.parametrize("blocked", ["trial_001.csv", "trial_000.csv"])
+def test_a_trial_file_refused_in_any_writer_exits_1(tmp_path, monkeypatch, capsys, blocked):
+    # trial_001 is a forked writer's, trial_000 this process's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    log = tmp_path / "out" / "trials" / blocked
+    log.mkdir(parents=True)
+    code, _ = run_cli(tmp_path, {"trials": 5, "max_cycles": 40})
+    assert_one_error(capsys, code, 1, f"[Errno 21] Is a directory: '{log}'")
+    assert_no_child_left()
 
 
 def test_run_outputs_match_the_golden_digests(tmp_path):

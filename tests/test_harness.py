@@ -42,6 +42,7 @@ from kneetrack.harness import (
 from kneetrack.plant import (
     FeatureMapConfig,
     OdeKneeConfig,
+    PlantInstabilityError,
     TargetProgram,
     alignment_errors,
     profile_to_array,
@@ -311,15 +312,15 @@ def test_scaled_impedance_stack_equals_row_by_row():
     assert (stacked[..., 2] == KNEE_ANGLE_MAX).any()
 
 
-def probed_by_chunks(n: int, fault: bool) -> int:
+def probed_by_chunks(n: int) -> int:
     """Candidates the chunked draw probes where the one-at-a-time draw probed ``n``.
 
-    That is every earlier round's candidates, this round's up to the end of
-    the chunk holding the ``n``-th, and the faulted candidate once more alone.
+    That is every earlier round's candidates and this round's up to the end
+    of the chunk holding the ``n``-th.
     """
     rounds, at = divmod(n - 1, harness.MAX_INITIAL_DRAWS)
     chunks = -(-(at + 1) // harness.PROBE_CHUNK) * harness.PROBE_CHUNK
-    return rounds * harness.MAX_INITIAL_DRAWS + min(chunks, harness.MAX_INITIAL_DRAWS) + fault
+    return rounds * harness.MAX_INITIAL_DRAWS + min(chunks, harness.MAX_INITIAL_DRAWS)
 
 
 def draw_outcomes(cfg, seeds, monkeypatch, target=None):
@@ -349,9 +350,7 @@ def draw_outcomes(cfg, seeds, monkeypatch, target=None):
         runs.append(outcomes)
     chunked, oracle = runs
     assert [got for got, _ in chunked] == [got for got, _ in oracle]
-    assert [n for _, n in chunked] == [
-        probed_by_chunks(n, isinstance(got, str) and got.startswith("knee velocity"))
-        for got, n in oracle]
+    assert [n for _, n in chunked] == [probed_by_chunks(n) for _, n in oracle]
     return oracle
 
 
@@ -381,18 +380,38 @@ def test_initial_draw_narrows_and_gives_up_as_the_oracle(plant_kind, monkeypatch
 
 
 @pytest.mark.parametrize("chunk", [7, harness.PROBE_CHUNK])
-def test_initial_draw_raises_the_first_fault_as_the_oracle(chunk, monkeypatch):
-    # at 16 rad/s some candidates' walks diverge: a draw that meets one
-    # before a feasible candidate raises its PlantInstabilityError, one
-    # that does not returns the feasible candidate
+def test_initial_draw_skips_a_diverged_candidate_as_the_oracle(chunk, monkeypatch):
+    # at 16 rad/s some candidates' walks diverge: each is infeasible, and
+    # every seed still draws the first feasible candidate after it
     monkeypatch.setattr(harness, "PROBE_CHUNK", chunk)
     default = TrialConfig(plant_kind="ode")
     target = make_target_program(default, make_plant(default, None),
                                  np.random.default_rng(1)).target_for(0)
     cfg = replace(default, ode=OdeKneeConfig(velocity_limit=16.0))
+    diverged = []
+    steady = harness.steady_profile
+
+    def counting(plant, imp):
+        try:
+            return steady(plant, imp)
+        except PlantInstabilityError:
+            diverged.append(imp)
+            raise
+
+    monkeypatch.setattr(harness, "steady_profile", counting)
     outcomes = draw_outcomes(cfg, range(8), monkeypatch, target)
-    assert {isinstance(got, bytes) for got, _ in outcomes} == {True, False}
-    assert all(got.startswith("knee velocity") for got, _ in outcomes if isinstance(got, str))
+    assert all(isinstance(got, bytes) for got, _ in outcomes)
+    assert diverged  # the one-at-a-time oracle met diverged candidates
+
+
+def test_a_torque_law_batch_starts_past_diverged_draw_candidates():
+    # at 10 rad/s the first diverged candidate used to end the batch in its
+    # initial draws; now its trials start, and two diverge in later cycles
+    cfg = TrialConfig(plant_kind="ode", ode=OdeKneeConfig(velocity_limit=10.0), max_cycles=30)
+    batch = run_training_batch(cfg, 0, trials=6)
+    reasons = [rec.failure_reason for rec in batch.records]
+    assert reasons.count("max-cycles") == 4
+    assert sum(r.startswith("plant-instability: knee velocity") for r in reasons) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/ab.py REV [--pairs N] [--workload W] [--seconds S] [--seed N]
+                            [--record BENCH_prNN.json]
 
 REV is extracted with ``git archive`` into a temporary directory.  Each
 pair runs REV's ``bench/run.py`` and the working tree's once each, with
@@ -13,12 +14,16 @@ working tree's wins out of N pairs by the metric's ``better`` (a tie is
 no one's win) and every run, then one verdict per workload/metric (see
 :func:`verdicts`).  It exits 1 if any run was not ``correct``,
 failed an operation or did not finish.  It reads the benchmark's results
-only from the last line ``bench/run.py`` prints.
+only from the last line ``bench/run.py`` prints.  ``--record PATH`` also
+writes the pairs as one point of the benchmark trajectory (see
+:func:`bench_point`), with each run's raw batch wall and host factor read
+from the ``bench/out/result-*-trace0.json`` files the run wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import io
 import json
 import statistics
@@ -45,6 +50,65 @@ def run_bench(tree: Path, args) -> dict:
         result["metrics"] = {f"{args.workload}/{name}": entry
                              for name, entry in result["metrics"].items()}
     return result
+
+
+def host_readings(tree: Path, result: dict) -> dict:
+    """Per workload of the run ``result`` just made in ``tree``: its full result's
+    manifest, the median raw batch wall and the host factor, the median normalised
+    batch time over the median raw one."""
+    readings = {}
+    for workload in sorted({key.split("/", 1)[0] for key in result["metrics"]}):
+        full = json.loads((tree / "bench" / "out" / f"result-{workload}-trace0.json").read_text())
+        raw = statistics.median(full["batch_walls_s"]["raw"])
+        readings[workload] = {"manifest": full["manifest"], "batch_wall_s": raw,
+                              "host_factor": statistics.median(
+                                  full["batch_walls_s"]["normalised"]) / raw}
+    return readings
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def bench_point(spec: dict, args, base: list[dict], change: list[dict],
+                hosts: dict[str, list[dict]]) -> dict:
+    """One ``BENCH_*.json`` point of runs that were all correct with none failed:
+    both commits, each end-to-end metric's median and runs on both sides with
+    its wins and verdict, and a manifest holding every run's raw batch wall
+    and host factor by side and workload."""
+    first = next(iter(hosts["change"][0].values()))["manifest"]
+    verdict = dict(line.rsplit(": ", 1) for line in verdicts(spec["end_to_end"], base, change))
+    metrics = {}
+    for metric, key, unit, was, now, wins in _series(spec["end_to_end"], base, change):
+        metrics[key] = {"unit": unit, "better": metric["better"], "wins": wins,
+                        "verdict": verdict[key],
+                        "base": {"median": statistics.median(was), "runs": was},
+                        "change": {"median": statistics.median(now), "runs": now}}
+    return {
+        "schema": "kneetrack-bench-point",
+        "base": {"rev": args.rev, "commit": _git("rev-parse", f"{args.rev}^{{commit}}")},
+        # the working tree: HEAD, plus its uncommitted changes if any
+        "change": {"commit": _git("rev-parse", "HEAD"),
+                   "uncommitted_changes": _git("status", "--porcelain") != ""},
+        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "pairs": len(base),
+        "correct": all(r["correct"] is True for r in base + change),
+        "attempted": sum(r["attempted"] for r in base + change),
+        "failed": sum(r["failed"] for r in base + change),
+        "metrics": metrics,
+        "manifest": {
+            "python": first["python"], "numpy": first["numpy"], "nproc": first["nproc"],
+            "cpus_allowed": first["cpus_allowed"], "platform": first["platform"],
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "conditions": "untraced, one host, one session",
+            # per side and workload, one value per run in pair order
+            "runs": {side: {workload: {name: [run[workload][name] for run in runs]
+                                       for name in ("batch_wall_s", "host_factor")}
+                            for workload in runs[0]}
+                     for side, runs in hosts.items()},
+        },
+    }
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -130,6 +194,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--record", type=Path,
+                        help="also write the pairs as a BENCH_*.json trajectory point")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -137,13 +203,16 @@ def main(argv=None) -> int:
     archive = subprocess.run(["git", "archive", "--format=tar", args.rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
     base, change = [], []
+    hosts = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="kneetrack-ab-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         for pair in range(args.pairs):
-            order = ((Path(tmp), base), (ROOT, change))
-            for tree, runs in order if pair % 2 == 0 else order[::-1]:
+            order = ((Path(tmp), base, hosts["base"]), (ROOT, change, hosts["change"]))
+            for tree, runs, readings in order if pair % 2 == 0 else order[::-1]:
                 runs.append(run_bench(tree, args))
+                if args.record is not None and runs[-1]["correct"] is True:
+                    readings.append(host_readings(tree, runs[-1]))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
     lines, ok = summarize(spec["end_to_end"], base, change)
     print(f"base {args.rev} vs the working tree; --workload {args.workload} "
@@ -151,6 +220,9 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     print("verdicts, by each metric's better side and bound in BENCHMARK.json:")
     print("\n".join(verdicts(spec["end_to_end"], base, change)))
+    if args.record is not None and ok:
+        args.record.write_text(json.dumps(bench_point(spec, args, base, change, hosts),
+                                          indent=1, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
