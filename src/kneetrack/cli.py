@@ -20,9 +20,11 @@ written, or a size that cannot be allocated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
+import pickle
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -76,27 +78,64 @@ def _write_plot_data(batch: BatchResult, outdir: Path) -> None:
                    [(batch.cfg.scenario, batch.cfg.stage, batch.metrics)])
 
 
-def _write_trials(records: list[TrialRecord], summaries: list[dict], trials_dir: Path) -> None:
-    """Every trial's files, written by one process per CPU this process may run on.
+def _write_trial(trials_dir: Path, index: int, summary: dict, log: dict) -> None:
+    """Trial ``index``'s CSV log and JSON summary."""
+    path = trials_dir / f"trial_{index:03d}"
+    write_trial_csv(TrialRecord(summary["scenario"], summary["stage"], log=log),
+                    path.with_suffix(".csv"))
+    write_json(summary, path.with_suffix(".json"))
 
-    Trial i goes to writer ``i % W``.  Writer 0 is this process; writers 1 to
-    W - 1 are forked children that write their share, send a refusal's
-    message through a pipe and leave by ``os._exit``.  Every child is reaped
-    before this returns or raises, and a child's refusal is raised here as
-    an ``OSError`` with its message.  Off Linux there is one writer.
+
+def _writer_child(read_fd: int, report_fd: int, trials_dir: Path, inherited: list[int]) -> None:
+    """A forked writer: close the ``inherited`` pipe ends of the writers before it,
+    then write every (index, summary, log) read from ``read_fd`` until EOF.  After
+    a refusal it drains the pipe, so the run never blocks on it, and sends the
+    refusal's message on ``report_fd``.  Leaves by ``os._exit``."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(read_fd, "rb") as pipe:
+            try:
+                while True:
+                    try:
+                        item = pickle.load(pipe)
+                    except EOFError:
+                        break
+                    _write_trial(trials_dir, *item)
+                code = 0
+            except BaseException as exc:
+                os.write(report_fd, (str(exc) or repr(exc)).encode())
+                while pipe.read(1 << 16):
+                    pass
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _trial_writers(trials_dir: Path, trials: int):
+    """Yield ``write(index, summary, log)``, which sees trial ``index``'s files written.
+
+    With W CPUs this process may run on (1 off Linux), it forks
+    min(W - 1, ``trials``) writer children before the batch and hands trial i
+    to child i mod (W - 1) through a pipe, pickled; with one CPU it writes
+    each trial itself.  ``trials_dir`` is made by the first ``write``.  On
+    exit every pipe is closed and every child reaped; a child's refusal is
+    then raised as an ``OSError`` with its message, unless the block raised.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    writers = min(len(records), cpus)
-
-    def write_share(writer: int) -> None:
-        for i in range(writer, len(records), writers):
-            write_trial_csv(records[i], trials_dir / f"trial_{i:03d}.csv")
-            write_json(summaries[i], trials_dir / f"trial_{i:03d}.json")
-
-    children = []
+    children = []  # (pid, pipe to the child, read end of its report pipe)
     try:
-        for writer in range(1, writers):
+        for _ in range(min(cpus - 1, trials)):
             read_fd, write_fd = os.pipe()
+            report_read, report_write = os.pipe()
+            import fcntl  # only Linux reaches here: sched_getaffinity is Linux's
+            try:
+                # the default 64 KiB holds less than one trial's log, so the
+                # batch would wait on a child that is still writing a CSV
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except OSError:
+                pass
             with warnings.catch_warnings():
                 # Python 3.12+ warns that forking a multi-threaded process (numpy's
                 # BLAS threads) may deadlock the child; this child calls no BLAS,
@@ -105,23 +144,33 @@ def _write_trials(records: list[TrialRecord], summaries: list[dict], trials_dir:
                                         DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    write_share(writer)
-                    code = 0
-                except BaseException as exc:
-                    os.write(write_fd, (str(exc) or repr(exc)).encode())
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        write_share(0)
+                _writer_child(read_fd, report_write, trials_dir, [
+                    write_fd, report_read,
+                    *(fd for _, pipe, report in children for fd in (pipe.fileno(), report))])
+            os.close(read_fd)
+            os.close(report_write)
+            children.append((pid, open(write_fd, "wb"), report_read))
+
+        def write(index: int, summary: dict, log: dict) -> None:
+            trials_dir.mkdir(parents=True, exist_ok=True)
+            if not children:
+                _write_trial(trials_dir, index, summary, log)
+                return
+            pipe = children[index % len(children)][1]
+            pickle.dump((index, summary, log), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
+
+        yield write
     finally:
         refusals = []
-        for pid, read_fd in children:
-            with open(read_fd, "rb") as pipe:
-                message = pipe.read().decode(errors="replace")
+        for pid, pipe, report_read in children:
+            try:
+                pipe.close()
+            except OSError:  # a child that died took the rest of its share with it
+                pass
+        for pid, pipe, report_read in children:
+            with open(report_read, "rb") as report:
+                message = report.read().decode(errors="replace")
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if status != 0:
                 refusals.append(message or f"trial writer {pid} ended with status {status}")
@@ -155,27 +204,39 @@ def cmd_run(args) -> int:
 
     seed = int(resolved["seed"])
     outdir = Path(resolved["out_dir"])
-    trials_dir = outdir / "trials"
     if cfg.stage == "training":
-        batch = run_training_batch(cfg, seed, trials=int(resolved["trials"]),
-                                   keep_policies=int(resolved["keep_policies"]))
+        trials = int(resolved["trials"])
     else:
         policies = _load_policies(Path(resolved["policy_dir"]), cfg)
-        batch = run_testing_batch(cfg, seed, policies,
-                                  trials_per_policy=int(resolved["trials_per_policy"]))
-    # the output directory is made only for a batch that ran
-    trials_dir.mkdir(parents=True, exist_ok=True)
-    write_json(resolved, outdir / "config.json")
-    if cfg.stage == "training":
-        (outdir / "policies").mkdir(exist_ok=True)
-    for n, trial_idx in enumerate(batch.policy_trials, start=1):
-        rec = batch.records[trial_idx]
-        save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
-    trials_meta = [trial_summary(rec, i, batch.policy_index[i] if batch.policy_index else None)
-                   for i, rec in enumerate(batch.records)]
-    _write_trials(batch.records, trials_meta, trials_dir)
-    write_json(batch_summary(batch, trials_meta), outdir / "summary.json")
-    _write_plot_data(batch, outdir)
+        per_policy = int(resolved["trials_per_policy"])
+        trials = len(policies) * per_policy
+    summaries: list[dict | None] = [None] * trials
+
+    with _trial_writers(outdir / "trials", trials) as write:
+        def on_leave(index: int, record: TrialRecord) -> None:
+            # a trial's files are written as it leaves, and only trial 0's log,
+            # which the plots read, is kept
+            policy = None if cfg.stage == "training" else index // per_policy
+            summaries[index] = trial_summary(record, index, policy)
+            write(index, summaries[index], record.log)
+            if index:
+                record.log = {}
+
+        if cfg.stage == "training":
+            batch = run_training_batch(cfg, seed, trials=trials,
+                                       keep_policies=int(resolved["keep_policies"]),
+                                       on_leave=on_leave)
+        else:
+            batch = run_testing_batch(cfg, seed, policies, trials_per_policy=per_policy,
+                                      on_leave=on_leave)
+        write_json(resolved, outdir / "config.json")
+        if cfg.stage == "training":
+            (outdir / "policies").mkdir(exist_ok=True)
+        for n, trial_idx in enumerate(batch.policy_trials, start=1):
+            rec = batch.records[trial_idx]
+            save_policy(outdir / "policies" / f"policy_{n:02d}.json", rec.actors, rec.critics)
+        write_json(batch_summary(batch, summaries), outdir / "summary.json")
+        _write_plot_data(batch, outdir)
 
     m = batch.metrics
     steps = "n/a" if m.tuning_steps_mean is None else f"{m.tuning_steps_mean:.1f}"

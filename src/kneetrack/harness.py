@@ -507,7 +507,7 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
 _ROWS = ("impedance", "critic", "actor", "_max_weight_norm", "_initial_weight_norm",
          "_lag_value", "_lag_cost", "_lagged", "_window", "_converged",
          "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale", "_drift",
-         "_ended", "_logged")
+         "_ended", "_logged", "_index")
 
 
 class _Lockstep:
@@ -528,7 +528,9 @@ class _Lockstep:
     gets the numbers it gets alone.  :meth:`_end` ends a trial where it
     ends.  Each cycle's log block is queued; in a step that ends trials,
     every trial takes its rows of the queue, and the ended ones leave with
-    theirs, their final nets and weight ratios.
+    theirs, their final nets and weight ratios.  :meth:`run` may be given
+    an ``on_leave(index, record)`` to call as each trial leaves, with the
+    trial's position in the list the lockstep was built from.
     """
 
     def __init__(self, trials):
@@ -579,6 +581,8 @@ class _Lockstep:
         # the trials this step ended, and whether their cycle left each a log row
         self._ended = np.zeros(n, bool)
         self._logged = np.ones(n, bool)
+        self._index = np.arange(n)  # each row's trial's position in ``trials``
+        self._on_leave = None  # what run() calls as each trial leaves
         # log blocks not yet handed over, and each trial's handed-over blocks
         self._blocks: list[np.ndarray] = []
         self._chunks: list[list[np.ndarray]] = [[] for _ in self.trials]
@@ -725,8 +729,10 @@ class _Lockstep:
         for i in self._ended.nonzero()[0].tolist():
             # on floats, capped for JSON; no update moves nets that start all zero
             ratio = min(highs[i] / starts[i], sys.float_info.max) if starts[i] else 1.0
-            self.trials[i]._close_record(self._chunks[i], _row(self.critic, i),
-                                         _row(self.actor, i), ratio)
+            trial = self.trials[i]
+            trial._close_record(self._chunks[i], _row(self.critic, i), _row(self.actor, i), ratio)
+            if self._on_leave is not None:
+                self._on_leave(int(self._index[i]), trial.record)
         keep = (~self._ended).nonzero()[0].tolist()
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]
@@ -735,8 +741,9 @@ class _Lockstep:
             if value is not None:
                 setattr(self, name, _take(value, keep))
 
-    def run(self):
-        """Step until every trial has ended and left."""
+    def run(self, on_leave=None):
+        """Step until every trial has ended and left, calling ``on_leave`` as each leaves."""
+        self._on_leave = on_leave
         while self.trials:
             self.step()
 
@@ -905,10 +912,14 @@ def aggregate_metrics(records: list[TrialRecord]) -> Metrics:
 # Batches
 
 
-def _run_batch(cfg: TrialConfig, specs: list) -> list[TrialRecord]:
-    """Records of the trials ``specs`` ((seed sequence, policy) pairs), stepped in one lockstep."""
+def _run_batch(cfg: TrialConfig, specs: list, on_leave=None) -> list[TrialRecord]:
+    """Records of the trials ``specs`` ((seed sequence, policy) pairs), stepped in one lockstep.
+
+    ``on_leave(index, record)``, if given, is called once per trial as it
+    leaves the lockstep, with the trial's index in ``specs`` and its closed record.
+    """
     trials = [Trial(cfg, seq, policy=policy) for seq, policy in specs]
-    _Lockstep(trials).run()
+    _Lockstep(trials).run(on_leave)
     # every record comes out of run_trial, as a lone trial's does; the
     # benchmark's traced run collects the records there
     return [run_trial(cfg, trial) for trial in trials]
@@ -925,16 +936,18 @@ class BatchResult:
 
 
 def run_training_batch(cfg: TrialConfig, seed: int, trials: int = RUN_DEFAULTS["trials"],
-                       keep_policies: int = RUN_DEFAULTS["keep_policies"]) -> BatchResult:
+                       keep_policies: int = RUN_DEFAULTS["keep_policies"],
+                       on_leave=None) -> BatchResult:
     """Run ``trials`` independent training trials and pick saved policies.
 
     Policies are drawn, without replacement, from the successful trials;
     when fewer than ``keep_policies`` succeed, all successes are kept.
+    ``on_leave`` is called as each trial ends (see :func:`_run_batch`).
     """
     check_run_values(trials=trials, keep_policies=keep_policies, seed=seed)
     seq = np.random.SeedSequence(seed)
     trial_seqs = seq.spawn(trials + 1)
-    records = _run_batch(cfg, [(trial_seqs[i], None) for i in range(trials)])
+    records = _run_batch(cfg, [(trial_seqs[i], None) for i in range(trials)], on_leave)
 
     successes = [i for i, rec in enumerate(records) if rec.success]
     picker = np.random.default_rng(trial_seqs[trials])
@@ -950,10 +963,12 @@ def run_training_batch(cfg: TrialConfig, seed: int, trials: int = RUN_DEFAULTS["
 
 def run_testing_batch(cfg: TrialConfig, seed: int, policies,
                       trials_per_policy: int = RUN_DEFAULTS["trials_per_policy"],
-                      jobs: int = 1) -> BatchResult:
+                      jobs: int = 1, on_leave=None) -> BatchResult:
     """Evaluate saved policies on fresh trials with new initial impedance.
 
-    The batch runs in this process: ``jobs`` other than 1 is refused.
+    Trial i runs policy ``i // trials_per_policy``.  The batch runs in this
+    process: ``jobs`` other than 1 is refused.  ``on_leave`` is called as
+    each trial ends (see :func:`_run_batch`).
     """
     if jobs != 1:
         raise ValueError(f"jobs: batches run in one process, got {jobs}")
@@ -963,7 +978,7 @@ def run_testing_batch(cfg: TrialConfig, seed: int, policies,
     trial_seqs = np.random.SeedSequence(seed).spawn(len(policies) * trials_per_policy)
     policy_index = [p_idx for p_idx in range(len(policies)) for _ in range(trials_per_policy)]
     records = _run_batch(cfg, [(trial_seq, policies[p_idx]) for trial_seq, p_idx
-                               in zip(trial_seqs, policy_index)])
+                               in zip(trial_seqs, policy_index)], on_leave)
     return BatchResult(cfg=cfg, seed=seed, records=records,
                        metrics=aggregate_metrics(records),
                        policy_index=policy_index)

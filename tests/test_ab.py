@@ -6,6 +6,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(spec)
@@ -100,6 +102,35 @@ def test_a_bench_point_holds_both_sides_runs_and_host_readings(monkeypatch):
         "base": {"w": {"batch_wall_s": [0.4, 0.5], "host_factor": [1.25, 1.25]}},
         "change": {"w": {"batch_wall_s": [0.3, 0.35], "host_factor": [1.25, 1.25]}}}
     assert point["manifest"]["conditions"] == "untraced, one host, one session"
+    # the raw walls are judged beside the normalised metrics: 2 of 2 wins, and
+    # the median moved 0.125 s, more than the base IQR of 0.05 s
+    assert point["raw_walls"] == {"w/batch_wall_s": {
+        "unit": "s", "better": "lower", "wins": 2, "verdict": "gain",
+        "base": {"median": 0.45, "runs": [0.4, 0.5]},
+        "change": {"median": pytest.approx(0.325), "runs": [0.3, 0.35]}}}
+
+
+def test_raw_wall_verdicts_judge_each_workloads_median_raw_batch_wall():
+    # the raw wall takes cycles_per_s's bound and the verdict rules; it can
+    # disagree with a normalised metric whose host factor moved
+    end_to_end = [dict(m, bound=0.25) for m in END_TO_END]
+    walls = {
+        "fast": ([0.40 + 0.001 * i for i in range(10)], [0.35] * 10),  # gain
+        "slow": ([1.00 + 0.001 * i for i in range(10)], [1.30] * 10),  # 30% slower: worse
+        "flat": ([0.50 + 0.001 * i for i in range(10)], [0.5045] * 10),  # inside the IQR
+        "noisy": ([0.2 + 0.03 * i for i in range(10)], [0.2 + 0.03 * i - 0.01 for i in range(10)]),
+    }
+    hosts = {side: [{w: {"batch_wall_s": runs[k][pair], "host_factor": 1.4}
+                     for w, runs in walls.items()} for pair in range(10)]
+             for k, side in enumerate(("base", "change"))}
+    spec, base, change = ab.raw_walls(end_to_end, hosts)
+    assert spec == [{"name": "batch_wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    assert base[3]["metrics"]["slow/batch_wall_s"] == {"value": 1.003, "unit": "s"}
+    assert ab.verdicts(spec, base, change) == [
+        "fast/batch_wall_s: gain", "flat/batch_wall_s: no change",
+        "noisy/batch_wall_s: unresolved", "slow/batch_wall_s: worse"]
+    lines, ok = ab.summarize(spec, base, change)
+    assert ok and lines[1].startswith("fast/batch_wall_s (s, lower is better): median 0.4045 -> 0.35")
 
 
 def test_every_bench_point_is_a_correct_run_of_every_end_to_end_metric():
@@ -118,3 +149,10 @@ def test_every_bench_point_is_a_correct_run_of_every_end_to_end_metric():
         assert set(point["metrics"]) == want, path
         for entry in point["metrics"].values():
             assert all(len(entry[side]["runs"]) == point["pairs"] for side in ("base", "change"))
+        # points from tools/ab.py's raw verdicts on also judge each workload's raw wall
+        if "raw_walls" in point:
+            assert set(point["raw_walls"]) == {
+                f"{w['name']}/batch_wall_s" for w in spec["workloads"]}, path
+            for entry in point["raw_walls"].values():
+                assert all(len(entry[side]["runs"]) == point["pairs"]
+                           for side in ("base", "change"))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kneetrack import harness
 from kneetrack.cli import main, trial_summary
 from kneetrack.config import ConfigError, default_config, load_config, trial_config_from
 from kneetrack.core import BoundsTable, PhaseBound, check_features
@@ -871,6 +872,7 @@ def test_a_diverged_reference_walk_exits_1(tmp_path, capsys):
     code, out = run_cli(tmp_path, cfg, "--plant", "ode", "--seed", "0")
     assert_one_error(capsys, code, 1, "knee velocity -8.5 rad/s exceeds 8.0 rad/s in phase SWE")
     assert not out.exists()
+    assert_no_child_left()
 
 
 def test_run_testing_loads_policies(tmp_path):
@@ -1019,13 +1021,79 @@ def test_one_writer_and_several_write_the_same_tree(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("blocked", ["trial_001.csv", "trial_000.csv"])
 def test_a_trial_file_refused_in_any_writer_exits_1(tmp_path, monkeypatch, capsys, blocked):
-    # trial_001 is a forked writer's, trial_000 this process's
+    # with three CPUs there are two forked writers: trial_000 is the first's,
+    # trial_001 the second's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     log = tmp_path / "out" / "trials" / blocked
     log.mkdir(parents=True)
     code, _ = run_cli(tmp_path, {"trials": 5, "max_cycles": 40})
     assert_one_error(capsys, code, 1, f"[Errno 21] Is a directory: '{log}'")
     assert_no_child_left()
+
+
+def test_trial_i_goes_to_writer_i_mod_the_writers(tmp_path, monkeypatch, capsys):
+    # two forked writers: trials 0, 2, 4 are the first's and 1, 3 the
+    # second's, so with trial_001 and trial_002 refused the first writer
+    # refuses trial_002, and the first writer's refusal is the one raised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for name in ("trial_001.csv", "trial_002.csv"):
+        (tmp_path / "out" / "trials" / name).mkdir(parents=True)
+    code, out = run_cli(tmp_path, {"trials": 5, "max_cycles": 40})
+    assert_one_error(capsys, code, 1, "[Errno 21] Is a directory: "
+                     f"'{out / 'trials' / 'trial_002.csv'}'")
+    assert_no_child_left()
+
+
+def test_a_writer_that_refused_a_file_still_drains_its_pipe(tmp_path, monkeypatch, capsys):
+    # one forked writer whose pipe stays at its default size, the enlargement
+    # refused: the five logs it is sent outgrow the pipe, and after it cannot
+    # write trial_000 it reads the rest to the end, so the run reports that
+    # refusal and not a broken pipe
+    import fcntl
+
+    def refuse(*args):
+        raise PermissionError("pipe size refused")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    log = tmp_path / "out" / "trials" / "trial_000.csv"
+    log.mkdir(parents=True)
+    code, _ = run_cli(tmp_path, {"trials": 5, "max_cycles": 100})
+    assert_one_error(capsys, code, 1, f"[Errno 21] Is a directory: '{log}'")
+    assert_no_child_left()
+
+
+def test_a_trial_file_refused_in_the_only_writer_exits_1(tmp_path, monkeypatch, capsys):
+    # with one CPU this process writes each trial's files as the trial leaves,
+    # and forks no writer
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a writer on one CPU"))
+    log = tmp_path / "out" / "trials" / "trial_000.csv"
+    log.mkdir(parents=True)
+    code, _ = run_cli(tmp_path, {"trials": 5, "max_cycles": 40})
+    assert_one_error(capsys, code, 1, f"[Errno 21] Is a directory: '{log}'")
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
+def test_a_failure_after_trials_have_left_exits_1(tmp_path, monkeypatch, capsys, cpus):
+    # the batch fails once its first trials have left and gone to the writers:
+    # one error line, every writer reaped, and the files of the trials that
+    # left, but no batch document
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    leave, left = harness._Lockstep._leave, []
+
+    def leave_then_fail(self):
+        left.extend(self._index[self._ended].tolist())
+        leave(self)
+        raise RuntimeError("the lockstep failed")
+
+    monkeypatch.setattr(harness._Lockstep, "_leave", leave_then_fail)
+    code, out = run_cli(tmp_path, {"trials": 5, "max_cycles": 40})
+    assert_one_error(capsys, code, 1, "the lockstep failed")
+    assert_no_child_left()
+    assert left
+    assert sorted(path.relative_to(out).as_posix() for path in out.rglob("*")) == ["trials"] + [
+        f"trials/trial_{i:03d}.{ext}" for i in left for ext in ("csv", "json")]
 
 
 def test_run_outputs_match_the_golden_digests(tmp_path):

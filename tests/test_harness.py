@@ -535,6 +535,43 @@ def test_lockstep_testing_batch_equals_lone_trials():
     assert batch.policy_index == [0, 0, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("overrides", [dict(scenario=2, max_cycles=400),
+                                       dict(plant_kind="ode", max_cycles=200)],
+                         ids=["scenario-2", "ode-plant"])
+def test_on_leave_sees_each_trial_once_as_it_leaves(overrides, monkeypatch):
+    # a batch calls on_leave once per trial, in the step the trial leaves in
+    # and in index order within it, with the trial's index and its closed
+    # record; no record differs from the batch's without the callback.  In
+    # both batches trial 0 succeeds and leaves before the others
+    cfg, trials = TrialConfig(**overrides), 4
+    plain = run_training_batch(cfg, seed=21, trials=trials).records
+    events = []
+    step = harness._Lockstep.step
+    monkeypatch.setattr(harness._Lockstep, "step",
+                        lambda self: events.append("step") or step(self))
+
+    def on_leave(index, record):
+        events.append((index, record, record_state(record)))
+
+    records = run_training_batch(cfg, seed=21, trials=trials, on_leave=on_leave).records
+    steps, left = 0, []  # the indices that left in each step
+    for event in events:
+        if event == "step":
+            steps += 1
+            left.append([])
+            continue
+        index, record, state = event
+        left[-1].append(index)
+        assert record is records[index]
+        assert state == record_state(plain[index])
+        assert len(record.log["reset"]) == 4 * record.cycles_run > 0
+        assert record.cycles_run == steps or record.failure_reason.startswith("plant-instability")
+    assert sorted(i for indices in left for i in indices) == list(range(trials))
+    assert all(indices == sorted(indices) for indices in left)
+    assert sum(1 for indices in left if indices) > 1  # trials left in more than one step
+    assert [record_state(rec) for rec in records] == [record_state(rec) for rec in plain]
+
+
 def test_testing_batch_refuses_more_than_one_job():
     # batches run in one process; the keyword stays only for callers passing 1
     rng = np.random.default_rng(0)

@@ -12,12 +12,14 @@ end-to-end metric that ``BENCHMARK.json`` names, on every workload, the
 script prints both medians, the interquartile range of REV's runs, the
 working tree's wins out of N pairs by the metric's ``better`` (a tie is
 no one's win) and every run, then one verdict per workload/metric (see
-:func:`verdicts`).  It exits 1 if any run was not ``correct``,
-failed an operation or did not finish.  It reads the benchmark's results
-only from the last line ``bench/run.py`` prints.  ``--record PATH`` also
-writes the pairs as one point of the benchmark trajectory (see
-:func:`bench_point`), with each run's raw batch wall and host factor read
-from the ``bench/out/result-*-trace0.json`` files the run wrote.
+:func:`verdicts`).  When every run was correct, it then gives each
+workload a second verdict, on its raw batch wall (see :func:`raw_walls`),
+read with the host factor from the ``bench/out/result-*-trace0.json``
+files the run wrote.  It exits 1 if any run was not ``correct``, failed an
+operation or did not finish.  It reads the benchmark's results only from
+the last line ``bench/run.py`` prints and those files.  ``--record PATH``
+also writes the pairs as one point of the benchmark trajectory (see
+:func:`bench_point`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,39 @@ def host_readings(tree: Path, result: dict) -> dict:
     return readings
 
 
+# A workload's median raw batch wall, judged as an end-to-end metric with
+# cycles_per_s's bound.  A change that runs work in another process moves
+# the host factor (the calibration slices compete with it), so the
+# normalised metrics alone cannot judge it.
+RAW_WALL = {"name": "batch_wall_s", "unit": "s", "better": "lower"}
+
+
+def raw_walls(end_to_end: list[dict], hosts: dict[str, list[dict]]):
+    """The raw-wall metric as a ``BENCHMARK.json`` entry, then the base's and the
+    change's runs as results holding it per workload, read from each run's
+    :func:`host_readings`: :func:`verdicts` and :func:`summarize` read them as
+    they read the benchmark's own runs."""
+    bound = next(m["bound"] for m in end_to_end if m["name"] == "cycles_per_s")
+    key = RAW_WALL["name"]
+
+    def runs(side: str) -> list[dict]:
+        return [{"correct": True, "failed": 0, "metrics": {
+            f"{workload}/{key}": {"value": reading[key], "unit": RAW_WALL["unit"]}
+            for workload, reading in run.items()}} for run in hosts[side]]
+
+    return [dict(RAW_WALL, bound=bound)], runs("base"), runs("change")
+
+
+def _entries(end_to_end: list[dict], base: list[dict], change: list[dict]) -> dict:
+    """Each metric's unit, better side, wins, verdict, and median and runs on both sides."""
+    verdict = dict(line.rsplit(": ", 1) for line in verdicts(end_to_end, base, change))
+    return {key: {"unit": unit, "better": metric["better"], "wins": wins,
+                  "verdict": verdict[key],
+                  "base": {"median": statistics.median(was), "runs": was},
+                  "change": {"median": statistics.median(now), "runs": now}}
+            for metric, key, unit, was, now, wins in _series(end_to_end, base, change)}
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -75,16 +110,10 @@ def bench_point(spec: dict, args, base: list[dict], change: list[dict],
                 hosts: dict[str, list[dict]]) -> dict:
     """One ``BENCH_*.json`` point of runs that were all correct with none failed:
     both commits, each end-to-end metric's median and runs on both sides with
-    its wins and verdict, and a manifest holding every run's raw batch wall
-    and host factor by side and workload."""
+    its wins and verdict, the same for each workload's raw batch wall
+    (``raw_walls``), and a manifest holding every run's raw batch wall and
+    host factor by side and workload."""
     first = next(iter(hosts["change"][0].values()))["manifest"]
-    verdict = dict(line.rsplit(": ", 1) for line in verdicts(spec["end_to_end"], base, change))
-    metrics = {}
-    for metric, key, unit, was, now, wins in _series(spec["end_to_end"], base, change):
-        metrics[key] = {"unit": unit, "better": metric["better"], "wins": wins,
-                        "verdict": verdict[key],
-                        "base": {"median": statistics.median(was), "runs": was},
-                        "change": {"median": statistics.median(now), "runs": now}}
     return {
         "schema": "kneetrack-bench-point",
         "base": {"rev": args.rev, "commit": _git("rev-parse", f"{args.rev}^{{commit}}")},
@@ -96,7 +125,8 @@ def bench_point(spec: dict, args, base: list[dict], change: list[dict],
         "correct": all(r["correct"] is True for r in base + change),
         "attempted": sum(r["attempted"] for r in base + change),
         "failed": sum(r["failed"] for r in base + change),
-        "metrics": metrics,
+        "metrics": _entries(spec["end_to_end"], base, change),
+        "raw_walls": _entries(*raw_walls(spec["end_to_end"], hosts)),
         "manifest": {
             "python": first["python"], "numpy": first["numpy"], "nproc": first["nproc"],
             "cpus_allowed": first["cpus_allowed"], "platform": first["platform"],
@@ -211,7 +241,7 @@ def main(argv=None) -> int:
             order = ((Path(tmp), base, hosts["base"]), (ROOT, change, hosts["change"]))
             for tree, runs, readings in order if pair % 2 == 0 else order[::-1]:
                 runs.append(run_bench(tree, args))
-                if args.record is not None and runs[-1]["correct"] is True:
+                if runs[-1]["correct"] is True:
                     readings.append(host_readings(tree, runs[-1]))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
     lines, ok = summarize(spec["end_to_end"], base, change)
@@ -220,6 +250,11 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     print("verdicts, by each metric's better side and bound in BENCHMARK.json:")
     print("\n".join(verdicts(spec["end_to_end"], base, change)))
+    if ok:
+        walls = raw_walls(spec["end_to_end"], hosts)
+        print("\n".join(summarize(*walls)[0][1:]))
+        print("raw-wall verdicts, by cycles_per_s's bound:")
+        print("\n".join(verdicts(*walls)))
     if args.record is not None and ok:
         args.record.write_text(json.dumps(bench_point(spec, args, base, change, hosts),
                                           indent=1, sort_keys=True) + "\n")
