@@ -14,7 +14,8 @@ Subcommands:
 Every flag has a config-file equivalent; flags win over file values.
 A refusal is one ``error:`` line on stderr and exits 2 for a config, or 1
 for a policy snapshot, a failed batch, a file that cannot be read or
-written, or a size that cannot be allocated.
+written, a report directory with no readable trial summary, or a size
+that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -320,8 +321,7 @@ def cmd_report(args) -> int:
     directory = Path(args.directory)
     trial_files = sorted(directory.rglob("trial_*.json"))
     if not trial_files:
-        print(f"error: no trial summaries under {directory}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"no trial summaries under {directory}")
 
     records: dict[tuple, list[TrialRecord]] = {}
     skipped = 0
@@ -348,8 +348,7 @@ def cmd_report(args) -> int:
         records.setdefault((record.scenario, record.stage), []).append(record)
 
     if not records:
-        print(f"error: no readable trial summaries under {directory}", file=sys.stderr)
-        return 1
+        raise OSError(f"no readable trial summaries under {directory}")
 
     groups = [(scenario, stage, aggregate_metrics(recs))
               for (scenario, stage), recs in sorted(records.items())]

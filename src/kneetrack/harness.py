@@ -313,11 +313,11 @@ class Trial:
     The trial holds what it starts from (plant, target program, initial
     impedance and nets) and its record.  It enters one :class:`_Lockstep`,
     the routine that steps whole batches, which owns its per-cycle state
-    from cycle 0, ends it and fills in its record; the trial drops its
-    starting nets once the lockstep has stacked them.  :meth:`step`
-    advances a lockstep of one that the trial keeps (tests read the state
-    from its row 0), and :meth:`run` steps that one, or a new one, to the
-    end.  The trial applies its scenario's rules to its events.
+    from cycle 0, applies its scenario's rules, ends it and writes its
+    record; the trial drops its starting nets once the lockstep has
+    stacked them.  :meth:`step` advances a lockstep of one that the trial
+    keeps (tests read the state from its row 0), and :meth:`run` steps
+    that one, or a new one, to the end.
     """
 
     def __init__(self, cfg: TrialConfig, seed, policy=None,
@@ -363,77 +363,6 @@ class Trial:
     def pace_index(self) -> int:
         """The pace leg the trial walks: one per leg its record holds."""
         return len(self.record.legs)
-
-    # -- events ------------------------------------------------------------
-
-    def _finish(self, cycles_run: int, outcome: str, reason: str | None = None):
-        self.finished = True
-        rec = self.record
-        rec.cycles_run, rec.outcome, rec.failure_reason = cycles_run, outcome, reason
-        if outcome == "success":
-            rec.tuning_steps = cycles_run
-
-    def _close_record(self, blocks: list[np.ndarray], critic: CriticNet, actor: ActorNet,
-                      weight_ratio: float):
-        """Fill in the finished trial's record: its log rows, (cycles, 4, field) ``blocks``
-        in ``_LOG_FIELDS`` order, the counts they hold, its whole-run fields and final nets."""
-        rec = self.record
-        rows = np.concatenate(blocks).reshape(-1, len(_LOG_FIELDS))
-        log = rec.log
-        for j, name in enumerate(_LOG_FIELDS):
-            log[name] = rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
-        rec.resets += int(np.count_nonzero(log["reset"])) // NUM_PHASES
-        rec.monitor_violations += int(np.count_nonzero(~(log["monitor_ok"] | log["reset"])))
-        rec.clamp_events += int(np.count_nonzero(log["clamped"]))
-        rec.max_weight_ratio = weight_ratio
-        if len(log["reset"]):
-            rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
-        rec.actors = unstack_net(actor)
-        rec.critics = unstack_net(critic)
-
-    def _all_converged(self, k: int, converged_at: list[int]) -> str | None:
-        """Apply the scenario's rule once every phase has converged in cycle ``k``.
-
-        Scenario 2 marks the open segment tracked.  Returns what the rule
-        reports: ``"success"``, ``"new leg"`` (the windows start over) or None.
-        """
-        cfg, rec = self.cfg, self.record
-        if cfg.scenario == SCENARIO_LEVEL_GROUND:
-            rec.converged_at = dict(zip(map(int, PHASES), converged_at))
-            return "success"
-        if cfg.scenario == SCENARIO_TERRAIN:
-            rec.segments[-1].update(converged=True, converged_cycle=max(converged_at))
-            recent = rec.segments[-cfg.consecutive_tracks:]
-            tracked = len(recent) == cfg.consecutive_tracks and all(s["converged"] for s in recent)
-            return "success" if tracked else None
-        legs = rec.legs
-        start = legs[-1]["converged_cycle"] + 1 if legs else 0
-        legs.append({
-            "leg": len(legs),
-            "pace": self.program.pace_sequence[len(legs)],
-            "start_cycle": start,
-            "converged_cycle": k,
-            "steps": k - start + 1,
-        })
-        return "new leg" if len(legs) < len(self.program.pace_sequence) else "success"
-
-    def _new_terrain(self, k: int) -> bool:
-        """Enter the terrain walked from cycle ``k``: cycle 0, or a switch period's start.
-
-        A switch to another pool profile is kept in the record.  In scenario 2
-        each terrain opens an untracked segment, and after cycle 0 the
-        convergence windows start over: then this returns True.
-        """
-        program, rec = self.program, self.record
-        if k and program.profile_index(k) != program.profile_index(k - 1):
-            rec.switch_cycles.append(k)
-        if self.cfg.scenario != SCENARIO_TERRAIN:
-            return False
-        rec.segments.append({"segment": len(rec.segments), "pool_index": program.profile_index(k),
-                             "start_cycle": k, "converged": False, "converged_cycle": None})
-        return k > 0
-
-    # -- stepping ----------------------------------------------------------
 
     def step(self) -> bool:
         """Run one gait cycle; returns True once the trial has finished."""
@@ -522,13 +451,15 @@ class _Lockstep:
     update, convergence windows and the log rows come out for all trials
     at once.  Each trial still draws its plant noise from its own
     generator, and torque-law knees integrate one by one.  Per-trial Python
-    runs only for events: new terrains, converged trials, faults, halts
-    and endings, and the trial's own methods apply its rules to them.
-    Every array rule is bit-identical to the one-trial rule, so each trial
-    gets the numbers it gets alone.  :meth:`_end` ends a trial where it
-    ends.  Each cycle's log block is queued; in a step that ends trials,
-    every trial takes its rows of the queue, and the ended ones leave with
-    theirs, their final nets and weight ratios.  :meth:`run` may be given
+    runs only for events, where the scenario rules apply: new terrains
+    (:meth:`_start_cycle`), converged trials (:meth:`_all_converged`),
+    faults, halts and endings.  Every array rule is bit-identical to the
+    one-trial rule, so each trial gets the numbers it gets alone.
+    :meth:`_end` ends a trial where it ends.  Each cycle's log block is
+    queued; in a step that ends trials, every trial takes its rows of the
+    queue, and :meth:`_leave` writes the ended ones' records from theirs,
+    their final nets and weight ratios.  The lockstep is the only writer
+    of a record once the trial is built.  :meth:`run` may be given
     an ``on_leave(index, record)`` to call as each trial leaves, with the
     trial's position in the list the lockstep was built from.
     """
@@ -636,11 +567,7 @@ class _Lockstep:
         # change nothing, so only a cycle with a latch makes them
         if latched:
             for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
-                event = self.trials[i]._all_converged(k, self._converged[i].tolist())
-                if event == "success":
-                    self._end(i, k + 1, event)
-                elif event == "new leg":
-                    self._restart(i)
+                self._all_converged(i, k)
         if k + 1 >= cfg.max_cycles:
             for i in (~self._ended).nonzero()[0]:
                 self._end(i, k + 1, "failure", "max-cycles")
@@ -654,7 +581,40 @@ class _Lockstep:
         cycle ``k`` left it no log row (a diverged knee, a numeric fault)."""
         self._ended[i] = True
         self._logged[i] = logged
-        self.trials[i]._finish(cycles_run, outcome, reason)
+        trial = self.trials[i]
+        trial.finished = True
+        rec = trial.record
+        rec.cycles_run, rec.outcome, rec.failure_reason = cycles_run, outcome, reason
+        rec.tuning_steps = cycles_run if outcome == "success" else None
+
+    def _all_converged(self, i: int, k: int):
+        """Apply trial ``i``'s scenario rule, its phases all converged in cycle ``k``.
+
+        Scenario 1 keeps each phase's convergence cycle and succeeds.
+        Scenario 2 marks the open segment tracked and succeeds once the last
+        ``consecutive_tracks`` segments are.  Scenario 3 records the leg, then
+        walks the next pace with its windows started over, or succeeds after
+        the last.
+        """
+        cfg, trial = self.cfg, self.trials[i]
+        rec, converged_at = trial.record, self._converged[i].tolist()
+        if cfg.scenario == SCENARIO_LEVEL_GROUND:
+            rec.converged_at = dict(zip(map(int, PHASES), converged_at))
+            self._end(i, k + 1, "success")
+        elif cfg.scenario == SCENARIO_TERRAIN:
+            rec.segments[-1].update(converged=True, converged_cycle=max(converged_at))
+            recent = rec.segments[-cfg.consecutive_tracks:]
+            if len(recent) == cfg.consecutive_tracks and all(s["converged"] for s in recent):
+                self._end(i, k + 1, "success")
+        else:
+            legs, paces = rec.legs, trial.program.pace_sequence
+            start = legs[-1]["converged_cycle"] + 1 if legs else 0
+            legs.append({"leg": len(legs), "pace": paces[len(legs)], "start_cycle": start,
+                         "converged_cycle": k, "steps": k - start + 1})
+            if len(legs) < len(paces):
+                self._restart(i)
+            else:
+                self._end(i, k + 1, "success")
 
     def _restart(self, i: int):
         """Start trial ``i``'s convergence windows over, on its current target and pace."""
@@ -668,14 +628,23 @@ class _Lockstep:
     def _start_cycle(self):
         """Events before cycle ``k`` is walked: new terrains, new targets, drifting ones each cycle.
 
-        Each trial enters its terrain (see :meth:`Trial._new_terrain`), and
-        its windows start over when the trial's rule says so.
+        Cycle 0 and each switch period's start enter a terrain.  A switch to
+        another pool profile is kept in the record.  In scenario 2 each
+        terrain opens an untracked segment, and after cycle 0 the
+        convergence windows start over.
         """
         k = self.k
         if k == 0 or self._period and k % self._period == 0:
             for i, trial in enumerate(self.trials):
-                if trial._new_terrain(k):
-                    self._restart(i)
+                program, rec = trial.program, trial.record
+                if k and program.profile_index(k) != program.profile_index(k - 1):
+                    rec.switch_cycles.append(k)
+                if self.cfg.scenario == SCENARIO_TERRAIN:
+                    rec.segments.append({
+                        "segment": len(rec.segments), "pool_index": program.profile_index(k),
+                        "start_cycle": k, "converged": False, "converged_cycle": None})
+                    if k:
+                        self._restart(i)
             self._stale[:] = True
         drift = self._drift
         stale = np.arange(len(self.trials)) if drift is not None else self._stale.nonzero()[0]
@@ -719,7 +688,8 @@ class _Lockstep:
 
     def _leave(self):
         """Hand every trial its queued log rows, less the last where its cycle left it none
-        (``_logged``); close the records of the trials that ended and drop their rows."""
+        (``_logged``); write the ended trials' records (log, counts, RMS, weight ratio and
+        final nets) and drop their rows."""
         blocks = np.stack(self._blocks, axis=1)  # (n, cycles, 4, F)
         self._blocks = []
         for chunks, rows, logged in zip(self._chunks, blocks, self._logged.tolist()):
@@ -727,12 +697,22 @@ class _Lockstep:
         del blocks, rows  # the copies let the stack go before any record is built
         highs, starts = self._max_weight_norm.tolist(), self._initial_weight_norm.tolist()
         for i in self._ended.nonzero()[0].tolist():
+            rec = self.trials[i].record
+            rows = np.concatenate(self._chunks[i]).reshape(-1, len(_LOG_FIELDS))
+            log = rec.log = {name: rows[:, j].astype(bool if name in _BOOL_FIELDS else float)
+                             for j, name in enumerate(_LOG_FIELDS)}
+            rec.resets += int(np.count_nonzero(log["reset"])) // NUM_PHASES
+            rec.monitor_violations += int(np.count_nonzero(~(log["monitor_ok"] | log["reset"])))
+            rec.clamp_events += int(np.count_nonzero(log["clamped"]))
             # on floats, capped for JSON; no update moves nets that start all zero
-            ratio = min(highs[i] / starts[i], sys.float_info.max) if starts[i] else 1.0
-            trial = self.trials[i]
-            trial._close_record(self._chunks[i], _row(self.critic, i), _row(self.actor, i), ratio)
+            rec.max_weight_ratio = (min(highs[i] / starts[i], sys.float_info.max)
+                                    if starts[i] else 1.0)
+            if len(log["reset"]):
+                rec.rms_initial, rec.rms_final = compute_rms(rec, self.cfg.rms_window)
+            rec.actors = unstack_net(_row(self.actor, i))
+            rec.critics = unstack_net(_row(self.critic, i))
             if self._on_leave is not None:
-                self._on_leave(int(self._index[i]), trial.record)
+                self._on_leave(int(self._index[i]), rec)
         keep = (~self._ended).nonzero()[0].tolist()
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]

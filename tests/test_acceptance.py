@@ -144,10 +144,19 @@ def test_criterion_3_constrained_outputs():
     report("3 constrained outputs", "10000 fuzzed states strictly inside (-1,1)")
 
 
+def scenario1_convergence_misses(batch) -> list[str]:
+    """The clauses of criterion 4 a training batch misses; none when it holds."""
+    m, misses = batch.metrics, []
+    if not m.success_rate >= 0.9:
+        misses.append(f"success rate {m.success_rate}")
+    if m.tuning_steps_mean is None or not m.tuning_steps_mean <= 200.0:
+        misses.append(f"mean tuning steps {m.tuning_steps_mean}")
+    return misses
+
+
 def test_criterion_4_scenario1_convergence(train_batch):
     m = train_batch.metrics
-    assert m.success_rate >= 0.9, f"success rate {m.success_rate}"
-    assert m.tuning_steps_mean is not None and m.tuning_steps_mean <= 200.0
+    assert scenario1_convergence_misses(train_batch) == []
     assert train_batch.runtime < 60.0
     report("4 scenario-1 convergence",
            f"success {m.successes}/30, mean steps {m.tuning_steps_mean:.1f}, "
@@ -164,21 +173,48 @@ def test_criterion_5_testing_speedup(train_batch, test_batch):
            f"over {test_batch.metrics.trials} trials")
 
 
-def test_criterion_6_rms_reduction(train_batch):
-    checked = 0
-    for rec in train_batch.records:
+def rms_reduction_misses(batch) -> tuple[list[str], int]:
+    """The clauses of criterion 6 a training batch misses (none when it holds),
+    and the number of converged trials it checked."""
+    misses, checked = [], 0
+    for rec in batch.records:
         if not rec.success or rec.rms_final is None:
             continue
         final = rec.rms_final["peak_rad"]
         initial = rec.rms_initial["peak_rad"]
-        assert final <= ANGLE_TOLERANCE, f"final RMS {final}"
-        if initial > ANGLE_TOLERANCE:
-            assert final <= 0.5 * initial, (
-                f"final {final:.4f} not half of initial {initial:.4f}")
+        if not final <= ANGLE_TOLERANCE:
+            misses.append(f"final RMS {final}")
+        if initial > ANGLE_TOLERANCE and not final <= 0.5 * initial:
+            misses.append(f"final {final:.4f} not half of initial {initial:.4f}")
         checked += 1
-    assert checked >= 27
+    if not checked >= 27:
+        misses.append(f"{checked} converged trials checked")
+    return misses, checked
+
+
+def test_criterion_6_rms_reduction(train_batch):
+    misses, checked = rms_reduction_misses(train_batch)
+    assert misses == []
     report("6 RMS reduction", f"{checked} converged trials, final <= tolerance "
            "and <= 0.5x initial where applicable")
+
+
+def test_criteria_4_and_6_over_seeds_0_to_9_pin_a_measured_distribution():
+    # the seed-7 tests above pass on one seed of the default training batch;
+    # this pins the seeds of 0-9 on which each criterion held when measured,
+    # so a change that moves either pass set shows, in either direction
+    cfg = TrialConfig()
+    holds_4, holds_6 = set(), set()
+    for seed in range(10):
+        batch = run_training_batch(cfg, seed=seed, trials=30, keep_policies=10)
+        if not scenario1_convergence_misses(batch):
+            holds_4.add(seed)
+        if not rms_reduction_misses(batch)[0]:
+            holds_6.add(seed)
+    assert holds_4 == {0, 2, 7}
+    assert holds_6 == {1, 4, 5, 6, 7, 8, 9}
+    report("4 and 6 over seeds 0-9", f"criterion 4 on {len(holds_4)} seeds, "
+           f"criterion 6 on {len(holds_6)}: the measured distribution")
 
 
 def _scenario2_facts(rec, cfg):

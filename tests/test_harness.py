@@ -823,6 +823,23 @@ def test_scenario2_segments_open_with_their_terrain():
         "converged": True, "converged_cycle": rec.cycles_run - 1}]
 
 
+def test_scenario2_a_pool_of_one_opens_segments_without_switching():
+    # every period starts a new segment on the pool's one profile, though the
+    # target never switches, and its convergence windows start over
+    cfg = TrialConfig(scenario=2, pool_size=1, consecutive_tracks=5, max_cycles=200)
+    rec = run_trial(cfg, 3)
+    assert rec.switch_cycles == []
+    assert rec.cycles_run == 200
+    assert [(s["start_cycle"], s["pool_index"]) for s in rec.segments] == [
+        (cycle, 0) for cycle in range(0, 200, cfg.switch_period)]
+    # some phase has latched by the last cycle of each segment, and no phase
+    # stands converged in the first cycle of the next
+    converged = rec.column("converged").reshape(-1, 4)
+    starts = [s["start_cycle"] for s in rec.segments[1:]]
+    assert converged[[k - 1 for k in starts]].any(axis=1).all()
+    assert not converged[starts].any()
+
+
 def test_scenario3_legs_follow_training_order():
     cfg = TrialConfig(scenario=3)
     rec = run_trial(cfg, 8)
