@@ -87,6 +87,9 @@ MAX_INITIAL_DRAWS = 1000
 PROBE_CHUNK = 256
 # Gait cycles a steady-state probe walks; the last one's features count.
 STEADY_CYCLES = 3
+# Gait cycles of plant noise a feature-map trial draws at once, into its row of
+# one (n, NOISE_BLOCK, 4, 2) block: the same numbers as one (4, 2) draw a cycle.
+NOISE_BLOCK = 16
 
 
 # The CSV column order below is a stable interface; downstream plot and
@@ -435,8 +438,8 @@ def _apply_deltas(impedance: np.ndarray, delta: np.ndarray, ranges: ParameterRan
 # The rows a lockstep keeps for each trial, all dropped together when trials leave.
 _ROWS = ("impedance", "critic", "actor", "_max_weight_norm", "_initial_weight_norm",
          "_lag_value", "_lag_cost", "_lagged", "_window", "_converged",
-         "_initial", "_features", "_reference", "_targets", "_cycle_dur", "_stale", "_drift",
-         "_ended", "_logged", "_index")
+         "_initial", "_features", "_noise", "_reference", "_targets", "_cycle_dur", "_stale",
+         "_drift", "_ended", "_logged", "_index")
 
 
 class _Lockstep:
@@ -450,10 +453,10 @@ class _Lockstep:
     plants step together, and errors, bounds, learning, the impedance
     update, convergence windows and the log rows come out for all trials
     at once.  Each trial still draws its plant noise from its own
-    generator, and torque-law knees integrate one by one.  Per-trial Python
-    runs only for events, where the scenario rules apply: new terrains
-    (:meth:`_start_cycle`), converged trials (:meth:`_all_converged`),
-    faults, halts and endings.  Every array rule is bit-identical to the
+    generator, NOISE_BLOCK cycles at a time, and torque-law knees
+    integrate one by one.  Per-trial Python runs only for events, where
+    the scenario rules apply: new terrains (:meth:`_start_cycle`),
+    converged trials (:meth:`_all_converged`), faults, halts and endings.  Every array rule is bit-identical to the
     one-trial rule, so each trial gets the numbers it gets alone.
     :meth:`_end` ends a trial where it ends.  Each cycle's log block is
     queued; in a step that ends trials, every trial takes its rows of the
@@ -496,6 +499,9 @@ class _Lockstep:
         self._plant = first.plant if isinstance(first.plant, FeatureMapPlant) else None
         self._features = (np.stack([t.plant.state for t in self.trials])
                           if self._plant is not None else None)
+        # the feature-map plants' draws for this block of NOISE_BLOCK cycles
+        self._noise = (np.empty((n, NOISE_BLOCK, NUM_PHASES, 2))
+                       if self._plant is not None else None)
         # the plants' reference features at their trials' paces, kept while a pace holds
         self._reference = (self._plant.paced_reference(
             np.array([t.program.pace(0) for t in self.trials]))
@@ -506,12 +512,16 @@ class _Lockstep:
         # each target's drift, a low-pass of its trial's tracking error; none at gain 0
         self._drift = np.zeros((n, NUM_PHASES, 2)) if cfg.drift_gain > 0.0 else None
         # tolerance and safety limits stacked, so one inside_bounds call checks both
-        tolerance, self._safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
-        self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, self._safety))
+        tolerance, safety = cfg.bounds.limits("tolerance"), cfg.bounds.limits("safety")
+        self._bounds = tuple(np.stack([t, s])[:, None] for t, s in zip(tolerance, safety))
+        # (4, 2) safety bounds laid out like the nets' input: duration percent, angle
+        self._scale = np.stack(safety[::-1], axis=-1)
         self._monitor = cfg.dhdp.monitor_params()
-        # the trials this step ended, and whether their cycle left each a log row
+        # the trials this step ended, and whether their cycle left each a log row;
+        # _leaving says whether it ended any
         self._ended = np.zeros(n, bool)
         self._logged = np.ones(n, bool)
+        self._leaving = False
         self._index = np.arange(n)  # each row's trial's position in ``trials``
         self._on_leave = None  # what run() calls as each trial leaves
         # log blocks not yet handed over, and each trial's handed-over blocks
@@ -523,7 +533,6 @@ class _Lockstep:
         cfg, k, n = self.cfg, self.k, len(self.trials)
         self._start_cycle()
         measured = self._measure()
-        walked = ~self._ended  # all but the diverged knees
         errors = alignment_errors(self._targets, measured)
         if self._drift is not None:
             beta = cfg.drift_smoothing
@@ -531,8 +540,12 @@ class _Lockstep:
         pct = duration_error_pct(errors, self._cycle_dur)
         flags = inside_bounds(errors, *self._bounds, pct)
         in_tol, in_safety = flags[0], flags[1]  # indexing beats unpacking an array
-        learns = walked & np.logical_and.reduce(in_safety, axis=1)
-        reset = walked & ~learns
+        learns = np.logical_and.reduce(in_safety, axis=1)
+        reset = ~learns
+        if self._leaving:  # a diverged knee neither learns nor resets
+            walked = ~self._ended
+            learns &= walked
+            reset &= walked
 
         # a safety reset restores the trial's initial impedance; the trials inside
         # their safety bounds learn, into cycle k's log block, and the nets see
@@ -541,21 +554,21 @@ class _Lockstep:
         if np.count_nonzero(reset):
             self.impedance = np.where(reset[:, None, None], self._initial, self.impedance)
         block = np.zeros((n, NUM_PHASES, len(_LOG_FIELDS)))
-        state = np.empty((n, NUM_PHASES, 2))
-        np.divide(pct, self._safety[1], out=state[..., 0])
-        np.divide(errors[..., 1], self._safety[0], out=state[..., 1])
+        state = errors.copy()
+        state[..., 0] = pct
+        state /= self._scale
         learners = learns.nonzero()[0]
         if len(learners):
             self._learn(learners, state, block)
         # a trial keeps its lag only when it learned: a safety reset drops it
         self._lagged = learns
-        closing = ~self._ended  # all but the diverged knees, numeric faults and halts
 
         # each window is a ring of its last flags, cycle k's in slot k % window;
         # a phase latches unless the cycle ended its trial
         self._window[..., k % cfg.window] = in_tol
-        latch = ((np.add.reduce(self._window, axis=-1) >= cfg.quota) & (self._converged < 0)
-                 & closing[:, None])
+        latch = (np.add.reduce(self._window, axis=-1) >= cfg.quota) & (self._converged < 0)
+        if self._leaving:
+            latch &= ~self._ended[:, None]
         latched = np.count_nonzero(latch)
         if latched:
             self._converged[latch] = k
@@ -566,13 +579,13 @@ class _Lockstep:
         # latches; later calls of _all_converged before its windows start over
         # change nothing, so only a cycle with a latch makes them
         if latched:
-            for i in (closing & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
+            for i in (~self._ended & np.logical_and.reduce(converged, axis=1)).nonzero()[0]:
                 self._all_converged(i, k)
         if k + 1 >= cfg.max_cycles:
             for i in (~self._ended).nonzero()[0]:
                 self._end(i, k + 1, "failure", "max-cycles")
         self.k = k + 1
-        if np.count_nonzero(self._ended):
+        if self._leaving:
             self._leave()
 
     def _end(self, i: int, cycles_run: int, outcome: str, reason: str | None = None,
@@ -581,6 +594,7 @@ class _Lockstep:
         cycle ``k`` left it no log row (a diverged knee, a numeric fault)."""
         self._ended[i] = True
         self._logged[i] = logged
+        self._leaving = True
         trial = self.trials[i]
         trial.finished = True
         rec = trial.record
@@ -663,10 +677,12 @@ class _Lockstep:
         ``k``; its row of the features is then the target, a stand-in no rule reads.
         """
         if self._plant is not None:
-            draws = np.array([t.plant.rng.standard_normal((NUM_PHASES, 2))
-                              for t in self.trials])
+            slot = self.k % NOISE_BLOCK
+            if not slot:
+                for trial, draws in zip(self.trials, self._noise):
+                    trial.plant.rng.standard_normal(out=draws)
             self._features = self._plant.respond(self._features, self.impedance,
-                                                 self._reference, draws)
+                                                 self._reference, self._noise[:, slot])
             return self._features
         measured = self._targets.copy()
         for i, trial in enumerate(self.trials):
@@ -714,6 +730,7 @@ class _Lockstep:
             if self._on_leave is not None:
                 self._on_leave(int(self._index[i]), rec)
         keep = (~self._ended).nonzero()[0].tolist()
+        self._leaving = False
         self.trials = [self.trials[i] for i in keep]
         self._chunks = [self._chunks[i] for i in keep]
         for name in _ROWS:
@@ -754,11 +771,13 @@ class _Lockstep:
         # error 0.0, whatever its stale lag; its critic step w - (+-0.0) * x keeps
         # every weight but -0.0, which no critic holds (see Trial)
         lagged = _take(self._lagged, learners)
+        lags = np.count_nonzero(lagged)
         td = td_error(c_tape.value, _take(self._lag_value, learners),
                       _take(self._lag_cost, learners), dhdp.discount)
-        td = np.where(lagged[:, None], td, 0.0)
+        if lags < len(lagged):
+            td = np.where(lagged[:, None], td, 0.0)
         try:
-            if np.count_nonzero(lagged):
+            if lags:
                 critic = critic_update(critic, td, c_tape, dhdp.critic_lr, dhdp.discount)
                 c_tape = critic_eval(critic, inputs, a_tape.output)
             actor = actor_update(actor, critic, c_tape, a_tape, dhdp.actor_lr)

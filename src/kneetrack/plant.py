@@ -74,7 +74,9 @@ def clip_features(values) -> np.ndarray:
     """
     clipped = np.array(values, dtype=float)
     durations, peaks = clipped[..., 0], clipped[..., 1]
-    # in place on the copy; ndarray.clip is np.clip's ufunc without its dispatch
+    # in place on the copy; the angles keep ndarray.clip, which still runs numpy's
+    # Python-level _clip on each call: at the bound 0.0, np.maximum(-0.0, 0.0)
+    # gives +0.0 where the clip keeps -0.0
     np.maximum(durations, MIN_DURATION, out=durations)
     peaks.clip(0.0, KNEE_ANGLE_MAX, out=peaks)
     return clipped

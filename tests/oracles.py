@@ -9,7 +9,8 @@ impedance draw has one: the one-candidate-at-a-time loop its block draw
 replaced.  The dHDP contractions have one: the matmul forms that numpy's
 vecdot/matvec/vecmat gufuncs replaced.  The saturations have one each: the
 activation's np.minimum(np.maximum(...)) and clip_features' np.clip, which
-ndarray.clip replaced.  The bounds rule has one: ``within_bound``, the
+ndarray.clip replaced.  The dHDP rules have one each (``reference_*``):
+their bodies before they worked in place.  The bounds rule has one: ``within_bound``, the
 scalar check of one error row that the stacked ``inside_bounds`` replaced.
 The lockstep's convergence windows have one: a sliding window over one
 phase's in-tolerance history.  Its learning step has one: each trial's
@@ -35,8 +36,12 @@ from kneetrack.core import (
     inside_bounds,
 )
 from kneetrack.dhdp import (
+    N_STATE,
     ActorNet,
+    ActorTape,
     CriticNet,
+    CriticTape,
+    MonitorReport,
     NumericFaultError,
     actor_eval,
     actor_forward,
@@ -189,6 +194,113 @@ def minmax_activation(x):
     """dhdp.activation as two ufuncs, np.maximum then np.minimum, before ndarray.clip."""
     return np.minimum(np.maximum(np.tanh(0.5 * np.asarray(x, dtype=float)), -_OPEN_ONE),
                       _OPEN_ONE)
+
+
+# The dHDP rules as written before they worked in place on the arrays they
+# create: the rewritten rules must give these bytes, NaN and signed zeros
+# included, and these types.
+
+def reference_activation(x):
+    return np.tanh(0.5 * np.asarray(x, dtype=float)).clip(-_OPEN_ONE, _OPEN_ONE)
+
+
+def reference_activation_deriv(value):
+    return 0.5 * (1.0 - np.asarray(value, dtype=float) ** 2)
+
+
+def reference_critic_eval(net, state, action) -> CriticTape:
+    z = np.concatenate([np.asarray(state, float), np.asarray(action, float)], axis=-1)
+    phi = reference_activation(np.matvec(net.w_hidden, z))
+    return CriticTape(z=z, phi=phi, gate=reference_activation_deriv(phi),
+                      value=np.vecdot(net.w_out, phi))
+
+
+def reference_actor_eval(net, state) -> ActorTape:
+    s = np.asarray(state, dtype=float)
+    phi = reference_activation(np.matvec(net.w_hidden, s))
+    output = reference_activation(np.matvec(net.w_out, phi))
+    return ActorTape(state=s, phi=phi, gate_phi=reference_activation_deriv(phi), output=output,
+                     gate_out=reference_activation_deriv(output))
+
+
+def reference_stage_cost(state, action, params):
+    s = np.asarray(state, dtype=float)
+    u = np.asarray(action, dtype=float)
+    return (np.vecdot(np.vecmat(s, params.state_weight), s)
+            + np.vecdot(np.vecmat(u, params.action_weight), u))
+
+
+def _reference_check_finite(*arrays):
+    for a in arrays:
+        if np.count_nonzero(np.isfinite(a)) < a.size:
+            raise NumericFaultError("weight update overflowed to a non-finite value")
+
+
+def reference_critic_update(net, td, tape, lr, discount) -> CriticNet:
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_scale = np.asarray(lr * discount * td)[..., None, None]
+        w_out = net.w_out - grad_scale[..., 0] * tape.phi
+        w_hidden = (net.w_hidden
+                    - grad_scale * (net.w_out * tape.gate)[..., None] * tape.z[..., None, :])
+    _reference_check_finite(w_out, w_hidden)
+    return CriticNet(w_hidden=w_hidden, w_out=w_out)
+
+
+def reference_actor_update(actor, critic, critic_tape, actor_tape, lr) -> ActorNet:
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(critic_tape.value)[..., None, None]
+        dq_du = np.vecmat(critic.w_out * critic_tape.gate, critic.w_hidden[..., N_STATE:])
+        out_signal = dq_du * actor_tape.gate_out
+        grad_out = value * out_signal[..., :, None] * actor_tape.phi[..., None, :]
+        back = np.vecmat(out_signal, actor.w_out)
+        grad_hidden = (
+            value * (back * actor_tape.gate_phi)[..., :, None]
+            * actor_tape.state[..., None, :]
+        )
+        w_out = actor.w_out - lr * grad_out
+        w_hidden = actor.w_hidden - lr * grad_hidden
+    _reference_check_finite(w_out, w_hidden)
+    return ActorNet(w_hidden=w_hidden, w_out=w_out)
+
+
+def reference_ceiling(numerator, denom):
+    return np.where(denom > 0.0, numerator / denom, math.inf)
+
+
+def reference_stability_monitor(critic, actor, critic_tape, actor_tape, params,
+                                critic_lr, actor_lr) -> MonitorReport:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = params.discount
+        phi_c = critic_tape.phi
+        phi_a = actor_tape.phi
+
+        gate_c = critic_tape.gate
+        a_vec = gate_c * critic.w_out
+        denom_c = g * g * params.alpha1 * (
+            np.vecdot(phi_c, phi_c)
+            + np.vecdot(a_vec, a_vec) * np.vecdot(critic_tape.z, critic_tape.z) / params.alpha1
+        )
+        critic_bound = reference_ceiling(params.alpha1 - g, denom_c)
+
+        c_mat = (
+            gate_c[..., :, None]
+            * critic.w_hidden[..., N_STATE:]
+            * actor_tape.gate_out[..., None, :]
+        )
+        wc = np.vecmat(critic.w_out, c_mat)
+        d_mat = actor.w_out * actor_tape.gate_phi[..., None, :]
+        wcd = np.vecmat(wc, d_mat)
+        s = actor_tape.state
+        denom_a = (params.alpha3 * np.vecdot(wc, wc) * np.vecdot(phi_a, phi_a)
+                   + params.alpha2 * np.vecdot(wcd, wcd) * np.vecdot(s, s))
+        actor_bound = reference_ceiling(params.alpha3 - params.alpha2, denom_a)
+
+    return MonitorReport(
+        critic_bound=critic_bound,
+        actor_bound=actor_bound,
+        critic_ok=critic_lr < critic_bound,
+        actor_ok=actor_lr < actor_bound,
+    )
 
 
 def np_clip_features(values):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from kneetrack import dhdp
 from kneetrack.dhdp import (
     ActionScale,
     ActorNet,
@@ -413,6 +415,73 @@ def test_stacked_rules_equal_single_net_calls(seed, trials, weight_scale, critic
     for net, single in zip(unstack_net(stack_nets(actors[0])), actors[0]):
         assert np.array_equal(net.w_hidden, single.w_hidden)
         assert np.array_equal(net.w_out, single.w_out)
+
+
+def _outcome(rule, *args):
+    """What a call gives: its result's fields as (type, dtype, shape, bytes), or the
+    error it raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = rule(*args)
+        except NumericFaultError as exc:
+            result = exc
+    if isinstance(result, Exception):
+        fields = (type(result), str(result))
+    else:
+        values = vars(result).values() if hasattr(result, "__dataclass_fields__") else [result]
+        fields = [(type(v), v.dtype, v.shape, v.tobytes()) for v in values]
+    return fields, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nets=st.integers(0, 5),
+       critic_hidden=st.integers(1, 8), actor_hidden=st.integers(1, 6),
+       kind=st.sampled_from(["uniform", "huge", "edges"]),
+       lr=st.floats(1e-4, 1e4), discount=st.floats(0.05, 0.99))
+def test_rules_equal_their_reference_formulas_byte_for_byte(
+        seed, nets, critic_hidden, actor_hidden, kind, lr, discount):
+    # the rules work in place on arrays they create; their results must be
+    # the reference formulas' bytes and types, NaN and signed zeros, raised
+    # faults and warnings included, on a single net (nets=0) and on stacks,
+    # and no input may be written
+    rng = np.random.default_rng(seed)
+    lead = (nets,) if nets else ()
+
+    def draw(*shape):
+        values = rng.uniform(-1.0, 1.0, lead + shape)
+        if kind == "huge":
+            return values * 1e200
+        if kind == "edges":
+            edges = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], values.shape)
+            return np.where(rng.random(values.shape) < 0.3, edges, values)
+        return values
+
+    critic = CriticNet(w_hidden=draw(critic_hidden, 5), w_out=draw(critic_hidden))
+    actor = ActorNet(w_hidden=draw(actor_hidden, 2), w_out=draw(3, actor_hidden))
+    state, td, denom = draw(2), draw(), draw()
+    cost = StageCostParams.default()
+    monitor = MonitorParams.for_discount(discount)
+    with np.errstate(all="ignore"):
+        a_tape = oracles.reference_actor_eval(actor, state)
+        c_tape = oracles.reference_critic_eval(critic, state, a_tape.output)
+    inputs = [critic.w_hidden, critic.w_out, actor.w_hidden, actor.w_out, state, td, denom,
+              *vars(a_tape).values(), *vars(c_tape).values()]
+    before = [a.copy() for a in inputs]
+
+    for rule, reference, args in (
+            (actor_eval, oracles.reference_actor_eval, (actor, state)),
+            (critic_eval, oracles.reference_critic_eval, (critic, state, a_tape.output)),
+            (stage_cost, oracles.reference_stage_cost, (state, a_tape.output, cost)),
+            (activation_deriv, oracles.reference_activation_deriv, (a_tape.phi,)),
+            (critic_update, oracles.reference_critic_update, (critic, td, c_tape, lr, discount)),
+            (actor_update, oracles.reference_actor_update, (actor, critic, c_tape, a_tape, lr)),
+            (stability_monitor, oracles.reference_stability_monitor,
+             (critic, actor, c_tape, a_tape, monitor, lr, lr)),
+            (dhdp._ceiling, oracles.reference_ceiling, (discount, denom))):
+        assert _outcome(rule, *args) == _outcome(reference, *args), rule.__name__
+    for value, copy_ in zip(inputs, before):
+        assert value.tobytes() == copy_.tobytes()
 
 
 def test_batched_nets_reject_mismatched_shapes():
